@@ -310,8 +310,7 @@ type StarReport struct {
 // probes the open problems of Section 7.
 func RunStar(base memmodel.Model, maxNodes, numLocs int) StarReport {
 	universe := enum.AllComputations(maxNodes, numLocs)
-	ops := computation.AllOps(numLocs)
-	star := memmodel.ConstructibleVersion(base, universe, ops)
+	star := memmodel.ConstructibleVersion(base, universe, computation.AllOps(numLocs))
 
 	rep := StarReport{
 		Base:        base.Name(),
@@ -322,27 +321,30 @@ func RunStar(base memmodel.Model, maxNodes, numLocs int) StarReport {
 		LCEqualUpTo: -1,
 		Star:        star,
 	}
+	basePairs, starPairs := star.SizeCounts()
+	copy(rep.BasePairs, basePairs)
+	copy(rep.StarPairs, starPairs)
 
+	// Boundary pairs are never pruned, so only the interior is compared
+	// with LC, in enumeration order; the first mismatch at the smallest
+	// size is the one reported.
 	mismatchSize := maxNodes + 1
-	for _, c := range universe {
+	for i, c := range universe {
 		size := c.NumNodes()
+		if size >= maxNodes || size >= mismatchSize {
+			continue
+		}
+		rank := 0
 		observer.Enumerate(c, func(o *observer.Observer) bool {
-			inBase := base.Contains(c, o)
-			inStar := star.Contains(c, o)
-			if inBase {
-				rep.BasePairs[size]++
+			inStar := star.ContainsAt(i, rank)
+			rank++
+			if inStar == memmodel.LC.Contains(c, o) {
+				return true
 			}
-			if inStar {
-				rep.StarPairs[size]++
-			}
-			if size < maxNodes && size < mismatchSize {
-				if inStar != memmodel.LC.Contains(c, o) {
-					mismatchSize = size
-					rep.FirstMismatch = fmt.Sprintf("size %d: %v / %v (star=%v, LC=%v)",
-						size, c, o, inStar, !inStar)
-				}
-			}
-			return true
+			mismatchSize = size
+			rep.FirstMismatch = fmt.Sprintf("size %d: %v / %v (star=%v, LC=%v)",
+				size, c, o, inStar, !inStar)
+			return false
 		})
 	}
 	if mismatchSize > maxNodes {

@@ -71,20 +71,7 @@ func TestLCStrictlyInsideWNStar(t *testing.T) {
 	// universe around it (its augmentations, and theirs), because the
 	// amnesiac extension always exists.
 	ops := computation.AllOps(1)
-	universe := []*computation.Computation{c}
-	frontier := []*computation.Computation{c}
-	for depth := 0; depth < 2; depth++ {
-		var next []*computation.Computation
-		for _, f := range frontier {
-			for _, op := range ops {
-				aug, _ := f.Augment(op)
-				universe = append(universe, aug)
-				next = append(next, aug)
-			}
-		}
-		frontier = next
-	}
-	star := ConstructibleVersion(WN, universe, ops)
+	star := ConstructibleVersion(WN, augClosure(c, ops, 2), ops)
 	if !star.Contains(c, o) {
 		t.Fatal("amnesiac pair must survive WN pruning")
 	}

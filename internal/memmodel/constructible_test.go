@@ -102,15 +102,20 @@ func TestCanExtendRequiresOneNodeExtension(t *testing.T) {
 // smallUniverse materializes all computations up to maxNodes over one
 // location, locally (avoiding an import cycle with internal/enum).
 func smallUniverse(maxNodes int) []*computation.Computation {
+	return smallUniverseLocs(maxNodes, 1)
+}
+
+// smallUniverseLocs is smallUniverse over numLocs locations.
+func smallUniverseLocs(maxNodes, numLocs int) []*computation.Computation {
 	var out []*computation.Computation
-	ops := computation.AllOps(1)
+	ops := computation.AllOps(numLocs)
 	for n := 0; n <= maxNodes; n++ {
 		dag.EachDagOnNodes(n, func(g *dag.Dag) bool {
 			labels := make([]computation.Op, n)
 			var rec func(i int)
 			rec = func(i int) {
 				if i == n {
-					out = append(out, computation.MustFrom(g.Clone(), append([]computation.Op(nil), labels...), 1))
+					out = append(out, computation.MustFrom(g.Clone(), append([]computation.Op(nil), labels...), numLocs))
 					return
 				}
 				for _, op := range ops {
@@ -274,13 +279,18 @@ func TestPairSetAccessors(t *testing.T) {
 	if star.NumPairs(0) != 1 {
 		t.Fatalf("empty computation pairs = %d, want 1", star.NumPairs(0))
 	}
-	count := 0
-	star.EachPair(func(c *computation.Computation, o *observer.Observer) bool {
-		count++
-		return count < 5
-	})
-	if count != 5 {
-		t.Fatalf("EachPair early stop visited %d", count)
+	// LC* = LC, so survivors equal base pairs at every size.
+	base, survivors := star.SizeCounts()
+	if len(base) != 3 || len(survivors) != 3 {
+		t.Fatalf("SizeCounts lengths %d, %d; want 3", len(base), len(survivors))
+	}
+	upTo := 0
+	for size := range base {
+		upTo += survivors[size]
+		if base[size] != survivors[size] || star.NumPairs(size) != upTo {
+			t.Fatalf("size %d: base %d, survivors %d, NumPairs %d",
+				size, base[size], survivors[size], star.NumPairs(size))
+		}
 	}
 	// Outside-universe computations are reported absent.
 	big := computation.New(1)
@@ -289,5 +299,236 @@ func TestPairSetAccessors(t *testing.T) {
 	}
 	if star.Contains(big, observer.New(big)) {
 		t.Fatal("outside-universe pair reported present")
+	}
+}
+
+// refEntry and refConstructible keep the string-keyed fixpoint that
+// ConstructibleVersion replaced, as an independent reference for it:
+// computations keyed by String, observers by Key, every base pair
+// cloned, and each alive observer of a prefix checked against every
+// survivor of each augmentation with Extends.
+type refEntry struct {
+	c     *computation.Computation
+	alive map[string]*observer.Observer // key: observer.Key()
+}
+
+func refConstructible(m Model, universe []*computation.Computation, ops []computation.Op) map[string]*refEntry {
+	entries := make(map[string]*refEntry, len(universe))
+	maxN := 0
+	for _, c := range universe {
+		maxN = max(maxN, c.NumNodes())
+		e := &refEntry{c: c, alive: make(map[string]*observer.Observer)}
+		observer.Enumerate(c, func(o *observer.Observer) bool {
+			if m.Contains(c, o) {
+				e.alive[o.Key()] = o.Clone()
+			}
+			return true
+		})
+		entries[c.String()] = e
+	}
+	augs := make(map[string][]*refEntry)
+	for key, e := range entries {
+		if e.c.NumNodes() >= maxN {
+			continue
+		}
+		for _, op := range ops {
+			aug, _ := e.c.Augment(op)
+			ae, ok := entries[aug.String()]
+			if !ok {
+				panic("reference: universe not closed under augmentation")
+			}
+			augs[key] = append(augs[key], ae)
+		}
+	}
+	for {
+		changed := false
+		for key, e := range entries {
+			var dead []string
+			for okey, o := range e.alive {
+				for _, ae := range augs[key] {
+					if !refAnyExtension(ae, o) {
+						dead = append(dead, okey)
+						break
+					}
+				}
+			}
+			for _, okey := range dead {
+				delete(e.alive, okey)
+				changed = true
+			}
+		}
+		if !changed {
+			return entries
+		}
+	}
+}
+
+func refAnyExtension(ae *refEntry, o *observer.Observer) bool {
+	for _, o2 := range ae.alive {
+		if o2.Extends(o) {
+			return true
+		}
+	}
+	return false
+}
+
+// checkAgainstReference asserts that ConstructibleVersion keeps exactly
+// the reference's survivors, through both Contains and ContainsAt, and
+// returns how many base pairs were pruned.
+func checkAgainstReference(t *testing.T, m Model, universe []*computation.Computation, ops []computation.Op) (pruned int) {
+	t.Helper()
+	star := ConstructibleVersion(m, universe, ops)
+	ref := refConstructible(m, universe, ops)
+	survivors := 0
+	for _, e := range ref {
+		survivors += len(e.alive)
+	}
+	if got := star.NumPairs(-1); got != survivors {
+		t.Fatalf("%s: %d survivors, reference keeps %d", star.Name(), got, survivors)
+	}
+	for i, c := range universe {
+		e := ref[c.String()]
+		rank := 0
+		observer.Enumerate(c, func(o *observer.Observer) bool {
+			_, want := e.alive[o.Key()]
+			if got := star.Contains(c, o); got != want {
+				t.Fatalf("%s: Contains(%v, %v) = %v, reference %v", star.Name(), c, o, got, want)
+			}
+			if got := star.ContainsAt(i, rank); got != want {
+				t.Fatalf("%s: ContainsAt(%d, %d) = %v, reference %v", star.Name(), i, rank, got, want)
+			}
+			if !want && m.Contains(c, o) {
+				pruned++
+			}
+			rank++
+			return true
+		})
+	}
+	return pruned
+}
+
+// augClosure returns root and its augmentations by ops, and theirs, to
+// the given depth: a universe closed under augmentation below its
+// largest computations.
+func augClosure(root *computation.Computation, ops []computation.Op, depth int) []*computation.Computation {
+	universe := []*computation.Computation{root}
+	frontier := universe
+	for ; depth > 0; depth-- {
+		var next []*computation.Computation
+		for _, c := range frontier {
+			for _, op := range ops {
+				aug, _ := c.Augment(op)
+				next = append(next, aug)
+			}
+		}
+		universe = append(universe, next...)
+		frontier = next
+	}
+	return universe
+}
+
+// Differential: the rank-bitset fixpoint keeps exactly the survivors of
+// the string-keyed reference, pair for pair, over the whole small
+// universe. No enumerable universe this small prunes anything (the
+// minimal NN \ LC pair has 4 nodes and sits on the boundary), so this
+// checks that nothing is pruned wrongly; the tests below check pruning.
+func TestConstructibleVersionMatchesReference(t *testing.T) {
+	maxN := 4
+	if testing.Short() {
+		maxN = 3
+	}
+	universe := smallUniverse(maxN)
+	for _, m := range []Model{NN, NW, WN, LC} {
+		checkAgainstReference(t, m, universe, computation.AllOps(1))
+	}
+}
+
+// Differential where pruning happens, over one and two locations: the
+// Figure 4 prefix with its augmentations (one round of pruning), and
+// with their augmentations too (pruning must travel two levels). The
+// two-location universes are the only pruning coverage of the
+// multi-location rank restriction: no enumerable two-location universe
+// prunes anything.
+func TestConstructibleVersionMatchesReferenceFigure4(t *testing.T) {
+	fx := paperfig.Figure4()
+	twoLocs := fx.Prefix.Clone()
+	twoLocs.AddLoc()
+	for _, prefix := range []*computation.Computation{fx.Prefix, twoLocs} {
+		ops := computation.AllOps(prefix.NumLocs())
+		for depth := 1; depth <= 2; depth++ {
+			universe := augClosure(prefix, ops, depth)
+			if pruned := checkAgainstReference(t, NN, universe, ops); pruned == 0 {
+				t.Fatalf("%d location(s), depth %d: nothing pruned", prefix.NumLocs(), depth)
+			}
+		}
+	}
+	// The Figure 4 pair itself, over two locations, is pruned.
+	o := observer.New(twoLocs)
+	o.Set(0, 2, 1)
+	o.Set(0, 3, 0)
+	ops := computation.AllOps(2)
+	star := ConstructibleVersion(NN, augClosure(twoLocs, ops, 1), ops)
+	if !NN.Contains(twoLocs, o) || star.Contains(twoLocs, o) {
+		t.Fatal("two-location Figure 4 pair must be in NN and pruned from NN*")
+	}
+}
+
+// The augmentation link's rank arithmetic equals restricting the
+// observer and ranking the restriction, at every observer of every
+// augmentation of every two-location computation up to 3 nodes.
+func TestAugLinkPrefixRankIsRestriction(t *testing.T) {
+	ops := computation.AllOps(2)
+	for _, c := range smallUniverseLocs(3, 2) {
+		for _, op := range ops {
+			aug, _ := c.Augment(op)
+			ln := newAugLink(c, aug)
+			rank := 0
+			observer.Enumerate(aug, func(o *observer.Observer) bool {
+				p, ok := o.Restrict(c.NumNodes())
+				if !ok {
+					t.Fatalf("%v: %v does not restrict to the prefix", aug, o)
+				}
+				want, ok := observer.Rank(c, p)
+				if !ok || ln.prefixRank(rank) != want {
+					t.Fatalf("%v: rank %d links to %d, restriction ranks %d", aug, rank, ln.prefixRank(rank), want)
+				}
+				rank++
+				return true
+			})
+		}
+	}
+}
+
+// An interior computation listed twice counts once and has the same
+// survivors at both positions.
+func TestConstructibleVersionDuplicateComputation(t *testing.T) {
+	universe := smallUniverse(2)
+	const first = 1 // a 1-node computation
+	dup := append(append([]*computation.Computation(nil), universe...), universe[first].Clone())
+	want := ConstructibleVersion(NN, universe, computation.AllOps(1))
+	got := ConstructibleVersion(NN, dup, computation.AllOps(1))
+	if got.NumPairs(-1) != want.NumPairs(-1) {
+		t.Fatalf("NumPairs with a duplicate = %d, want %d", got.NumPairs(-1), want.NumPairs(-1))
+	}
+	for rank := 0; rank < observer.Count(universe[first], 0); rank++ {
+		if got.ContainsAt(len(dup)-1, rank) != got.ContainsAt(first, rank) {
+			t.Fatalf("duplicate differs from its first listing at rank %d", rank)
+		}
+	}
+}
+
+// Pruning cascades through the whole interior: with no pairs at all on
+// 3-node computations, every 2-node pair loses its extensions, then
+// every 1-node pair, then the empty computation's. Only the boundary
+// survives, and the reference agrees pair for pair.
+func TestConstructibleVersionCascade(t *testing.T) {
+	hole := Func("HOLE", func(c *computation.Computation, _ *observer.Observer) bool { return c.NumNodes() != 3 })
+	universe := smallUniverse(4)
+	star := ConstructibleVersion(hole, universe, computation.AllOps(1))
+	if star.NumPairs(3) != 0 || star.NumPairs(-1) == 0 {
+		t.Fatalf("survivors up to 3 nodes: %d, in all: %d; want 0 and the boundary", star.NumPairs(3), star.NumPairs(-1))
+	}
+	if pruned := checkAgainstReference(t, hole, universe, computation.AllOps(1)); pruned == 0 {
+		t.Fatal("nothing pruned")
 	}
 }

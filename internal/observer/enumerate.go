@@ -78,6 +78,50 @@ func Enumerate(c *computation.Computation, fn func(o *Observer) bool) int {
 	return visited
 }
 
+// Rank returns the position at which Enumerate(c, ...) visits o, counting
+// from 0, and false if o is not an observer function of c. Enumerate is
+// a mixed-radix counter over the candidate sets with slot (l, u) =
+// (0, 0) most significant, so the rank is o's candidate indices read as
+// that number. Rank allocates nothing beyond c's cached closure.
+func Rank(c *computation.Computation, o *Observer) (int, bool) {
+	if o.numLocs != c.NumLocs() || o.n != c.NumNodes() {
+		return 0, false
+	}
+	cl := c.Closure()
+	rank := 0
+	for l := computation.Loc(0); int(l) < o.numLocs; l++ {
+		for u := dag.Node(0); int(u) < o.n; u++ {
+			v := o.val[int(l)*o.n+int(u)]
+			if c.Op(u).IsWriteTo(l) {
+				if v != u {
+					return 0, false
+				}
+				continue // a singleton candidate set: radix 1, digit 0
+			}
+			// The digit is v's index in Candidates(c)[l][u]: ⊥ first, then
+			// the writers to l that u does not precede, in id order.
+			radix, digit := 1, -1
+			if v == Bottom {
+				digit = 0
+			}
+			for w := dag.Node(0); int(w) < o.n; w++ {
+				if !c.Op(w).IsWriteTo(l) || cl.Precedes(u, w) {
+					continue
+				}
+				if w == v {
+					digit = radix
+				}
+				radix++
+			}
+			if digit < 0 {
+				return 0, false
+			}
+			rank = rank*radix + digit
+		}
+	}
+	return rank, true
+}
+
 // Count returns the number of observer functions of c without
 // materializing them: the product of candidate-set sizes. Pass limit > 0
 // to saturate the count (useful to bound work); limit <= 0 counts all.

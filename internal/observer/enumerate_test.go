@@ -120,6 +120,73 @@ func TestQuickEnumerateMatchesCount(t *testing.T) {
 	}
 }
 
+// Property: Rank inverts Enumerate — every visited observer ranks at its
+// visit index — and rejects assignments that are not observer functions.
+func TestQuickRankMatchesEnumerate(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		c := randomComputation(rng, 5, 2)
+		if Count(c, 2000) >= 2000 {
+			return true
+		}
+		ok := true
+		visited := Enumerate(c, func(o *Observer) bool {
+			r, valid := Rank(c, o)
+			ok = valid && r == visitedSoFar(c, o)
+			return ok
+		})
+		if !ok || visited == 0 {
+			return false
+		}
+		// Condition 2.3: a write observing ⊥ is not an observer function.
+		for u := 0; u < c.NumNodes(); u++ {
+			if op := c.Op(dag.Node(u)); op.Kind == computation.Write {
+				o := New(c)
+				o.Set(op.Loc, dag.Node(u), Bottom)
+				if _, valid := Rank(c, o); valid {
+					return false
+				}
+				break
+			}
+		}
+		_, valid := Rank(computation.New(c.NumLocs()+1), New(c))
+		return !valid
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// visitedSoFar is the brute-force rank: the number of observers
+// Enumerate visits before o.
+func visitedSoFar(c *computation.Computation, o *Observer) int {
+	rank := 0
+	Enumerate(c, func(p *Observer) bool {
+		if p.Equal(o) {
+			return false
+		}
+		rank++
+		return true
+	})
+	return rank
+}
+
+func TestRankChain(t *testing.T) {
+	c := chainWRW() // 0:W -> 1:R -> 2:W; node 1 may observe ⊥ or 0
+	o := New(c)
+	if r, ok := Rank(c, o); !ok || r != 0 {
+		t.Fatalf("Rank(⊥) = %d, %v; want 0, true", r, ok)
+	}
+	o.Set(0, 1, 0)
+	if r, ok := Rank(c, o); !ok || r != 1 {
+		t.Fatalf("Rank(0) = %d, %v; want 1, true", r, ok)
+	}
+	o.Set(0, 1, 2) // condition 2.2: node 1 precedes write 2
+	if _, ok := Rank(c, o); ok {
+		t.Fatal("Rank accepted an observer of the future")
+	}
+}
+
 // Property: every last-writer observer appears in the enumeration
 // (W_T is an observer function, Theorem 16, and enumeration is complete).
 func TestQuickLastWriterEnumerated(t *testing.T) {

@@ -275,11 +275,13 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		st := chk.Stats()
 		final.Stats = &st
 		final.RequestID = reqID
-		writeRecord(final)
+		// Count before writing: a client that reads the final record and
+		// then GETs /statsz must see this stream as done.
 		s.streams.done.Add(1)
 		s.streams.events.Add(st.Events)
 		s.streams.shed.Add(st.Shed)
 		s.streams.sample(st)
+		writeRecord(final)
 		summary := fmt.Sprintf("LC=%s SC=%s", final.LC.Text, final.SC.Text)
 		obs.Emit(rec, obs.Event{Kind: obs.StreamDone, Run: "stream", N: st.Events, Total: int(st.Shed), Str: summary})
 		obs.Emit(rec, obs.Event{Kind: obs.RunEnd, Run: "stream", Str: summary})
