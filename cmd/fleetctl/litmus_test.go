@@ -30,7 +30,7 @@ func TestRunLitmusCorpus(t *testing.T) {
 			if code != 0 && code != 1 {
 				t.Fatalf("%s explain=%v: exit %d, stderr: %s", path, explain, code, stderr.String())
 			}
-			if want := ccmcExpected(t, path, explain); stdout.String() != want {
+			if want := singleBoxGolden(t, path, explain); stdout.String() != want {
 				t.Errorf("%s explain=%v:\n got:\n%s\nwant:\n%s", path, explain, stdout.String(), want)
 			}
 		}
