@@ -22,7 +22,8 @@
 // a resource governor (-timeout, -max-states, -max-memo-mb is exact
 // and never inconclusive) stopped a decision first. Exit codes: 0 on
 // definitive verdicts (1 when -model selects a single model and it is
-// OUT), 2 on usage errors, 3 when any verdict is inconclusive.
+// OUT), 2 on usage errors (an unknown -model among them), 3 when any
+// verdict is inconclusive.
 package main
 
 import (
@@ -36,11 +37,11 @@ import (
 	"time"
 
 	"repro/internal/computation"
-	"repro/internal/expt"
 	"repro/internal/memmodel"
 	"repro/internal/obs"
 	"repro/internal/observer"
 	"repro/internal/paperfig"
+	"repro/internal/serve"
 	"repro/internal/viz"
 )
 
@@ -51,7 +52,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ccmc", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	model := fs.String("model", "", "check only this model (SC, LC, NN, NW, WN, WW, TSO, RA, CAUSAL; case-insensitive)")
+	model := fs.String("model", "", "check only this model ("+strings.Join(memmodel.ModelNames(), ", ")+"; case-insensitive)")
 	explain := fs.Bool("explain", false, "print violation/witness details")
 	demo := fs.Bool("demo", false, "check the built-in Figure 2 pair instead of a file")
 	dot := fs.Bool("dot", false, "emit the pair as Graphviz DOT instead of checking")
@@ -80,6 +81,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 func runChecks(fs *flag.FlagSet, rec obs.Recorder, model string, explain, demo, dot bool,
 	workers int, timeout time.Duration, maxStates, maxMemoMB int64, stdout, stderr io.Writer) int {
+
+	models := memmodel.ModelNames()
+	if model != "" {
+		m, err := memmodel.Lookup(model)
+		if err != nil {
+			fmt.Fprintln(stderr, "ccmc:", err)
+			return 2
+		}
+		models = []string{m.Name()}
+	}
 
 	var (
 		comp  *computation.Computation
@@ -122,16 +133,6 @@ func runChecks(fs *flag.FlagSet, rec obs.Recorder, model string, explain, demo, 
 		return 0
 	}
 
-	models := memmodel.ModelNames()
-	if model != "" {
-		model = strings.ToUpper(model) // README shows `-model tso`; names are canonical uppercase
-		if _, ok := expt.ModelByName(model); !ok {
-			fmt.Fprintf(stderr, "ccmc: unknown model %q\n", model)
-			return 1
-		}
-		models = []string{model}
-	}
-
 	ctx := context.Background()
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -147,52 +148,25 @@ func runChecks(fs *flag.FlagSet, rec obs.Recorder, model string, explain, demo, 
 
 	anyOut, anyInconclusive := false, false
 	for _, name := range models {
-		// The decision itself is shared with the serving layer
-		// (memmodel.DecideByName), so CLI and service verdicts and
-		// witnesses come from one code path.
+		// The decision and its rendering are shared with the serving
+		// layer, so CLI and service verdicts and witnesses come from one
+		// code path.
 		d, err := memmodel.DecideByName(ctx, name, comp, ofn, opts)
 		if err != nil {
 			fmt.Fprintln(stderr, "ccmc:", err)
 			return 1
 		}
-		verdict := d.Verdict
-		anyOut = anyOut || verdict.Out()
-		anyInconclusive = anyInconclusive || verdict.Inconclusive()
-		if name == "SC" || name == "TSO" {
+		r := serve.Render(named, d)
+		anyOut = anyOut || r.Verdict.Out()
+		anyInconclusive = anyInconclusive || r.Verdict.Inconclusive()
+		if st := r.Stats; st != nil {
 			fmt.Fprintf(stdout, "%-6s %s  (search: %d states, %d memo hits, %d pruned, %d workers)\n",
-				name, verdict, d.Stats.States, d.Stats.MemoHits, d.Stats.Pruned, d.Stats.Workers)
+				name, r.Verdict, st.States, st.MemoHits, st.Pruned, st.Workers)
 		} else {
-			fmt.Fprintf(stdout, "%-6s %s\n", name, verdict)
+			fmt.Fprintf(stdout, "%-6s %s\n", name, r.Verdict)
 		}
-		if !explain {
-			continue
-		}
-		switch name {
-		case "SC":
-			if verdict.In() {
-				fmt.Fprintf(stdout, "     witness sort: %s\n", named.RenderOrder(d.Order))
-			}
-		case "TSO":
-			if verdict.In() {
-				fmt.Fprintf(stdout, "     witness memory order: %s\n", named.RenderOrder(d.Order))
-			}
-		case "RA", "CAUSAL":
-			// Polynomial yes/no deciders; no witness artifact to print.
-		case "LC":
-			if verdict.In() {
-				for l, s := range d.LocOrders {
-					fmt.Fprintf(stdout, "     witness sort for location %d: %s\n", l, named.RenderOrder(s))
-				}
-			} else if verdict.Out() {
-				if e := memmodel.ExplainLC(comp, ofn); e != nil {
-					fmt.Fprintf(stdout, "     %s\n", e)
-				}
-			}
-		default:
-			if v := d.Violation; v != nil {
-				fmt.Fprintf(stdout, "     violating triple at location %d: %s ≺ %s ≺ %s\n",
-					v.Loc, named.RenderNode(v.U), named.RenderNode(v.V), named.RenderNode(v.W))
-			}
+		if explain {
+			serve.WriteExplain(stdout, r, comp, ofn)
 		}
 	}
 	switch {

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/memmodel"
 )
 
 func TestRunDemo(t *testing.T) {
@@ -66,6 +68,32 @@ func TestRunTimeoutInconclusive(t *testing.T) {
 			t.Fatalf("goroutine leak: %d goroutines, baseline %d", runtime.NumGoroutine(), base)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRunModelNames: -model resolves through the model registry — any
+// letter case works, and an unknown name is a usage error listing the
+// registered models.
+func TestRunModelNames(t *testing.T) {
+	for _, tc := range []struct {
+		model string
+		code  int
+		want  string // on stdout, or on stderr for a usage error
+	}{
+		{"tso", 0, "TSO    IN"},
+		{"Causal", 0, "CAUSAL IN"},
+		{"sc", 1, "SC     OUT"},
+		{"PSO", 2, `unknown model "PSO" (known models: ` + strings.Join(memmodel.ModelNames(), ", ") + ")"},
+	} {
+		var out, errb bytes.Buffer
+		code := run([]string{"-model", tc.model, "../../testdata/litmus/sb.ccm"}, &out, &errb)
+		got := out.String()
+		if tc.code == 2 {
+			got = errb.String()
+		}
+		if code != tc.code || !strings.Contains(got, tc.want) {
+			t.Errorf("-model %s: exit %d, want %d; output lacks %q:\n%s", tc.model, code, tc.code, tc.want, got)
+		}
 	}
 }
 

@@ -18,8 +18,9 @@
 // shard coverage is reported on stderr.
 //
 // Exit codes: 0 on definitive verdicts (1 when -models selects a
-// single model and it is OUT), 2 on usage errors, 3 when any verdict
-// is inconclusive — including fleet degradation.
+// single model and it is OUT), 2 on usage errors (an unknown model in
+// -models among them), 3 when any verdict is inconclusive — including
+// fleet degradation.
 package main
 
 import (
@@ -85,12 +86,16 @@ func runChecks(files []string, rec obs.Recorder, replicas, modelList string, sha
 	requestTimeout time.Duration, stdout, stderr io.Writer) int {
 
 	var modelNames []string
-	if modelList != "" {
-		for _, m := range strings.Split(modelList, ",") {
-			if m = strings.TrimSpace(m); m != "" {
-				modelNames = append(modelNames, m)
-			}
+	for _, m := range strings.Split(modelList, ",") {
+		if m = strings.TrimSpace(m); m == "" {
+			continue
 		}
+		e, err := memmodel.Lookup(m)
+		if err != nil {
+			fmt.Fprintln(stderr, "fleetctl:", err)
+			return 2
+		}
+		modelNames = append(modelNames, e.Name())
 	}
 
 	co, err := fleet.New(fleet.Config{
@@ -147,6 +152,8 @@ func runChecks(files []string, rec obs.Recorder, replicas, modelList string, sha
 // nature), and the degrade report — exact shard coverage per degraded
 // model — on stderr.
 func printReport(rep *fleet.Report, pair string, explain bool, stdout, stderr io.Writer) (anyOut, anyInconclusive bool) {
+	// The coordinator accepted the same text, so it parses.
+	named, ofn, _ := observer.ParsePairString(pair)
 	for _, o := range rep.Outcomes {
 		anyOut = anyOut || o.Verdict.Out()
 		anyInconclusive = anyInconclusive || o.Verdict.Inconclusive()
@@ -158,42 +165,10 @@ func printReport(rep *fleet.Report, pair string, explain bool, stdout, stderr io
 		if !explain {
 			continue
 		}
-		switch o.Model {
-		case "SC":
-			if o.Verdict.In() {
-				fmt.Fprintf(stdout, "     witness sort: %s\n", o.Witness)
-				if !o.WitnessCanonical {
-					fmt.Fprintln(stderr, "fleetctl: degraded: SC witness found above a lost shard; a lower-root witness may exist")
-				}
-			}
-		case "TSO":
-			if o.Verdict.In() {
-				fmt.Fprintf(stdout, "     witness memory order: %s\n", o.Witness)
-			}
-		case "RA", "CAUSAL":
-			// Polynomial yes/no deciders; no witness artifact to print.
-		case "LC":
-			if o.Verdict.In() {
-				for l, s := range o.LocWitnesses {
-					fmt.Fprintf(stdout, "     witness sort for location %d: %s\n", l, s)
-				}
-			} else if o.Verdict.Out() {
-				// The LC explanation is a polynomial local computation;
-				// no reason to burden the fleet with it.
-				if named, ofn, err := observer.ParsePairString(pair); err == nil {
-					if e := memmodel.ExplainLC(named.Comp, ofn); e != nil {
-						fmt.Fprintf(stdout, "     %s\n", e)
-					}
-				}
-			}
-		default:
-			if o.Violation != "" {
-				// The wire form is "loc: u ≺ v ≺ w"; re-render it in the
-				// ccmc explain spelling.
-				if loc, triple, ok := strings.Cut(o.Violation, ": "); ok {
-					fmt.Fprintf(stdout, "     violating triple at location %s: %s\n", loc, triple)
-				}
-			}
+		serve.WriteExplain(stdout, serve.ModelResult{Model: o.Model, Verdict: o.Verdict, Witness: o.Witness,
+			LocWitnesses: o.LocWitnesses, Violation: o.Violation}, named.Comp, ofn)
+		if o.Verdict.In() && !o.WitnessCanonical {
+			fmt.Fprintln(stderr, "fleetctl: degraded: SC witness found above a lost shard; a lower-root witness may exist")
 		}
 	}
 	return anyOut, anyInconclusive

@@ -43,6 +43,7 @@ import (
 	"os"
 
 	"repro/internal/expt"
+	"repro/internal/memmodel"
 	"repro/internal/obs"
 )
 
@@ -130,9 +131,9 @@ func runChecked(maxNodes, locs int, census bool, star, props, findtrap string, w
 
 	switch {
 	case findtrap != "":
-		m, ok := expt.ModelByName(findtrap)
-		if !ok {
-			fmt.Fprintf(stderr, "lattice: unknown model %q\n", findtrap)
+		m, err := memmodel.Lookup(findtrap)
+		if err != nil {
+			fmt.Fprintln(stderr, "lattice:", err)
 			return 2
 		}
 		return bracket("findtrap "+m.Name(), func() (string, bool) {
@@ -145,9 +146,9 @@ func runChecked(maxNodes, locs int, census bool, star, props, findtrap string, w
 				m.Name(), trap.Pair.C, trap.Pair.O, trap.Op), false
 		})
 	case star != "":
-		m, ok := expt.ModelByName(star)
-		if !ok {
-			fmt.Fprintf(stderr, "lattice: unknown model %q\n", star)
+		m, err := memmodel.Lookup(star)
+		if err != nil {
+			fmt.Fprintln(stderr, "lattice:", err)
 			return 2
 		}
 		return bracket("star "+m.Name(), func() (string, bool) {
@@ -155,9 +156,9 @@ func runChecked(maxNodes, locs int, census bool, star, props, findtrap string, w
 			return rep.String(), rep.OK()
 		})
 	case props != "":
-		m, ok := expt.ModelByName(props)
-		if !ok {
-			fmt.Fprintf(stderr, "lattice: unknown model %q\n", props)
+		m, err := memmodel.Lookup(props)
+		if err != nil {
+			fmt.Fprintln(stderr, "lattice:", err)
 			return 2
 		}
 		return bracket("props "+m.Name(), func() (string, bool) {

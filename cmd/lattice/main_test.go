@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/memmodel"
 )
 
 // runLattice runs the CLI and returns (exit code, stdout, stderr).
@@ -149,6 +151,30 @@ func TestUsageErrors(t *testing.T) {
 	} {
 		if code, out, _ := runLattice(t, tc.args...); code != 2 {
 			t.Errorf("%s: exit code = %d, want 2; output:\n%s", tc.name, code, out)
+		}
+	}
+}
+
+// TestModelNames: -star, -props and -findtrap resolve through the
+// model registry — any letter case works, and an unknown name is a
+// usage error listing the registered models.
+func TestModelNames(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string // on stdout, or on stderr for a usage error
+	}{
+		{[]string{"-n", "3", "-star", "nn"}, 0, "NN* over computations ≤3 nodes"},
+		{[]string{"-n", "2", "-props", "Sc"}, 0, "SC over ≤2 nodes"},
+		{[]string{"-n", "2", "-findtrap", "nw"}, 0, "NW has no non-constructibility witness"},
+		{[]string{"-star", "PSO"}, 2, `unknown model "PSO" (known models: ` + strings.Join(memmodel.ModelNames(), ", ") + ")"},
+	} {
+		code, out, errOut := runLattice(t, tc.args...)
+		if tc.code == 2 {
+			out = errOut
+		}
+		if code != tc.code || !strings.Contains(out, tc.want) {
+			t.Errorf("%v: exit %d, want %d; output lacks %q:\n%s", tc.args, code, tc.code, tc.want, out)
 		}
 	}
 }

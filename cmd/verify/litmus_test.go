@@ -74,6 +74,32 @@ func TestLitmusPairConformance(t *testing.T) {
 	}
 }
 
+// TestPairModelNames: -pair -model resolves through the model
+// registry — any letter case works, and an unknown name is a usage
+// error listing the registered models.
+func TestPairModelNames(t *testing.T) {
+	for _, tc := range []struct {
+		model string
+		code  int
+		want  string // on stdout, or on stderr for a usage error
+	}{
+		{"tso", 0, "TSO: IN"},
+		{"Causal", 0, "CAUSAL: IN"},
+		{"sc", 1, "SC: OUT"},
+		{"PSO", 2, `unknown model "PSO" (known models: ` + strings.Join(memmodel.ModelNames(), ", ") + ")"},
+	} {
+		var out, errb bytes.Buffer
+		code := run([]string{"-pair", "-model", tc.model, "../../testdata/litmus/sb.ccm"}, &out, &errb)
+		got := out.String()
+		if tc.code == 2 {
+			got = errb.String()
+		}
+		if code != tc.code || !strings.Contains(got, tc.want) {
+			t.Errorf("-pair -model %s: exit %d, want %d; output lacks %q:\n%s", tc.model, code, tc.code, tc.want, got)
+		}
+	}
+}
+
 // TestPairModeErrors: the pair-mode flag plumbing rejects the
 // combinations its usage forbids and surfaces unknown models as the
 // self-describing memmodel error.

@@ -35,8 +35,8 @@
 //	verify -pair -model TSO testdata/litmus/sb.ccm
 //
 // Pair-mode exit codes match ccmc: 0 when the survey completes (or the
-// single -model answers IN), 1 when a single -model answers OUT, 3
-// when any verdict is inconclusive.
+// single -model answers IN), 1 when a single -model answers OUT, 2 when
+// -model names no registered model, 3 when any verdict is inconclusive.
 //
 // Two streaming modes mirror the ccmd daemon's POST /v1/trace:
 //
@@ -240,6 +240,16 @@ func runChecks(fs *flag.FlagSet, rec obs.Recorder, budget, maxStates int64, time
 func pairChecks(rec obs.Recorder, file, model string, budget, maxStates int64, timeout time.Duration,
 	maxMemoMB int64, workers int, stdout, stderr io.Writer) int {
 
+	models := memmodel.ModelNames()
+	if model != "" {
+		m, err := memmodel.Lookup(model)
+		if err != nil {
+			fmt.Fprintln(stderr, "verify:", err)
+			return 2
+		}
+		models = []string{m.Name()}
+	}
+
 	f, err := os.Open(file)
 	if err != nil {
 		fmt.Fprintln(stderr, "verify:", err)
@@ -250,11 +260,6 @@ func pairChecks(rec obs.Recorder, file, model string, budget, maxStates int64, t
 	if err != nil {
 		fmt.Fprintln(stderr, "verify:", err)
 		return 1
-	}
-
-	models := memmodel.ModelNames()
-	if model != "" {
-		models = []string{strings.ToUpper(model)} // match ccmc: `-model tso` works
 	}
 
 	ctx := context.Background()

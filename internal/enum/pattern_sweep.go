@@ -3,7 +3,7 @@ package enum
 // This file implements the single-pass reduced lattice sweep: instead
 // of one universe sweep per Figure-1 edge (each deciding two models per
 // pair), one sweep over canonical representatives classifies every pair
-// into its 6-bit membership pattern with a pooled memmodel
+// into its membership pattern (one bit per registered model) with a pooled memmodel
 // PatternDecider, and every edge's Relation falls out of the
 // orbit-weighted pattern census. Witnesses stay byte-identical to the
 // per-edge unreduced sweeps: within a shard the first pair on each side

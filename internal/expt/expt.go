@@ -19,26 +19,14 @@ import (
 	"repro/internal/observer"
 )
 
-// Models returns the decidable models: the six of Figure 1 strongest
-// first, then the hardware/language models (TSO, RA, CAUSAL) appended
-// so existing table positions stay stable. The order matches
-// memmodel.ModelNames.
-func Models() []memmodel.Model {
-	return []memmodel.Model{
-		memmodel.SC, memmodel.LC, memmodel.NN,
-		memmodel.NW, memmodel.WN, memmodel.WW,
-		memmodel.TSO, memmodel.RA, memmodel.CAUSAL,
+// model resolves a name from the lattice tables, which name only
+// registered models.
+func model(name string) memmodel.Model {
+	m, err := memmodel.Lookup(name)
+	if err != nil {
+		panic("expt: " + err.Error())
 	}
-}
-
-// ModelByName resolves one of the Models by name.
-func ModelByName(name string) (memmodel.Model, bool) {
-	for _, m := range Models() {
-		if m.Name() == name {
-			return m, true
-		}
-	}
-	return nil, false
+	return m
 }
 
 // Edge is one claimed relation of the lattice (Figure 1 plus the
@@ -176,14 +164,7 @@ func RunLatticeObs(maxNodes, numLocs, workers int, rec obs.Recorder) LatticeRepo
 	rep := LatticeReport{MaxNodes: maxNodes, NumLocs: numLocs}
 	rep.Pairs = enum.CountPairsParallel(maxNodes, numLocs, workers)
 	for _, e := range LatticeEdges() {
-		a, ok := ModelByName(e.A)
-		if !ok {
-			panic("expt: unknown model " + e.A)
-		}
-		b, ok := ModelByName(e.B)
-		if !ok {
-			panic("expt: unknown model " + e.B)
-		}
+		a, b := model(e.A), model(e.B)
 		locs := numLocs
 		if e.A == "SC" && e.B == "LC" && locs < 2 {
 			locs = 2
@@ -215,7 +196,7 @@ const sclcAuxMaxNodes = 4
 
 // RunLatticeReduced is RunLatticeObs on the symmetry-reduced universe:
 // one fused sweep classifies every canonical representative pair into
-// its 6-model membership pattern (memmodel.PatternDecider) and every
+// its membership pattern (memmodel.PatternDecider) and every
 // Figure 1 edge's relation is derived from the orbit-weighted pattern
 // census. Counts and witnesses equal RunLatticeObs's exactly, with one
 // carve-out: when maxNodes exceeds sclcAuxMaxNodes the SC/LC edge's
@@ -548,7 +529,7 @@ func MembershipCensus(maxNodes, numLocs int) string {
 // over workers (<= 0 means GOMAXPROCS). Counts are order-independent,
 // so the table is identical for every worker count.
 func MembershipCensusParallel(maxNodes, numLocs, workers int) string {
-	models := Models()
+	models := memmodel.PatternModels()
 	counts, total := enum.CensusParallel(models, maxNodes, numLocs, workers)
 	return censusTable(models, counts, total, maxNodes, numLocs)
 }
@@ -557,7 +538,7 @@ func MembershipCensusParallel(maxNodes, numLocs, workers int) string {
 // only canonical representatives and weighting each by its orbit size;
 // the rendered table is identical to the unreduced one.
 func MembershipCensusReducedParallel(maxNodes, numLocs, workers int) string {
-	models := Models()
+	models := memmodel.PatternModels()
 	counts, total := enum.CensusReducedParallel(models, maxNodes, numLocs, workers)
 	return censusTable(models, counts, total, maxNodes, numLocs)
 }

@@ -12,18 +12,6 @@ import (
 	"repro/internal/observer"
 )
 
-func TestModelByName(t *testing.T) {
-	for _, name := range []string{"SC", "LC", "NN", "NW", "WN", "WW"} {
-		m, ok := ModelByName(name)
-		if !ok || m.Name() != name {
-			t.Fatalf("ModelByName(%q) = %v, %v", name, m, ok)
-		}
-	}
-	if _, ok := ModelByName("XX"); ok {
-		t.Fatal("unknown name resolved")
-	}
-}
-
 // E1 (Figure 1): at 3 nodes every inclusion holds; strictness of the
 // size-4 edges is deferred to their MinNodes (checked in the full test
 // below and in the benches).

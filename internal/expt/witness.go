@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"repro/internal/memmodel"
 	"repro/internal/observer"
 )
 
@@ -102,13 +103,13 @@ func (r WitnessReport) String() string {
 func CheckWitnesses(dir string) (WitnessReport, error) {
 	rep := WitnessReport{Dir: dir}
 	for _, claim := range WitnessClaims() {
-		in, ok := ModelByName(claim.In)
-		if !ok {
-			return rep, fmt.Errorf("expt: witness %s names unknown model %s", claim.File, claim.In)
+		in, err := memmodel.Lookup(claim.In)
+		if err != nil {
+			return rep, fmt.Errorf("expt: witness %s: %w", claim.File, err)
 		}
-		out, ok := ModelByName(claim.Out)
-		if !ok {
-			return rep, fmt.Errorf("expt: witness %s names unknown model %s", claim.File, claim.Out)
+		out, err := memmodel.Lookup(claim.Out)
+		if err != nil {
+			return rep, fmt.Errorf("expt: witness %s: %w", claim.File, err)
 		}
 		f, err := os.Open(filepath.Join(dir, claim.File))
 		if err != nil {

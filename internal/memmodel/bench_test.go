@@ -1,6 +1,7 @@
 package memmodel
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,11 +10,13 @@ import (
 	"repro/internal/observer"
 )
 
-// Decision-procedure benchmarks for the hardware/language models,
-// recorded by scripts/bench.sh and gated by scripts/bench-compare.sh.
-// The workload is the litmus corpus: IRIW (the 6-node independent-
-// reads fixture) exercises the TSO engine search and the polynomial
-// hb-based checks at the largest committed size, and SB adds the
+// Decision benchmarks for every registered model, recorded by
+// scripts/bench.sh and gated by scripts/bench-compare.sh. Each runs
+// the governed front door (DecideByName) the CLIs and the daemon call,
+// on one engine worker so the search stats and allocation counts are
+// deterministic. The workload is the litmus corpus: IRIW (the 6-node
+// independent-reads fixture) exercises the engine searches and the
+// polynomial checks at the largest committed size, and SB adds the
 // classic store-buffering shape every weak-memory discussion starts
 // from.
 
@@ -31,19 +34,23 @@ func loadLitmus(b *testing.B, name string) (*computation.Computation, *observer.
 	return named.Comp, o
 }
 
-func benchModel(b *testing.B, m Model) {
-	b.Helper()
-	for _, fixture := range []string{"sb.ccm", "iriw.ccm"} {
-		c, o := loadLitmus(b, fixture)
-		b.Run(fixture, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m.Contains(c, o)
-			}
-		})
+func BenchmarkDecide(b *testing.B) {
+	fixtures := []string{"sb.ccm", "iriw.ccm"}
+	comps := make([]*computation.Computation, len(fixtures))
+	obs := make([]*observer.Observer, len(fixtures))
+	for i, f := range fixtures {
+		comps[i], obs[i] = loadLitmus(b, f)
+	}
+	for _, name := range ModelNames() {
+		for i, fixture := range fixtures {
+			b.Run(name+"/"+fixture, func(b *testing.B) {
+				b.ReportAllocs()
+				for n := 0; n < b.N; n++ {
+					if _, err := DecideByName(context.Background(), name, comps[i], obs[i], SearchOptions{Workers: 1}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
-
-func BenchmarkDecideTSO(b *testing.B)    { benchModel(b, TSO) }
-func BenchmarkDecideRA(b *testing.B)     { benchModel(b, RA) }
-func BenchmarkDecideCausal(b *testing.B) { benchModel(b, CAUSAL) }

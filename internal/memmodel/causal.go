@@ -29,40 +29,20 @@ import (
 // per-location hidden-write tests miss cycles that only close across
 // locations — and the differential fuzzer pins it to a brute-force
 // enumeration of linearizations.
-var CAUSAL Model = causalModel{}
+var CAUSAL Model = registered("CAUSAL")
 
-type causalModel struct{}
-
-func (causalModel) Name() string { return "CAUSAL" }
-
-func (causalModel) Contains(c *computation.Computation, o *observer.Observer) bool {
-	if o.Validate(c) != nil {
-		return false
-	}
-	v := CausalDecide(context.Background(), c, o)
-	return v.In()
-}
-
-// CausalDecide decides (c, o) ∈ CAUSAL under ctx. The check is
-// polynomial; ctx is polled once per node.
-func CausalDecide(ctx context.Context, c *computation.Computation, o *observer.Observer) Verdict {
-	if o.Validate(c) != nil {
-		return search.VerdictOut()
-	}
+// decideCausal decides CAUSAL membership in polynomial time.
+func decideCausal(ctx context.Context, c *computation.Computation, o *observer.Observer, _ SearchOptions) Decision {
 	hb, ok := buildHB(c, o)
 	if !ok {
-		return search.VerdictOut()
+		return Decision{Verdict: search.VerdictOut()}
 	}
-	return causalCheck(ctx, c, o, hb)
+	return Decision{Verdict: causalCheck(ctx, c, o, hb)}
 }
 
-// causalOK is the unvalidated core for the pooled pattern decider: o
-// must be a valid observer and hb its (acyclic) happens-before
-// relation.
-func causalOK(c *computation.Computation, o *observer.Observer, hb *hbRel) bool {
-	return causalCheck(context.Background(), c, o, hb).In()
-}
-
+// causalCheck runs the per-node linearization check against hb, the
+// (acyclic) happens-before relation of (c, o), polling ctx once per
+// node.
 func causalCheck(ctx context.Context, c *computation.Computation, o *observer.Observer, hb *hbRel) Verdict {
 	n := c.NumNodes()
 	numLocs := c.NumLocs()

@@ -6,6 +6,7 @@ import (
 	"repro/internal/computation"
 	"repro/internal/dag"
 	"repro/internal/observer"
+	"repro/internal/search"
 )
 
 // Predicate is the parameter Q of Definition 20. Holds is evaluated on
@@ -66,30 +67,36 @@ var (
 //
 // Intuitively: a node sandwiched between two nodes that observe the
 // same write (under the side condition Q) must observe that write too.
-func QDag(p Predicate) Model { return qdagModel{pred: p} }
-
-// The four models of Figure 1. NN is the strongest dag-consistent model
-// and is not constructible (Figure 4); its constructible version is LC
-// (Theorem 23). WN is the dag consistency of [BFJ+96a], WW that of
-// [BFJ+96b].
-var (
-	NN = QDag(PredNN)
-	NW = QDag(PredNW)
-	WN = QDag(PredWN)
-	WW = QDag(PredWW)
-)
-
-type qdagModel struct {
-	pred Predicate
+func QDag(p Predicate) Model {
+	return Func(p.Name, func(c *computation.Computation, o *observer.Observer) bool {
+		return ExplainQDag(p, c, o) == nil
+	})
 }
 
-func (m qdagModel) Name() string { return m.pred.Name }
+// The four models of Figure 1, registered as QDag(PredNN) … QDag(PredWW).
+// NN is the strongest dag-consistent model and is not constructible
+// (Figure 4); its constructible version is LC (Theorem 23). WN is the
+// dag consistency of [BFJ+96a], WW that of [BFJ+96b].
+var (
+	NN Model = registered("NN")
+	NW Model = registered("NW")
+	WN Model = registered("WN")
+	WW Model = registered("WW")
+)
 
-func (m qdagModel) Contains(c *computation.Computation, o *observer.Observer) bool {
-	if o.Validate(c) != nil {
-		return false
+// decideQDag is the registry's decider for QDag(p): an Out decision
+// carries the violating triple.
+func decideQDag(p Predicate) decider {
+	return func(ctx context.Context, c *computation.Computation, o *observer.Observer, _ SearchOptions) Decision {
+		v, err := findViolation(ctx, p, c, o)
+		switch {
+		case err != nil:
+			return inconclusive(err)
+		case v != nil:
+			return Decision{Verdict: search.VerdictOut(), Violation: v}
+		}
+		return Decision{Verdict: search.VerdictIn()}
 	}
-	return m.findViolation(c, o) == nil
 }
 
 // Violation records a failed instance of Condition 20.1, for error
@@ -103,18 +110,14 @@ type Violation struct {
 // given predicate, or nil if (c, o) is in the model. The observer must
 // be valid for c.
 func ExplainQDag(p Predicate, c *computation.Computation, o *observer.Observer) *Violation {
-	return qdagModel{pred: p}.findViolation(c, o)
-}
-
-func (m qdagModel) findViolation(c *computation.Computation, o *observer.Observer) *Violation {
-	v, _ := m.findViolationCtx(context.Background(), c, o)
+	v, _ := findViolation(context.Background(), p, c, o)
 	return v
 }
 
-// findViolationCtx is findViolation under a context, polled once per
+// findViolation is ExplainQDag under a context, polled once per
 // (location, node) outer iteration. A non-nil error means the scan was
 // stopped before covering every triple.
-func (m qdagModel) findViolationCtx(ctx context.Context, c *computation.Computation, o *observer.Observer) (*Violation, error) {
+func findViolation(ctx context.Context, p Predicate, c *computation.Computation, o *observer.Observer) (*Violation, error) {
 	cl := c.Closure()
 	n := c.NumNodes()
 	for l := computation.Loc(0); int(l) < c.NumLocs(); l++ {
@@ -134,7 +137,7 @@ func (m qdagModel) findViolationCtx(ctx context.Context, c *computation.Computat
 				var bad *Violation
 				cl.Descendants(v).ForEach(func(wi int) bool {
 					w := dag.Node(wi)
-					if o.Get(l, w) == phiU && m.pred.Holds(c, l, u, v, w) {
+					if o.Get(l, w) == phiU && p.Holds(c, l, u, v, w) {
 						bad = &Violation{Loc: l, U: u, V: v, W: w}
 						return false
 					}

@@ -20,6 +20,9 @@ func TestDecideByNameMatchesModels(t *testing.T) {
 		"NW": memmodel.NW, "WN": memmodel.WN, "WW": memmodel.WW,
 		"TSO": memmodel.TSO, "RA": memmodel.RA, "CAUSAL": memmodel.CAUSAL,
 	}
+	if len(models) != len(memmodel.ModelNames()) {
+		t.Fatalf("registry has %d models, the test knows %d", len(memmodel.ModelNames()), len(models))
+	}
 	for _, name := range memmodel.ModelNames() {
 		d, err := memmodel.DecideByName(context.Background(), name, fx.Comp, fx.Obs, memmodel.SearchOptions{})
 		if err != nil {
@@ -76,14 +79,31 @@ func TestDecideByNameUnknownModel(t *testing.T) {
 	}
 }
 
-func TestPredicateByName(t *testing.T) {
-	for _, name := range []string{"NN", "NW", "WN", "WW"} {
-		if _, ok := memmodel.PredicateByName(name); !ok {
-			t.Errorf("PredicateByName(%s) missing", name)
+// TestLookup: the CLIs resolve model names through Lookup, so it must
+// accept every registered name in any case and reject the rest with an
+// error listing the registered models.
+func TestLookup(t *testing.T) {
+	for _, name := range memmodel.ModelNames() {
+		for _, spelling := range []string{name, strings.ToLower(name)} {
+			m, err := memmodel.Lookup(spelling)
+			if err != nil || m.Name() != name {
+				t.Errorf("Lookup(%q) = %v, %v; want %s", spelling, m, err, name)
+			}
 		}
 	}
-	if _, ok := memmodel.PredicateByName("SC"); ok {
-		t.Error("PredicateByName(SC) resolved; SC is not a quantified-dag model")
+	_, err := memmodel.Lookup("PSO")
+	if err == nil {
+		t.Fatal("Lookup(PSO) resolved")
+	}
+	for _, name := range memmodel.ModelNames() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error does not list %s: %v", name, err)
+		}
+	}
+	// DecideByName keeps the wire's exact spelling.
+	fx := paperfig.Figure2()
+	if _, err := memmodel.DecideByName(context.Background(), "tso", fx.Comp, fx.Obs, memmodel.SearchOptions{}); err == nil {
+		t.Error(`DecideByName("tso") decided; names are exact there`)
 	}
 }
 

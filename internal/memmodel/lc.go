@@ -1,9 +1,12 @@
 package memmodel
 
 import (
+	"context"
+
 	"repro/internal/computation"
 	"repro/internal/dag"
 	"repro/internal/observer"
+	"repro/internal/search"
 )
 
 // LC is location consistency (Definition 18), called coherence in much
@@ -19,50 +22,30 @@ import (
 // Note this is *not* the "location consistency" of Gao & Sarkar [GS95],
 // which is a different (weaker) model; the paper's Section 7 discusses
 // the naming collision.
-var LC Model = lcModel{}
+var LC Model = registered("LC")
 
-type lcModel struct{}
-
-func (lcModel) Name() string { return "LC" }
-
-func (lcModel) Contains(c *computation.Computation, o *observer.Observer) bool {
-	_, ok := LCWitness(c, o)
-	return ok
-}
-
-// LCWitness returns one topological sort per location witnessing
-// LC-membership, if (c, o) ∈ LC. Each location is decided by the
-// polynomial SerializeLoc reduction with every node's last-writer value
-// pinned to the observer's.
-func LCWitness(c *computation.Computation, o *observer.Observer) ([][]dag.Node, bool) {
-	if o.Validate(c) != nil {
-		return nil, false
-	}
+// decideLC decides each location by the polynomial SerializeLoc
+// reduction, polling ctx between locations. An In decision carries one
+// witnessing sort per location.
+func decideLC(ctx context.Context, c *computation.Computation, o *observer.Observer, _ SearchOptions) Decision {
 	sorts := make([][]dag.Node, c.NumLocs())
-	for l := computation.Loc(0); int(l) < c.NumLocs(); l++ {
-		loc := l
-		order, ok := SerializeLoc(c, loc, func(u dag.Node) (dag.Node, bool) {
-			return o.Get(loc, u), true
-		})
+	for l := range sorts {
+		if err := ctx.Err(); err != nil {
+			return inconclusive(err)
+		}
+		order, ok := SerializeLoc(c, computation.Loc(l), o)
 		if !ok {
-			return nil, false
+			return Decision{Verdict: search.VerdictOut()}
 		}
 		sorts[l] = order
 	}
-	return sorts, true
+	return Decision{Verdict: search.VerdictIn(), LocOrders: sorts}
 }
 
-// lcContainsBySearch is the exponential topological-sort search for LC
-// membership, retained for cross-validation of SerializeLoc in tests
-// and benchmarks.
-func lcContainsBySearch(c *computation.Computation, o *observer.Observer) bool {
-	if o.Validate(c) != nil {
-		return false
+// explainLCOut renders ExplainLC's proof of non-membership.
+func explainLCOut(c *computation.Computation, o *observer.Observer) string {
+	if e := ExplainLC(c, o); e != nil {
+		return e.String()
 	}
-	for l := computation.Loc(0); int(l) < c.NumLocs(); l++ {
-		if _, ok := searchLastWriter(c, o, []computation.Loc{l}); !ok {
-			return false
-		}
-	}
-	return true
+	return ""
 }

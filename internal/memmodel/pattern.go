@@ -1,6 +1,8 @@
 package memmodel
 
 import (
+	"context"
+
 	"repro/internal/computation"
 	"repro/internal/dag"
 	"repro/internal/observer"
@@ -8,12 +10,12 @@ import (
 )
 
 // This file implements the pooled single-pass membership decider the
-// symmetry-reduced lattice sweep runs per pair: one 6-bit pattern
-// holding membership of (c, o) in every Figure-1 model at once,
-// computed without the per-pair allocations (candidate slices, write
-// index maps, witness sorts, engine problems) the individual Contains
-// calls pay. On the exhaustive sweeps this replaces 14 independent
-// model decisions per pair (7 lattice edges × 2) with one fused scan.
+// symmetry-reduced lattice sweep runs per pair: one 9-bit pattern
+// holding membership of (c, o) in every registered model at once,
+// computed without the per-pair allocations (candidate slices, witness
+// sorts, violation triples) the individual Contains calls pay. On the
+// exhaustive sweeps this replaces 32 independent model decisions per
+// pair (16 lattice edges × 2) with one fused scan.
 //
 // Two structural facts keep it exact rather than heuristic:
 //
@@ -32,11 +34,12 @@ import (
 // The decider assumes o is a valid observer for c (observer.Enumerate
 // yields only valid observers; Validate costs more than the rest of
 // the scan combined). The differential tests pin the pattern bits to
-// the six Contains implementations over the full n ≤ 4 universe.
+// the registered models' Contains over the full n ≤ 4 universe.
 
-// Pattern bits, in ModelNames() order. The hardware/language models
-// (TSO, RA, CAUSAL) extend the original six Figure-1 bits without
-// renumbering them, so persisted counts stay comparable.
+// Pattern bits: a model's bit is its registry row index. The
+// hardware/language models (TSO, RA, CAUSAL) extend the original six
+// Figure-1 bits without renumbering them, so persisted counts stay
+// comparable.
 const (
 	PatternSC uint16 = 1 << iota
 	PatternLC
@@ -53,38 +56,22 @@ const (
 	PatternAll = PatternSC | PatternLC | PatternNN | PatternNW | PatternWN | PatternWW
 )
 
-// PatternModels lists the decidable models in pattern bit order,
-// aligned with ModelNames.
-func PatternModels() []Model { return []Model{SC, LC, NN, NW, WN, WW, TSO, RA, CAUSAL} }
-
-// PatternDecider computes Figure-1 membership patterns for the
-// observers of one computation at a time. Reset once per computation,
-// then Pattern once per observer; buffers are reused across both. Not
-// safe for concurrent use.
+// PatternDecider computes membership patterns for the observers of
+// one computation at a time. Reset once per computation, then Pattern
+// once per observer; buffers are reused across both. Not safe for
+// concurrent use.
 type PatternDecider struct {
 	c       *computation.Computation
 	cl      *dag.Closure
 	n       int
 	numLocs int
 	writers [][]dag.Node // per location, cached from c.Writers
-	// SC engine options for the L ≥ 2 fallback.
-	opts SearchOptions
-
-	// Location-consistency scratch, sized on Reset.
-	widx  []int32   // node -> dense writer index at the current location
-	adj   [][]int32 // write-order constraint digraph
-	color []int8
+	lc      lcCore
 }
 
-// NewPatternDecider returns a decider with default engine options for
-// the L ≥ 2 SC fallback.
+// NewPatternDecider returns a decider; its engine searches (SC with
+// L ≥ 2 locations, TSO) run with default options.
 func NewPatternDecider() *PatternDecider { return &PatternDecider{} }
-
-// NewPatternDeciderOpts sets the engine options used when an SC search
-// is unavoidable (L ≥ 2 pairs inside LC).
-func NewPatternDeciderOpts(opts SearchOptions) *PatternDecider {
-	return &PatternDecider{opts: opts}
-}
 
 // Reset points the decider at a computation.
 func (pd *PatternDecider) Reset(c *computation.Computation) {
@@ -96,25 +83,9 @@ func (pd *PatternDecider) Reset(c *computation.Computation) {
 		pd.writers = make([][]dag.Node, pd.numLocs)
 	}
 	pd.writers = pd.writers[:pd.numLocs]
-	maxW := 0
-	for l := 0; l < pd.numLocs; l++ {
+	for l := range pd.writers {
 		pd.writers[l] = c.Writers(computation.Loc(l))
-		if len(pd.writers[l]) > maxW {
-			maxW = len(pd.writers[l])
-		}
 	}
-	if cap(pd.widx) < pd.n {
-		pd.widx = make([]int32, pd.n)
-	}
-	pd.widx = pd.widx[:pd.n]
-	if cap(pd.adj) < maxW {
-		pd.adj = append(pd.adj[:cap(pd.adj)], make([][]int32, maxW-cap(pd.adj))...)
-	}
-	pd.adj = pd.adj[:maxW]
-	if cap(pd.color) < maxW {
-		pd.color = make([]int8, maxW)
-	}
-	pd.color = pd.color[:maxW]
 }
 
 // Pattern returns the membership pattern of (c, o) for a valid
@@ -124,11 +95,8 @@ func (pd *PatternDecider) Pattern(o *observer.Observer) uint16 {
 	sc := false
 	if pd.lcOK(o) {
 		pattern |= PatternLC
-		if pd.numLocs <= 1 {
-			sc = true // one location: SC and LC coincide
-		} else if searchLastWriterOpts(pd.c, o, allLocs(pd.c), pd.opts).Found {
-			sc = true
-		}
+		// One location: SC and LC coincide.
+		sc = pd.numLocs <= 1 || searchLastWriter(context.Background(), pd.c, o, allLocs(pd.c), SearchOptions{}).Found
 	}
 	if sc {
 		pattern |= PatternSC
@@ -136,16 +104,16 @@ func (pd *PatternDecider) Pattern(o *observer.Observer) uint16 {
 	// The extension models reuse the shared happens-before relation;
 	// SC ⊆ TSO spares the engine when the pair is already known in.
 	if hb, ok := buildHB(pd.c, o); ok {
-		if raOK(pd.c, o, hb) {
+		if raCheck(context.Background(), pd.c, o, hb).In() {
 			pattern |= PatternRA
 		}
-		if causalOK(pd.c, o, hb) {
+		if causalCheck(context.Background(), pd.c, o, hb).In() {
 			pattern |= PatternCAUSAL
 		}
 		if sc {
 			pattern |= PatternTSO
 		} else if spec, feasible := TSOSpec(pd.c, o); feasible {
-			if search.Run(spec, pd.opts).Found {
+			if search.Run(spec, SearchOptions{}).Found {
 				pattern |= PatternTSO
 			}
 		}
@@ -241,138 +209,16 @@ func (pd *PatternDecider) scanW(o *observer.Observer, l computation.Loc, u, v da
 	return true
 }
 
-// lcOK is the feasibility core of the LC decider: for every location,
-// the observer's pins admit a serialization. It mirrors SerializeLoc's
-// reduction — direct contradictions, then acyclicity of the forced
-// write-order digraph — without materializing the witness sort or any
-// per-call maps.
+// lcOK reports whether the observer admits a serialization at every
+// location: the shared LC core, run without materializing the witness
+// sorts.
 func (pd *PatternDecider) lcOK(o *observer.Observer) bool {
-	for l := computation.Loc(0); int(l) < pd.numLocs; l++ {
-		if !pd.lcLocOK(o, l) {
+	for l := 0; l < pd.numLocs; l++ {
+		writers := pd.writers[l]
+		if _, ok := pd.lc.check(pd.c, pd.cl, o, computation.Loc(l), writers); !ok {
 			return false
 		}
-	}
-	return true
-}
-
-func (pd *PatternDecider) lcLocOK(o *observer.Observer, l computation.Loc) bool {
-	writers := pd.writers[l]
-	k := len(writers)
-	for i := range pd.widx {
-		pd.widx[i] = -1
-	}
-	for i, w := range writers {
-		pd.widx[w] = int32(i)
-	}
-	// Direct contradictions. Every node is pinned (writes to l to
-	// themselves, everything else to Φ(l,u)), so a node observing ⊥
-	// fails the moment any ancestor observes a write — in particular
-	// when a writer precedes it — and a node may not observe a write it
-	// precedes ("the future").
-	for ui := 0; ui < pd.n; ui++ {
-		u := dag.Node(ui)
-		if pd.c.Op(u).IsWriteTo(l) {
-			continue
-		}
-		want := o.Get(l, u)
-		if want == observer.Bottom {
-			bad := false
-			pd.cl.Ancestors(u).ForEach(func(ai int) bool {
-				if o.Get(l, dag.Node(ai)) != observer.Bottom {
-					bad = true
-					return false
-				}
-				return true
-			})
-			if bad {
-				return false
-			}
-			continue
-		}
-		if pd.cl.Precedes(u, want) {
-			return false
-		}
-	}
-	if k <= 1 {
-		return true // at most one write: no order left to constrain
-	}
-	// Forced write-order digraph over the writers (see SerializeLoc's
-	// derivation): closure order among writers; for a node pinned to
-	// wi, writers preceding the node land before wi and writers
-	// following it land after; dag order between pinned nodes orders
-	// their pins.
-	adj := pd.adj[:k]
-	for i := range adj {
-		adj[i] = adj[i][:0]
-	}
-	addEdge := func(a, b int32) {
-		if a != b {
-			adj[a] = append(adj[a], b)
-		}
-	}
-	for i, w := range writers {
-		for j, x := range writers {
-			if i != j && pd.cl.Precedes(w, x) {
-				addEdge(int32(i), int32(j))
-			}
-		}
-	}
-	for ui := 0; ui < pd.n; ui++ {
-		u := dag.Node(ui)
-		if pd.c.Op(u).IsWriteTo(l) {
-			continue
-		}
-		want := o.Get(l, u)
-		if want == observer.Bottom {
-			continue
-		}
-		wi := pd.widx[want]
-		for j, x := range writers {
-			if int32(j) == wi {
-				continue
-			}
-			if pd.cl.Precedes(x, u) {
-				addEdge(int32(j), wi)
-			}
-			if pd.cl.Precedes(u, x) {
-				addEdge(wi, int32(j))
-			}
-		}
-		// u ≺ v with v pinned to a write: wi at-or-before Φ(l,v).
-		pd.cl.Descendants(u).ForEach(func(vi int) bool {
-			v := dag.Node(vi)
-			if pd.c.Op(v).IsWriteTo(l) {
-				return true // covered by the writer loops above
-			}
-			if wv := o.Get(l, v); wv != observer.Bottom {
-				addEdge(wi, pd.widx[wv])
-			}
-			return true
-		})
-	}
-	// Cycle check: white/gray/black DFS.
-	color := pd.color[:k]
-	for i := range color {
-		color[i] = 0
-	}
-	var dfs func(v int32) bool
-	dfs = func(v int32) bool {
-		color[v] = 1
-		for _, w := range adj[v] {
-			switch color[w] {
-			case 0:
-				if !dfs(w) {
-					return false
-				}
-			case 1:
-				return false
-			}
-		}
-		color[v] = 2
-		return true
-	}
-	for i := int32(0); int(i) < k; i++ {
-		if color[i] == 0 && !dfs(i) {
+		if _, ok := pd.lc.sortWrites(len(writers)); !ok {
 			return false
 		}
 	}

@@ -1,6 +1,7 @@
 package memmodel
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/computation"
@@ -32,7 +33,7 @@ func eachComputationLocal(n, numLocs int, fn func(c *computation.Computation)) {
 }
 
 // TestPatternMatchesContains differentially checks the fused decider
-// against the six Contains implementations over the full universe: for
+// against the registered models' Contains over the full universe: for
 // every computation and every valid observer, the pattern bits must
 // agree with the individual model deciders.
 func TestPatternMatchesContains(t *testing.T) {
@@ -82,11 +83,11 @@ func TestPatternMatchesContains(t *testing.T) {
 // TestSleepSetsPreserveSC: the engine's sleep-set pruning must not
 // change SC membership for any pair of the small universe.
 func TestSleepSetsPreserveSC(t *testing.T) {
-	noSleep := SCOpts(SearchOptions{DisableSleep: true})
+	noSleep := SearchOptions{DisableSleep: true}
 	for _, tc := range []struct{ n, locs int }{{3, 1}, {3, 2}, {4, 1}} {
 		eachComputationLocal(tc.n, tc.locs, func(c *computation.Computation) {
 			observer.Enumerate(c, func(o *observer.Observer) bool {
-				if got, want := SC.Contains(c, o), noSleep.Contains(c, o); got != want {
+				if got, want := SC.Contains(c, o), decideSC(context.Background(), c, o, noSleep).Verdict.In(); got != want {
 					t.Fatalf("n=%d locs=%d %v / %v: SC with sleep %v, without %v",
 						tc.n, tc.locs, c, o, got, want)
 				}
@@ -109,7 +110,7 @@ func TestPatternDeciderReuse(t *testing.T) {
 			fresh.Reset(c)
 			observer.Enumerate(c, func(o *observer.Observer) bool {
 				if g, w := shared.Pattern(o), fresh.Pattern(o); g != w {
-					t.Fatalf("n=%d locs=%d %v / %v: reused decider %06b, fresh %06b",
+					t.Fatalf("n=%d locs=%d %v / %v: reused decider %09b, fresh %09b",
 						tc.n, tc.locs, c, o, g, w)
 				}
 				return true

@@ -32,38 +32,20 @@ import (
 // serialization digraph forces (hb ⊇ the precedence closure), so an
 // RA-consistent pair is location-consistent. The strictness witnesses
 // live in testdata/litmus and are machine-checked by cmd/lattice.
-var RA Model = raModel{}
+var RA Model = registered("RA")
 
-type raModel struct{}
-
-func (raModel) Name() string { return "RA" }
-
-func (raModel) Contains(c *computation.Computation, o *observer.Observer) bool {
-	if o.Validate(c) != nil {
-		return false
-	}
-	return RADecide(context.Background(), c, o).In()
-}
-
-// RADecide decides (c, o) ∈ RA under ctx. The check is polynomial;
-// ctx is polled once per location.
-func RADecide(ctx context.Context, c *computation.Computation, o *observer.Observer) Verdict {
-	if o.Validate(c) != nil {
-		return search.VerdictOut()
-	}
+// decideRA decides RA membership in polynomial time.
+func decideRA(ctx context.Context, c *computation.Computation, o *observer.Observer, _ SearchOptions) Decision {
 	hb, ok := buildHB(c, o)
 	if !ok {
-		return search.VerdictOut()
+		return Decision{Verdict: search.VerdictOut()}
 	}
-	return raCheck(ctx, c, o, hb)
+	return Decision{Verdict: raCheck(ctx, c, o, hb)}
 }
 
-// raOK is the unvalidated core for the pooled pattern decider: o must
-// be a valid observer and hb its (acyclic) happens-before relation.
-func raOK(c *computation.Computation, o *observer.Observer, hb *hbRel) bool {
-	return raCheck(context.Background(), c, o, hb).In()
-}
-
+// raCheck runs the per-location modification-order check against hb,
+// the (acyclic) happens-before relation of (c, o), polling ctx once per
+// location.
 func raCheck(ctx context.Context, c *computation.Computation, o *observer.Observer, hb *hbRel) Verdict {
 	n := c.NumNodes()
 	for l := computation.Loc(0); int(l) < c.NumLocs(); l++ {

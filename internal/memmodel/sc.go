@@ -1,8 +1,9 @@
 package memmodel
 
 import (
+	"context"
+
 	"repro/internal/computation"
-	"repro/internal/dag"
 	"repro/internal/observer"
 )
 
@@ -16,37 +17,14 @@ import (
 // computation rather than interleavings of per-processor instruction
 // streams, it generalizes Lamport's processor-centric definition
 // (Section 4 of the paper).
-var SC Model = scModel{}
+var SC Model = registered("SC")
 
-type scModel struct{ opts SearchOptions }
-
-func (scModel) Name() string { return "SC" }
-
-func (m scModel) Contains(c *computation.Computation, o *observer.Observer) bool {
-	_, ok, _ := SCWitnessOpts(c, o, m.opts)
-	return ok
-}
-
-// SCOpts returns the SC decider with explicit engine options (worker
-// count for parallel root splitting, search-state budget). With a
-// budget set, Contains can report false on exhaustion without the
-// instance being decided; use SCWitnessOpts to distinguish.
-func SCOpts(opts SearchOptions) Model { return scModel{opts: opts} }
-
-// SCWitness returns a topological sort T with Φ = W_T, if one exists.
-func SCWitness(c *computation.Computation, o *observer.Observer) ([]dag.Node, bool) {
-	order, ok, _ := SCWitnessOpts(c, o, SearchOptions{})
-	return order, ok
-}
-
-// SCWitnessOpts is SCWitness with engine options, also reporting
-// search statistics (state counts, memo hits, prunes).
-func SCWitnessOpts(c *computation.Computation, o *observer.Observer, opts SearchOptions) ([]dag.Node, bool, SearchStats) {
-	if o.Validate(c) != nil {
-		return nil, false, SearchStats{}
-	}
-	res := searchLastWriterOpts(c, o, allLocs(c), opts)
-	return res.Order, res.Found, res.Stats
+// decideSC searches for the witnessing sort on the engine:
+// cancellation, deadline expiry or an exhausted opts.Budget stop it
+// with an inconclusive verdict.
+func decideSC(ctx context.Context, c *computation.Computation, o *observer.Observer, opts SearchOptions) Decision {
+	res := searchLastWriter(ctx, c, o, allLocs(c), opts)
+	return Decision{Verdict: res.Verdict(), Stats: res.Stats, Order: res.Order}
 }
 
 func allLocs(c *computation.Computation) []computation.Loc {

@@ -1,6 +1,7 @@
 package memmodel
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -35,9 +36,9 @@ func TestSCAcceptsLastWriterObservers(t *testing.T) {
 		if !SC.Contains(c, o) {
 			t.Fatalf("SC rejected last-writer observer of %v", c)
 		}
-		w, ok := SCWitness(c, o)
-		if !ok || !c.Dag().IsTopoSort(w) {
-			t.Fatalf("SCWitness failed for %v", c)
+		w := decideSC(context.Background(), c, o, SearchOptions{}).Order
+		if !c.Dag().IsTopoSort(w) {
+			t.Fatalf("no SC witness sort for %v", c)
 		}
 		// The witness must regenerate the observer exactly.
 		if !observer.FromLastWriter(c, w).Equal(o) {
@@ -94,9 +95,9 @@ func TestDekkerSeparatesSCFromLC(t *testing.T) {
 	if !LC.Contains(fx.Comp, fx.Obs) {
 		t.Fatal("Dekker outcome must be location consistent")
 	}
-	sorts, ok := LCWitness(fx.Comp, fx.Obs)
-	if !ok || len(sorts) != 2 {
-		t.Fatal("LCWitness failed on Dekker")
+	sorts := decideLC(context.Background(), fx.Comp, fx.Obs, SearchOptions{}).LocOrders
+	if len(sorts) != 2 {
+		t.Fatal("no LC witness sorts for Dekker")
 	}
 	for l, s := range sorts {
 		if !fx.Comp.Dag().IsTopoSort(s) {

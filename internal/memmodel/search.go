@@ -1,6 +1,8 @@
 package memmodel
 
 import (
+	"context"
+
 	"repro/internal/computation"
 	"repro/internal/dag"
 	"repro/internal/observer"
@@ -33,17 +35,11 @@ type SearchOptions = search.Options
 // SearchStats reports the work a decider's search did.
 type SearchStats = search.Stats
 
-// searchLastWriter reports whether some T ∈ TS(c) has Φ(l,·) = W_T(l,·)
-// simultaneously for every l in locs, and returns one witnessing sort.
-func searchLastWriter(c *computation.Computation, o *observer.Observer, locs []computation.Loc) ([]dag.Node, bool) {
-	res := searchLastWriterOpts(c, o, locs, SearchOptions{})
-	return res.Order, res.Found
-}
-
-// searchLastWriterOpts is searchLastWriter with engine options and the
-// full engine result (stats, budget exhaustion).
-func searchLastWriterOpts(c *computation.Computation, o *observer.Observer, locs []computation.Loc, opts SearchOptions) search.Result {
-	return search.Run(lastWriterSpec(c, o, locs), opts)
+// searchLastWriter runs the engine on whether some T ∈ TS(c) has
+// Φ(l,·) = W_T(l,·) simultaneously for every l in locs; a found result
+// carries one witnessing sort.
+func searchLastWriter(ctx context.Context, c *computation.Computation, o *observer.Observer, locs []computation.Loc, opts SearchOptions) search.Result {
+	return search.RunContext(ctx, lastWriterSpec(c, o, locs), opts)
 }
 
 // lastWriterSpec compiles the (C, Φ, S) membership question into an

@@ -10,195 +10,67 @@ import (
 )
 
 // This file implements the polynomial-time single-location
-// serialization procedure behind LC membership and post-mortem LC
-// verification. The question it answers: given a computation C, a
-// location l, and a requirement function fixing W_T(l, u) for some
-// nodes u, is there a topological sort T realizing every requirement?
+// serialization procedure behind LC membership: given a computation C,
+// an observer function Φ, and a location l, is there a topological sort
+// T with W_T(l, u) = Φ(l, u) for every node u?
 //
 // The reduction: a sort T induces a total order w_1 < … < w_k of the
 // writes to l, and every other node lies in the "interval" after its
 // observed write (or before w_1 for ⊥). Each dag edge then forces an
 // order between two observed writes:
 //
-//   - u ≺ v (both constrained) forces φ(u) at-or-before φ(v);
-//   - x ≺ u (x a write) forces x at-or-before φ(u);
-//   - u ≺ x (x a write) forces φ(u) strictly before x;
+//   - u ≺ v (both non-writes) forces Φ(l,u) at-or-before Φ(l,v);
+//   - x ≺ u (x a write) forces x at-or-before Φ(l,u);
+//   - u ≺ x (x a write) forces Φ(l,u) strictly before x;
 //
 // and since distinct writes occupy distinct positions, "at-or-before"
-// between distinct writes is strict. The requirements are realizable
-// iff no direct contradiction arises (a constrained node preceded by a
-// write while requiring ⊥, or preceding its own observed write) and the
-// resulting digraph over the writes is acyclic. A witness sort is
-// assembled by ranking nodes by interval and sorting within intervals
-// by a fixed topological position, with each interval's write first.
+// between distinct writes is strict. Φ is realizable at l iff no direct
+// contradiction arises (a node observing ⊥ preceded by a write, or by a
+// node observing a write) and the resulting digraph over the writes is
+// acyclic. A witness sort is assembled by ranking nodes by interval and
+// sorting within intervals by a fixed topological position, with each
+// interval's write first.
 //
 // Worst-case cost is O(|V|² + k²) per location, versus the exponential
 // topological-sort search (kept in search.go for SC, which needs all
 // locations simultaneously serialized and is NP-hard, and for
-// cross-validation in the tests).
+// cross-validation in the tests). One core, lcCore, runs the reduction
+// for SerializeLoc, ExplainLC and the pooled PatternDecider alike.
 
-// Requirement describes the constraint on one node's last-writer value:
-// either free (not constrained) or pinned to a specific write (possibly
-// ⊥). Writes to the location are implicitly pinned to themselves by
-// Definition 13 and must not be pinned elsewhere.
-type Requirement func(u dag.Node) (want dag.Node, constrained bool)
-
-// SerializeLoc returns a topological sort T of c with W_T(l, u) = want
-// for every constrained node, or ok = false if none exists.
-func SerializeLoc(c *computation.Computation, l computation.Loc, req Requirement) ([]dag.Node, bool) {
-	n := c.NumNodes()
-	cl := c.Closure()
+// SerializeLoc returns a topological sort T of c with W_T(l, u) =
+// Φ(l, u) for every node u, or ok = false if none exists. The observer
+// must be valid for c.
+func SerializeLoc(c *computation.Computation, l computation.Loc, o *observer.Observer) ([]dag.Node, bool) {
+	var lc lcCore
 	writers := c.Writers(l)
-	k := len(writers)
-	widx := make(map[dag.Node]int, k) // write -> dense index
-	for i, w := range writers {
-		widx[w] = i
+	if _, ok := lc.check(c, c.Closure(), o, l, writers); !ok {
+		return nil, false
 	}
-
-	// phi[u] holds the pinned value for constrained non-write nodes;
-	// unconstrained nodes are marked free. Writes are handled separately.
-	type pin struct {
-		value       dag.Node
-		constrained bool
-	}
-	pins := make([]pin, n)
-	for u := 0; u < n; u++ {
-		node := dag.Node(u)
-		if c.Op(node).IsWriteTo(l) {
-			if want, con := req(node); con && want != node {
-				return nil, false // a write observes itself (Definition 13.1/2.3)
-			}
-			continue
-		}
-		want, con := req(node)
-		if !con {
-			continue
-		}
-		pins[u] = pin{value: want, constrained: true}
-		if want == observer.Bottom {
-			// No write may precede u.
-			for _, x := range writers {
-				if cl.Precedes(x, node) {
-					return nil, false
-				}
-			}
-			continue
-		}
-		if _, isWrite := widx[want]; !isWrite {
-			return nil, false // pinned to a non-write
-		}
-		if cl.Precedes(node, want) {
-			return nil, false // would observe the future (2.2)
-		}
-	}
-
-	// Build the precedence digraph over writes.
-	adj := make([][]int, k)
-	addEdge := func(a, b int) {
-		if a != b {
-			adj[a] = append(adj[a], b)
-		}
-	}
-	for i, w := range writers {
-		for j, x := range writers {
-			if i != j && cl.Precedes(w, x) {
-				addEdge(i, j)
-			}
-		}
-		_ = w
-	}
-	for u := 0; u < n; u++ {
-		if !pins[u].constrained {
-			continue
-		}
-		node := dag.Node(u)
-		if pins[u].value == observer.Bottom {
-			// u precedes every write it reaches; interval 0 handles it.
-			continue
-		}
-		wi := widx[pins[u].value]
-		for j, x := range writers {
-			if j == wi {
-				continue
-			}
-			if cl.Precedes(x, node) {
-				addEdge(j, wi) // x at-or-before φ(u): strict since distinct
-			}
-			if cl.Precedes(node, x) {
-				addEdge(wi, j) // φ(u) strictly before x
-			}
-		}
-		// Cross constraints with other pinned nodes.
-		for v := 0; v < n; v++ {
-			if v == u || !pins[v].constrained {
-				continue
-			}
-			if !cl.Precedes(node, dag.Node(v)) {
-				continue
-			}
-			// u ≺ v: φ(u) at-or-before φ(v).
-			if pins[v].value == observer.Bottom {
-				return nil, false // v needs ⊥ but follows a w-observing node
-			}
-			addEdge(wi, widx[pins[v].value])
-		}
-	}
-
-	writeOrder, ok := topoOrderInts(k, adj)
+	writeOrder, ok := lc.sortWrites(len(writers))
 	if !ok {
 		return nil, false
 	}
-	writeRank := make([]int, k) // write index -> 1-based interval rank
+	// Rank every node by interval: a write by its 1-based position in
+	// the write order, every other node by the write it observes (0 for
+	// ⊥).
+	n := c.NumNodes()
+	rank := make([]int, n)
 	for pos, wi := range writeOrder {
-		writeRank[wi] = pos + 1
+		rank[writers[wi]] = pos + 1
 	}
-
-	// Rank every node: writes at their interval; pinned nodes at their
-	// write's interval (0 for ⊥); free nodes at the maximum rank among
-	// their ranked ancestors.
-	topoPos := make([]int, n)
+	for u := dag.Node(0); int(u) < n; u++ {
+		if w := o.Get(l, u); w != observer.Bottom && w != u {
+			rank[u] = rank[w]
+		}
+	}
 	baseOrder, err := c.Dag().TopoSort()
 	if err != nil {
 		return nil, false
 	}
+	topoPos := make([]int, n)
 	for pos, u := range baseOrder {
 		topoPos[u] = pos
 	}
-	rank := make([]int, n)
-	const unranked = -1
-	for u := range rank {
-		rank[u] = unranked
-	}
-	for i, w := range writers {
-		rank[w] = writeRank[i]
-		_ = i
-	}
-	for u := 0; u < n; u++ {
-		if pins[u].constrained {
-			if pins[u].value == observer.Bottom {
-				rank[u] = 0
-			} else {
-				rank[u] = writeRank[widx[pins[u].value]]
-			}
-		}
-	}
-	// Free nodes, in topological order so ancestors are already final.
-	for _, u := range baseOrder {
-		if rank[u] != unranked {
-			continue
-		}
-		r := 0
-		cl.Ancestors(u).ForEach(func(a int) bool {
-			if rank[a] != unranked && rank[a] > r {
-				r = rank[a]
-			}
-			return true
-		})
-		rank[u] = r
-	}
-	// A free node ranked by ancestors could exceed a ranked descendant;
-	// detect by a final monotonicity check after the sort below.
-
 	order := make([]dag.Node, n)
 	for u := range order {
 		order[u] = dag.Node(u)
@@ -216,13 +88,6 @@ func SerializeLoc(c *computation.Computation, l computation.Loc, req Requirement
 		}
 		return topoPos[a] < topoPos[b]
 	})
-	if !c.Dag().IsTopoSort(order) {
-		// The constraint graph was satisfiable but the rank assignment
-		// collided with the dag; by the reduction's correctness this
-		// cannot happen for valid pins — it guards against free-node
-		// rank overshoot, which the constraints do not bound.
-		return nil, false
-	}
 	return order, true
 }
 
@@ -241,48 +106,22 @@ type LCExplanation struct {
 
 // ExplainLC returns a proof that (c, o) ∉ LC — the first failing
 // location with either a direct contradiction or a forced write-order
-// cycle — or nil if the pair is in LC. The observer must be valid.
+// cycle — or nil if the pair is in LC.
 func ExplainLC(c *computation.Computation, o *observer.Observer) *LCExplanation {
 	if o.Validate(c) != nil {
 		return &LCExplanation{Direct: "not an observer function"}
 	}
+	var lc lcCore
 	cl := c.Closure()
 	for l := computation.Loc(0); int(l) < c.NumLocs(); l++ {
 		writers := c.Writers(l)
-		widx := make(map[dag.Node]int, len(writers))
-		for i, w := range writers {
-			widx[w] = i
-		}
-		// Direct contradictions first (mirrors SerializeLoc's checks).
-		direct := ""
-		for u := dag.Node(0); int(u) < c.NumNodes() && direct == ""; u++ {
-			if c.Op(u).IsWriteTo(l) {
-				continue
+		if d, ok := lc.check(c, cl, o, l, writers); !ok {
+			if d.v == observer.Bottom {
+				return &LCExplanation{Loc: l, Direct: fmt.Sprintf("node %d observes ⊥ at location %d but write %d precedes it", d.u, l, d.w)}
 			}
-			w := o.Get(l, u)
-			if w == observer.Bottom {
-				for _, x := range writers {
-					if cl.Precedes(x, u) {
-						direct = fmt.Sprintf("node %d observes ⊥ at location %d but write %d precedes it", u, l, x)
-						break
-					}
-				}
-				continue
-			}
-			for v := dag.Node(0); int(v) < c.NumNodes(); v++ {
-				if cl.Precedes(u, v) && o.Get(l, v) == observer.Bottom {
-					direct = fmt.Sprintf("node %d observes write %d at location %d but its successor %d observes ⊥", u, w, l, v)
-					break
-				}
-			}
+			return &LCExplanation{Loc: l, Direct: fmt.Sprintf("node %d observes write %d at location %d but its successor %d observes ⊥", d.u, d.w, l, d.v)}
 		}
-		if direct != "" {
-			return &LCExplanation{Loc: l, Direct: direct}
-		}
-		// Build the same constraint digraph as SerializeLoc and hunt for
-		// a cycle.
-		adj := buildWriteConstraints(c, cl, l, writers, widx, o)
-		if cycle := findCycleInts(len(writers), adj); cycle != nil {
+		if cycle := findCycleInts(len(writers), lc.adj); cycle != nil {
 			nodes := make([]dag.Node, len(cycle))
 			for i, wi := range cycle {
 				nodes[i] = writers[wi]
@@ -308,58 +147,130 @@ func (e *LCExplanation) String() string {
 	return s + fmt.Sprintf(" %d", e.Cycle[0])
 }
 
-// buildWriteConstraints assembles the before-edges among writes implied
-// by the observer's pins (see SerializeLoc's derivation).
-func buildWriteConstraints(c *computation.Computation, cl *dag.Closure, l computation.Loc,
-	writers []dag.Node, widx map[dag.Node]int, o *observer.Observer) [][]int {
-	adj := make([][]int, len(writers))
-	addEdge := func(a, b int) {
-		if a != b {
-			adj[a] = append(adj[a], b)
-		}
+// lcCore is the LC feasibility core with its scratch. The zero value
+// is ready; the buffers grow to the largest computation seen and are
+// reused, so a long-lived core decides without allocating.
+type lcCore struct {
+	widx  []int   // node -> index among the location's writers
+	adj   [][]int // forced write-order digraph over the writers
+	indeg []int
+	order []int
+}
+
+// lcConflict is a direct contradiction: node u observes ⊥ although
+// write w precedes it (v is ⊥), or u observes write w although its
+// successor v observes ⊥.
+type lcConflict struct{ u, w, v dag.Node }
+
+// check runs the reduction at location l of (c, o), with cl c's
+// closure and writers c's writers to l. It returns the first direct
+// contradiction, in node order, or ok with the forced write-order
+// digraph over writers left in lc.adj. o must be valid for c.
+func (lc *lcCore) check(c *computation.Computation, cl *dag.Closure, o *observer.Observer, l computation.Loc, writers []dag.Node) (lcConflict, bool) {
+	n, k := c.NumNodes(), len(writers)
+	if cap(lc.widx) < n {
+		lc.widx = make([]int, n)
 	}
+	lc.widx = lc.widx[:n]
+	for i, w := range writers {
+		lc.widx[w] = i
+	}
+	if cap(lc.adj) < k {
+		lc.adj = append(lc.adj[:cap(lc.adj)], make([][]int, k-cap(lc.adj))...)
+	}
+	lc.adj = lc.adj[:k]
+	for i := range lc.adj {
+		lc.adj[i] = lc.adj[i][:0]
+	}
+	adj := lc.adj
 	for i, w := range writers {
 		for j, x := range writers {
 			if i != j && cl.Precedes(w, x) {
-				addEdge(i, j)
+				adj[i] = append(adj[i], j)
 			}
-			_ = x
 		}
-		_ = w
 	}
-	n := c.NumNodes()
-	for u := dag.Node(0); int(u) < n; u++ {
+	for ui := 0; ui < n; ui++ {
+		u := dag.Node(ui)
 		if c.Op(u).IsWriteTo(l) {
 			continue
 		}
-		want := o.Get(l, u)
-		if want == observer.Bottom {
+		w := o.Get(l, u)
+		if w == observer.Bottom {
+			for _, x := range writers {
+				if cl.Precedes(x, u) {
+					return lcConflict{u: u, w: x, v: observer.Bottom}, false
+				}
+			}
 			continue
 		}
-		wi := widx[want]
+		wi := lc.widx[w]
 		for j, x := range writers {
 			if j == wi {
 				continue
 			}
 			if cl.Precedes(x, u) {
-				addEdge(j, wi)
+				adj[j] = append(adj[j], wi)
 			}
 			if cl.Precedes(u, x) {
-				addEdge(wi, j)
+				adj[wi] = append(adj[wi], j)
 			}
 		}
-		for v := dag.Node(0); int(v) < n; v++ {
-			if v == u || c.Op(v).IsWriteTo(l) {
-				continue
+		// Each successor observes a write at-or-after w; ⊥ is a
+		// contradiction. Writes were covered by the loop above.
+		bad := observer.Bottom
+		cl.Descendants(u).ForEach(func(vi int) bool {
+			v := dag.Node(vi)
+			if c.Op(v).IsWriteTo(l) {
+				return true
 			}
-			wantV := o.Get(l, v)
-			if wantV == observer.Bottom || !cl.Precedes(u, v) {
-				continue
+			wv := o.Get(l, v)
+			if wv == observer.Bottom {
+				bad = v
+				return false
 			}
-			addEdge(wi, widx[wantV])
+			if wv != w {
+				adj[wi] = append(adj[wi], lc.widx[wv])
+			}
+			return true
+		})
+		if bad != observer.Bottom {
+			return lcConflict{u: u, w: w, v: bad}, false
 		}
 	}
-	return adj
+	return lcConflict{}, true
+}
+
+// sortWrites topologically sorts the k writers under the digraph check
+// built (Kahn's algorithm, lowest index first among the ready), or
+// reports ok = false on a cycle.
+func (lc *lcCore) sortWrites(k int) ([]int, bool) {
+	if cap(lc.indeg) < k {
+		lc.indeg = make([]int, k)
+	}
+	indeg := lc.indeg[:k]
+	clear(indeg)
+	for _, out := range lc.adj[:k] {
+		for _, v := range out {
+			indeg[v]++
+		}
+	}
+	order := lc.order[:0]
+	for v := 0; v < k; v++ {
+		if indeg[v] == 0 {
+			order = append(order, v)
+		}
+	}
+	for head := 0; head < len(order); head++ {
+		for _, w := range lc.adj[order[head]] {
+			indeg[w]--
+			if indeg[w] == 0 {
+				order = append(order, w)
+			}
+		}
+	}
+	lc.order = order
+	return order, len(order) == k
 }
 
 // findCycleInts returns one directed cycle of the integer digraph, or
@@ -408,37 +319,4 @@ func findCycleInts(n int, adj [][]int) []int {
 		}
 	}
 	return nil
-}
-
-// topoOrderInts topologically sorts a small integer digraph, returning
-// ok = false on a cycle.
-func topoOrderInts(n int, adj [][]int) ([]int, bool) {
-	indeg := make([]int, n)
-	for _, out := range adj {
-		for _, v := range out {
-			indeg[v]++
-		}
-	}
-	var queue []int
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, v)
-		}
-	}
-	var order []int
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, w := range adj[v] {
-			indeg[w]--
-			if indeg[w] == 0 {
-				queue = append(queue, w)
-			}
-		}
-	}
-	if len(order) != n {
-		return nil, false
-	}
-	return order, true
 }

@@ -1,6 +1,7 @@
 package memmodel
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,20 @@ import (
 	"repro/internal/dag"
 	"repro/internal/observer"
 )
+
+// lcContainsBySearch is the exponential topological-sort search for LC
+// membership: the engine run one location at a time.
+func lcContainsBySearch(c *computation.Computation, o *observer.Observer) bool {
+	if o.Validate(c) != nil {
+		return false
+	}
+	for l := computation.Loc(0); int(l) < c.NumLocs(); l++ {
+		if !searchLastWriter(context.Background(), c, o, []computation.Loc{l}, SearchOptions{}).Found {
+			return false
+		}
+	}
+	return true
+}
 
 // The polynomial SerializeLoc reduction must agree exactly with the
 // exponential topological-sort search on the full observer universe of
@@ -50,8 +65,8 @@ func TestQuickSerializeWitnessRealizes(t *testing.T) {
 		}
 		ok := true
 		observer.Enumerate(c, func(o *observer.Observer) bool {
-			sorts, in := LCWitness(c, o)
-			if !in {
+			sorts := decideLC(context.Background(), c, o, SearchOptions{}).LocOrders
+			if sorts == nil {
 				return true
 			}
 			for l := computation.Loc(0); int(l) < c.NumLocs(); l++ {
@@ -76,65 +91,45 @@ func TestQuickSerializeWitnessRealizes(t *testing.T) {
 	}
 }
 
-// Partially-constrained serialization: only some nodes pinned.
-func TestSerializeLocPartial(t *testing.T) {
-	// w1 -> r (pinned to w2, a parallel write): feasible.
+// A read may observe a write it is parallel to even when another write
+// precedes it; observing ⊥ past that write is infeasible.
+func TestSerializeLocParallelWrite(t *testing.T) {
 	c := computation.New(1)
 	w1 := c.AddNode(computation.W(0))
 	w2 := c.AddNode(computation.W(0))
 	r := c.AddNode(computation.R(0))
 	c.MustAddEdge(w1, r)
-	order, ok := SerializeLoc(c, 0, func(u dag.Node) (dag.Node, bool) {
-		if u == r {
-			return w2, true
-		}
-		return 0, false
-	})
+	o := observer.New(c)
+	o.Set(0, r, w2)
+	order, ok := SerializeLoc(c, 0, o)
 	if !ok {
-		t.Fatal("feasible pin rejected")
+		t.Fatal("feasible observation rejected")
 	}
-	row := observer.LastWriterForLoc(c, order, 0)
-	if row[r] != w2 {
+	if row := observer.LastWriterForLoc(c, order, 0); row[r] != w2 {
 		t.Fatalf("witness row = %v", row)
 	}
-	// Pin r to ⊥: infeasible, w1 precedes it.
-	if _, ok := SerializeLoc(c, 0, func(u dag.Node) (dag.Node, bool) {
-		if u == r {
-			return observer.Bottom, true
-		}
-		return 0, false
-	}); ok {
-		t.Fatal("⊥ pin past a preceding write accepted")
+	o.Set(0, r, observer.Bottom)
+	if _, ok := SerializeLoc(c, 0, o); ok {
+		t.Fatal("⊥ past a preceding write accepted")
 	}
 }
 
 func TestSerializeLocDegenerate(t *testing.T) {
-	// No writes at all: only ⊥ pins are feasible.
+	// No writes at all: every node observes ⊥.
 	c := computation.New(1)
-	r := c.AddNode(computation.R(0))
-	if _, ok := SerializeLoc(c, 0, func(dag.Node) (dag.Node, bool) {
-		return observer.Bottom, true
-	}); !ok {
-		t.Fatal("⊥ pin without writes rejected")
+	c.AddNode(computation.R(0))
+	if _, ok := SerializeLoc(c, 0, observer.New(c)); !ok {
+		t.Fatal("⊥ observations without writes rejected")
 	}
-	if _, ok := SerializeLoc(c, 0, func(dag.Node) (dag.Node, bool) {
-		return r, true // pinned to a non-write
-	}); ok {
-		t.Fatal("non-write pin accepted")
-	}
-	// Write pinned away from itself is rejected.
+	// A lone write observes itself.
 	c2 := computation.New(1)
-	w := c2.AddNode(computation.W(0))
-	if _, ok := SerializeLoc(c2, 0, func(dag.Node) (dag.Node, bool) {
-		return observer.Bottom, true
-	}); ok {
-		t.Fatal("write pinned to ⊥ accepted")
+	c2.AddNode(computation.W(0))
+	if order, ok := SerializeLoc(c2, 0, observer.New(c2)); !ok || len(order) != 1 {
+		t.Fatalf("lone write: order %v, ok %v", order, ok)
 	}
-	_ = w
 	// Empty computation.
-	if order, ok := SerializeLoc(computation.New(1), 0, func(dag.Node) (dag.Node, bool) {
-		return 0, false
-	}); !ok || len(order) != 0 {
+	c3 := computation.New(1)
+	if order, ok := SerializeLoc(c3, 0, observer.New(c3)); !ok || len(order) != 0 {
 		t.Fatal("empty computation must serialize trivially")
 	}
 }

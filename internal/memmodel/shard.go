@@ -31,17 +31,17 @@ func SCShardPlan(c *computation.Computation, o *observer.Observer) (int, *search
 	return search.Frontier(lastWriterSpec(c, o, allLocs(c)))
 }
 
-// SCDecideShard is SCDecide restricted to the frontier shard [lo, hi)
-// (hi == 0 means "through the end"; 0,0 is the full, unsharded run).
-// It returns the raw engine result rather than a folded Decision
-// because the fleet merge needs the pieces a Decision drops: fold with
-// Result.Verdict() for the three-valued view, read WitnessRoot for the
-// lowest-root merge, and Stats.Roots for the whole frontier size the
-// shard was cut from.
+// SCDecideShard is the SC decision restricted to the frontier shard
+// [lo, hi) (hi == 0 means "through the end"; 0,0 is the full,
+// unsharded run). It returns the raw engine result rather than a
+// folded Decision because the fleet merge needs the pieces a Decision
+// drops: fold with Result.Verdict() for the three-valued view, read
+// WitnessRoot for the lowest-root merge, and Stats.Roots for the whole
+// frontier size the shard was cut from.
 func SCDecideShard(ctx context.Context, c *computation.Computation, o *observer.Observer, lo, hi int, opts SearchOptions) search.Result {
 	if o.Validate(c) != nil {
 		return search.Result{Exhausted: true, WitnessRoot: -1}
 	}
 	opts.RootLo, opts.RootHi = lo, hi
-	return searchLastWriterCtx(ctx, c, o, allLocs(c), opts)
+	return searchLastWriter(ctx, c, o, allLocs(c), opts)
 }

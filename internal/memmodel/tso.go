@@ -40,70 +40,37 @@ import (
 // issue, so buffers are always empty and every view is memory. The
 // strictness witnesses (SB ∈ TSO ∖ SC) live in testdata/litmus and are
 // machine-checked by cmd/lattice.
-var TSO Model = tsoModel{}
+var TSO Model = registered("TSO")
 
-type tsoModel struct{ opts SearchOptions }
-
-func (tsoModel) Name() string { return "TSO" }
-
-func (m tsoModel) Contains(c *computation.Computation, o *observer.Observer) bool {
-	_, ok, _ := TSOWitnessOpts(c, o, m.opts)
-	return ok
-}
-
-// TSOOpts returns the TSO decider with explicit engine options. With a
-// budget set, Contains can report false on exhaustion without the
-// instance being decided; use TSODecide to distinguish.
-func TSOOpts(opts SearchOptions) Model { return tsoModel{opts: opts} }
-
-// TSOWitness returns a memory order realizing Φ under TSO, if one
-// exists: the original nodes sequenced by when they take effect —
-// reads and noops at issue, writes at commit.
-func TSOWitness(c *computation.Computation, o *observer.Observer) ([]dag.Node, bool) {
-	order, ok, _ := TSOWitnessOpts(c, o, SearchOptions{})
-	return order, ok
-}
-
-// TSOWitnessOpts is TSOWitness with engine options and statistics.
-func TSOWitnessOpts(c *computation.Computation, o *observer.Observer, opts SearchOptions) ([]dag.Node, bool, SearchStats) {
-	order, v, stats := TSODecide(context.Background(), c, o, opts)
-	return order, v.In(), stats
-}
-
-// TSODecide decides (c, o) ∈ TSO under ctx. The search runs on the
-// two-event expansion with the forwarding constraints expressed through
-// the engine's placement gate; memoization and root sharding work
-// unchanged (the gate is a pure function of the memo key), so the
-// fleet can shard TSO like any engine-backed model. The returned order
-// is the memory order over the original nodes (see TSOWitness).
-func TSODecide(ctx context.Context, c *computation.Computation, o *observer.Observer, opts SearchOptions) ([]dag.Node, Verdict, SearchStats) {
-	if o.Validate(c) != nil {
-		return nil, search.VerdictOut(), SearchStats{}
-	}
+// decideTSO searches the two-event expansion with the forwarding
+// constraints expressed through the engine's placement gate;
+// memoization and root sharding work unchanged (the gate is a pure
+// function of the memo key), so the fleet can shard TSO like any
+// engine-backed model. An In decision's Order is the memory order over
+// the original nodes, sequenced by when they take effect: reads and
+// noops at issue, writes at commit.
+func decideTSO(ctx context.Context, c *computation.Computation, o *observer.Observer, opts SearchOptions) Decision {
 	spec, feasible := TSOSpec(c, o)
 	if !feasible {
-		return nil, search.VerdictOut(), SearchStats{}
+		return Decision{Verdict: search.VerdictOut()}
 	}
 	res := search.RunContext(ctx, spec, opts)
-	order := res.Order
+	d := Decision{Verdict: res.Verdict(), Stats: res.Stats, Order: res.Order}
 	if res.Found {
 		n := c.NumNodes()
-		// The memory order over the original nodes: non-writes at
-		// their (only) event, writes at their commit event.
-		mapped := make([]dag.Node, 0, n)
 		writes := tsoEventWrites(c)
+		d.Order = make([]dag.Node, 0, n)
 		for _, ev := range res.Order {
 			if int(ev) < n {
 				if c.Op(ev).Kind != computation.Write {
-					mapped = append(mapped, ev)
+					d.Order = append(d.Order, ev)
 				}
 			} else {
-				mapped = append(mapped, writes[int(ev)-n])
+				d.Order = append(d.Order, writes[int(ev)-n])
 			}
 		}
-		order = mapped
 	}
-	return order, res.Verdict(), res.Stats
+	return d
 }
 
 // tsoEventWrites lists the write nodes in commit-event order: commit

@@ -8,7 +8,6 @@ import (
 	"repro/internal/checker"
 	"repro/internal/computation"
 	"repro/internal/dag"
-	"repro/internal/memmodel"
 	"repro/internal/observer"
 	"repro/internal/trace"
 )
@@ -253,12 +252,12 @@ func BenchmarkSearchSCRingNegative(b *testing.B) {
 		b.Run(fmt.Sprintf("engine/k=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, ok, stats := memmodel.SCWitnessOpts(c, o, memmodel.SearchOptions{Workers: 1})
-				if ok {
+				d := scDecision(c, o, 1)
+				if d.Verdict.In() {
 					b.Fatal("ring instance must not be SC")
 				}
 				if i == 0 {
-					b.ReportMetric(float64(stats.States), "states")
+					b.ReportMetric(float64(d.Stats.States), "states")
 				}
 			}
 		})
@@ -281,12 +280,12 @@ func BenchmarkSearchSCLayeredPositive(b *testing.B) {
 		b.Run("engine/"+name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, ok, stats := memmodel.SCWitnessOpts(c, o, memmodel.SearchOptions{Workers: 1})
-				if !ok {
+				d := scDecision(c, o, 1)
+				if !d.Verdict.In() {
 					b.Fatal("last-writer observer must be SC")
 				}
 				if i == 0 {
-					b.ReportMetric(float64(stats.States), "states")
+					b.ReportMetric(float64(d.Stats.States), "states")
 				}
 			}
 		})
@@ -301,7 +300,7 @@ func BenchmarkSearchSCEngineLargeRing(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, ok, _ := memmodel.SCWitnessOpts(c, o, memmodel.SearchOptions{Workers: 1}); ok {
+				if scDecision(c, o, 1).Verdict.In() {
 					b.Fatal("ring instance must not be SC")
 				}
 			}

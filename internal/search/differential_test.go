@@ -1,6 +1,7 @@
 package search_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -32,6 +33,13 @@ func randomComputation(rng *rand.Rand, maxNodes, maxLocs int) *computation.Compu
 		}
 	}
 	return computation.MustFrom(g, ops, locs)
+}
+
+// scDecision is the SC decision on the given number of engine workers
+// (0 = one per CPU).
+func scDecision(c *computation.Computation, o *observer.Observer, workers int) memmodel.Decision {
+	d, _ := memmodel.DecideByName(context.Background(), "SC", c, o, memmodel.SearchOptions{Workers: workers}) // SC is registered
+	return d
 }
 
 // allSorts materializes every topological sort, giving up past cap so
@@ -147,7 +155,8 @@ func TestQuickEngineSCAgainstBruteForce(t *testing.T) {
 		}
 		for _, o := range sampleObservers(c, 20) {
 			want := bruteSC(c, o, sorts)
-			order, got := memmodel.SCWitness(c, o)
+			d := scDecision(c, o, 0)
+			order, got := d.Order, d.Verdict.In()
 			if got != want {
 				t.Fatalf("SC(%v, %v) = %v, brute force says %v", c, o, got, want)
 			}
@@ -243,9 +252,11 @@ func TestQuickParallelMatchesSerial(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		c := randomComputation(rng, 7, 2)
 		for _, o := range sampleObservers(c, 10) {
-			serialOrder, serialOK, _ := memmodel.SCWitnessOpts(c, o, memmodel.SearchOptions{Workers: 1})
+			serial := scDecision(c, o, 1)
+			serialOrder, serialOK := serial.Order, serial.Verdict.In()
 			for _, w := range []int{2, 4} {
-				parOrder, parOK, _ := memmodel.SCWitnessOpts(c, o, memmodel.SearchOptions{Workers: w})
+				par := scDecision(c, o, w)
+				parOrder, parOK := par.Order, par.Verdict.In()
 				if parOK != serialOK {
 					t.Fatalf("workers=%d decision %v, serial %v on (%v, %v)", w, parOK, serialOK, c, o)
 				}

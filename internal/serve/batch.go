@@ -206,52 +206,28 @@ func (s *Server) decideBatchItem(it batchItem, opts memmodel.SearchOptions, time
 	ctx, cancel := s.decisionContext(timeout)
 	defer cancel()
 
-	res := BatchResult{Model: it.model, WitnessRoot: -1}
 	s.countDecision(it.model)
-	var cacheable bool
+	opts.Recorder = rec
+	var d memmodel.Decision
+	witnessRoot, rootsTotal := -1, 0
 	if it.model == "SC" {
-		scOpts := opts
-		scOpts.Recorder = obs.WithRun(rec, fmt.Sprintf("SC[%d,%d)", it.lo, it.hi))
-		sr := memmodel.SCDecideShard(ctx, it.named.Comp, it.ofn, it.lo, it.hi, scOpts)
-		v := sr.Verdict()
-		res.Verdict = v
-		res.WitnessRoot = sr.WitnessRoot
-		res.RootsTotal = sr.Stats.Roots
-		st := SearchStats{States: sr.Stats.States, MemoHits: sr.Stats.MemoHits, Pruned: sr.Stats.Pruned, Workers: sr.Stats.Workers}
-		res.Stats = &st
-		if v.In() {
-			res.Witness = it.named.RenderOrder(sr.Order)
-		}
-		cacheable = v.Decided
+		// The fleet's shard coordinate: the SC search over [lo, hi) of
+		// its root frontier.
+		opts.Recorder = obs.WithRun(rec, fmt.Sprintf("SC[%d,%d)", it.lo, it.hi))
+		sr := memmodel.SCDecideShard(ctx, it.named.Comp, it.ofn, it.lo, it.hi, opts)
+		d = memmodel.Decision{Model: it.model, Verdict: sr.Verdict(), Stats: sr.Stats, Order: sr.Order}
+		witnessRoot, rootsTotal = sr.WitnessRoot, sr.Stats.Roots
 	} else {
-		dOpts := opts
-		dOpts.Recorder = rec
-		d, err := memmodel.DecideByName(ctx, it.model, it.named.Comp, it.ofn, dOpts)
-		if err != nil { // unreachable: the model name was validated
-			return nil, false, err
+		var err error
+		if d, err = memmodel.DecideByName(ctx, it.model, it.named.Comp, it.ofn, opts); err != nil {
+			return nil, false, err // unreachable: the model name was validated
 		}
-		res.Verdict = d.Verdict
-		switch it.model {
-		case "TSO":
-			st := SearchStats{States: d.Stats.States, MemoHits: d.Stats.MemoHits, Pruned: d.Stats.Pruned, Workers: d.Stats.Workers}
-			res.Stats = &st
-			if d.Verdict.In() {
-				res.Witness = it.named.RenderOrder(d.Order)
-			}
-		case "LC":
-			if d.Verdict.In() {
-				for _, sort := range d.LocOrders {
-					res.LocWitnesses = append(res.LocWitnesses, it.named.RenderOrder(sort))
-				}
-			}
-		default:
-			if v := d.Violation; v != nil {
-				res.Violation = fmt.Sprintf("%d: %s ≺ %s ≺ %s",
-					v.Loc, it.named.RenderNode(v.U), it.named.RenderNode(v.V), it.named.RenderNode(v.W))
-			}
-		}
-		cacheable = d.Verdict.Decided
 	}
-	body, err := json.Marshal(res)
-	return body, cacheable, err
+	r := Render(it.named, d)
+	body, err := json.Marshal(BatchResult{
+		Model: r.Model, Verdict: r.Verdict, Witness: r.Witness,
+		WitnessRoot: witnessRoot, RootsTotal: rootsTotal,
+		LocWitnesses: r.LocWitnesses, Violation: r.Violation, Stats: r.Stats,
+	})
+	return body, d.Verdict.Decided, err
 }

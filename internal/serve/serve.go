@@ -358,26 +358,26 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// instrument wraps a handler with the per-endpoint gauges. The
-// bookkeeping is deferred so a panicking handler (recovered by the
-// middleware above the mux) still decrements in_flight and counts as
-// an error instead of skewing the gauges forever.
+// instrument wraps a handler with the per-endpoint gauges. Errors and
+// shed requests count when the handler writes its status code, so
+// /statsz is current before the response that implies it reaches the
+// client. in_flight and latency settle in a deferred function, so a
+// panicking handler (recovered by the middleware above the mux) still
+// leaves in_flight and counts as one error instead of skewing the
+// gauges forever.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	m := s.metrics[name]
 	return func(w http.ResponseWriter, r *http.Request) {
 		m.requests.Add(1)
 		m.inFlight.Add(1)
 		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		sw := &statusWriter{ResponseWriter: w, m: m}
 		panicked := true
 		defer func() {
 			m.inFlight.Add(-1)
 			m.latencyUS.Add(time.Since(start).Microseconds())
-			if panicked || sw.code >= 400 {
-				m.errors.Add(1)
-				if sw.code == http.StatusServiceUnavailable {
-					m.shed.Add(1)
-				}
+			if panicked && sw.code < 400 {
+				m.errors.Add(1) // no failing status counted it
 			}
 		}()
 		h(sw, r)
@@ -385,15 +385,33 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// statusWriter records the response code for the gauges.
+// statusWriter records the response code, counting a failing one in
+// the endpoint's gauges as it is written.
 type statusWriter struct {
 	http.ResponseWriter
-	code int
+	m    *endpointMetrics
+	code int // 0 until the status is written
 }
 
 func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
+	if w.code == 0 {
+		w.code = code
+		if code >= 400 {
+			w.m.errors.Add(1)
+			if code == http.StatusServiceUnavailable {
+				w.m.shed.Add(1)
+			}
+		}
+	}
 	w.ResponseWriter.WriteHeader(code)
+}
+
+// Write sends the implicit 200 status when none was written.
+func (w *statusWriter) Write(p []byte) (int, error) {
+	if w.code == 0 {
+		w.code = http.StatusOK
+	}
+	return w.ResponseWriter.Write(p)
 }
 
 // Unwrap exposes the wrapped writer so http.ResponseController (the
@@ -510,28 +528,8 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 				return nil, false, err
 			}
 			s.countDecision(model)
-			mr := ModelResult{Model: model, Verdict: d.Verdict}
-			switch model {
-			case "SC", "TSO":
-				st := SearchStats{States: d.Stats.States, MemoHits: d.Stats.MemoHits, Pruned: d.Stats.Pruned, Workers: d.Stats.Workers}
-				mr.Stats = &st
-				if d.Verdict.In() {
-					mr.Witness = named.RenderOrder(d.Order)
-				}
-			case "LC":
-				if d.Verdict.In() {
-					for _, sort := range d.LocOrders {
-						mr.LocWitnesses = append(mr.LocWitnesses, named.RenderOrder(sort))
-					}
-				}
-			default:
-				if v := d.Violation; v != nil {
-					mr.Violation = fmt.Sprintf("%d: %s ≺ %s ≺ %s",
-						v.Loc, named.RenderNode(v.U), named.RenderNode(v.V), named.RenderNode(v.W))
-				}
-			}
 			cacheable = cacheable && d.Verdict.Decided
-			resp.Results = append(resp.Results, mr)
+			resp.Results = append(resp.Results, Render(named, d))
 		}
 		body, err := json.Marshal(resp)
 		return append(body, '\n'), cacheable, err

@@ -647,8 +647,8 @@ func TestPanicRecoveryKeepsServing(t *testing.T) {
 	if st.Endpoints["check"].InFlight != 0 {
 		t.Errorf("in_flight stuck at %d after a recovered panic", st.Endpoints["check"].InFlight)
 	}
-	if st.Endpoints["check"].Errors < 1 {
-		t.Errorf("recovered panic not counted as an endpoint error: %+v", st.Endpoints["check"])
+	if st.Endpoints["check"].Errors != 1 {
+		t.Errorf("recovered panic not counted as exactly one endpoint error: %+v", st.Endpoints["check"])
 	}
 	_ = s
 }

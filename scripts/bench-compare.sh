@@ -3,7 +3,10 @@
 # fail if any benchmark's ns/op regressed by more than
 # BENCH_MAX_REGRESSION_PCT percent (default 5) or its allocs/op by
 # more than BENCH_MAX_ALLOC_REGRESSION_PCT percent (default: same as
-# the ns/op threshold). A machine-readable summary of the comparison
+# the ns/op threshold). A benchmark present in only one of the two
+# files fails the compare too, even when it is advisory: a dropped or
+# never-recorded suite is a structural gap, not noise. Names are
+# compared without the -GOMAXPROCS suffix Go appends. A machine-readable summary of the comparison
 # is written to benchmarks/BENCH_search.json (every latest benchmark,
 # base/latest/delta per metric, and the regression list).
 #
@@ -97,19 +100,26 @@ awk -v thr="$THRESHOLD" -v athr="$ALLOC_THRESHOLD" -v json="$JSON_OUT" -v adviso
   #   BenchmarkName/sub-8   20   12345 ns/op   678 B/op   9 allocs/op
   # Record the value preceding each unit field, keyed by name.
   /^Benchmark/ {
+    name = $1
+    sub(/-[0-9]+$/, "", name)
     for (i = 2; i <= NF; i++) {
       if ($i == "ns/op") {
-        if (FILENAME == ARGV[1]) base_ns[$1] = $(i - 1)
-        else latest_ns[$1] = $(i - 1)
+        if (FILENAME == ARGV[1]) base_ns[name] = $(i - 1)
+        else latest_ns[name] = $(i - 1)
       } else if ($i == "allocs/op") {
-        if (FILENAME == ARGV[1]) base_al[$1] = $(i - 1)
-        else latest_al[$1] = $(i - 1)
+        if (FILENAME == ARGV[1]) base_al[name] = $(i - 1)
+        else latest_al[name] = $(i - 1)
       }
     }
-    # Remember latest-file encounter order for stable JSON output.
-    if (FILENAME != ARGV[1] && !($1 in seen)) {
-      seen[$1] = 1
-      order[++n] = $1
+    # Remember the encounter order in both files for stable output.
+    if (FILENAME == ARGV[1]) {
+      if (!(name in in_base)) {
+        in_base[name] = 1
+        border[++nb] = name
+      }
+    } else if (!(name in seen)) {
+      seen[name] = 1
+      order[++n] = name
     }
   }
 
@@ -155,10 +165,27 @@ awk -v thr="$THRESHOLD" -v athr="$ALLOC_THRESHOLD" -v json="$JSON_OUT" -v adviso
         }
       }
     }
+    missing = 0
+    for (k = 1; k <= n; k++) {
+      if (!(order[k] in in_base)) {
+        printf("MISSING from baseline: %s\n", order[k]) > "/dev/stderr"
+        regs[++nreg] = order[k] " missing from baseline"
+        missing = 1
+      }
+    }
+    for (k = 1; k <= nb; k++) {
+      if (!(border[k] in seen)) {
+        printf("MISSING from latest: %s\n", border[k]) > "/dev/stderr"
+        regs[++nreg] = border[k] " missing from latest"
+        missing = 1
+      }
+    }
+    if (missing) fail = 1
     printf("\n  ],\n  \"regressions\": [") > json
     for (k = 1; k <= nreg; k++)
       printf("%s\"%s\"", k > 1 ? ", " : "", regs[k]) > json
     printf("],\n  \"ok\": %s\n}\n", fail ? "false" : "true") > json
+    if (missing) exit 1
     if (advisory + 0) exit 0
     exit fail
   }

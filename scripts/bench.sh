@@ -4,8 +4,9 @@
 #
 # Three suites run: the search-engine micro-suite (BenchmarkSearch* in
 # internal/search) at a fixed iteration count so runs are quick and
-# comparable, the model-decider suite (BenchmarkDecide* in
-# internal/memmodel — TSO, RA, CAUSAL over the litmus corpus), and the
+# comparable, the model-decider suite (BenchmarkDecide in
+# internal/memmodel — every registered model through DecideByName over
+# the litmus corpus), and the
 # lattice-sweep suite (BenchmarkLatticeSweep in internal/expt), whose
 # single iteration is a multi-second exhaustive sweep and therefore
 # gets a small iteration count of its own.
