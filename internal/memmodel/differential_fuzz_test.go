@@ -146,7 +146,7 @@ func oracleHB(c *computation.Computation, o *observer.Observer) ([][]bool, bool)
 // enumerate every interleaving of the two-event expansion (issues for
 // all nodes, commits for writes) and accept when one realizes Φ — the
 // event-order constraints and the buffered/memory view rule are
-// re-derived here from the model's prose definition, not from TSOSpec.
+// re-derived here from the model's prose definition, not from tsoSpec.
 func oracleTSO(c *computation.Computation, o *observer.Observer) bool {
 	n := c.NumNodes()
 	cl := c.Closure()

@@ -101,8 +101,9 @@ func (pd *PatternDecider) Pattern(o *observer.Observer) uint16 {
 	if sc {
 		pattern |= PatternSC
 	}
-	// The extension models reuse the shared happens-before relation;
-	// SC ⊆ TSO spares the engine when the pair is already known in.
+	// The extension models reuse the shared happens-before relation,
+	// whose acyclicity tsoSpec requires; SC ⊆ TSO spares the engine
+	// when the pair is already known in.
 	if hb, ok := buildHB(pd.c, o); ok {
 		if raCheck(context.Background(), pd.c, o, hb).In() {
 			pattern |= PatternRA
@@ -112,7 +113,7 @@ func (pd *PatternDecider) Pattern(o *observer.Observer) uint16 {
 		}
 		if sc {
 			pattern |= PatternTSO
-		} else if spec, feasible := TSOSpec(pd.c, o); feasible {
+		} else if spec, feasible := tsoSpec(pd.c, o); feasible {
 			if search.Run(spec, SearchOptions{}).Found {
 				pattern |= PatternTSO
 			}

@@ -50,7 +50,15 @@ var TSO Model = registered("TSO")
 // the original nodes, sequenced by when they take effect: reads and
 // noops at issue, writes at commit.
 func decideTSO(ctx context.Context, c *computation.Computation, o *observer.Observer, opts SearchOptions) Decision {
-	spec, feasible := TSOSpec(c, o)
+	// View causality must be acyclic: every cross-past observation is
+	// a real-time ordering (the observed write committed before the
+	// observer sampled it), so a cycle in precedence ∪ observation has
+	// no execution — and its image in tsoSpec's event dag would be
+	// cyclic too.
+	if _, ok := buildHB(c, o); !ok {
+		return Decision{Verdict: search.VerdictOut()}
+	}
+	spec, feasible := tsoSpec(c, o)
 	if !feasible {
 		return Decision{Verdict: search.VerdictOut()}
 	}
@@ -98,27 +106,19 @@ type tsoGate struct {
 	lwCommits  []int32
 }
 
-// TSOSpec compiles the TSO membership question into an engine Spec on
+// tsoSpec compiles the TSO membership question into an engine Spec on
 // the two-event expansion of c: events 0..n-1 are the original nodes'
 // issue events (reads and noops take effect there), and each write
 // additionally owns a commit event ≥ n, the sole writer of its
-// location slot. feasible is false when a constraint is statically
-// unsatisfiable — a view causality cycle, a ⊥ view past a
+// location slot. The caller has checked that view causality (hb) is
+// acyclic, which keeps the event dag acyclic. feasible is false when a
+// constraint is statically unsatisfiable — a ⊥ view past a
 // program-order write, or a view shadowed by a program-order-later
 // write — and the pair is then definitively out.
-func TSOSpec(c *computation.Computation, o *observer.Observer) (search.Spec, bool) {
+func tsoSpec(c *computation.Computation, o *observer.Observer) (search.Spec, bool) {
 	n := c.NumNodes()
 	cl := c.Closure()
 	numLocs := c.NumLocs()
-
-	// View causality must be acyclic: every cross-past observation is
-	// a real-time ordering (the observed write committed before the
-	// observer sampled it), so a cycle in precedence ∪ observation has
-	// no execution — and its image in the event dag below would be
-	// cyclic too.
-	if _, ok := buildHB(c, o); !ok {
-		return search.Spec{}, false
-	}
 
 	// Commit event ids: n + rank of the write among the writes.
 	commitOf := make([]int32, n)
@@ -158,7 +158,7 @@ func TSOSpec(c *computation.Computation, o *observer.Observer) (search.Spec, boo
 	// A view of a write outside the node's C-past is a read from
 	// memory: that commit precedes this issue. (Inside the C-past the
 	// buffer machinery below owns the constraint.) These edges are
-	// images of happens-before pairs, so the hb check above keeps rd
+	// images of happens-before pairs, so the caller's hb check keeps rd
 	// acyclic.
 	for l := computation.Loc(0); int(l) < numLocs; l++ {
 		for u := 0; u < n; u++ {

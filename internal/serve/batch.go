@@ -81,20 +81,29 @@ type BatchResponse struct {
 	Results []BatchResult `json:"results"`
 }
 
+// parsedPair is one distinct pair text of a batch, parsed, validated
+// and canonicalized once and shared by every item that carries it.
+type parsedPair struct {
+	named *computation.Named
+	ofn   *observer.Observer
+	canon string
+}
+
 // batchItem is a validated, parsed item ready to decide.
 type batchItem struct {
 	id     string
 	model  string
 	lo, hi int
-	named  *computation.Named
-	ofn    *observer.Observer
-	canon  string
+	*parsedPair
 }
 
-// parseBatchItem validates one item. A malformed item fails the whole
-// batch with 400: batches are built mechanically by a coordinator, so
-// a bad item is a caller bug, not data to partially tolerate.
-func parseBatchItem(it BatchItem, idx int) (batchItem, error) {
+// parseBatchItem validates one item. Its pair text is looked up in
+// pairs, the request's parses keyed by the exact text, and parsed only
+// on a miss: the fleet coordinator puts one pair in every item of a
+// batch. A malformed item fails the whole batch with 400: batches are
+// built mechanically by a coordinator, so a bad item is a caller bug,
+// not data to partially tolerate.
+func parseBatchItem(it BatchItem, idx int, pairs map[string]*parsedPair) (batchItem, error) {
 	models := memmodel.ModelNames()
 	known := false
 	for _, m := range models {
@@ -112,21 +121,23 @@ func parseBatchItem(it BatchItem, idx int) (batchItem, error) {
 	if it.Model != "SC" && (it.RootLo != 0 || it.RootHi != 0) {
 		return batchItem{}, fmt.Errorf("item %d: model %s is not shardable (shard range [%d, %d))", idx, it.Model, it.RootLo, it.RootHi)
 	}
-	named, ofn, err := observer.ParsePairString(it.Pair)
-	if err != nil {
-		return batchItem{}, fmt.Errorf("item %d: %w", idx, err)
+	p := pairs[it.Pair]
+	if p == nil {
+		named, ofn, err := observer.ParsePairString(it.Pair)
+		if err != nil {
+			return batchItem{}, fmt.Errorf("item %d: %w", idx, err)
+		}
+		if named.Comp.NumNodes() == 0 {
+			return batchItem{}, fmt.Errorf("item %d: pair has no nodes", idx)
+		}
+		var canon strings.Builder
+		if err := observer.FormatPair(&canon, named, ofn); err != nil {
+			return batchItem{}, fmt.Errorf("item %d: %w", idx, err)
+		}
+		p = &parsedPair{named: named, ofn: ofn, canon: canon.String()}
+		pairs[it.Pair] = p
 	}
-	if named.Comp.NumNodes() == 0 {
-		return batchItem{}, fmt.Errorf("item %d: pair has no nodes", idx)
-	}
-	var canon strings.Builder
-	if err := observer.FormatPair(&canon, named, ofn); err != nil {
-		return batchItem{}, fmt.Errorf("item %d: %w", idx, err)
-	}
-	return batchItem{
-		id: it.ID, model: it.Model, lo: it.RootLo, hi: it.RootHi,
-		named: named, ofn: ofn, canon: canon.String(),
-	}, nil
+	return batchItem{id: it.ID, model: it.Model, lo: it.RootLo, hi: it.RootHi, parsedPair: p}, nil
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -144,8 +155,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	items := make([]batchItem, len(req.Items))
+	pairs := make(map[string]*parsedPair, 1)
 	for i, it := range req.Items {
-		p, err := parseBatchItem(it, i)
+		p, err := parseBatchItem(it, i, pairs)
 		if err != nil {
 			writeError(w, r, http.StatusBadRequest, err)
 			return
@@ -167,9 +179,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	fp := s.cfg.Limits.optionsFingerprint(req.Options)
 	rec := s.requestRecorder(r)
 
-	resp := BatchResponse{Results: make([]BatchResult, 0, len(items))}
+	bodies := make([][]byte, len(items))
+	size := len(`{"results":[]}` + "\n")
 	src := sourceHit
-	for _, it := range items {
+	for i, it := range items {
 		it := it
 		key := Key("batch", it.canon, it.model, fmt.Sprintf("lo=%d,hi=%d", it.lo, it.hi), fp)
 		body, itemSrc, err := s.cache.do(r.Context(), key, func() ([]byte, bool, error) {
@@ -182,22 +195,27 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if itemSrc != sourceHit {
 			src = sourceMiss
 		}
-		// The cached body is the result minus the ID (IDs vary across
-		// coordinators retrying the same shard; the verdict does not).
-		var res BatchResult
-		if err := json.Unmarshal(body, &res); err != nil {
-			writeError(w, r, http.StatusInternalServerError, err)
-			return
+		bodies[i] = body
+		size += len(body) + len(`,"id":"",`) + len(it.id)
+	}
+	// The cached body is the result minus the ID (IDs vary across
+	// coordinators retrying the same shard; the verdict does not). ID
+	// is BatchResult's first field and omitempty, so splicing the quoted
+	// ID in after the body's opening brace gives the bytes json.Marshal
+	// of the whole result would.
+	out := append(make([]byte, 0, size), `{"results":[`...)
+	for i, it := range items {
+		if i > 0 {
+			out = append(out, ',')
 		}
-		res.ID = it.id
-		resp.Results = append(resp.Results, res)
+		out = append(out, '{')
+		if it.id != "" {
+			id, _ := json.Marshal(it.id) // a string always marshals
+			out = append(append(append(out, `"id":`...), id...), ',')
+		}
+		out = append(out, bodies[i][1:]...)
 	}
-	body, err := json.Marshal(resp)
-	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	respond(w, src, append(body, '\n'))
+	respond(w, src, append(out, "]}\n"...))
 }
 
 // decideBatchItem runs one item's decision and renders its cacheable

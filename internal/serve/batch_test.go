@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/memmodel"
@@ -67,6 +71,123 @@ func TestBatchFullRangeMatchesCheck(t *testing.T) {
 			if r.Violation != w.Violation {
 				t.Fatalf("%s/%s: batch violation %q, check %q", name, r.Model, r.Violation, w.Violation)
 			}
+		}
+	}
+}
+
+// TestBatchResponseBytes pins the contract handleBatch splices its
+// response under: for a fleet-shaped batch over every corpus pair, with
+// IDs that encoding/json escapes and one item without an ID, the body
+// equals json.Marshal of its own decoded BatchResponse plus a newline,
+// byte for byte, on a miss and on the hit that repeats it.
+func TestBatchResponseBytes(t *testing.T) {
+	files, err := filepath.Glob("../../testdata/*.ccm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	litmus, err := filepath.Glob("../../testdata/litmus/*.ccm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, litmus...)
+	if len(files) < 20 {
+		t.Fatalf("found %d corpus pairs, want the testdata and litmus ones", len(files))
+	}
+	for _, file := range files {
+		pair, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var items []BatchItem
+		for _, m := range memmodel.ModelNames() {
+			items = append(items, BatchItem{ID: "<" + m + "> & \u2028 é", Pair: string(pair), Model: m})
+		}
+		items[1].ID = ""
+		// A fresh server per pair, so the first batch misses on every item.
+		_, ts := testServer(t, Config{CacheBytes: 1 << 20})
+		var miss []byte
+		for _, want := range []string{"miss", "hit"} {
+			resp, data := postJSON(t, ts.URL+"/v1/batch", BatchRequest{Items: items})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", file, resp.StatusCode, data)
+			}
+			if got := resp.Header.Get("X-Ccmd-Cache"); got != want {
+				t.Fatalf("%s: cache %q, want %q", file, got, want)
+			}
+			var decoded BatchResponse
+			if err := json.Unmarshal(data, &decoded); err != nil {
+				t.Fatalf("%s: %v", file, err)
+			}
+			for i, r := range decoded.Results {
+				if r.ID != items[i].ID {
+					t.Fatalf("%s: result %d ID %q, want %q", file, i, r.ID, items[i].ID)
+				}
+			}
+			again, err := json.Marshal(decoded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(data, append(again, '\n')) {
+				t.Fatalf("%s (%s): body\n%s\nis not json.Marshal of its decoding\n%s", file, want, data, again)
+			}
+			if miss != nil && !bytes.Equal(data, miss) {
+				t.Fatalf("%s: hit body\n%s\ndiffers from miss body\n%s", file, data, miss)
+			}
+			miss = data
+		}
+	}
+}
+
+// TestBatchMixedPairs interleaves two different pairs and a textual
+// variant of the first (a comment and a blank line added) in one
+// batch. Each item must be answered byte for byte as it is when sent
+// alone, and every variant item must hit the cache entry its twin
+// filled earlier in the same batch.
+func TestBatchMixedPairs(t *testing.T) {
+	_, ts := testServer(t, Config{CacheBytes: 1 << 20})
+	_, alone := testServer(t, Config{})
+	dekker := readTestdata(t, "dekker.ccm")
+	pairs := []string{dekker, readTestdata(t, "figure2.ccm"), "# a variant\n\n" + dekker}
+	models := memmodel.ModelNames()
+	var items []BatchItem
+	for _, m := range models {
+		for k, p := range pairs {
+			items = append(items, BatchItem{ID: fmt.Sprintf("%s/%d", m, k), Pair: p, Model: m})
+		}
+	}
+	// One engine worker, so the SC and TSO search stats repeat exactly.
+	opts := Options{Workers: 1}
+	type rawResults struct {
+		Results []json.RawMessage `json:"results"`
+	}
+
+	before := statsz(t, ts.URL).Cache
+	resp, data := postJSON(t, ts.URL+"/v1/batch", BatchRequest{Items: items, Options: opts})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	}
+	after := statsz(t, ts.URL).Cache
+	if got, want := after.Misses-before.Misses, int64(2*len(models)); got != want {
+		t.Fatalf("%d cache misses, want %d (two distinct pairs per model)", got, want)
+	}
+	if got, want := after.Hits-before.Hits, int64(len(models)); got != want {
+		t.Fatalf("%d cache hits, want %d (the variant's items)", got, want)
+	}
+	var mixed rawResults
+	if err := json.Unmarshal(data, &mixed); err != nil || len(mixed.Results) != len(items) {
+		t.Fatalf("mixed batch: %d results for %d items (%v): %s", len(mixed.Results), len(items), err, data)
+	}
+	for i, it := range items {
+		resp, data := postJSON(t, alone.URL+"/v1/batch", BatchRequest{Items: []BatchItem{it}, Options: opts})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("item %s alone: status %d: %s", it.ID, resp.StatusCode, data)
+		}
+		var single rawResults
+		if err := json.Unmarshal(data, &single); err != nil || len(single.Results) != 1 {
+			t.Fatalf("item %s alone: %s (%v)", it.ID, data, err)
+		}
+		if !bytes.Equal(mixed.Results[i], single.Results[0]) {
+			t.Fatalf("item %s in the mixed batch:\n%s\nalone:\n%s", it.ID, mixed.Results[i], single.Results[0])
 		}
 	}
 }
@@ -241,23 +362,34 @@ func TestBatchBadRequests(t *testing.T) {
 	for i := range tooMany {
 		tooMany[i] = BatchItem{Pair: pair, Model: "SC"}
 	}
+	good := BatchItem{Pair: pair, Model: "SC"}
 	cases := []struct {
 		name string
 		req  BatchRequest
+		want string // prefix of the error message
 	}{
-		{"empty batch", BatchRequest{}},
-		{"too many items", BatchRequest{Items: tooMany}},
-		{"unknown model", BatchRequest{Items: []BatchItem{{Pair: pair, Model: "PSO"}}}},
-		{"bad pair", BatchRequest{Items: []BatchItem{{Pair: "not a pair", Model: "SC"}}}},
-		{"negative bound", BatchRequest{Items: []BatchItem{{Pair: pair, Model: "SC", RootLo: -1}}}},
-		{"empty range", BatchRequest{Items: []BatchItem{{Pair: pair, Model: "SC", RootLo: 2, RootHi: 2}}}},
-		{"inverted range", BatchRequest{Items: []BatchItem{{Pair: pair, Model: "SC", RootLo: 3, RootHi: 1}}}},
-		{"sharded polynomial model", BatchRequest{Items: []BatchItem{{Pair: pair, Model: "LC", RootHi: 1}}}},
+		{"empty batch", BatchRequest{}, ""},
+		{"too many items", BatchRequest{Items: tooMany}, ""},
+		{"unknown model", BatchRequest{Items: []BatchItem{{Pair: pair, Model: "PSO"}}}, ""},
+		{"bad pair", BatchRequest{Items: []BatchItem{{Pair: "not a pair", Model: "SC"}}}, ""},
+		{"negative bound", BatchRequest{Items: []BatchItem{{Pair: pair, Model: "SC", RootLo: -1}}}, ""},
+		{"empty range", BatchRequest{Items: []BatchItem{{Pair: pair, Model: "SC", RootLo: 2, RootHi: 2}}}, ""},
+		{"inverted range", BatchRequest{Items: []BatchItem{{Pair: pair, Model: "SC", RootLo: 3, RootHi: 1}}}, ""},
+		{"sharded polynomial model", BatchRequest{Items: []BatchItem{{Pair: pair, Model: "LC", RootHi: 1}}}, ""},
+		// A bad item whose pair an earlier item already carried is named
+		// by its own index.
+		{"unknown model, repeated pair", BatchRequest{Items: []BatchItem{good, {Pair: pair, Model: "PSO"}}}, "item 1: unknown model"},
+		{"sharded LC, repeated pair", BatchRequest{Items: []BatchItem{good, {Pair: pair, Model: "LC", RootHi: 1}}}, "item 1: model LC is not shardable"},
+		{"bad pair after a good one", BatchRequest{Items: []BatchItem{good, {Pair: "not a pair", Model: "SC"}}}, "item 1: "},
 	}
 	for _, tc := range cases {
 		resp, data := postJSON(t, ts.URL+"/v1/batch", tc.req)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d (%s), want 400", tc.name, resp.StatusCode, data)
+		}
+		var e ErrorResponse
+		if err := json.Unmarshal(data, &e); err != nil || e.Error == "" || !strings.HasPrefix(e.Error, tc.want) {
+			t.Fatalf("%s: error body %s, want an error starting %q", tc.name, data, tc.want)
 		}
 	}
 }

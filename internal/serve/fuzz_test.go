@@ -9,9 +9,10 @@ import (
 	"time"
 )
 
-// FuzzDecodeRequests throws arbitrary bytes at the three /v1/*
+// FuzzDecodeRequests throws arbitrary bytes at the four /v1/*
 // request decoders through the full middleware stack (MaxBytesReader,
-// DisallowUnknownFields, the pair/trace parsers behind them). The
+// DisallowUnknownFields, the pair/trace parsers behind them, the
+// batch's per-request parse map). The
 // properties under test: no panic escapes the handler, garbage decodes
 // as a 400 (never a 500), every response carries a request ID, and
 // every non-2xx body is a well-formed ErrorResponse.
@@ -37,6 +38,12 @@ func FuzzDecodeRequests(f *testing.F) {
 		{2, `[]`},
 		{0, "{\"pair\":\"\x00\xff\"}"},
 		{1, `{"trace":"` + string(bytes.Repeat([]byte("W(x)1 A\\n"), 64)) + `"}`},
+		{3, `{"items":[{"id":"a","pair":"locs x\nnode A W(x)\nnode B R(x)\nedge A B","model":"SC"},{"id":"b","pair":"locs x\nnode A W(x)\nnode B R(x)\nedge A B","model":"LC"}]}`},
+		{3, `{"items":[{"pair":"locs x\nnode A W(x)","model":"SC"},{"pair":"locs x\nnode A W(x)","model":"PSO"}]}`},
+		{3, `{"items":[{"pair":"locs x\nnode A W(x)","model":"SC","root_lo":0,"root_hi":1},{"pair":"locs x\nnode A W(x)","model":"LC","root_hi":1}]}`},
+		{3, `{"items":[{"pair":"locs x\nnode A W(x)","model":"SC"},{"pair":"not a pair","model":"SC"}]}`},
+		{3, `{"items":[{"pair":"locs x\nnode A W(x)","model":"SC"}]}{"options":{}}`},
+		{3, `{"items":[]}`},
 	}
 	for _, s := range seeds {
 		f.Add(s.which, []byte(s.body))
@@ -53,7 +60,7 @@ func FuzzDecodeRequests(f *testing.F) {
 		},
 	})
 	h := srv.Handler()
-	paths := []string{"/v1/check", "/v1/verify", "/v1/enumerate"}
+	paths := []string{"/v1/check", "/v1/verify", "/v1/enumerate", "/v1/batch"}
 
 	f.Fuzz(func(t *testing.T, which byte, body []byte) {
 		path := paths[int(which)%len(paths)]

@@ -445,14 +445,18 @@ func (s *Server) writeUnavailable(w http.ResponseWriter, r *http.Request, err er
 	writeError(w, r, http.StatusServiceUnavailable, err)
 }
 
-// decode reads a bounded JSON body, rejecting unknown fields so a
-// misspelled option fails loudly instead of silently running
-// ungoverned.
+// decode reads a bounded JSON body holding exactly one value, rejecting
+// unknown fields so a misspelled option fails loudly instead of
+// silently running ungoverned, and data after the value for the same
+// reason. Trailing whitespace is accepted.
 func decode(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return errors.New("bad request body: data after the JSON value")
 	}
 	return nil
 }

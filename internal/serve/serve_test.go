@@ -271,6 +271,45 @@ func TestCheckBadRequests(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsTrailingData: a request body is exactly one JSON
+// value. Data after it — a second value or junk — is a 400, not
+// silently dropped; trailing whitespace is accepted.
+func TestDecodeRejectsTrailingData(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	pair := readTestdata(t, "figure2.ccm")
+	check, err := json.Marshal(CheckRequest{Pair: pair, Models: []string{"LC"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := json.Marshal(BatchRequest{Items: []BatchItem{{Pair: pair, Model: "LC"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := map[string][]byte{"/v1/check": check, "/v1/batch": batch}
+	tails := []struct {
+		name, tail string
+		want       int
+	}{
+		{"nothing", "", http.StatusOK},
+		{"whitespace", " \n\t\r\n", http.StatusOK},
+		{"a second value", `{"options":{"max_states":10}}`, http.StatusBadRequest},
+		{"junk", "junk", http.StatusBadRequest},
+	}
+	for path, body := range bodies {
+		for _, tc := range tails {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(string(body)+tc.tail))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("%s followed by %s: status %d (%s), want %d", path, tc.name, resp.StatusCode, data, tc.want)
+			}
+		}
+	}
+}
+
 // TestCheckInconclusiveNotCached: a budget-starved query yields a
 // typed INCONCLUSIVE(budget) verdict over the wire and must NOT be
 // cached — a retry with the same key may have a larger server budget

@@ -2,11 +2,13 @@
 # Run the benchmark suites and record the results in
 # benchmarks/latest.txt for regression tracking.
 #
-# Three suites run: the search-engine micro-suite (BenchmarkSearch* in
+# Four suites run: the search-engine micro-suite (BenchmarkSearch* in
 # internal/search) at a fixed iteration count so runs are quick and
 # comparable, the model-decider suite (BenchmarkDecide in
 # internal/memmodel — every registered model through DecideByName over
-# the litmus corpus), and the
+# the litmus corpus), the batch-handler suite (BenchmarkBatch in
+# internal/serve — the fleet's nine-item POST /v1/batch, every item
+# decided, at a fixed 200 iterations), and the
 # lattice-sweep suite (BenchmarkLatticeSweep in internal/expt), whose
 # single iteration is a multi-second exhaustive sweep and therefore
 # gets a small iteration count of its own.
@@ -30,6 +32,7 @@ mkdir -p benchmarks
 {
   go test ./internal/search -run '^$' -bench "$PATTERN" -benchmem -benchtime "$TIME"
   go test ./internal/memmodel -run '^$' -bench "$DECIDE_PATTERN" -benchmem -benchtime "$DECIDE_TIME"
+  go test ./internal/serve -run '^$' -bench BenchmarkBatch -benchmem -benchtime 200x
   if [ "$SWEEP_TIME" != "0" ]; then
     go test ./internal/expt -run '^$' -bench "$SWEEP_PATTERN" -benchmem -benchtime "$SWEEP_TIME"
   fi
