@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -252,6 +253,31 @@ func TestReduceMatchesUnreduced(t *testing.T) {
 		if full != red {
 			t.Fatalf("%v: -reduce output differs:\n%s\nvs\n%s", tc, red, full)
 		}
+	}
+}
+
+// TestReducedN5Golden pins the paper's Figure 1 sweep at n = 5, the
+// size the benchmark runs: testdata/reduce-n5.txt and .exit hold the
+// stdout and exit code of `lattice -n 5 -reduce -workers 2`, recorded
+// before the happens-before deciders were rebuilt on reusable cores.
+func TestReducedN5Golden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("n = 5 sweep skipped in -short mode")
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "reduce-n5.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCode, err := os.ReadFile(filepath.Join("testdata", "reduce-n5.exit"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, out, errOut := runLattice(t, "-n", "5", "-reduce", "-workers", "2")
+	if got := strconv.Itoa(code); got != strings.TrimSpace(string(wantCode)) {
+		t.Fatalf("exit code %s, golden %s; stderr:\n%s", got, strings.TrimSpace(string(wantCode)), errOut)
+	}
+	if out != string(want) {
+		t.Fatalf("output drifted from testdata/reduce-n5.txt:\ngot:\n%s\nwant:\n%s", out, want)
 	}
 }
 

@@ -19,11 +19,11 @@ func FuzzParseComputation(f *testing.F) {
 		}
 	}
 	f.Add("locs x\nnode A W(x)\nnode B R(x)\nedge A B\n")
-	f.Add("locs x x\n")               // duplicate location (historical crasher)
-	f.Add("node A W(x)\n")            // op before any locs
-	f.Add("edge A B\n")               // edge before nodes
-	f.Add("locs x\nnode A R()\n")     // malformed op
-	f.Add("# comment\n\nlocs x\n")    // blanks and comments
+	f.Add("locs x x\n")                   // duplicate location (historical crasher)
+	f.Add("node A W(x)\n")                // op before any locs
+	f.Add("edge A B\n")                   // edge before nodes
+	f.Add("locs x\nnode A R()\n")         // malformed op
+	f.Add("# comment\n\nlocs x\n")        // blanks and comments
 	f.Add("locs x\nnode A N\nnode A N\n") // duplicate node
 	f.Fuzz(func(t *testing.T, input string) {
 		named, err := ParseString(input)

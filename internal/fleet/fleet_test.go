@@ -633,9 +633,9 @@ func TestParseRetryAfter(t *testing.T) {
 	}{
 		{"", time.Second},
 		{"2", 2 * time.Second},
-		{"0", time.Second},               // floor
-		{"9999", 30 * time.Second},       // ceiling
-		{"garbage", time.Second},         // malformed
+		{"0", time.Second},         // floor
+		{"9999", 30 * time.Second}, // ceiling
+		{"garbage", time.Second},   // malformed
 		{now().Add(5 * time.Second).Format("Mon, 02 Jan 2006 15:04:05 GMT"), 5 * time.Second},
 	}
 	for _, c := range cases {

@@ -2,11 +2,13 @@ package memmodel
 
 import (
 	"context"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/computation"
+	"repro/internal/dag"
 	"repro/internal/observer"
 )
 
@@ -14,11 +16,12 @@ import (
 // scripts/bench.sh and gated by scripts/bench-compare.sh. Each runs
 // the governed front door (DecideByName) the CLIs and the daemon call,
 // on one engine worker so the search stats and allocation counts are
-// deterministic. The workload is the litmus corpus: IRIW (the 6-node
-// independent-reads fixture) exercises the engine searches and the
-// polynomial checks at the largest committed size, and SB adds the
+// deterministic. Two fixtures come from the litmus corpus: IRIW (the
+// 6-node independent-reads fixture) exercises the engine searches and
+// the polynomial checks at the largest committed size, and SB adds the
 // classic store-buffering shape every weak-memory discussion starts
-// from.
+// from. The third, random24, is built here at the size the daemon's
+// cache-missing traffic sends (12–24 nodes).
 
 func loadLitmus(b *testing.B, name string) (*computation.Computation, *observer.Observer) {
 	b.Helper()
@@ -34,11 +37,37 @@ func loadLitmus(b *testing.B, name string) (*computation.Computation, *observer.
 	return named.Comp, o
 }
 
+// random24 is a seeded 24-node, two-location computation with the
+// last-writer observer of its topological sort. That observer is an SC
+// witness, so every registered model decides In and runs its check to
+// completion instead of stopping at the first violation.
+func random24(b *testing.B) (*computation.Computation, *observer.Observer) {
+	b.Helper()
+	const n, locs = 24, 2
+	rng := rand.New(rand.NewSource(1))
+	g := dag.Random(rng, n, 0.25)
+	ops := computation.AllOps(locs)
+	labels := make([]computation.Op, n)
+	for u := range labels {
+		labels[u] = ops[rng.Intn(len(ops))]
+	}
+	c := computation.MustFrom(g, labels, locs)
+	order, err := g.TopoSort()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c, observer.FromLastWriter(c, order)
+}
+
 func BenchmarkDecide(b *testing.B) {
-	fixtures := []string{"sb.ccm", "iriw.ccm"}
+	fixtures := []string{"sb.ccm", "iriw.ccm", "random24"}
 	comps := make([]*computation.Computation, len(fixtures))
 	obs := make([]*observer.Observer, len(fixtures))
 	for i, f := range fixtures {
+		if f == "random24" {
+			comps[i], obs[i] = random24(b)
+			continue
+		}
 		comps[i], obs[i] = loadLitmus(b, f)
 	}
 	for _, name := range ModelNames() {

@@ -22,81 +22,82 @@ import (
 //	for every location l, Φ(l, u) is the last write to l (and no
 //	write to l exists in the past when Φ(l, u) = ⊥).
 //
-// The per-node check is polynomial: Φ(l, u) last among the past
-// l-writes is "every other past l-write lands before it", and the
-// required linearization exists iff hb restricted to the past plus
-// those forcing edges is jointly acyclic. The joint check matters —
-// per-location hidden-write tests miss cycles that only close across
-// locations — and the differential fuzzer pins it to a brute-force
-// enumeration of linearizations.
+// The per-node check is polynomial. Φ(l, u) last among the past
+// l-writes is "every other past l-write lands before it", so the
+// required linearization exists iff hb restricted to u's past plus
+// those forcing edges w → Φ(l, u) is jointly acyclic — per-location
+// hidden-write tests miss cycles that only close across locations.
+// The check never builds that digraph over the past. hb restricted to
+// the past is acyclic and transitive, so a cycle uses at least one
+// forcing edge, and the stretch from one forcing edge's head to the
+// next one's tail is a single hb step or empty. A forcing edge runs
+// from a past l′-writer w ∉ {want_l′, u} to want_l′, u's view of l′,
+// so contracting each stretch gives a cycle in the digraph over u's
+// view locations with an edge
+//
+//	l → l′  whenever  want_l ≼_hb w for some past l′-writer w ∉ {want_l′, u}
+//
+// and every cycle there expands back into one. want_l = w is
+// impossible (a node writes one location, so l = l′ and w = want_l′),
+// so ≼_hb is ≺_hb. A self-loop l → l is a view shadowed at its own
+// location; longer cycles close across locations. The location
+// digraph is therefore that joint check, at O(L²·k) bit tests per node
+// for L locations and k writers, in the hb core's reused digraph. The
+// differential fuzzer and the small-universe oracle test pin it to a
+// brute-force enumeration of linearizations.
 var CAUSAL Model = registered("CAUSAL")
 
 // decideCausal decides CAUSAL membership in polynomial time.
 func decideCausal(ctx context.Context, c *computation.Computation, o *observer.Observer, _ SearchOptions) Decision {
-	hb, ok := buildHB(c, o)
-	if !ok {
+	var hb hbCore
+	if !hb.build(c, c.Closure(), o) {
 		return Decision{Verdict: search.VerdictOut()}
 	}
-	return Decision{Verdict: causalCheck(ctx, c, o, hb)}
+	return Decision{Verdict: hb.causal(ctx, c, o, writersByLoc(c))}
 }
 
-// causalCheck runs the per-node linearization check against hb, the
-// (acyclic) happens-before relation of (c, o), polling ctx once per
-// node.
-func causalCheck(ctx context.Context, c *computation.Computation, o *observer.Observer, hb *hbRel) Verdict {
-	n := c.NumNodes()
-	numLocs := c.NumLocs()
-	idx := make([]int, n) // node -> dense index in members, or -1
-	for u := 0; u < n; u++ {
+// causal runs the per-node linearization check against the built
+// (acyclic) hb of (c, o), with writers c's writers per location,
+// polling ctx once per node.
+func (h *hbCore) causal(ctx context.Context, c *computation.Computation, o *observer.Observer, writers [][]dag.Node) Verdict {
+	for u := 0; u < c.NumNodes(); u++ {
 		if err := ctx.Err(); err != nil {
 			return search.VerdictInconclusive(search.ContextStopReason(err))
 		}
 		node := dag.Node(u)
-		members := append(hb.ancestors(node), node)
-		for i := range idx {
-			idx[i] = -1
-		}
-		for i, m := range members {
-			idx[m] = i
-		}
-		k := len(members)
-		adj := make([][]int, k)
-		for i, x := range members {
-			for j, y := range members {
-				if i != j && hb.prec(x, y) {
-					adj[i] = append(adj[i], j)
-				}
-			}
-		}
-		for l := computation.Loc(0); int(l) < numLocs; l++ {
-			if c.Op(node).IsWriteTo(l) {
+		op := c.Op(node)
+		adj := h.g.reset(len(writers))
+		for lp, ws := range writers {
+			if op.IsWriteTo(computation.Loc(lp)) {
 				// u's own write is last automatically: u is the
 				// hb-maximum of its past.
 				continue
 			}
-			want := o.Get(l, node)
-			if want == observer.Bottom {
-				for _, w := range c.Writers(l) {
-					if w != node && idx[w] >= 0 {
-						return search.VerdictOut() // a past write is visible
-					}
-				}
-				continue
-			}
-			// want ≺_hb u by construction (observation edges are in
-			// hb), so it is a member. Every other past l-write must
-			// linearize before it.
-			wi := idx[want]
-			for _, w := range c.Writers(l) {
-				if w == want || w == node {
+			wantP := o.Get(computation.Loc(lp), node)
+			for _, w := range ws {
+				if w == wantP || !h.prec(w, node) {
 					continue
 				}
-				if j := idx[w]; j >= 0 {
-					adj[j] = append(adj[j], wi)
+				if wantP == observer.Bottom {
+					return search.VerdictOut() // a past write is visible
+				}
+				// w lands before want_l′, so every view want_l ≺_hb w
+				// lands before want_l′ too.
+				for l := range writers {
+					if op.IsWriteTo(computation.Loc(l)) {
+						continue
+					}
+					want := o.Get(computation.Loc(l), node)
+					if want == observer.Bottom || !h.prec(want, w) {
+						continue
+					}
+					if out := adj[l]; len(out) == 0 || out[len(out)-1] != lp {
+						adj[l] = append(out, lp)
+					}
 				}
 			}
 		}
-		if findCycleInts(k, adj) != nil {
+		if _, ok := h.g.sort(); !ok {
 			return search.VerdictOut()
 		}
 	}

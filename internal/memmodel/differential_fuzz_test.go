@@ -66,8 +66,32 @@ func FuzzRADifferential(f *testing.F) {
 	})
 }
 
+// causalCrossLocation is out of CAUSAL only through the joint check of
+// the location digraph, on the smallest shape that needs it: five
+// nodes, which TestExtensionModelsMatchOracles does not reach. Reader
+// u sees x = a and y = b, so its past must linearize c before a and d
+// before b; hb orders a before d and b before c, so the four close a
+// cycle through both locations while neither location alone has a
+// shadowed view.
+const causalCrossLocation = `locs x y
+node a W(x)
+node b W(y)
+node c W(x)
+node d W(y)
+node u R(x)
+edge a d
+edge b c
+edge c u
+edge d u
+observe c y b
+observe d x a
+observe u x a
+observe u y b
+`
+
 func FuzzCausalDifferential(f *testing.F) {
 	seedLitmus(f)
+	f.Add([]byte(causalCrossLocation))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, o := fuzzPair(t, data, 5)
 		got := CAUSAL.Contains(c, o)
@@ -76,6 +100,51 @@ func FuzzCausalDifferential(f *testing.F) {
 			t.Fatalf("CAUSAL decider %v, oracle %v on\n%s/ %s", got, want, c, o)
 		}
 	})
+}
+
+// TestExtensionModelsMatchOracles runs the oracles over the whole small
+// universe — every pair of the n ≤ 4 one-location and n ≤ 3
+// two-location computations — and requires the RA, CAUSAL and TSO
+// Contains verdicts and the matching bits of one reused PatternDecider
+// to agree with them. Contains and Pattern share their deciders'
+// cores, so only the oracles check those cores independently.
+func TestExtensionModelsMatchOracles(t *testing.T) {
+	models := []struct {
+		m      Model
+		bit    uint16
+		oracle func(*computation.Computation, *observer.Observer) bool
+	}{
+		{RA, PatternRA, oracleRA},
+		{CAUSAL, PatternCAUSAL, oracleCausal},
+		{TSO, PatternTSO, oracleTSO},
+	}
+	pd := NewPatternDecider()
+	for _, tc := range []struct{ n, locs int }{
+		{1, 1}, {2, 1}, {3, 1}, {4, 1},
+		{1, 2}, {2, 2}, {3, 2},
+	} {
+		pairs := 0
+		eachComputationLocal(tc.n, tc.locs, func(c *computation.Computation) {
+			pd.Reset(c)
+			observer.Enumerate(c, func(o *observer.Observer) bool {
+				pattern := pd.Pattern(o)
+				for _, mc := range models {
+					want := mc.oracle(c, o)
+					if got := mc.m.Contains(c, o); got != want {
+						t.Fatalf("n=%d locs=%d %v / %v: %s Contains %v, oracle %v", tc.n, tc.locs, c, o, mc.m.Name(), got, want)
+					}
+					if got := pattern&mc.bit != 0; got != want {
+						t.Fatalf("n=%d locs=%d %v / %v: %s pattern bit %v, oracle %v", tc.n, tc.locs, c, o, mc.m.Name(), got, want)
+					}
+				}
+				pairs++
+				return true
+			})
+		})
+		if pairs == 0 {
+			t.Fatalf("n=%d locs=%d: no pairs enumerated", tc.n, tc.locs)
+		}
+	}
 }
 
 // forEachPerm enumerates every permutation of 0..k-1, calling fn until
@@ -105,7 +174,7 @@ func forEachPerm(k int, fn func(perm []int) bool) bool {
 }
 
 // oracleHB computes hb = (precedence ∪ observation)⁺ by Floyd-Warshall
-// over an explicit matrix — independent of buildHB's DFS. ok is false
+// over an explicit boolean matrix, sharing no code with hbCore. ok is false
 // when hb is cyclic.
 func oracleHB(c *computation.Computation, o *observer.Observer) ([][]bool, bool) {
 	n := c.NumNodes()

@@ -67,6 +67,7 @@ type PatternDecider struct {
 	numLocs int
 	writers [][]dag.Node // per location, cached from c.Writers
 	lc      lcCore
+	hb      hbCore
 }
 
 // NewPatternDecider returns a decider; its engine searches (SC with
@@ -79,13 +80,7 @@ func (pd *PatternDecider) Reset(c *computation.Computation) {
 	pd.cl = c.Closure()
 	pd.n = c.NumNodes()
 	pd.numLocs = c.NumLocs()
-	if cap(pd.writers) < pd.numLocs {
-		pd.writers = make([][]dag.Node, pd.numLocs)
-	}
-	pd.writers = pd.writers[:pd.numLocs]
-	for l := range pd.writers {
-		pd.writers[l] = c.Writers(computation.Loc(l))
-	}
+	pd.writers = writersByLoc(c)
 }
 
 // Pattern returns the membership pattern of (c, o) for a valid
@@ -101,19 +96,19 @@ func (pd *PatternDecider) Pattern(o *observer.Observer) uint16 {
 	if sc {
 		pattern |= PatternSC
 	}
-	// The extension models reuse the shared happens-before relation,
-	// whose acyclicity tsoSpec requires; SC ⊆ TSO spares the engine
-	// when the pair is already known in.
-	if hb, ok := buildHB(pd.c, o); ok {
-		if raCheck(context.Background(), pd.c, o, hb).In() {
+	// The extension models share one happens-before relation, whose
+	// acyclicity tsoSpec requires; SC ⊆ TSO spares the engine when the
+	// pair is already known in.
+	if pd.hb.build(pd.c, pd.cl, o) {
+		if pd.hb.ra(context.Background(), pd.c, o, pd.writers).In() {
 			pattern |= PatternRA
 		}
-		if causalCheck(context.Background(), pd.c, o, hb).In() {
+		if pd.hb.causal(context.Background(), pd.c, o, pd.writers).In() {
 			pattern |= PatternCAUSAL
 		}
 		if sc {
 			pattern |= PatternTSO
-		} else if spec, feasible := tsoSpec(pd.c, o); feasible {
+		} else if spec, feasible := tsoSpec(pd.c, pd.cl, o, pd.writers); feasible {
 			if search.Run(spec, SearchOptions{}).Found {
 				pattern |= PatternTSO
 			}
@@ -219,7 +214,7 @@ func (pd *PatternDecider) lcOK(o *observer.Observer) bool {
 		if _, ok := pd.lc.check(pd.c, pd.cl, o, computation.Loc(l), writers); !ok {
 			return false
 		}
-		if _, ok := pd.lc.sortWrites(len(writers)); !ok {
+		if _, ok := pd.lc.sort(); !ok {
 			return false
 		}
 	}

@@ -118,3 +118,28 @@ func TestPatternDeciderReuse(t *testing.T) {
 		})
 	}
 }
+
+// TestHBCoreWarmAllocatesNothing: once its buffers have grown to the
+// computation, the happens-before core builds hb and runs the RA and
+// CAUSAL checks, and TSO runs its static checks, without allocating —
+// the per-pair cost PatternDecider pays on the lattice sweeps.
+func TestHBCoreWarmAllocatesNothing(t *testing.T) {
+	eachComputationLocal(3, 2, func(c *computation.Computation) {
+		cl, writers := c.Closure(), writersByLoc(c)
+		var h hbCore
+		observer.Enumerate(c, func(o *observer.Observer) bool {
+			decide := func() {
+				if h.build(c, cl, o) {
+					h.ra(context.Background(), c, o, writers)
+					h.causal(context.Background(), c, o, writers)
+				}
+				tsoFeasible(c, cl, o, writers)
+			}
+			decide()
+			if allocs := testing.AllocsPerRun(5, decide); allocs != 0 {
+				t.Fatalf("%v / %v: %v allocs per warm decision, want 0", c, o, allocs)
+			}
+			return true
+		})
+	})
+}

@@ -25,8 +25,12 @@ import (
 // These are exactly the coherence axioms (CoWW, CoWR, CoRW; CoRR
 // follows because observation edges are inside hb), so mo_l exists iff
 // the forced-order digraph over the writes of l is acyclic — a
-// polynomial check per location, differentially fuzzed against a
-// brute-force enumeration of candidate modification orders.
+// polynomial check per location: the edges go into the hb core's
+// reused digraph, indexed through a node → writer-index slice, and
+// Kahn's algorithm (the sort LC runs on its own write-order digraph)
+// decides acyclicity. The differential fuzzer and the small-universe
+// oracle test pin it to a brute-force enumeration of candidate
+// modification orders.
 //
 // RA ⊆ LC: RA's per-location digraph contains every edge LC's
 // serialization digraph forces (hb ⊇ the precedence closure), so an
@@ -36,67 +40,62 @@ var RA Model = registered("RA")
 
 // decideRA decides RA membership in polynomial time.
 func decideRA(ctx context.Context, c *computation.Computation, o *observer.Observer, _ SearchOptions) Decision {
-	hb, ok := buildHB(c, o)
-	if !ok {
+	var hb hbCore
+	if !hb.build(c, c.Closure(), o) {
 		return Decision{Verdict: search.VerdictOut()}
 	}
-	return Decision{Verdict: raCheck(ctx, c, o, hb)}
+	return Decision{Verdict: hb.ra(ctx, c, o, writersByLoc(c))}
 }
 
-// raCheck runs the per-location modification-order check against hb,
-// the (acyclic) happens-before relation of (c, o), polling ctx once per
-// location.
-func raCheck(ctx context.Context, c *computation.Computation, o *observer.Observer, hb *hbRel) Verdict {
+// ra runs the per-location modification-order check against the built
+// (acyclic) hb of (c, o), with writers c's writers per location,
+// polling ctx once per location.
+func (h *hbCore) ra(ctx context.Context, c *computation.Computation, o *observer.Observer, writers [][]dag.Node) Verdict {
 	n := c.NumNodes()
-	for l := computation.Loc(0); int(l) < c.NumLocs(); l++ {
+	if cap(h.widx) < n {
+		h.widx = make([]int, n)
+	}
+	widx := h.widx[:n]
+	for l, ws := range writers {
 		if err := ctx.Err(); err != nil {
 			return search.VerdictInconclusive(search.ContextStopReason(err))
 		}
-		writers := c.Writers(l)
-		k := len(writers)
-		idx := make(map[dag.Node]int, k)
-		for i, w := range writers {
-			idx[w] = i
+		for i, w := range ws {
+			widx[w] = i
 		}
-		adj := make([][]int, k)
-		addEdge := func(a, b int) {
-			if a != b {
-				adj[a] = append(adj[a], b)
-			}
-		}
-		for i, w := range writers {
-			for j, x := range writers {
-				if i != j && hb.prec(w, x) {
-					addEdge(i, j)
+		adj := h.g.reset(len(ws))
+		for i, w := range ws {
+			for j, x := range ws {
+				if i != j && h.prec(w, x) {
+					adj[i] = append(adj[i], j)
 				}
 			}
-			_ = w
 		}
 		for u := 0; u < n; u++ {
 			node := dag.Node(u)
-			want := o.Get(l, node)
+			want := o.Get(computation.Loc(l), node)
 			if want == observer.Bottom {
-				for _, w := range writers {
-					if hb.prec(w, node) {
+				for _, w := range ws {
+					if h.prec(w, node) {
 						return search.VerdictOut()
 					}
 				}
 				continue
 			}
-			wi := idx[want] // want is a write to l (or u itself when u writes l)
-			for j, w := range writers {
+			wi := widx[want] // want is a write to l (or u itself when u writes l)
+			for j, w := range ws {
 				if j == wi {
 					continue
 				}
-				if hb.prec(w, node) {
-					addEdge(j, wi)
+				if h.prec(w, node) {
+					adj[j] = append(adj[j], wi)
 				}
-				if hb.prec(node, w) {
-					addEdge(wi, j)
+				if h.prec(node, w) {
+					adj[wi] = append(adj[wi], j)
 				}
 			}
 		}
-		if findCycleInts(k, adj) != nil {
+		if _, ok := h.g.sort(); !ok {
 			return search.VerdictOut()
 		}
 	}

@@ -46,7 +46,7 @@ func SerializeLoc(c *computation.Computation, l computation.Loc, o *observer.Obs
 	if _, ok := lc.check(c, c.Closure(), o, l, writers); !ok {
 		return nil, false
 	}
-	writeOrder, ok := lc.sortWrites(len(writers))
+	writeOrder, ok := lc.sort()
 	if !ok {
 		return nil, false
 	}
@@ -151,10 +151,8 @@ func (e *LCExplanation) String() string {
 // is ready; the buffers grow to the largest computation seen and are
 // reused, so a long-lived core decides without allocating.
 type lcCore struct {
-	widx  []int   // node -> index among the location's writers
-	adj   [][]int // forced write-order digraph over the writers
-	indeg []int
-	order []int
+	widx    []int // node -> index among the location's writers
+	digraph       // forced write-order digraph over the writers
 }
 
 // lcConflict is a direct contradiction: node u observes ⊥ although
@@ -175,14 +173,7 @@ func (lc *lcCore) check(c *computation.Computation, cl *dag.Closure, o *observer
 	for i, w := range writers {
 		lc.widx[w] = i
 	}
-	if cap(lc.adj) < k {
-		lc.adj = append(lc.adj[:cap(lc.adj)], make([][]int, k-cap(lc.adj))...)
-	}
-	lc.adj = lc.adj[:k]
-	for i := range lc.adj {
-		lc.adj[i] = lc.adj[i][:0]
-	}
-	adj := lc.adj
+	adj := lc.reset(k)
 	for i, w := range writers {
 		for j, x := range writers {
 			if i != j && cl.Precedes(w, x) {
@@ -241,35 +232,59 @@ func (lc *lcCore) check(c *computation.Computation, cl *dag.Closure, o *observer
 	return lcConflict{}, true
 }
 
-// sortWrites topologically sorts the k writers under the digraph check
-// built (Kahn's algorithm, lowest index first among the ready), or
-// reports ok = false on a cycle.
-func (lc *lcCore) sortWrites(k int) ([]int, bool) {
-	if cap(lc.indeg) < k {
-		lc.indeg = make([]int, k)
+// digraph is a reusable integer digraph with Kahn's topological sort.
+// The zero value is ready; reset keeps the edge lists' backing arrays,
+// so refilling a warm digraph allocates nothing. LC and RA sort a
+// location's writers with it, CAUSAL a node's view locations.
+type digraph struct {
+	adj   [][]int
+	indeg []int
+	order []int
+}
+
+// reset empties the digraph to k vertices and no edges and returns its
+// edge lists for the caller to fill.
+func (g *digraph) reset(k int) [][]int {
+	if cap(g.adj) < k {
+		g.adj = append(g.adj[:cap(g.adj)], make([][]int, k-cap(g.adj))...)
 	}
-	indeg := lc.indeg[:k]
+	g.adj = g.adj[:k]
+	for i := range g.adj {
+		g.adj[i] = g.adj[i][:0]
+	}
+	return g.adj
+}
+
+// sort topologically sorts the vertices (Kahn's algorithm, lowest index
+// first among the ready), or reports ok = false on a cycle. Duplicate
+// edges and self-loops are allowed; a self-loop is a cycle.
+func (g *digraph) sort() ([]int, bool) {
+	k := len(g.adj)
+	if cap(g.indeg) < k {
+		g.indeg = make([]int, k)
+	}
+	indeg := g.indeg[:k]
 	clear(indeg)
-	for _, out := range lc.adj[:k] {
+	for _, out := range g.adj {
 		for _, v := range out {
 			indeg[v]++
 		}
 	}
-	order := lc.order[:0]
+	order := g.order[:0]
 	for v := 0; v < k; v++ {
 		if indeg[v] == 0 {
 			order = append(order, v)
 		}
 	}
 	for head := 0; head < len(order); head++ {
-		for _, w := range lc.adj[order[head]] {
+		for _, w := range g.adj[order[head]] {
 			indeg[w]--
 			if indeg[w] == 0 {
 				order = append(order, w)
 			}
 		}
 	}
-	lc.order = order
+	g.order = order
 	return order, len(order) == k
 }
 

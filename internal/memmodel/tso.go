@@ -55,10 +55,12 @@ func decideTSO(ctx context.Context, c *computation.Computation, o *observer.Obse
 	// observer sampled it), so a cycle in precedence ∪ observation has
 	// no execution — and its image in tsoSpec's event dag would be
 	// cyclic too.
-	if _, ok := buildHB(c, o); !ok {
+	var hb hbCore
+	cl := c.Closure()
+	if !hb.build(c, cl, o) {
 		return Decision{Verdict: search.VerdictOut()}
 	}
-	spec, feasible := tsoSpec(c, o)
+	spec, feasible := tsoSpec(c, cl, o, writersByLoc(c))
 	if !feasible {
 		return Decision{Verdict: search.VerdictOut()}
 	}
@@ -106,18 +108,50 @@ type tsoGate struct {
 	lwCommits  []int32
 }
 
+// tsoFeasible runs the static infeasibility checks at every node's
+// issue event, without allocating: a constraint whose buffer — the
+// C-past writes to the location — is non-empty is unsatisfiable when
+// the view is ⊥ (a program-order-earlier write is always visible,
+// buffered or committed) or when a C-past write program-order-later
+// than the view shadows it (while buffered it is the newer buffer
+// entry, and FIFO commits it after the view, so memory never ends at
+// the view either). writers lists c's writers per location.
+func tsoFeasible(c *computation.Computation, cl *dag.Closure, o *observer.Observer, writers [][]dag.Node) bool {
+	for l, ws := range writers {
+		loc := computation.Loc(l)
+		for u := 0; u < c.NumNodes(); u++ {
+			node := dag.Node(u)
+			if c.Op(node).IsWriteTo(loc) {
+				continue // self-observation, trivial
+			}
+			want := o.Get(loc, node)
+			for _, w := range ws {
+				if !cl.Precedes(w, node) {
+					continue
+				}
+				if want == observer.Bottom || (w != want && cl.Precedes(want, w)) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
 // tsoSpec compiles the TSO membership question into an engine Spec on
 // the two-event expansion of c: events 0..n-1 are the original nodes'
 // issue events (reads and noops take effect there), and each write
 // additionally owns a commit event ≥ n, the sole writer of its
-// location slot. The caller has checked that view causality (hb) is
-// acyclic, which keeps the event dag acyclic. feasible is false when a
-// constraint is statically unsatisfiable — a ⊥ view past a
-// program-order write, or a view shadowed by a program-order-later
-// write — and the pair is then definitively out.
-func tsoSpec(c *computation.Computation, o *observer.Observer) (search.Spec, bool) {
+// location slot. cl is c's precedence closure and writers its writers
+// per location. The caller has checked that view causality (hb) is
+// acyclic, which keeps the event dag acyclic. feasible is false when
+// tsoFeasible rules a constraint statically unsatisfiable; the pair is
+// then definitively out, and nothing is built.
+func tsoSpec(c *computation.Computation, cl *dag.Closure, o *observer.Observer, writers [][]dag.Node) (search.Spec, bool) {
+	if !tsoFeasible(c, cl, o, writers) {
+		return search.Spec{}, false
+	}
 	n := c.NumNodes()
-	cl := c.Closure()
 	numLocs := c.NumLocs()
 
 	// Commit event ids: n + rank of the write among the writes.
@@ -171,11 +205,6 @@ func tsoSpec(c *computation.Computation, o *observer.Observer) (search.Spec, boo
 		}
 	}
 
-	writers := make([][]dag.Node, numLocs)
-	for l := 0; l < numLocs; l++ {
-		writers[l] = c.Writers(computation.Loc(l))
-	}
-
 	gates := make([][]tsoGate, nEvents) // commit events carry no gates
 	vals := make([]dag.Node, numLocs*nEvents)
 	// byGate marks (slot, issue event) pairs whose constraint lives in
@@ -190,36 +219,21 @@ func tsoSpec(c *computation.Computation, o *observer.Observer) (search.Spec, boo
 				continue // self-observation, trivial
 			}
 			want := o.Get(loc, node)
-			var lw []dag.Node
+			var g tsoGate
 			for _, w := range writers[l] {
 				if cl.Precedes(w, node) {
-					lw = append(lw, w)
+					g.lwCommits = append(g.lwCommits, commitOf[w])
+					if w == want {
+						g.wantPast = true
+					}
 				}
 			}
-			if len(lw) == 0 {
+			if len(g.lwCommits) == 0 {
 				continue // engine-native singleton constraint on the issue event
 			}
-			if want == observer.Bottom {
-				// A program-order-earlier write is always visible —
-				// buffered or committed — so ⊥ is unobservable.
-				return search.Spec{}, false
-			}
-			// A write program-order-later than want and in the C-past
-			// shadows it permanently: while buffered it is the newer
-			// buffer entry, and FIFO commits it after want, so memory
-			// never ends at want either.
-			for _, w := range lw {
-				if w != want && cl.Precedes(want, w) {
-					return search.Spec{}, false
-				}
-			}
-			g := tsoGate{slot: int32(l), wantCommit: commitOf[want]}
-			for _, w := range lw {
-				g.lwCommits = append(g.lwCommits, commitOf[w])
-				if w == want {
-					g.wantPast = true
-				}
-			}
+			// tsoFeasible passed, so want is a write no C-past write
+			// shadows.
+			g.slot, g.wantCommit = int32(l), commitOf[want]
 			byGate[l*nEvents+u] = true
 			gates[u] = append(gates[u], g)
 		}
