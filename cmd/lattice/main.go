@@ -21,8 +21,12 @@
 // -reduce decides one representative per isomorphism class and weights
 // it by its orbit size: counts, verdicts, and witnesses are identical
 // to the unreduced sweep, but sizes like -n 5 become tractable. It
-// applies to the default check, -census, and -props (the -star and
-// -findtrap iterations mutate computations and have no reduced form).
+// applies to the default check, -census, and -props. -star always
+// counts its boundary (the -n-node computations) that way but prunes
+// every smaller computation, so it takes no -reduce; -findtrap
+// mutates computations and has no reduced form.
+//
+// -n and -locs must be non-negative, and -star needs -n ≥ 1.
 //
 // -workers shards the sweep for the default lattice check and -census.
 // The -star/-props/-findtrap experiments run the serial fixpoint code;
@@ -71,6 +75,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "lattice: unexpected arguments %v\n", fs.Args())
 		return 2
 	}
+	if *maxNodes < 0 || *locs < 0 {
+		fmt.Fprintln(stderr, "lattice: -n and -locs must be non-negative")
+		return 2
+	}
+	// The star fixpoint compares its interior, the computations below
+	// -n nodes, with LC; -n 0 has none.
+	if *star != "" && *maxNodes < 1 {
+		fmt.Fprintln(stderr, "lattice: -star needs -n ≥ 1")
+		return 2
+	}
 	// The serial experiments cannot honor -workers; reject it loudly
 	// instead of ignoring it (the historical behavior).
 	if *star != "" || *props != "" || *findtrap != "" {
@@ -85,9 +99,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	// The star fixpoint and trap search mutate computations as they
-	// iterate, which a representative-only sweep cannot express; only
-	// the pure membership sweeps have reduced counterparts.
+	// The star fixpoint prunes every interior computation against its
+	// augmentations and already reduces its boundary; the trap search
+	// mutates computations as it iterates. Only the pure membership
+	// sweeps have reduced counterparts.
 	if *reduce && (*star != "" || *findtrap != "") {
 		fmt.Fprintln(stderr, "lattice: -reduce applies only to the default lattice check, -census, and -props")
 		return 2
@@ -114,11 +129,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 // branches bracket their (serial) experiment in a RunStart/RunEnd pair.
 func runChecked(maxNodes, locs int, census bool, star, props, findtrap string, workers int, reduce bool, witnesses string, rec obs.Recorder, stdout, stderr io.Writer) int {
 	// bracket wraps a serial experiment so -report/-trace sessions see
-	// one run per invocation even off the parallel sweep path.
-	bracket := func(name string, fn func() (string, bool)) int {
+	// one run per invocation even off the parallel sweep path; fn
+	// records its phases, if any, under the run.
+	bracket := func(name string, fn func(r obs.Recorder) (string, bool)) int {
 		r := obs.WithRun(rec, name)
 		obs.Emit(r, obs.Event{Kind: obs.RunStart, Total: 1})
-		out, ok := fn()
+		out, ok := fn(r)
 		verdict := "OK"
 		code := 0
 		if !ok {
@@ -136,7 +152,7 @@ func runChecked(maxNodes, locs int, census bool, star, props, findtrap string, w
 			fmt.Fprintln(stderr, "lattice:", err)
 			return 2
 		}
-		return bracket("findtrap "+m.Name(), func() (string, bool) {
+		return bracket("findtrap "+m.Name(), func(obs.Recorder) (string, bool) {
 			trap, found := expt.FindTrap(m, maxNodes, locs)
 			if !found {
 				return fmt.Sprintf("%s has no non-constructibility witness up to %d nodes, %d location(s)\n",
@@ -151,8 +167,8 @@ func runChecked(maxNodes, locs int, census bool, star, props, findtrap string, w
 			fmt.Fprintln(stderr, "lattice:", err)
 			return 2
 		}
-		return bracket("star "+m.Name(), func() (string, bool) {
-			rep := expt.RunStar(m, maxNodes, locs)
+		return bracket("star "+m.Name(), func(r obs.Recorder) (string, bool) {
+			rep := expt.RunStar(m, maxNodes, locs, r)
 			return rep.String(), rep.OK()
 		})
 	case props != "":
@@ -161,7 +177,7 @@ func runChecked(maxNodes, locs int, census bool, star, props, findtrap string, w
 			fmt.Fprintln(stderr, "lattice:", err)
 			return 2
 		}
-		return bracket("props "+m.Name(), func() (string, bool) {
+		return bracket("props "+m.Name(), func(obs.Recorder) (string, bool) {
 			var rep expt.PropertyReport
 			if reduce {
 				rep = expt.RunPropertiesReduced(m, maxNodes, locs)
@@ -171,7 +187,7 @@ func runChecked(maxNodes, locs int, census bool, star, props, findtrap string, w
 			return rep.String(), rep.OK()
 		})
 	case census:
-		return bracket("census", func() (string, bool) {
+		return bracket("census", func(obs.Recorder) (string, bool) {
 			if reduce {
 				return expt.MembershipCensusReducedParallel(maxNodes, locs, workers), true
 			}

@@ -105,6 +105,12 @@ func TestStarPassAndFail(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("passing star: exit code = %d, want 0; output:\n%s", code, out)
 	}
+	// The smallest star run, and one without locations, are still legal.
+	for _, args := range [][]string{{"-n", "1", "-star", "NN"}, {"-n", "2", "-locs", "0", "-star", "NN"}} {
+		if code, out, errOut := runLattice(t, args...); code != 0 {
+			t.Fatalf("%v: exit code = %d, want 0; output:\n%s%s", args, code, out, errOut)
+		}
+	}
 	// WN* ≠ LC already at size 2, so the 3-node sweep must fail — and
 	// the failure must surface in the exit code, not just the text.
 	code, out, _ = runLattice(t, "-n", "3", "-star", "WN")
@@ -149,6 +155,19 @@ func TestUsageErrors(t *testing.T) {
 		{"workers with star", []string{"-workers", "2", "-star", "NN"}},
 		{"workers with props", []string{"-workers", "2", "-props", "SC", "-n", "3"}},
 		{"workers with findtrap", []string{"-workers", "2", "-findtrap", "NN", "-n", "3"}},
+		{"negative n", []string{"-n", "-1"}},
+		{"negative n with reduce", []string{"-n", "-1", "-reduce"}},
+		{"negative n with census", []string{"-n", "-1", "-census"}},
+		{"negative n with star", []string{"-n", "-1", "-star", "NN"}},
+		{"negative n with props", []string{"-n", "-1", "-props", "SC"}},
+		{"negative n with findtrap", []string{"-n", "-1", "-findtrap", "NN"}},
+		{"negative locs", []string{"-locs", "-1", "-n", "2"}},
+		{"negative locs with reduce", []string{"-locs", "-1", "-n", "2", "-reduce"}},
+		{"negative locs with census", []string{"-locs", "-1", "-n", "2", "-census"}},
+		{"negative locs with star", []string{"-locs", "-1", "-n", "2", "-star", "NN"}},
+		{"negative locs with props", []string{"-locs", "-1", "-n", "2", "-props", "SC"}},
+		{"negative locs with findtrap", []string{"-locs", "-1", "-n", "2", "-findtrap", "NN"}},
+		{"star without an interior", []string{"-n", "0", "-star", "NN"}},
 	} {
 		if code, out, _ := runLattice(t, tc.args...); code != 2 {
 			t.Errorf("%s: exit code = %d, want 2; output:\n%s", tc.name, code, out)

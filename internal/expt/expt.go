@@ -286,54 +286,58 @@ type StarReport struct {
 }
 
 // RunStar computes the constructible version of the named base model
-// over the full universe and compares it with LC on the interior.
-// For base = NN this is the Theorem 23 experiment; for WN and NW it
-// probes the open problems of Section 7.
-func RunStar(base memmodel.Model, maxNodes, numLocs int) StarReport {
-	universe := enum.AllComputations(maxNodes, numLocs)
-	star := memmodel.ConstructibleVersion(base, universe, computation.AllOps(numLocs))
+// over the universe of computations with at most maxNodes nodes and
+// compares it with LC on the interior. For base = NN this is the
+// Theorem 23 experiment; for WN and NW it probes the open problems of
+// Section 7. Only the interior (below maxNodes nodes) is materialized:
+// the boundary is counted over canonical representatives weighted by
+// orbit, so base must be isomorphism-invariant, as every registered
+// model is. rec (nil = off) receives one PhaseStart per stage: the
+// fixpoint's three, then "LC comparison".
+func RunStar(base memmodel.Model, maxNodes, numLocs int, rec obs.Recorder) StarReport {
+	interior := enum.AllComputations(maxNodes-1, numLocs)
+	boundary := func(fn func(c *computation.Computation, orbit int64) bool) {
+		enum.EachComputationReduced(maxNodes, numLocs, fn)
+	}
+	star := memmodel.ConstructibleFixpoint(base, interior, maxNodes, computation.AllOps(numLocs), boundary, rec)
 
 	rep := StarReport{
-		Base:        base.Name(),
-		MaxNodes:    maxNodes,
-		NumLocs:     numLocs,
-		BasePairs:   make([]int, maxNodes+1),
-		StarPairs:   make([]int, maxNodes+1),
-		LCEqualUpTo: -1,
-		Star:        star,
+		Base:     base.Name(),
+		MaxNodes: maxNodes,
+		NumLocs:  numLocs,
+		Star:     star,
 	}
-	basePairs, starPairs := star.SizeCounts()
-	copy(rep.BasePairs, basePairs)
-	copy(rep.StarPairs, starPairs)
+	rep.BasePairs, rep.StarPairs = star.SizeCounts()
+	obs.Emit(rec, obs.Event{Kind: obs.PhaseStart, Str: "LC comparison"})
+	rep.compareLC(interior)
+	return rep
+}
 
-	// Boundary pairs are never pruned, so only the interior is compared
-	// with LC, in enumeration order; the first mismatch at the smallest
-	// size is the one reported.
-	mismatchSize := maxNodes + 1
-	for i, c := range universe {
+// compareLC sets LCEqualUpTo and FirstMismatch by comparing r.Star with
+// LC on interior, the slice the set was built from. Boundary pairs are
+// never pruned, so only the interior is compared, in enumeration order;
+// the first mismatch at the smallest size is the one reported.
+func (r *StarReport) compareLC(interior []*computation.Computation) {
+	mismatchSize := r.MaxNodes + 1
+	for i, c := range interior {
 		size := c.NumNodes()
-		if size >= maxNodes || size >= mismatchSize {
+		if size >= mismatchSize {
 			continue
 		}
 		rank := 0
 		observer.Enumerate(c, func(o *observer.Observer) bool {
-			inStar := star.ContainsAt(i, rank)
+			inStar := r.Star.ContainsAt(i, rank)
 			rank++
 			if inStar == memmodel.LC.Contains(c, o) {
 				return true
 			}
 			mismatchSize = size
-			rep.FirstMismatch = fmt.Sprintf("size %d: %v / %v (star=%v, LC=%v)",
+			r.FirstMismatch = fmt.Sprintf("size %d: %v / %v (star=%v, LC=%v)",
 				size, c, o, inStar, !inStar)
 			return false
 		})
 	}
-	if mismatchSize > maxNodes {
-		rep.LCEqualUpTo = maxNodes - 1
-	} else {
-		rep.LCEqualUpTo = mismatchSize - 1
-	}
-	return rep
+	r.LCEqualUpTo = min(mismatchSize, r.MaxNodes) - 1
 }
 
 // OK reports whether the experiment confirmed the conjecture the star

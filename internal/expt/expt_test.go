@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -59,15 +60,75 @@ func TestLatticeTwoLocations(t *testing.T) {
 }
 
 // checkStarGolden compares a fixpoint report byte for byte with the
-// `lattice -n 5 -star BASE` output under testdata/star.
+// stdout of `lattice -n N [-locs L] -star BASE` under testdata/star
+// (BASE-nN.txt, or BASE-nN-locsL.txt for L > 1), and its exit code
+// with the .exit file beside it.
 func checkStarGolden(t *testing.T, rep StarReport) {
 	t.Helper()
-	want, err := os.ReadFile(filepath.Join("testdata", "star", rep.Base+"-n5.txt"))
+	stem := fmt.Sprintf("%s-n%d", rep.Base, rep.MaxNodes)
+	if rep.NumLocs > 1 {
+		stem += fmt.Sprintf("-locs%d", rep.NumLocs)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "star", stem+".txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCode, err := os.ReadFile(filepath.Join("testdata", "star", stem+".exit"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := rep.String(); got != string(want) {
-		t.Fatalf("%s* report differs from the golden:\ngot:\n%s\nwant:\n%s", rep.Base, got, want)
+		t.Fatalf("%s report differs from the golden:\ngot:\n%s\nwant:\n%s", stem, got, want)
+	}
+	code := "0"
+	if !rep.OK() {
+		code = "1"
+	}
+	if w := strings.TrimSpace(string(wantCode)); code != w {
+		t.Fatalf("%s exit code %s, golden %s", stem, code, w)
+	}
+}
+
+// The two-location star report, byte for byte: it pins the boundary's
+// orbit weights over the five ops of two locations, which the
+// one-location goldens do not reach.
+func TestRunStarTwoLocationsGolden(t *testing.T) {
+	checkStarGolden(t, RunStar(memmodel.NN, 4, 2, nil))
+}
+
+// starReference is the fixpoint experiment over the materialized
+// universe: ConstructibleVersion on every computation up to n nodes,
+// the boundary included, at weight 1 each.
+func starReference(base memmodel.Model, n, locs int) (StarReport, []*computation.Computation) {
+	universe := enum.AllComputations(n, locs)
+	rep := StarReport{Base: base.Name(), MaxNodes: n, NumLocs: locs,
+		Star: memmodel.ConstructibleVersion(base, universe, computation.AllOps(locs))}
+	rep.BasePairs, rep.StarPairs = rep.Star.SizeCounts()
+	interior := universe[:len(enum.AllComputations(n-1, locs))] // enum lists smaller sizes first
+	rep.compareLC(interior)
+	return rep, interior
+}
+
+// The streamed, orbit-weighted boundary against the materialized one,
+// for every pattern model: the same size table, the same LC verdict,
+// and the same survivors at every interior pair.
+func TestRunStarMatchesConstructibleVersion(t *testing.T) {
+	sizes := []struct{ n, locs int }{{1, 1}, {2, 1}, {3, 1}, {4, 1}, {1, 2}, {2, 2}, {3, 2}}
+	for _, m := range memmodel.PatternModels() {
+		for _, sz := range sizes {
+			got := RunStar(m, sz.n, sz.locs, nil)
+			want, interior := starReference(m, sz.n, sz.locs)
+			if got.String() != want.String() || got.LCEqualUpTo != want.LCEqualUpTo || got.FirstMismatch != want.FirstMismatch {
+				t.Fatalf("%s n=%d locs=%d: RunStar\n%s\nmaterialized\n%s", m.Name(), sz.n, sz.locs, got, want)
+			}
+			for i, c := range interior {
+				for rank := 0; rank < observer.Count(c, 0); rank++ {
+					if got.Star.ContainsAt(i, rank) != want.Star.ContainsAt(i, rank) {
+						t.Fatalf("%s n=%d locs=%d: survivors differ at %v, rank %d", m.Name(), sz.n, sz.locs, c, rank)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -78,7 +139,7 @@ func TestRunStarNN(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fixpoint sweep skipped in -short mode")
 	}
-	rep := RunStar(memmodel.NN, 5, 1)
+	rep := RunStar(memmodel.NN, 5, 1, nil)
 	if rep.FirstMismatch != "" {
 		t.Fatalf("NN* ≠ LC: %s", rep.FirstMismatch)
 	}
@@ -125,7 +186,7 @@ func TestRunStarOpenProblems(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fixpoint sweeps skipped in -short mode")
 	}
-	wn := RunStar(memmodel.WN, 5, 1)
+	wn := RunStar(memmodel.WN, 5, 1, nil)
 	if wn.FirstMismatch == "" {
 		t.Fatal("WN survivors collapsing to LC would contradict LC ⊊ WN*")
 	}
@@ -143,7 +204,7 @@ func TestRunStarOpenProblems(t *testing.T) {
 	// NW's survivors also exceed LC at this size, but survivors only
 	// over-approximate NW*, so no conclusion is drawn — the golden pins
 	// the documented shape.
-	checkStarGolden(t, RunStar(memmodel.NW, 5, 1))
+	checkStarGolden(t, RunStar(memmodel.NW, 5, 1, nil))
 }
 
 func enumFind(t *testing.T, key string) *computation.Computation {

@@ -141,7 +141,7 @@ func TestTSOFullConstructibleSmall(t *testing.T) {
 // exactly as they do for the paper's NN (Theorem 23). With LC ⊆ TSO*
 // ⊆ survivors this proves TSO* = LC at those sizes.
 func TestStarTSOSmall(t *testing.T) {
-	rep := RunStar(memmodel.TSO, 3, 1)
+	rep := RunStar(memmodel.TSO, 3, 1, nil)
 	if !rep.OK() {
 		t.Fatalf("TSO* survivors diverge from LC: %s", rep)
 	}

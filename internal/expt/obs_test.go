@@ -1,9 +1,11 @@
 package expt
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/memmodel"
 	"repro/internal/obs"
 )
 
@@ -74,5 +76,22 @@ func TestRunLatticeObsEmitsPhases(t *testing.T) {
 	}
 	if !labels["SC vs LC"] || !labels["NW vs WN"] {
 		t.Fatalf("edge labels: %v", labels)
+	}
+}
+
+func TestRunStarEmitsPhases(t *testing.T) {
+	log := &phaseLog{}
+	if rep := RunStar(memmodel.NN, 3, 1, log); !rep.OK() {
+		t.Fatalf("star fixpoint failed:\n%s", rep)
+	}
+	var phases []string
+	for _, ev := range log.evs {
+		if ev.Kind == obs.PhaseStart {
+			phases = append(phases, ev.Str)
+		}
+	}
+	want := []string{"interior membership", "fixpoint", "boundary count", "LC comparison"}
+	if strings.Join(phases, ", ") != strings.Join(want, ", ") {
+		t.Fatalf("phases %q, want %q", phases, want)
 	}
 }

@@ -373,8 +373,9 @@ func refAnyExtension(ae *refEntry, o *observer.Observer) bool {
 }
 
 // checkAgainstReference asserts that ConstructibleVersion keeps exactly
-// the reference's survivors, through both Contains and ContainsAt, and
-// returns how many base pairs were pruned.
+// the reference's survivors, through Contains on every pair and
+// ContainsAt on every interior pair (the boundary has no positions),
+// and returns how many base pairs were pruned.
 func checkAgainstReference(t *testing.T, m Model, universe []*computation.Computation, ops []computation.Op) (pruned int) {
 	t.Helper()
 	star := ConstructibleVersion(m, universe, ops)
@@ -386,16 +387,20 @@ func checkAgainstReference(t *testing.T, m Model, universe []*computation.Comput
 	if got := star.NumPairs(-1); got != survivors {
 		t.Fatalf("%s: %d survivors, reference keeps %d", star.Name(), got, survivors)
 	}
-	for i, c := range universe {
+	i := 0 // c's interior position
+	for _, c := range universe {
 		e := ref[c.String()]
+		interior := c.NumNodes() < star.MaxNodes()
 		rank := 0
 		observer.Enumerate(c, func(o *observer.Observer) bool {
 			_, want := e.alive[o.Key()]
 			if got := star.Contains(c, o); got != want {
 				t.Fatalf("%s: Contains(%v, %v) = %v, reference %v", star.Name(), c, o, got, want)
 			}
-			if got := star.ContainsAt(i, rank); got != want {
-				t.Fatalf("%s: ContainsAt(%d, %d) = %v, reference %v", star.Name(), i, rank, got, want)
+			if interior {
+				if got := star.ContainsAt(i, rank); got != want {
+					t.Fatalf("%s: ContainsAt(%d, %d) = %v, reference %v", star.Name(), i, rank, got, want)
+				}
 			}
 			if !want && m.Contains(c, o) {
 				pruned++
@@ -403,6 +408,9 @@ func checkAgainstReference(t *testing.T, m Model, universe []*computation.Comput
 			rank++
 			return true
 		})
+		if interior {
+			i++
+		}
 	}
 	return pruned
 }
@@ -500,18 +508,26 @@ func TestAugLinkPrefixRankIsRestriction(t *testing.T) {
 }
 
 // An interior computation listed twice counts once and has the same
-// survivors at both positions.
+// survivors at both positions, and so does a boundary computation.
 func TestConstructibleVersionDuplicateComputation(t *testing.T) {
 	universe := smallUniverse(2)
 	const first = 1 // a 1-node computation
-	dup := append(append([]*computation.Computation(nil), universe...), universe[first].Clone())
+	last := len(universe) - 1
+	interior := 0 // the 0- and 1-node computations lead the universe
+	for universe[interior].NumNodes() < 2 {
+		interior++
+	}
+	dup := append([]*computation.Computation(nil), universe[:interior]...)
+	dup = append(dup, universe[first].Clone()) // interior position `interior`
+	dup = append(dup, universe[interior:]...)
+	dup = append(dup, universe[last].Clone())
 	want := ConstructibleVersion(NN, universe, computation.AllOps(1))
 	got := ConstructibleVersion(NN, dup, computation.AllOps(1))
 	if got.NumPairs(-1) != want.NumPairs(-1) {
-		t.Fatalf("NumPairs with a duplicate = %d, want %d", got.NumPairs(-1), want.NumPairs(-1))
+		t.Fatalf("NumPairs with duplicates = %d, want %d", got.NumPairs(-1), want.NumPairs(-1))
 	}
 	for rank := 0; rank < observer.Count(universe[first], 0); rank++ {
-		if got.ContainsAt(len(dup)-1, rank) != got.ContainsAt(first, rank) {
+		if got.ContainsAt(interior, rank) != got.ContainsAt(first, rank) {
 			t.Fatalf("duplicate differs from its first listing at rank %d", rank)
 		}
 	}
@@ -530,5 +546,40 @@ func TestConstructibleVersionCascade(t *testing.T) {
 	}
 	if pruned := checkAgainstReference(t, hole, universe, computation.AllOps(1)); pruned == 0 {
 		t.Fatal("nothing pruned")
+	}
+}
+
+// The documented limit of the augmentation-only fixpoint: a 5-node
+// pair in NN ∖ LC that the n = 6 star run keeps at size 5 (EXPERIMENTS.md
+// E7). It survives two augmentation levels above it, in the engine and
+// in the reference alike, so a universe one or two nodes larger does
+// not prune it.
+func TestFixpointKeepsFiveNodeNNPair(t *testing.T) {
+	c := computation.New(1)
+	for _, op := range []computation.Op{computation.N, computation.N, computation.W(0), computation.W(0), computation.W(0)} {
+		c.AddNode(op)
+	}
+	for _, e := range [][2]dag.Node{{0, 3}, {1, 2}} {
+		if err := c.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	o := observer.New(c)
+	for u, w := range []dag.Node{2, 3, 2, 3, 4} {
+		o.Set(0, dag.Node(u), w)
+	}
+	if got := c.String() + " / " + o.String(); got != "comp(locs=1; 0:N 1:N 2:W(0) 3:W(0) 4:W(0); 0->3 1->2) / Φ(l0: 0→2 1→3 2→2 3→3 4→4)" {
+		t.Fatalf("pair renders as %s", got)
+	}
+	if !NN.Contains(c, o) || LC.Contains(c, o) {
+		t.Fatal("the pair must be in NN ∖ LC")
+	}
+	ops := computation.AllOps(1)
+	universe := augClosure(c, ops, 2)
+	if !ConstructibleVersion(NN, universe, ops).Contains(c, o) {
+		t.Fatal("pruned from NN* by the engine")
+	}
+	if _, ok := refConstructible(NN, universe, ops)[c.String()].alive[o.Key()]; !ok {
+		t.Fatal("pruned from NN* by the reference")
 	}
 }

@@ -9,9 +9,10 @@
 # the litmus corpus), the batch-handler suite (BenchmarkBatch in
 # internal/serve — the fleet's nine-item POST /v1/batch, every item
 # decided, at a fixed 200 iterations), and the
-# lattice-sweep suite (BenchmarkLatticeSweep in internal/expt), whose
-# single iteration is a multi-second exhaustive sweep and therefore
-# gets a small iteration count of its own.
+# paper-experiment suite (BenchmarkLatticeSweep and BenchmarkStar in
+# internal/expt: the Figure 1 sweeps and the Theorem 23 NN* fixpoint),
+# whose single iteration is a multi-second exhaustive sweep and
+# therefore gets a small iteration count of its own.
 #
 # BENCH_PATTERN / BENCH_TIME override the engine suite's selection and
 # -benchtime; BENCH_DECIDE_PATTERN / BENCH_DECIDE_TIME do the same for
@@ -25,7 +26,7 @@ PATTERN="${BENCH_PATTERN:-BenchmarkSearch}"
 TIME="${BENCH_TIME:-50x}"
 DECIDE_PATTERN="${BENCH_DECIDE_PATTERN:-BenchmarkDecide}"
 DECIDE_TIME="${BENCH_DECIDE_TIME:-50x}"
-SWEEP_PATTERN="${BENCH_SWEEP_PATTERN:-BenchmarkLatticeSweep}"
+SWEEP_PATTERN="${BENCH_SWEEP_PATTERN:-BenchmarkLatticeSweep|BenchmarkStar}"
 SWEEP_TIME="${BENCH_SWEEP_TIME:-2x}"
 
 mkdir -p benchmarks
