@@ -33,7 +33,7 @@ import (
 // 3-node universe (every inclusion; strictness where witnesses fit).
 func BenchmarkFig1Lattice3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := expt.RunLattice(3, 1)
+		rep := expt.RunLatticeReduced(3, 1, 1, nil)
 		if !rep.AllOK() {
 			b.Fatalf("lattice mismatch:\n%s", rep)
 		}
@@ -46,7 +46,7 @@ func BenchmarkFig1Lattice3(b *testing.B) {
 // (Figure 2/3 witnesses).
 func BenchmarkFig1Lattice4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := expt.RunLattice(4, 1)
+		rep := expt.RunLatticeReduced(4, 1, 1, nil)
 		if !rep.AllOK() {
 			b.Fatalf("lattice mismatch:\n%s", rep)
 		}

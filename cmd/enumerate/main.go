@@ -5,17 +5,19 @@
 //
 // Usage:
 //
-//	enumerate [-n MAXNODES] [-locs L] [-persize] [-workers W] [-reduce]
+//	enumerate [-n MAXNODES] [-locs L] [-persize] [-workers W]
 //
-// -reduce enumerates canonical representatives only and weights each
-// count by its orbit (isomorphism-class) size; every printed number is
-// identical to the unreduced sweep, but far fewer computations are
-// materialized.
+// Both tables enumerate canonical representatives only and weight each
+// count by its orbit (isomorphism-class) size, so every printed number
+// covers the whole universe while far fewer computations are
+// materialized. -workers shards the census; -persize is serial.
 //
-// Exit codes: 0 on success, 2 on usage errors.
+// -n and -locs must be non-negative. Exit codes: 0 on success, 2 on
+// usage errors.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -39,7 +41,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	locs := fs.Int("locs", 1, "number of memory locations")
 	perSize := fs.Bool("persize", false, "break counts down by computation size")
 	workers := fs.Int("workers", 0, "parallel sweep workers for the census (0 = GOMAXPROCS)")
-	reduce := fs.Bool("reduce", false, "count canonical representatives only, orbit-weighted (identical totals)")
 	obsFlags := obs.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -48,12 +49,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "enumerate: unexpected arguments %v\n", fs.Args())
 		return 2
 	}
+	if *maxNodes < 0 || *locs < 0 {
+		fmt.Fprintln(stderr, "enumerate: -n and -locs must be non-negative")
+		return 2
+	}
 	sess, err := obsFlags.Start("enumerate", args, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, "enumerate:", err)
 		return 2
 	}
-	code := runCounts(*maxNodes, *locs, *perSize, *workers, *reduce, sess.Rec, stdout)
+	code := runCounts(*maxNodes, *locs, *perSize, *workers, sess.Rec, stdout)
 	if err := sess.Close(code); err != nil {
 		fmt.Fprintln(stderr, "enumerate:", err)
 		if code == 0 {
@@ -63,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return code
 }
 
-func runCounts(maxNodes, locs int, perSize bool, workers int, reduce bool, rec obs.Recorder, stdout io.Writer) int {
+func runCounts(maxNodes, locs int, perSize bool, workers int, rec obs.Recorder, stdout io.Writer) int {
 	if perSize {
 		r := obs.WithRun(rec, "persize")
 		var live *obs.Counters
@@ -74,13 +79,12 @@ func runCounts(maxNodes, locs int, perSize bool, workers int, reduce bool, rec o
 		fmt.Fprintf(stdout, "%-6s %-14s %-14s %-12s\n", "size", "computations", "pairs", "max Φ/comp")
 		for n := 0; n <= maxNodes; n++ {
 			comps, pairs, maxObs := 0, 0, 0
-			// count folds one computation (of weight orbit, 1 when
-			// unreduced) into the per-size totals; observer counts are
-			// isomorphism-invariant, so maxObs needs no weighting.
-			count := func(c *computation.Computation, orbit int) bool {
-				comps += orbit
+			// Observer counts are isomorphism-invariant, so maxObs needs
+			// no weighting.
+			enum.EachComputationReduced(n, locs, func(c *computation.Computation, orbit int64) bool {
+				comps += int(orbit)
 				k := observer.Count(c, 0)
-				pairs += k * orbit
+				pairs += k * int(orbit)
 				if k > maxObs {
 					maxObs = k
 				}
@@ -88,16 +92,7 @@ func runCounts(maxNodes, locs int, perSize bool, workers int, reduce bool, rec o
 					live.States.Add(1)
 				}
 				return true
-			}
-			if reduce {
-				enum.EachComputationReduced(n, locs, func(c *computation.Computation, orbit int64) bool {
-					return count(c, int(orbit))
-				})
-			} else {
-				enum.EachComputation(n, locs, func(c *computation.Computation) bool {
-					return count(c, 1)
-				})
-			}
+			})
 			fmt.Fprintf(stdout, "%-6d %-14d %-14d %-12d\n", n, comps, pairs, maxObs)
 			if live != nil {
 				live.Done.Add(1)
@@ -106,13 +101,9 @@ func runCounts(maxNodes, locs int, perSize bool, workers int, reduce bool, rec o
 		obs.Emit(r, obs.Event{Kind: obs.RunEnd, Str: "OK"})
 		return 0
 	}
-	r := obs.WithRun(rec, "census")
-	obs.Emit(r, obs.Event{Kind: obs.RunStart, Total: 1})
-	if reduce {
-		fmt.Fprint(stdout, expt.MembershipCensusReducedParallel(maxNodes, locs, workers))
-	} else {
-		fmt.Fprint(stdout, expt.MembershipCensusParallel(maxNodes, locs, workers))
-	}
-	obs.Emit(r, obs.Event{Kind: obs.RunEnd, Str: "OK"})
+	// Only a cancelled context stops the sweep early, and this one
+	// never is.
+	table, _ := expt.MembershipCensus(context.Background(), maxNodes, locs, workers, rec)
+	fmt.Fprint(stdout, table)
 	return 0
 }

@@ -3,10 +3,10 @@ package main
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal/expt"
 	"repro/internal/obs"
 )
 
@@ -15,8 +15,12 @@ func TestRunCensus(t *testing.T) {
 	if code := run([]string{"-n", "3"}, &out, &errb); code != 0 {
 		t.Fatalf("exit code = %d, want 0; stderr: %s", code, errb.String())
 	}
-	if want := expt.MembershipCensusParallel(3, 1, 0); out.String() != want {
-		t.Errorf("census differs from the library's:\n%q\n%q", out.String(), want)
+	want, err := os.ReadFile("testdata/census-n3.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != string(want) {
+		t.Errorf("census differs from testdata/census-n3.txt:\n%q\n%q", out.String(), want)
 	}
 	for _, model := range []string{"SC", "LC", "WW"} {
 		if !strings.Contains(out.String(), model) {
@@ -64,10 +68,25 @@ func TestRunPerSize(t *testing.T) {
 }
 
 func TestRunFlagErrors(t *testing.T) {
-	for _, args := range [][]string{{"-bogus"}, {"positional"}} {
+	for _, args := range [][]string{
+		{"-bogus"},
+		{"positional"},
+		{"-reduce"},
+		{"-n", "-1"},
+		{"-n", "-1", "-persize"},
+		{"-n", "2", "-locs", "-1"},
+		{"-n", "2", "-locs", "-1", "-persize"},
+	} {
 		var out, errb bytes.Buffer
 		if code := run(args, &out, &errb); code != 2 {
 			t.Errorf("run(%v) = %d, want 2", args, code)
+		}
+	}
+	// -n 0 and -locs 0 stay legal.
+	for _, args := range [][]string{{"-n", "0"}, {"-n", "2", "-locs", "0", "-persize"}} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 0 {
+			t.Errorf("run(%v) = %d, want 0; stderr: %s", args, code, errb.String())
 		}
 	}
 }
@@ -96,23 +115,27 @@ func TestRunReport(t *testing.T) {
 	}
 }
 
-// TestRunReduceMatches: -reduce must print the exact same tables as the
-// unreduced sweeps (orbit weighting preserves every total).
+// TestRunReduceMatches: the orbit-weighted tables print the exact
+// bytes recorded under testdata when enumerate swept every computation
+// of the universe (orbit weighting preserves every total).
 func TestRunReduceMatches(t *testing.T) {
-	for _, tc := range [][]string{
-		{"-n", "3"},
-		{"-n", "3", "-persize"},
-		{"-n", "3", "-locs", "2", "-persize"},
+	for _, tc := range []struct {
+		args   []string
+		golden string
+	}{
+		{[]string{"-n", "3", "-persize"}, "persize-n3.txt"},
+		{[]string{"-n", "4", "-locs", "2", "-persize"}, "persize-n4-locs2.txt"},
 	} {
-		var full, red, errb bytes.Buffer
-		if code := run(tc, &full, &errb); code != 0 {
-			t.Fatalf("%v: exit code = %d; stderr: %s", tc, code, errb.String())
+		var out, errb bytes.Buffer
+		if code := run(tc.args, &out, &errb); code != 0 {
+			t.Fatalf("%v: exit code = %d; stderr: %s", tc.args, code, errb.String())
 		}
-		if code := run(append(append([]string{}, tc...), "-reduce"), &red, &errb); code != 0 {
-			t.Fatalf("%v -reduce: exit code = %d; stderr: %s", tc, code, errb.String())
+		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if full.String() != red.String() {
-			t.Errorf("%v: -reduce output differs:\n%s\nvs\n%s", tc, red.String(), full.String())
+		if out.String() != string(want) {
+			t.Errorf("%v: output differs from testdata/%s:\n%s\nwant:\n%s", tc.args, tc.golden, out.String(), want)
 		}
 	}
 }

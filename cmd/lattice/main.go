@@ -8,23 +8,27 @@
 //
 // Usage:
 //
-//	lattice [-n MAXNODES] [-locs L] [-reduce] [-census] [-witnesses DIR] [-star NN|WN|NW] [-props MODEL] [-findtrap MODEL]
+//	lattice [-n MAXNODES] [-locs L] [-census] [-witnesses DIR] [-star NN|WN|NW] [-props MODEL] [-findtrap MODEL]
 //
 // Examples:
 //
 //	lattice -n 4              # full Figure 1 check (default)
-//	lattice -n 5 -reduce      # same check, canonical representatives only
+//	lattice -n 5              # the same check one size up
 //	lattice -n 4 -star NN     # Theorem 23: NN* = LC on the interior
 //	lattice -n 4 -star WN     # Section 7 open problem probe
 //	lattice -n 3 -props NN    # completeness/monotonicity/constructibility
 //
-// -reduce decides one representative per isomorphism class and weights
-// it by its orbit size: counts, verdicts, and witnesses are identical
-// to the unreduced sweep, but sizes like -n 5 become tractable. It
-// applies to the default check, -census, and -props. -star always
-// counts its boundary (the -n-node computations) that way but prunes
-// every smaller computation, so it takes no -reduce; -findtrap
-// mutates computations and has no reduced form.
+// The default check, -census and -props decide one representative per
+// isomorphism class and weight it by its orbit size, so their counts
+// are those of the whole universe while sizes like -n 5 stay
+// tractable. The default check prints counts per edge; the pairs that
+// separate the extended edges are the committed fixtures it re-decides,
+// and the Figure 1 separations are the Figures 2–4 pairs
+// (internal/paperfig). -star counts its boundary (the -n-node
+// computations) the same way but prunes every smaller computation;
+// -findtrap enumerates every computation. -reduce is accepted and
+// ignored, so command lines that still pass it (the benchmark's
+// lattice-n5 among them) keep working.
 //
 // -n and -locs must be non-negative, and -star needs -n ≥ 1.
 //
@@ -41,6 +45,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -66,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	findtrap := fs.String("findtrap", "", "search for the smallest non-constructibility witness of this model")
 	workers := fs.Int("workers", 0, "parallel sweep workers for the lattice check and -census (0 = GOMAXPROCS)")
 	witnesses := fs.String("witnesses", "testdata/litmus", "directory of committed strictness-witness fixtures re-checked by the lattice check (empty = skip)")
-	reduce := fs.Bool("reduce", false, "sweep canonical representatives only (orbit-weighted); identical output, one isomorphism-class member decided per class")
+	fs.Bool("reduce", false, "ignored: every sweep is orbit-weighted (kept so existing command lines still parse)")
 	obsFlags := obs.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -99,21 +104,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	// The star fixpoint prunes every interior computation against its
-	// augmentations and already reduces its boundary; the trap search
-	// mutates computations as it iterates. Only the pure membership
-	// sweeps have reduced counterparts.
-	if *reduce && (*star != "" || *findtrap != "") {
-		fmt.Fprintln(stderr, "lattice: -reduce applies only to the default lattice check, -census, and -props")
-		return 2
-	}
 
 	sess, err := obsFlags.Start("lattice", args, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, "lattice:", err)
 		return 2
 	}
-	code := runChecked(*maxNodes, *locs, *census, *star, *props, *findtrap, *workers, *reduce, *witnesses, sess.Rec, stdout, stderr)
+	code := runChecked(*maxNodes, *locs, *census, *star, *props, *findtrap, *workers, *witnesses, sess.Rec, stdout, stderr)
 	if err := sess.Close(code); err != nil {
 		fmt.Fprintln(stderr, "lattice:", err)
 		if code == 0 {
@@ -125,9 +122,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // runChecked dispatches to the selected experiment and maps its report
 // onto the exit-code convention. rec observes the run: the default
-// lattice check streams per-edge phases and sweep gauges; the other
-// branches bracket their (serial) experiment in a RunStart/RunEnd pair.
-func runChecked(maxNodes, locs int, census bool, star, props, findtrap string, workers int, reduce bool, witnesses string, rec obs.Recorder, stdout, stderr io.Writer) int {
+// lattice check and -census stream their sweeps' phases and gauges; the
+// other branches bracket their (serial) experiment in a RunStart/RunEnd
+// pair.
+func runChecked(maxNodes, locs int, census bool, star, props, findtrap string, workers int, witnesses string, rec obs.Recorder, stdout, stderr io.Writer) int {
 	// bracket wraps a serial experiment so -report/-trace sessions see
 	// one run per invocation even off the parallel sweep path; fn
 	// records its phases, if any, under the run.
@@ -178,31 +176,17 @@ func runChecked(maxNodes, locs int, census bool, star, props, findtrap string, w
 			return 2
 		}
 		return bracket("props "+m.Name(), func(obs.Recorder) (string, bool) {
-			var rep expt.PropertyReport
-			if reduce {
-				rep = expt.RunPropertiesReduced(m, maxNodes, locs)
-			} else {
-				rep = expt.RunProperties(m, maxNodes, locs)
-			}
+			rep := expt.RunProperties(m, maxNodes, locs)
 			return rep.String(), rep.OK()
 		})
 	case census:
-		return bracket("census", func(obs.Recorder) (string, bool) {
-			if reduce {
-				return expt.MembershipCensusReducedParallel(maxNodes, locs, workers), true
-			}
-			return expt.MembershipCensusParallel(maxNodes, locs, workers), true
-		})
-	case reduce:
-		rep := expt.RunLatticeReduced(maxNodes, locs, workers, rec)
-		fmt.Fprint(stdout, rep)
-		code := 0
-		if !rep.AllOK() {
-			code = 1
-		}
-		return checkWitnesses(witnesses, code, stdout, stderr)
+		// Only a cancelled context stops the sweep early, and this one
+		// never is.
+		table, _ := expt.MembershipCensus(context.Background(), maxNodes, locs, workers, rec)
+		fmt.Fprint(stdout, table)
+		return 0
 	default:
-		rep := expt.RunLatticeObs(maxNodes, locs, workers, rec)
+		rep := expt.RunLatticeReduced(maxNodes, locs, workers, rec)
 		fmt.Fprint(stdout, rep)
 		code := 0
 		if !rep.AllOK() {

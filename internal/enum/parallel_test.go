@@ -1,6 +1,7 @@
 package enum
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/computation"
@@ -8,76 +9,54 @@ import (
 	"repro/internal/observer"
 )
 
+// modelBit returns m's pattern bit: its index in memmodel.PatternModels().
+func modelBit(t *testing.T, m memmodel.Model) int {
+	t.Helper()
+	for i, pm := range memmodel.PatternModels() {
+		if pm.Name() == m.Name() {
+			return i
+		}
+	}
+	t.Fatalf("%s is not a pattern model", m.Name())
+	return -1
+}
+
+// sweepRelation relates a and b by PatternSweepParallel.
+func sweepRelation(t *testing.T, a, b memmodel.Model, maxNodes, numLocs, workers int) Relation {
+	t.Helper()
+	s, err := PatternSweepParallel(context.Background(), []PatternEdge{{A: modelBit(t, a), B: modelBit(t, b)}},
+		maxNodes, numLocs, workers, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.Edges[0]
+}
+
 // The parallel sweep must produce exactly the sequential counts.
 func TestCompareParallelMatchesSequential(t *testing.T) {
+	seq := Compare(memmodel.LC, memmodel.NN, 3, 1)
 	for _, workers := range []int{1, 2, 5} {
-		seq := Compare(memmodel.LC, memmodel.NN, 3, 1)
-		par := CompareParallel(memmodel.LC, memmodel.NN, 3, 1, workers)
-		if par.AOnly != seq.AOnly || par.BOnly != seq.BOnly || par.Both != seq.Both {
+		if par := sweepRelation(t, memmodel.LC, memmodel.NN, 3, 1, workers); par != seq {
 			t.Fatalf("workers=%d: parallel %+v != sequential %+v", workers, par, seq)
 		}
 	}
 }
 
-func TestCompareParallelWitnesses(t *testing.T) {
-	par := CompareParallel(memmodel.SC, memmodel.LC, 2, 2, 3)
-	if !par.StrictlyStronger() {
-		t.Fatalf("SC vs LC: %+v", par)
-	}
-	if par.WitnessBOnly == nil {
-		t.Fatal("strictness without witness")
-	}
-	// The witness really is in LC \ SC.
-	if memmodel.SC.Contains(par.WitnessBOnly.C, par.WitnessBOnly.O) ||
-		!memmodel.LC.Contains(par.WitnessBOnly.C, par.WitnessBOnly.O) {
-		t.Fatal("witness misclassified")
-	}
-}
-
-// witnessKey fingerprints a witness pair for cross-run comparison.
-func witnessKey(p *memmodel.Pair) string {
-	if p == nil {
-		return "<none>"
-	}
-	return p.C.String() + " / " + p.O.String()
-}
-
-// The reported witness must be a pure function of (universe, worker
-// count): repeated runs at the same worker count may not flap. This
-// regression-tests the completion-order merge bug — the old channel
-// merge produced whichever shard's witness arrived first, so WN-vs-NN
-// (witnesses on both sides, spread across shards) flapped under
-// scheduler noise. 10 repetitions under -race gives the scheduler
-// ample room to expose any order dependence.
-func TestCompareParallelWitnessDeterminism(t *testing.T) {
-	for _, workers := range []int{2, 4, 8} {
-		var wantA, wantB string
-		for rep := 0; rep < 10; rep++ {
-			// NW vs WN on the n=4, L=1 universe is incomparable (112 vs
-			// 6786 one-sided pairs), so both witnesses exist and the
-			// one-sided pairs are spread across many shards.
-			r := CompareParallel(memmodel.NW, memmodel.WN, 4, 1, workers)
-			if r.WitnessAOnly == nil || r.WitnessBOnly == nil {
-				t.Fatalf("workers=%d: NW vs WN should be incomparable with witnesses: %+v", workers, r)
-			}
-			gotA, gotB := witnessKey(r.WitnessAOnly), witnessKey(r.WitnessBOnly)
-			if rep == 0 {
-				wantA, wantB = gotA, gotB
-				continue
-			}
-			if gotA != wantA || gotB != wantB {
-				t.Fatalf("workers=%d rep=%d: witness flapped:\n  A: %s -> %s\n  B: %s -> %s",
-					workers, rep, wantA, gotA, wantB, gotB)
-			}
-		}
-	}
-}
-
+// The sweep's universe totals equal the plain enumerations' for every
+// worker count: every pair, every ordered computation, and one decided
+// computation per canonical representative.
 func TestCountPairsParallel(t *testing.T) {
-	seq := EachPair(3, 1, func(*computation.Computation, *observer.Observer) bool { return true })
+	pairs := EachPair(3, 1, func(*computation.Computation, *observer.Observer) bool { return true })
+	comps := EachComputationUpTo(3, 1, func(*computation.Computation) bool { return true })
+	reps := EachComputationReducedUpTo(3, 1, func(*computation.Computation, int64) bool { return true })
 	for _, workers := range []int{0, 1, 4} {
-		if got := CountPairsParallel(3, 1, workers); got != seq {
-			t.Fatalf("workers=%d: %d != %d", workers, got, seq)
+		s, err := PatternSweepParallel(context.Background(), nil, 3, 1, workers, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Pairs != int64(pairs) || s.Computations != int64(comps) || s.RepComputations != int64(reps) {
+			t.Fatalf("workers=%d: pairs/computations/representatives %d/%d/%d, want %d/%d/%d",
+				workers, s.Pairs, s.Computations, s.RepComputations, pairs, comps, reps)
 		}
 	}
 }

@@ -1,15 +1,10 @@
 package enum
 
-// This file implements the single-pass reduced lattice sweep: instead
-// of one universe sweep per Figure-1 edge (each deciding two models per
-// pair), one sweep over canonical representatives classifies every pair
-// into its membership pattern (one bit per registered model) with a pooled memmodel
-// PatternDecider, and every edge's Relation falls out of the
-// orbit-weighted pattern census. Witnesses stay byte-identical to the
-// per-edge unreduced sweeps: within a shard the first pair on each side
-// of an edge is kept, and the merge takes the globally rank-minimal one
-// (same argument as reduced.go — the enumeration-first witness-bearing
-// computation is necessarily canonical).
+// This file implements the universe sweep behind the lattice check and
+// the membership census: one pass over canonical representatives
+// classifies every pair into its membership pattern (one bit per
+// registered model) with a pooled memmodel.PatternDecider, and every
+// edge's Relation falls out of the orbit-weighted pattern census.
 
 import (
 	"context"
@@ -24,6 +19,10 @@ import (
 	"repro/internal/observer"
 )
 
+// ctxPollMask throttles ctx polling to every 256 pairs: an Err() call
+// is cheap but not free, and pair visits are nanoseconds each.
+const ctxPollMask = 255
+
 // PatternEdge selects two membership-pattern bits to relate, as
 // indices into memmodel.PatternModels() (= ModelNames order).
 type PatternEdge struct{ A, B int }
@@ -31,8 +30,7 @@ type PatternEdge struct{ A, B int }
 // PatternSweep is the result of one reduced pattern sweep.
 type PatternSweep struct {
 	// Edges holds one Relation per requested PatternEdge, with counts
-	// over the whole universe and witnesses equal to the ones the
-	// unreduced per-edge Compare would report.
+	// over the whole universe.
 	Edges []Relation
 	// Counts is the orbit-weighted census: Counts[p] is the number of
 	// universe pairs whose membership pattern is exactly p (indexed by
@@ -49,21 +47,17 @@ type PatternSweep struct {
 // materialized — the symmetry reduction's saving.
 func (s PatternSweep) Skipped() int64 { return s.Computations - s.RepComputations }
 
-type edgeWitness struct {
-	aPair, bPair *memmodel.Pair
-	aRank, bRank pairRank
-}
-
 // PatternSweepParallel classifies every pair of the universe up to
-// maxNodes nodes into its Figure-1 membership pattern, deciding only
-// canonical representatives (orbit-weighted), sharded over workers
-// (<= 0 means GOMAXPROCS). Counts and witnesses are identical to
-// running the unreduced CompareParallel once per edge, for every
-// worker count. The recorder (nil = off) sees a RunStart with live
-// gauges (decided pairs as States), one WorkerDone per shard, and a
-// RunEnd; WorkerDone and RunEnd stats carry the symmetry gauges
-// (Orbits = universe computations covered, SymmetrySkipped =
-// computations never materialized).
+// maxNodes nodes into its membership pattern, deciding only canonical
+// representatives (orbit-weighted), sharded over workers (<= 0 means
+// GOMAXPROCS). Counts are identical to running the serial Compare once
+// per edge, for every worker count. The recorder (nil = off) sees a
+// RunStart with live gauges (decided pairs as States), one WorkerDone
+// per shard, and a RunEnd; WorkerDone and RunEnd stats carry the
+// symmetry gauges (Orbits = universe computations covered,
+// SymmetrySkipped = computations never materialized). err is ctx's
+// error when the sweep was cut short; the partial counts then prove
+// nothing.
 func PatternSweepParallel(ctx context.Context, edges []PatternEdge, maxNodes, numLocs, workers int, rec obs.Recorder) (PatternSweep, error) {
 	numModels := len(memmodel.ModelNames())
 	for _, e := range edges {
@@ -80,10 +74,9 @@ func PatternSweepParallel(ctx context.Context, edges []PatternEdge, maxNodes, nu
 		obs.Emit(rec, obs.Event{Kind: obs.RunStart, Total: workers, Live: live})
 	}
 	type shardRes struct {
-		counts                  [512]int64
-		pairs, members, decided int64
-		comps, repComps         int64
-		wits                    []edgeWitness
+		counts          [512]int64
+		pairs, decided  int64
+		comps, repComps int64
 	}
 	results := make([]shardRes, workers)
 	var cancelled atomic.Bool
@@ -93,16 +86,14 @@ func PatternSweepParallel(ctx context.Context, edges []PatternEdge, maxNodes, nu
 		go func(shard int) {
 			defer wg.Done()
 			sr := &results[shard]
-			sr.wits = make([]edgeWitness, len(edges))
 			pd := memmodel.NewPatternDecider()
 			tick, published := 0, 0
 			var pubSkip int64
 			for n := 0; n <= maxNodes; n++ {
-				eachComputationReducedShard(n, numLocs, shard, workers, func(c *computation.Computation, orbit int64, dagIdx, labelIdx uint64) bool {
+				eachComputationReducedShard(n, numLocs, shard, workers, func(c *computation.Computation, orbit int64) bool {
 					pd.Reset(c)
 					sr.repComps++
 					sr.comps += orbit
-					rank := pairRank{set: true, n: int32(n), dag: dagIdx, label: labelIdx}
 					observer.Enumerate(c, func(o *observer.Observer) bool {
 						tick++
 						if tick&ctxPollMask == 0 {
@@ -121,22 +112,8 @@ func PatternSweepParallel(ctx context.Context, edges []PatternEdge, maxNodes, nu
 						if cancelled.Load() {
 							return false
 						}
-						p := pd.Pattern(o)
-						sr.counts[p] += orbit
+						sr.counts[pd.Pattern(o)] += orbit
 						sr.pairs += orbit
-						for ei := range edges {
-							ew := &sr.wits[ei]
-							inA := p&(1<<uint(edges[ei].A)) != 0
-							inB := p&(1<<uint(edges[ei].B)) != 0
-							switch {
-							case inA && !inB && ew.aPair == nil:
-								ew.aPair = &memmodel.Pair{C: c, O: o.Clone()}
-								ew.aRank = rank
-							case inB && !inA && ew.bPair == nil:
-								ew.bPair = &memmodel.Pair{C: c, O: o.Clone()}
-								ew.bRank = rank
-							}
-						}
 						return true
 					})
 					return !cancelled.Load()
@@ -159,8 +136,6 @@ func PatternSweepParallel(ctx context.Context, edges []PatternEdge, maxNodes, nu
 	wg.Wait()
 
 	var out PatternSweep
-	out.Edges = make([]Relation, len(edges))
-	wits := make([]edgeWitness, len(edges))
 	for i := range results {
 		sr := &results[i]
 		for p, n := range sr.counts {
@@ -170,32 +145,12 @@ func PatternSweepParallel(ctx context.Context, edges []PatternEdge, maxNodes, nu
 		out.Computations += sr.comps
 		out.RepPairs += sr.decided
 		out.RepComputations += sr.repComps
-		for ei := range edges {
-			ew, m := &sr.wits[ei], &wits[ei]
-			if ew.aPair != nil && (m.aPair == nil || ew.aRank.less(m.aRank)) {
-				m.aPair, m.aRank = ew.aPair, ew.aRank
-			}
-			if ew.bPair != nil && (m.bPair == nil || ew.bRank.less(m.bRank)) {
-				m.bPair, m.bRank = ew.bPair, ew.bRank
-			}
-		}
 	}
+	out.Edges = make([]Relation, len(edges))
 	for ei, e := range edges {
-		r := &out.Edges[ei]
 		for p, n := range out.Counts {
-			inA := p&(1<<uint(e.A)) != 0
-			inB := p&(1<<uint(e.B)) != 0
-			switch {
-			case inA && inB:
-				r.Both += int(n)
-			case inA:
-				r.AOnly += int(n)
-			case inB:
-				r.BOnly += int(n)
-			}
+			out.Edges[ei].add(p&(1<<uint(e.A)) != 0, p&(1<<uint(e.B)) != 0, int(n))
 		}
-		r.WitnessAOnly, r.rankAOnly = wits[ei].aPair, wits[ei].aRank
-		r.WitnessBOnly, r.rankBOnly = wits[ei].bPair, wits[ei].bRank
 	}
 	if rec != nil {
 		obs.Emit(rec, obs.Event{Kind: obs.RunEnd,

@@ -1,34 +1,24 @@
 package enum
 
-// This file implements the symmetry-reduced sweeps: enumerate one
-// canonical representative per isomorphism class and multiply
-// per-computation counts by the class's orbit size instead of
-// re-deciding every member.
+// This file implements the symmetry-reduced enumeration: one canonical
+// representative per isomorphism class, passed with the class's orbit
+// size, so a sweep multiplies per-computation counts by the orbit
+// instead of re-deciding every member.
 //
 // Every model and property swept by this repository is
 // isomorphism-invariant (see the package comment), so membership of a
 // representative decides membership for its whole class, and exact
 // universe totals are recovered as Σ orbit. The canonical
-// representative is defined as the enumeration-order-minimal class
-// member (dag.Canonicalizer), which pins down witnesses too: the first
-// witness-bearing computation of the full enumeration is necessarily
-// canonical — its representative precedes it in enumeration order and
-// carries an isomorphic witness, so being first forces the two to
-// coincide — and observer enumeration within a computation is shared
-// by both paths. Reduced sweeps therefore report byte-identical
-// witnesses to the unreduced sweeps, not merely isomorphic ones.
+// representative is the enumeration-order-minimal class member
+// (dag.Canonicalizer), so the first computation of the full enumeration
+// with a given isomorphism-invariant property is itself canonical: its
+// representative precedes it in enumeration order and has the property
+// too. A reduced sweep therefore reports the same first failure as the
+// unreduced one, not merely an isomorphic one.
 
 import (
-	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/computation"
 	"repro/internal/dag"
-	"repro/internal/memmodel"
-	"repro/internal/obs"
-	"repro/internal/observer"
 )
 
 // EachComputationReduced enumerates one canonical representative per
@@ -40,7 +30,7 @@ import (
 // false. Returns the number of representatives visited.
 func EachComputationReduced(n, numLocs int, fn func(c *computation.Computation, orbit int64) bool) int {
 	visited := 0
-	eachComputationReducedShard(n, numLocs, 0, 1, func(c *computation.Computation, orbit int64, _, _ uint64) bool {
+	eachComputationReducedShard(n, numLocs, 0, 1, func(c *computation.Computation, orbit int64) bool {
 		visited++
 		return fn(c, orbit)
 	})
@@ -68,11 +58,10 @@ func EachComputationReducedUpTo(maxNodes, numLocs int, fn func(c *computation.Co
 }
 
 // eachComputationReducedShard enumerates the canonical representatives
-// whose dag mask index is ≡ shard (mod shards), passing the orbit size
-// and the (dag, labeling) enumeration indices for global witness
-// ranking. Ownership is decided on the raw mask index, before the
-// symmetry analysis, so each worker analyzes only its own dags.
-func eachComputationReducedShard(n, numLocs, shard, shards int, fn func(c *computation.Computation, orbit int64, dagIdx, labelIdx uint64) bool) {
+// whose dag mask index is ≡ shard (mod shards), passing the orbit size.
+// Ownership is decided on the raw mask index, before the symmetry
+// analysis, so each worker analyzes only its own dags.
+func eachComputationReducedShard(n, numLocs, shard, shards int, fn func(c *computation.Computation, orbit int64) bool) {
 	ops := computation.AllOps(numLocs)
 	cz := dag.NewCanonicalizer()
 	var dagIdx uint64
@@ -88,15 +77,15 @@ func eachComputationReducedShard(n, numLocs, shard, shards int, fn func(c *compu
 		labels := make([]computation.Op, n)
 		lidx := make([]int32, n)
 		stopped := false
-		var rec func(i int, labelIdx uint64) bool
-		rec = func(i int, labelIdx uint64) bool {
+		var rec func(i int) bool
+		rec = func(i int) bool {
 			if i == n {
 				orbit, canonical := cz.LabelOrbit(lidx)
 				if !canonical {
 					return true
 				}
 				c := computation.MustFrom(g.Clone(), append([]computation.Op(nil), labels...), numLocs)
-				if !fn(c, orbit, idx, labelIdx) {
+				if !fn(c, orbit) {
 					stopped = true
 					return false
 				}
@@ -105,207 +94,13 @@ func eachComputationReducedShard(n, numLocs, shard, shards int, fn func(c *compu
 			for oi, op := range ops {
 				labels[i] = op
 				lidx[i] = int32(oi)
-				if !rec(i+1, labelIdx*uint64(len(ops))+uint64(oi)) {
+				if !rec(i + 1) {
 					return false
 				}
 			}
 			return true
 		}
-		rec(0, 0)
+		rec(0)
 		return !stopped
 	})
-}
-
-// CompareReduced computes the Relation between two isomorphism-
-// invariant models over the universe up to maxNodes nodes by deciding
-// only canonical representatives and scaling by orbit. Counts equal
-// Compare's exactly; the witnesses are byte-identical to Compare's
-// (see the file comment for the argument).
-func CompareReduced(a, b memmodel.Model, maxNodes, numLocs int) Relation {
-	var r Relation
-	for n := 0; n <= maxNodes; n++ {
-		eachComputationReducedShard(n, numLocs, 0, 1, func(c *computation.Computation, orbit int64, dagIdx, labelIdx uint64) bool {
-			rank := pairRank{set: true, n: int32(n), dag: dagIdx, label: labelIdx}
-			observer.Enumerate(c, func(o *observer.Observer) bool {
-				compareInto(&r, a, b, c, o, int(orbit), rank)
-				return true
-			})
-			return true
-		})
-	}
-	return r
-}
-
-// CompareReducedParallel is CompareReduced sharded over workers
-// goroutines (<= 0 means GOMAXPROCS). Counts and witnesses are
-// identical to CompareReduced for every worker count: the merge keeps
-// the witness with the smallest global enumeration rank.
-func CompareReducedParallel(a, b memmodel.Model, maxNodes, numLocs, workers int) Relation {
-	r, _ := compareReducedParallel(context.Background(), a, b, maxNodes, numLocs, workers, nil)
-	return r
-}
-
-// CompareReducedParallelObs is CompareReducedParallel under a context
-// with observability: the recorder sees a RunStart with live gauges
-// (representatives decided as States, members covered as Done is not
-// tracked here — shards finished ride Done), one WorkerDone per shard,
-// and a RunEnd summarizing the relation. A nil rec disables all event
-// work.
-func CompareReducedParallelObs(ctx context.Context, a, b memmodel.Model, maxNodes, numLocs, workers int, rec obs.Recorder) (Relation, error) {
-	return compareReducedParallel(ctx, a, b, maxNodes, numLocs, workers, rec)
-}
-
-// compareReducedParallel mirrors compareParallel over the reduced
-// enumeration.
-func compareReducedParallel(ctx context.Context, a, b memmodel.Model, maxNodes, numLocs, workers int, rec obs.Recorder) (Relation, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var live *obs.Counters
-	if rec != nil {
-		live = &obs.Counters{}
-		obs.Emit(rec, obs.Event{Kind: obs.RunStart, Total: workers, Live: live})
-	}
-	var cancelled atomic.Bool
-	var totComps, totRepComps atomic.Int64
-	results := make([]Relation, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			r := &results[shard]
-			tick, published := 0, 0
-			var comps, repComps, pubSkip int64
-			for n := 0; n <= maxNodes; n++ {
-				eachComputationReducedShard(n, numLocs, shard, workers, func(c *computation.Computation, orbit int64, dagIdx, labelIdx uint64) bool {
-					repComps++
-					comps += orbit
-					rank := pairRank{set: true, n: int32(n), dag: dagIdx, label: labelIdx}
-					observer.Enumerate(c, func(o *observer.Observer) bool {
-						tick++
-						if tick&ctxPollMask == 0 {
-							if ctx.Err() != nil {
-								cancelled.Store(true)
-							}
-							if live != nil {
-								live.States.Add(int64(tick - published))
-								published = tick
-								if skip := comps - repComps; skip != pubSkip {
-									live.Skipped.Add(skip - pubSkip)
-									pubSkip = skip
-								}
-							}
-						}
-						if cancelled.Load() {
-							return false
-						}
-						compareInto(r, a, b, c, o, int(orbit), rank)
-						return true
-					})
-					return !cancelled.Load()
-				})
-				if cancelled.Load() {
-					break
-				}
-			}
-			totComps.Add(comps)
-			totRepComps.Add(repComps)
-			if rec != nil {
-				live.States.Add(int64(tick - published))
-				live.Skipped.Add(comps - repComps - pubSkip)
-				live.Done.Add(1)
-				obs.Emit(rec, obs.Event{Kind: obs.WorkerDone, Worker: shard,
-					Stats: &obs.Stats{States: int64(tick), Orbits: comps,
-						SymmetrySkipped: comps - repComps, Workers: workers}})
-			}
-		}(w)
-	}
-	wg.Wait()
-	merged := mergeShards(results)
-	if rec != nil {
-		obs.Emit(rec, obs.Event{Kind: obs.RunEnd, Str: relationOutcome(merged, ctx.Err()),
-			Stats: &obs.Stats{States: live.States.Load(), Orbits: totComps.Load(),
-				SymmetrySkipped: totComps.Load() - totRepComps.Load(), Workers: workers}})
-	}
-	return merged, ctx.Err()
-}
-
-// CensusReducedParallel counts, for each isomorphism-invariant model,
-// the universe pairs it contains, plus the universe pair total,
-// deciding only canonical representatives. Results equal
-// CensusParallel's exactly.
-func CensusReducedParallel(models []memmodel.Model, maxNodes, numLocs, workers int) ([]int, int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	type shardCount struct {
-		counts []int
-		total  int
-	}
-	results := make([]shardCount, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			counts := make([]int, len(models))
-			total := 0
-			for n := 0; n <= maxNodes; n++ {
-				eachComputationReducedShard(n, numLocs, shard, workers, func(c *computation.Computation, orbit int64, _, _ uint64) bool {
-					observer.Enumerate(c, func(o *observer.Observer) bool {
-						total += int(orbit)
-						for i, m := range models {
-							if m.Contains(c, o) {
-								counts[i] += int(orbit)
-							}
-						}
-						return true
-					})
-					return true
-				})
-			}
-			results[shard] = shardCount{counts: counts, total: total}
-		}(w)
-	}
-	wg.Wait()
-	out := make([]int, len(models))
-	total := 0
-	for _, r := range results {
-		total += r.total
-		for i, c := range r.counts {
-			out[i] += c
-		}
-	}
-	return out, total
-}
-
-// CountPairsReducedParallel counts all (computation, observer) pairs
-// of the universe from canonical representatives only.
-func CountPairsReducedParallel(maxNodes, numLocs, workers int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	results := make([]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			var total int64
-			for n := 0; n <= maxNodes; n++ {
-				eachComputationReducedShard(n, numLocs, shard, workers, func(c *computation.Computation, orbit int64, _, _ uint64) bool {
-					total += orbit * int64(observer.Count(c, 0))
-					return true
-				})
-			}
-			results[shard] = total
-		}(w)
-	}
-	wg.Wait()
-	var total int64
-	for _, t := range results {
-		total += t
-	}
-	return int(total)
 }

@@ -1,6 +1,7 @@
 package enum
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/computation"
@@ -51,11 +52,12 @@ func TestReducedOrbitsCoverUniverse(t *testing.T) {
 	}
 }
 
-// TestOrbitSoundness samples isomorphism-class members and checks each
-// decides identically to its canonical representative under every
-// Figure-1 model — the invariance assumption the reduction rests on.
+// TestOrbitSoundness decides every isomorphism-class member and checks
+// each decides identically to its canonical representative under every
+// registered model — the invariance assumption every lattice, census
+// and property answer rests on.
 func TestOrbitSoundness(t *testing.T) {
-	models := []memmodel.Model{memmodel.SC, memmodel.LC, memmodel.NN, memmodel.NW, memmodel.WN, memmodel.WW}
+	models := memmodel.PatternModels()
 	decide := func(c *computation.Computation) []int {
 		var sig []int
 		observer.Enumerate(c, func(o *observer.Observer) bool {
@@ -73,7 +75,7 @@ func TestOrbitSoundness(t *testing.T) {
 	// For every canonical representative at n=3, decide every member of
 	// its class (images under all topological relabelings) and compare
 	// the multiset of per-observer membership signatures.
-	EachComputationReduced(3, 1, func(c *computation.Computation, orbit int64) bool {
+	check := func(c *computation.Computation, orbit int64) bool {
 		repSig := decide(c)
 		repCount := make(map[int]int)
 		for _, s := range repSig {
@@ -118,7 +120,11 @@ func TestOrbitSoundness(t *testing.T) {
 			t.Fatalf("class %v: %d distinct members, orbit says %d", c, len(seen), orbit)
 		}
 		return true
-	})
+	}
+	// TSO, RA and CAUSAL separate from SC only with two locations.
+	for _, locs := range []int{1, 2} {
+		EachComputationReduced(3, locs, check)
+	}
 }
 
 func opIndex(op computation.Op, numLocs int) int {
@@ -174,9 +180,8 @@ func eachTopoPerm(d *dag.Dag, fn func(perm []dag.Node)) {
 	rec(0)
 }
 
-// TestCompareReducedMatchesCompare: the reduced sweep must reproduce
-// the unreduced counts exactly and the witnesses byte-for-byte, serial
-// and parallel, at every size both paths run.
+// TestCompareReducedMatchesCompare: the orbit-weighted sweep must
+// reproduce the serial unreduced Compare's counts exactly.
 func TestCompareReducedMatchesCompare(t *testing.T) {
 	pairs := []struct{ a, b memmodel.Model }{
 		{memmodel.SC, memmodel.LC},
@@ -190,62 +195,38 @@ func TestCompareReducedMatchesCompare(t *testing.T) {
 	for _, mp := range pairs {
 		for n := 2; n <= maxNodes; n++ {
 			seq := Compare(mp.a, mp.b, n, 1)
-			red := CompareReduced(mp.a, mp.b, n, 1)
-			if red.AOnly != seq.AOnly || red.BOnly != seq.BOnly || red.Both != seq.Both {
-				t.Fatalf("n=%d %T vs %T: reduced counts (%d,%d,%d) != unreduced (%d,%d,%d)",
-					n, mp.a, mp.b, red.AOnly, red.BOnly, red.Both, seq.AOnly, seq.BOnly, seq.Both)
+			if red := sweepRelation(t, mp.a, mp.b, n, 1, 2); red != seq {
+				t.Fatalf("n=%d %s vs %s: reduced %+v != unreduced %+v", n, mp.a.Name(), mp.b.Name(), red, seq)
 			}
-			if witnessKey(red.WitnessAOnly) != witnessKey(seq.WitnessAOnly) ||
-				witnessKey(red.WitnessBOnly) != witnessKey(seq.WitnessBOnly) {
-				t.Fatalf("n=%d: reduced witnesses differ:\n  A: %s\n  vs %s\n  B: %s\n  vs %s", n,
-					witnessKey(red.WitnessAOnly), witnessKey(seq.WitnessAOnly),
-					witnessKey(red.WitnessBOnly), witnessKey(seq.WitnessBOnly))
-			}
-			for _, workers := range []int{2, 5} {
-				par := CompareReducedParallel(mp.a, mp.b, n, 1, workers)
-				if par.AOnly != seq.AOnly || par.BOnly != seq.BOnly || par.Both != seq.Both ||
-					witnessKey(par.WitnessAOnly) != witnessKey(seq.WitnessAOnly) ||
-					witnessKey(par.WitnessBOnly) != witnessKey(seq.WitnessBOnly) {
-					t.Fatalf("n=%d workers=%d: reduced parallel relation differs from serial unreduced", n, workers)
+		}
+	}
+}
+
+// TestReducedCensusAndPairCounts: the orbit-weighted pattern census
+// equals the one counted over every pair of the unreduced universe,
+// for one and two locations and any worker count.
+func TestReducedCensusAndPairCounts(t *testing.T) {
+	models := memmodel.PatternModels()
+	for _, locs := range []int{1, 2} {
+		var want [512]int64
+		EachPair(3, locs, func(c *computation.Computation, o *observer.Observer) bool {
+			p := 0
+			for i, m := range models {
+				if m.Contains(c, o) {
+					p |= 1 << i
 				}
 			}
-		}
-	}
-}
-
-// TestCompareParallelMatchesSerialWitnesses: with rank merging the
-// unreduced parallel witnesses equal the serial ones for every worker
-// count (not merely stable per count).
-func TestCompareParallelMatchesSerialWitnesses(t *testing.T) {
-	seq := Compare(memmodel.NW, memmodel.WN, 4, 1)
-	for _, workers := range []int{1, 2, 3, 8} {
-		par := CompareParallel(memmodel.NW, memmodel.WN, 4, 1, workers)
-		if witnessKey(par.WitnessAOnly) != witnessKey(seq.WitnessAOnly) ||
-			witnessKey(par.WitnessBOnly) != witnessKey(seq.WitnessBOnly) {
-			t.Fatalf("workers=%d: parallel witnesses differ from serial:\n  A: %s vs %s\n  B: %s vs %s",
-				workers, witnessKey(par.WitnessAOnly), witnessKey(seq.WitnessAOnly),
-				witnessKey(par.WitnessBOnly), witnessKey(seq.WitnessBOnly))
-		}
-	}
-}
-
-// TestReducedCensusAndPairCounts: reduced census and pair totals equal
-// the unreduced ones.
-func TestReducedCensusAndPairCounts(t *testing.T) {
-	models := []memmodel.Model{memmodel.SC, memmodel.LC, memmodel.NN, memmodel.WW}
-	wantCounts, wantTotal := CensusParallel(models, 3, 1, 2)
-	for _, workers := range []int{1, 3} {
-		gotCounts, gotTotal := CensusReducedParallel(models, 3, 1, workers)
-		if gotTotal != wantTotal {
-			t.Fatalf("workers=%d: reduced census total %d != %d", workers, gotTotal, wantTotal)
-		}
-		for i := range models {
-			if gotCounts[i] != wantCounts[i] {
-				t.Fatalf("workers=%d model %d: reduced count %d != %d", workers, i, gotCounts[i], wantCounts[i])
+			want[p]++
+			return true
+		})
+		for _, workers := range []int{1, 3} {
+			s, err := PatternSweepParallel(context.Background(), nil, 3, locs, workers, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if got := CountPairsReducedParallel(3, 1, workers); got != wantTotal {
-			t.Fatalf("workers=%d: CountPairsReducedParallel %d != %d", workers, got, wantTotal)
+			if s.Counts != want {
+				t.Fatalf("locs=%d workers=%d: reduced pattern census differs from the unreduced one", locs, workers)
+			}
 		}
 	}
 }

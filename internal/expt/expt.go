@@ -19,16 +19,6 @@ import (
 	"repro/internal/observer"
 )
 
-// model resolves a name from the lattice tables, which name only
-// registered models.
-func model(name string) memmodel.Model {
-	m, err := memmodel.Lookup(name)
-	if err != nil {
-		panic("expt: " + err.Error())
-	}
-	return m
-}
-
 // Edge is one claimed relation of the lattice (Figure 1 plus the
 // extended edges for TSO/RA/CAUSAL).
 type Edge struct {
@@ -42,9 +32,11 @@ type Edge struct {
 	// an incomparability claim is unfalsifiable.
 	MinNodes int
 	// MinLocs is the smallest number of locations at which the full
-	// relation manifests (0 means any). Below it the claim degrades the
-	// same way as below MinNodes. Figure 1 edges leave it 0 and keep
-	// their historical SC/LC auxiliary-universe carve-out instead.
+	// relation manifests. Below it the claim degrades the same way as
+	// below MinNodes. With no location every model holds the same pairs,
+	// so every edge needs at least one; SC/LC alone keeps 0, because the
+	// lattice check decides it on a two-location auxiliary universe
+	// whenever the swept one has fewer.
 	MinLocs int
 }
 
@@ -52,8 +44,7 @@ type Edge struct {
 // nodes and numLocs locations: at or above the edge's witness size the
 // classification must match Want exactly; below it, "⊊" degrades to
 // the inclusion half (A∖B must still be empty) and an incomparability
-// claim is unfalsifiable. This is the one shared judgment both lattice
-// runners apply, so the reduced and unreduced reports cannot drift.
+// claim is unfalsifiable.
 func edgeOK(e Edge, r enum.Relation, maxNodes, numLocs int) (got string, ok bool) {
 	got = classify(r)
 	ok = got == e.Want
@@ -74,12 +65,12 @@ func edgeOK(e Edge, r enum.Relation, maxNodes, numLocs int) (got string, ok bool
 func Figure1Edges() []Edge {
 	return []Edge{
 		{A: "SC", B: "LC", Want: "⊊", MinNodes: 2},
-		{A: "LC", B: "NN", Want: "⊊", MinNodes: 4},
-		{A: "NN", B: "NW", Want: "⊊", MinNodes: 3},
-		{A: "NN", B: "WN", Want: "⊊", MinNodes: 3},
-		{A: "NW", B: "WW", Want: "⊊", MinNodes: 3},
-		{A: "WN", B: "WW", Want: "⊊", MinNodes: 4},
-		{A: "NW", B: "WN", Want: "incomparable", MinNodes: 4},
+		{A: "LC", B: "NN", Want: "⊊", MinNodes: 4, MinLocs: 1},
+		{A: "NN", B: "NW", Want: "⊊", MinNodes: 3, MinLocs: 1},
+		{A: "NN", B: "WN", Want: "⊊", MinNodes: 3, MinLocs: 1},
+		{A: "NW", B: "WW", Want: "⊊", MinNodes: 3, MinLocs: 1},
+		{A: "WN", B: "WW", Want: "⊊", MinNodes: 4, MinLocs: 1},
+		{A: "NW", B: "WN", Want: "incomparable", MinNodes: 4, MinLocs: 1},
 	}
 }
 
@@ -140,67 +131,28 @@ func classify(r enum.Relation) string {
 	}
 }
 
-// RunLattice machine-checks every Figure 1 edge over the universe of
-// all computations with at most maxNodes nodes and numLocs locations.
-// The SC/LC edge needs numLocs ≥ 2 to be strict; RunLattice uses
-// max(numLocs, 2) for that edge only, matching the paper's remark that
-// SC ⊋ LC "as long as there is more than one location".
-func RunLattice(maxNodes, numLocs int) LatticeReport {
-	return RunLatticeParallel(maxNodes, numLocs, 1)
-}
-
-// RunLatticeParallel is RunLattice with each edge's sweep distributed
-// over the given number of worker goroutines (<= 0 means GOMAXPROCS).
-func RunLatticeParallel(maxNodes, numLocs, workers int) LatticeReport {
-	return RunLatticeObs(maxNodes, numLocs, workers, nil)
-}
-
-// RunLatticeObs is RunLatticeParallel with observability: rec receives
-// one PhaseStart per Figure 1 edge, and each edge's sweep runs under a
-// per-edge run label ("A vs B"), so progress lines and trace timelines
-// show which relation is currently being checked. A nil rec is exactly
-// RunLatticeParallel.
-func RunLatticeObs(maxNodes, numLocs, workers int, rec obs.Recorder) LatticeReport {
-	rep := LatticeReport{MaxNodes: maxNodes, NumLocs: numLocs}
-	rep.Pairs = enum.CountPairsParallel(maxNodes, numLocs, workers)
-	for _, e := range LatticeEdges() {
-		a, b := model(e.A), model(e.B)
-		locs := numLocs
-		if e.A == "SC" && e.B == "LC" && locs < 2 {
-			locs = 2
-		}
-		label := e.A + " vs " + e.B
-		obs.Emit(rec, obs.Event{Kind: obs.PhaseStart, Str: label})
-		r, _ := enum.CompareParallelObs(context.Background(), a, b, maxNodes, locs, workers,
-			obs.WithRun(rec, label))
-		got, ok := edgeOK(e, r, maxNodes, numLocs)
-		rep.Edges = append(rep.Edges, EdgeResult{
-			Edge:     e,
-			Relation: r,
-			Got:      got,
-			OK:       ok,
-		})
-	}
-	return rep
-}
-
 // sclcAuxMaxNodes caps the auxiliary two-location universe behind the
-// SC/LC edge in reduced lattice runs. The edge's strictness already
-// manifests at 2 nodes (its MinNodes), the auxiliary universe grows
-// ~40× per added node, and SC needs engine searches whenever L ≥ 2 —
-// so past this size the auxiliary sweep would dwarf the main one while
-// adding no information. The cap only binds above the largest size the
-// unreduced path ever ran, so reduced and unreduced reports stay
-// identical wherever both exist.
+// SC/LC edge. The edge's strictness already manifests at 2 nodes (its
+// MinNodes), the auxiliary universe grows ~40× per added node, and SC
+// needs engine searches whenever L ≥ 2 — so past this size the
+// auxiliary sweep would dwarf the main one while adding no
+// information. Up to 4 nodes the edge covers its whole auxiliary
+// universe.
 const sclcAuxMaxNodes = 4
 
-// RunLatticeReduced is RunLatticeObs on the symmetry-reduced universe:
-// one fused sweep classifies every canonical representative pair into
-// its membership pattern (memmodel.PatternDecider) and every
-// Figure 1 edge's relation is derived from the orbit-weighted pattern
-// census. Counts and witnesses equal RunLatticeObs's exactly, with one
-// carve-out: when maxNodes exceeds sclcAuxMaxNodes the SC/LC edge's
-// auxiliary two-location universe is capped there (see the constant).
+// RunLatticeReduced machine-checks every lattice edge (Figure 1 and the
+// extended edges) over the universe of all computations with at most
+// maxNodes nodes and numLocs locations. One fused sweep, sharded over
+// workers (<= 0 means GOMAXPROCS), classifies every canonical
+// representative pair into its membership pattern
+// (memmodel.PatternDecider), and every edge's relation is derived from
+// the orbit-weighted pattern census, so the counts are those of the
+// whole ordered-node universe. The SC/LC edge needs numLocs ≥ 2 to be
+// strict, matching the paper's remark that SC ⊋ LC "as long as there
+// is more than one location"; below that it is decided on a
+// two-location auxiliary universe of min(maxNodes, sclcAuxMaxNodes)
+// nodes. rec (nil = off) receives a PhaseStart per sweep, and each
+// sweep runs under its own run label.
 func RunLatticeReduced(maxNodes, numLocs, workers int, rec obs.Recorder) LatticeReport {
 	names := memmodel.ModelNames()
 	bit := func(name string) int {
@@ -381,54 +333,14 @@ type PropertyReport struct {
 }
 
 // RunProperties machine-checks completeness, monotonicity, and the
-// Theorem 12 augmentation criterion for m over the universe.
+// Theorem 12 augmentation criterion for m over the universe. It checks
+// canonical representatives only and scales the counts by orbit, so m
+// must be isomorphism-invariant, as every registered model is. Every
+// checked property is then isomorphism-invariant too, and FirstFailure
+// is the one of the first failing computation in enumeration order,
+// since that computation is canonical (its representative fails too
+// and precedes it).
 func RunProperties(m memmodel.Model, maxNodes, numLocs int) PropertyReport {
-	rep := PropertyReport{
-		Model: m.Name(), MaxNodes: maxNodes, NumLocs: numLocs,
-		Complete: true, Monotonic: true, ConstructibleAug: true,
-	}
-	ops := computation.AllOps(numLocs)
-	enum.EachComputationUpTo(maxNodes, numLocs, func(c *computation.Computation) bool {
-		rep.Computations++
-		if rep.Complete && !memmodel.HasObserver(m, c) {
-			rep.Complete = false
-			if rep.FirstFailure == "" {
-				rep.FirstFailure = fmt.Sprintf("incomplete at %v", c)
-			}
-		}
-		observer.Enumerate(c, func(o *observer.Observer) bool {
-			if !m.Contains(c, o) {
-				return true
-			}
-			rep.Pairs++
-			if rep.Monotonic && !memmodel.MonotonicAt(m, c, o) {
-				rep.Monotonic = false
-				if rep.FirstFailure == "" {
-					rep.FirstFailure = fmt.Sprintf("non-monotonic at %v / %v", c, o)
-				}
-			}
-			if rep.ConstructibleAug {
-				if op, ok := memmodel.ConstructibleAtAug(m, c, o.Clone(), ops); !ok {
-					rep.ConstructibleAug = false
-					if rep.FirstFailure == "" {
-						rep.FirstFailure = fmt.Sprintf("aug by %s fails at %v / %v", op, c, o)
-					}
-				}
-			}
-			return true
-		})
-		return true
-	})
-	return rep
-}
-
-// RunPropertiesReduced is RunProperties on the symmetry-reduced
-// universe: every checked property is isomorphism-invariant, so
-// checking canonical representatives and scaling the counts by orbit
-// yields the identical report — including FirstFailure, since the
-// enumeration-first failing computation is necessarily canonical (its
-// representative fails too and precedes it).
-func RunPropertiesReduced(m memmodel.Model, maxNodes, numLocs int) PropertyReport {
 	rep := PropertyReport{
 		Model: m.Name(), MaxNodes: maxNodes, NumLocs: numLocs,
 		Complete: true, Monotonic: true, ConstructibleAug: true,
@@ -523,38 +435,14 @@ func FindTrap(m memmodel.Model, maxNodes, numLocs int) (Trap, bool) {
 	return trap, found
 }
 
-// MembershipCensus counts, for every model, the pairs it contains in
-// the universe, as a quick overview table.
-func MembershipCensus(maxNodes, numLocs int) string {
-	return MembershipCensusParallel(maxNodes, numLocs, 1)
-}
-
-// MembershipCensusParallel is MembershipCensus with the sweep sharded
-// over workers (<= 0 means GOMAXPROCS). Counts are order-independent,
-// so the table is identical for every worker count.
-func MembershipCensusParallel(maxNodes, numLocs, workers int) string {
-	models := memmodel.PatternModels()
-	counts, total := enum.CensusParallel(models, maxNodes, numLocs, workers)
-	return censusTable(models, counts, total, maxNodes, numLocs)
-}
-
-// MembershipCensusReducedParallel is MembershipCensusParallel deciding
-// only canonical representatives and weighting each by its orbit size;
-// the rendered table is identical to the unreduced one.
-func MembershipCensusReducedParallel(maxNodes, numLocs, workers int) string {
-	models := memmodel.PatternModels()
-	counts, total := enum.CensusReducedParallel(models, maxNodes, numLocs, workers)
-	return censusTable(models, counts, total, maxNodes, numLocs)
-}
-
-// MembershipCensusReducedObs is the reduced census as an observable,
-// cancellable sweep: one fused pattern pass over canonical
-// representatives (the per-model counts fall out of the orbit-weighted
-// pattern census), reporting progress and symmetry gauges to rec under
-// the run label "census". The table equals the unreduced one; err is
-// ctx's error when the sweep was cut short (the partial table must
-// then be discarded).
-func MembershipCensusReducedObs(ctx context.Context, maxNodes, numLocs, workers int, rec obs.Recorder) (string, error) {
+// MembershipCensus counts, for every registered model, the pairs it
+// contains in the universe, as a quick overview table. One fused
+// pattern sweep over canonical representatives, sharded over workers
+// (<= 0 means GOMAXPROCS), yields every model's count from the
+// orbit-weighted pattern census; it reports progress and symmetry
+// gauges to rec under the run label "census". err is ctx's error when
+// the sweep was cut short, and the table is then empty.
+func MembershipCensus(ctx context.Context, maxNodes, numLocs, workers int, rec obs.Recorder) (string, error) {
 	models := memmodel.PatternModels()
 	sweep, err := enum.PatternSweepParallel(ctx, nil, maxNodes, numLocs, workers, obs.WithRun(rec, "census"))
 	if err != nil {

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -17,7 +18,7 @@ import (
 // size-4 edges is deferred to their MinNodes (checked in the full test
 // below and in the benches).
 func TestLatticeSmall(t *testing.T) {
-	rep := RunLattice(3, 1)
+	rep := RunLatticeReduced(3, 1, 0, nil)
 	if !rep.AllOK() {
 		t.Fatalf("lattice mismatch:\n%s", rep)
 	}
@@ -35,7 +36,7 @@ func TestLatticeFull(t *testing.T) {
 	if testing.Short() {
 		t.Skip("4-node lattice sweep skipped in -short mode")
 	}
-	rep := RunLattice(4, 1)
+	rep := RunLatticeReduced(4, 1, 0, nil)
 	if !rep.AllOK() {
 		t.Fatalf("Figure 1 mismatch:\n%s", rep)
 	}
@@ -47,7 +48,7 @@ func TestLatticeTwoLocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two-location sweep skipped in -short mode")
 	}
-	rep := RunLattice(3, 2)
+	rep := RunLatticeReduced(3, 2, 0, nil)
 	if !rep.AllOK() {
 		t.Fatalf("two-location lattice mismatch:\n%s", rep)
 	}
@@ -256,7 +257,10 @@ func TestFindTrap(t *testing.T) {
 }
 
 func TestMembershipCensus(t *testing.T) {
-	s := MembershipCensus(2, 1)
+	s, err := MembershipCensus(context.Background(), 2, 1, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(s, "SC") || !strings.Contains(s, "WW") {
 		t.Fatalf("census: %s", s)
 	}

@@ -1,12 +1,16 @@
 package expt
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/computation"
+	"repro/internal/enum"
 	"repro/internal/memmodel"
 	"repro/internal/obs"
+	"repro/internal/observer"
 )
 
 func TestReportOK(t *testing.T) {
@@ -28,11 +32,32 @@ func TestReportOK(t *testing.T) {
 	}
 }
 
+// TestMembershipCensusParallelMatchesSerial: the orbit-weighted census
+// at any worker count prints the table of per-model counts taken by
+// the serial, unreduced EachPair over every pair of the universe.
 func TestMembershipCensusParallelMatchesSerial(t *testing.T) {
-	want := MembershipCensus(3, 1)
-	for _, workers := range []int{2, 4} {
-		if got := MembershipCensusParallel(3, 1, workers); got != want {
-			t.Fatalf("workers=%d:\n%s\nwant:\n%s", workers, got, want)
+	models := memmodel.PatternModels()
+	for _, locs := range []int{1, 2} {
+		for n := 0; n <= 3; n++ {
+			counts := make([]int, len(models))
+			total := enum.EachPair(n, locs, func(c *computation.Computation, o *observer.Observer) bool {
+				for i, m := range models {
+					if m.Contains(c, o) {
+						counts[i]++
+					}
+				}
+				return true
+			})
+			want := censusTable(models, counts, total, n, locs)
+			for _, workers := range []int{1, 3} {
+				got, err := MembershipCensus(context.Background(), n, locs, workers, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("n=%d locs=%d workers=%d:\n%s\nwant:\n%s", n, locs, workers, got, want)
+				}
+			}
 		}
 	}
 }
@@ -48,34 +73,36 @@ func (l *phaseLog) Record(ev obs.Event) {
 	l.mu.Unlock()
 }
 
+// TestRunLatticeObsEmitsPhases: at one location the lattice check is
+// two sweeps, the fused one and the SC/LC auxiliary one, each a phase
+// and a run with one WorkerDone per shard.
 func TestRunLatticeObsEmitsPhases(t *testing.T) {
 	log := &phaseLog{}
-	rep := RunLatticeObs(3, 1, 2, log)
+	rep := RunLatticeReduced(3, 1, 2, log)
 	if !rep.AllOK() {
 		t.Fatalf("lattice check failed:\n%s", rep)
 	}
-	edges := LatticeEdges()
-	var phases, starts, ends int
-	labels := map[string]bool{}
+	var phases, runs []string
+	var ends, workers int
 	log.mu.Lock()
 	defer log.mu.Unlock()
 	for _, ev := range log.evs {
 		switch ev.Kind {
 		case obs.PhaseStart:
-			phases++
-			labels[ev.Str] = true
+			phases = append(phases, ev.Str)
 		case obs.RunStart:
-			starts++
-			labels[ev.Run] = true
+			runs = append(runs, ev.Run)
+		case obs.WorkerDone:
+			workers++
 		case obs.RunEnd:
 			ends++
 		}
 	}
-	if phases != len(edges) || starts != len(edges) || ends != len(edges) {
-		t.Fatalf("phases/starts/ends = %d/%d/%d for %d edges", phases, starts, ends, len(edges))
+	if got := strings.Join(phases, ", "); got != "pattern sweep, SC vs LC" {
+		t.Fatalf("phases %q", got)
 	}
-	if !labels["SC vs LC"] || !labels["NW vs WN"] {
-		t.Fatalf("edge labels: %v", labels)
+	if got := strings.Join(runs, ", "); got != "lattice-reduced, SC vs LC" || ends != 2 || workers != 4 {
+		t.Fatalf("runs %q, %d run ends, %d worker dones", got, ends, workers)
 	}
 }
 

@@ -1,78 +1,90 @@
 package expt
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/computation"
+	"repro/internal/enum"
 	"repro/internal/memmodel"
+	"repro/internal/observer"
 )
 
-func witnessString(p *memmodel.Pair) string {
-	if p == nil {
-		return "<none>"
+// model resolves a name from the lattice tables, which name only
+// registered models.
+func model(name string) memmodel.Model {
+	m, err := memmodel.Lookup(name)
+	if err != nil {
+		panic("expt: " + err.Error())
 	}
-	return p.C.String() + " / " + p.O.String()
+	return m
 }
 
-// TestRunLatticeReducedMatchesUnreduced: at every size both paths run,
-// the reduced lattice must reproduce the unreduced report exactly —
-// per-edge counts, verdicts, and byte-identical witnesses.
+// latticeReference is the lattice report built from the serial,
+// unreduced enum.Compare: every edge over every pair of the
+// ordered-node universe, the SC/LC edge on two locations when numLocs
+// is smaller.
+func latticeReference(maxNodes, numLocs int) LatticeReport {
+	rep := LatticeReport{MaxNodes: maxNodes, NumLocs: numLocs}
+	rep.Pairs = enum.EachPair(maxNodes, numLocs, func(*computation.Computation, *observer.Observer) bool { return true })
+	for _, e := range LatticeEdges() {
+		locs := numLocs
+		if e.A == "SC" && e.B == "LC" && locs < 2 {
+			locs = 2
+		}
+		r := enum.Compare(model(e.A), model(e.B), maxNodes, locs)
+		got, ok := edgeOK(e, r, maxNodes, numLocs)
+		rep.Edges = append(rep.Edges, EdgeResult{Edge: e, Relation: r, Got: got, OK: ok})
+	}
+	return rep
+}
+
+// TestRunLatticeReducedMatchesUnreduced: the orbit-weighted lattice
+// check reproduces the serial unreduced reference exactly — pair
+// total, per-edge counts and verdicts — for one and two locations and
+// any worker count. The n = 4 and n = 5 reports are CLI goldens.
 func TestRunLatticeReducedMatchesUnreduced(t *testing.T) {
-	sizes := []struct{ n, locs int }{{2, 1}, {3, 1}, {3, 2}}
-	if !testing.Short() {
-		sizes = append(sizes, struct{ n, locs int }{4, 1})
-	}
-	for _, sz := range sizes {
-		full := RunLatticeParallel(sz.n, sz.locs, 2)
-		red := RunLatticeReduced(sz.n, sz.locs, 3, nil)
-		if red.Pairs != full.Pairs {
-			t.Fatalf("n=%d locs=%d: reduced pair total %d != %d", sz.n, sz.locs, red.Pairs, full.Pairs)
-		}
-		if len(red.Edges) != len(full.Edges) {
-			t.Fatalf("n=%d locs=%d: edge count %d != %d", sz.n, sz.locs, len(red.Edges), len(full.Edges))
-		}
-		for i, fe := range full.Edges {
-			re := red.Edges[i]
-			if re.Got != fe.Got || re.OK != fe.OK {
-				t.Fatalf("n=%d locs=%d edge %s/%s: reduced verdict %q ok=%v, unreduced %q ok=%v",
-					sz.n, sz.locs, fe.Edge.A, fe.Edge.B, re.Got, re.OK, fe.Got, fe.OK)
+	for _, locs := range []int{1, 2} {
+		for n := 0; n <= 3; n++ {
+			want := latticeReference(n, locs)
+			for _, workers := range []int{1, 3} {
+				if got := RunLatticeReduced(n, locs, workers, nil); !reflect.DeepEqual(got, want) {
+					t.Fatalf("n=%d locs=%d workers=%d:\n%s\nwant:\n%s", n, locs, workers, got, want)
+				}
 			}
-			if re.Relation.AOnly != fe.Relation.AOnly || re.Relation.BOnly != fe.Relation.BOnly ||
-				re.Relation.Both != fe.Relation.Both {
-				t.Fatalf("n=%d locs=%d edge %s/%s: reduced counts (%d,%d,%d) != unreduced (%d,%d,%d)",
-					sz.n, sz.locs, fe.Edge.A, fe.Edge.B,
-					re.Relation.AOnly, re.Relation.BOnly, re.Relation.Both,
-					fe.Relation.AOnly, fe.Relation.BOnly, fe.Relation.Both)
-			}
-			if witnessString(re.Relation.WitnessAOnly) != witnessString(fe.Relation.WitnessAOnly) ||
-				witnessString(re.Relation.WitnessBOnly) != witnessString(fe.Relation.WitnessBOnly) {
-				t.Fatalf("n=%d locs=%d edge %s/%s: reduced witnesses differ\n  A: %s\n  vs %s\n  B: %s\n  vs %s",
-					sz.n, sz.locs, fe.Edge.A, fe.Edge.B,
-					witnessString(re.Relation.WitnessAOnly), witnessString(fe.Relation.WitnessAOnly),
-					witnessString(re.Relation.WitnessBOnly), witnessString(fe.Relation.WitnessBOnly))
-			}
-		}
-		if red.String() != full.String() {
-			t.Fatalf("n=%d locs=%d: rendered reports differ:\n%s\nvs\n%s", sz.n, sz.locs, red, full)
 		}
 	}
 }
 
-// TestRunPropertiesReducedMatches: the reduced property sweep must
-// reproduce the unreduced report field for field (PropertyReport is
-// comparable).
+// TestRunPropertiesReducedMatches: the orbit-weighted property sweep
+// reproduces, byte for byte, the stdout and exit code of `lattice -n 4
+// -props M` recorded under testdata/props when that command swept
+// every computation of the universe. NN and TSO fail there, which pins
+// FirstFailure.
 func TestRunPropertiesReducedMatches(t *testing.T) {
-	models := []memmodel.Model{memmodel.SC, memmodel.LC, memmodel.NN}
-	n := 3
-	if !testing.Short() {
-		// NN's augmentation failure first appears at size 4; include it so
-		// FirstFailure equality is exercised on a failing report too.
-		n = 4
-	}
-	for _, m := range models {
-		full := RunProperties(m, n, 1)
-		red := RunPropertiesReduced(m, n, 1)
-		if full != red {
-			t.Fatalf("%s: reduced property report differs:\n%+v\nvs\n%+v", m.Name(), red, full)
+	for _, m := range []memmodel.Model{memmodel.SC, memmodel.LC, memmodel.NN, memmodel.TSO} {
+		stem := filepath.Join("testdata", "props", m.Name()+"-n4")
+		want, err := os.ReadFile(stem + ".txt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantCode, err := os.ReadFile(stem + ".exit")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := RunProperties(m, 4, 1)
+		if got := rep.String(); got != string(want) {
+			t.Fatalf("%s report differs from %s.txt:\ngot:\n%s\nwant:\n%s", m.Name(), stem, got, want)
+		}
+		code := "0"
+		if !rep.OK() {
+			code = "1"
+		}
+		if w := strings.TrimSpace(string(wantCode)); code != w {
+			t.Fatalf("%s exit code %s, golden %s", m.Name(), code, w)
 		}
 	}
 }

@@ -645,12 +645,11 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 		defer release()
 		// MaxEnumNodes is the admission-time bound that keeps the sweep
 		// tractable; the decision context cancels it mid-flight on drain
-		// or timeout. The reduced sweep decides one representative per
-		// isomorphism class (identical table, far fewer decisions) and
-		// feeds the /statsz symmetry gauges.
+		// or timeout. The sweep decides one representative per
+		// isomorphism class and feeds the /statsz symmetry gauges.
 		ctx, cancel := s.decisionContext(s.cfg.Limits.DefaultTimeout)
 		defer cancel()
-		census, err := expt.MembershipCensusReducedObs(ctx, n, locs, workers, rec)
+		census, err := expt.MembershipCensus(ctx, n, locs, workers, rec)
 		if err != nil {
 			return nil, false, err
 		}

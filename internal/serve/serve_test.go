@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/computation"
 	"repro/internal/dag"
-	"repro/internal/expt"
 	"repro/internal/memmodel"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -387,8 +386,12 @@ func TestEnumerateClampedAndCached(t *testing.T) {
 	if er.MaxNodes != 3 || er.Locs != 1 {
 		t.Errorf("bounds = (%d, %d), want clamped (3, 1)", er.MaxNodes, er.Locs)
 	}
-	if want := expt.MembershipCensusParallel(3, 1, 2); er.Census != want {
-		t.Errorf("census differs from the enumerate CLI's:\n%q\n%q", er.Census, want)
+	want, err := os.ReadFile("../../cmd/enumerate/testdata/census-n3.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if er.Census != string(want) {
+		t.Errorf("census differs from the enumerate CLI's recorded table:\n%q\n%q", er.Census, want)
 	}
 	resp2, _ := postJSON(t, ts.URL+"/v1/enumerate", EnumerateRequest{MaxNodes: 3})
 	if src := resp2.Header.Get("X-Ccmd-Cache"); src != "hit" {
