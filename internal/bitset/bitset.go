@@ -27,6 +27,39 @@ func New(n int) *Set {
 	return &Set{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
 }
 
+// NewSlab returns count empty sets, each capable of holding elements in
+// [0, n), over one shared backing array: two allocations however many
+// sets. Each set owns its own disjoint run of words.
+func NewSlab(count, n int) []Set {
+	if n < 0 {
+		panic(fmt.Sprintf("bitset: negative capacity %d", n))
+	}
+	w := (n + wordBits - 1) / wordBits
+	words := make([]uint64, count*w)
+	sets := make([]Set, count)
+	for i := range sets {
+		sets[i] = Set{n: n, words: words[i*w : (i+1)*w : (i+1)*w]}
+	}
+	return sets
+}
+
+// Reset empties the set and sets its capacity to n, reusing the backing
+// array when it is large enough. Word slices obtained before the call
+// no longer track the set.
+func (s *Set) Reset(n int) {
+	if n < 0 {
+		panic(fmt.Sprintf("bitset: negative capacity %d", n))
+	}
+	w := (n + wordBits - 1) / wordBits
+	if cap(s.words) < w {
+		s.words = make([]uint64, w)
+	} else {
+		s.words = s.words[:w]
+		clear(s.words)
+	}
+	s.n = n
+}
+
 // Cap returns the capacity of the set (elements may be in [0, Cap())).
 func (s *Set) Cap() int { return s.n }
 
@@ -169,8 +202,8 @@ func (s *Set) Intersects(t *Set) bool {
 
 // Words exposes the backing word slice (least-significant word first,
 // bit i of word w representing element w*64+i). The slice is shared
-// with the set and must be treated as read-only; it is stable because
-// sets never grow after New. It exists for performance-critical callers
+// with the set and must be treated as read-only; it is stable until the
+// next Reset. It exists for performance-critical callers
 // (state-key encoding in internal/search) that would otherwise copy the
 // set bit by bit.
 func (s *Set) Words() []uint64 { return s.words }

@@ -3,12 +3,15 @@ package dag
 import "repro/internal/bitset"
 
 // Closure is a precomputed transitive-closure view of a Dag supporting
-// O(1) precedence queries (the relation u ≺ v of Section 2). A Closure
-// is immutable and safe for concurrent use after construction.
+// O(1) precedence queries (the relation u ≺ v of Section 2). Its 2n
+// reachability sets live in one bitset slab (bitset.NewSlab), so a
+// build costs a constant number of allocations however large the dag.
+// A Closure is immutable and safe for concurrent use after
+// construction.
 type Closure struct {
 	n    int
-	desc []*bitset.Set // desc[u] = strict descendants of u
-	anc  []*bitset.Set // anc[u]  = strict ancestors of u
+	desc []bitset.Set // desc[u] = strict descendants of u
+	anc  []bitset.Set // anc[u]  = strict ancestors of u
 }
 
 // NewClosure computes the transitive closure of d. It returns ErrCycle
@@ -19,22 +22,15 @@ func NewClosure(d *Dag) (*Closure, error) {
 		return nil, err
 	}
 	n := d.NumNodes()
-	c := &Closure{
-		n:    n,
-		desc: make([]*bitset.Set, n),
-		anc:  make([]*bitset.Set, n),
-	}
-	for u := 0; u < n; u++ {
-		c.desc[u] = bitset.New(n)
-		c.anc[u] = bitset.New(n)
-	}
+	sets := bitset.NewSlab(2*n, n)
+	c := &Closure{n: n, desc: sets[:n:n], anc: sets[n:]}
 	// Process in reverse topological order: a node's descendants are its
 	// direct successors plus their descendants.
 	for i := n - 1; i >= 0; i-- {
 		u := order[i]
 		for _, v := range d.succs[u] {
 			c.desc[u].Add(int(v))
-			c.desc[u].UnionWith(c.desc[v])
+			c.desc[u].UnionWith(&c.desc[v])
 		}
 	}
 	for u := 0; u < n; u++ {
@@ -88,11 +84,11 @@ func (c *Closure) Comparable(u, v Node) bool {
 
 // Descendants returns the set of strict descendants of u. The returned
 // set is shared; callers must not modify it.
-func (c *Closure) Descendants(u Node) *bitset.Set { return c.desc[u] }
+func (c *Closure) Descendants(u Node) *bitset.Set { return &c.desc[u] }
 
 // Ancestors returns the set of strict ancestors of u. The returned set
 // is shared; callers must not modify it.
-func (c *Closure) Ancestors(u Node) *bitset.Set { return c.anc[u] }
+func (c *Closure) Ancestors(u Node) *bitset.Set { return &c.anc[u] }
 
 // TransitiveClosureDag returns a new Dag with an edge (u, v) whenever
 // u ≺ v in d.

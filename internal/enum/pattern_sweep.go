@@ -33,9 +33,10 @@ type PatternSweep struct {
 	// over the whole universe.
 	Edges []Relation
 	// Counts is the orbit-weighted census: Counts[p] is the number of
-	// universe pairs whose membership pattern is exactly p (indexed by
-	// the full 9-bit pattern; Figure-1-only censuses land in the low 64
-	// entries).
+	// universe pairs whose membership pattern, masked to the bits the
+	// sweep decided (see PatternSweepParallel), is exactly p. Indexed by
+	// the 9-bit pattern; Figure-1-only censuses land in the low 64
+	// entries.
 	Counts [512]int64
 	// Pairs and Computations are universe totals (orbit-weighted);
 	// RepPairs and RepComputations count what was actually decided.
@@ -50,8 +51,11 @@ func (s PatternSweep) Skipped() int64 { return s.Computations - s.RepComputation
 // PatternSweepParallel classifies every pair of the universe up to
 // maxNodes nodes into its membership pattern, deciding only canonical
 // representatives (orbit-weighted), sharded over workers (<= 0 means
-// GOMAXPROCS). Counts are identical to running the serial Compare once
-// per edge, for every worker count. The recorder (nil = off) sees a
+// GOMAXPROCS). It decides only the bits its edges read (their union;
+// every registered model's bit when edges is empty, the census), so
+// Counts is indexed by that masked pattern. Edge relations are
+// identical to running the serial Compare once per edge, for every
+// worker count. The recorder (nil = off) sees a
 // RunStart with live gauges (decided pairs as States), one WorkerDone
 // per shard, and a RunEnd; WorkerDone and RunEnd stats carry the
 // symmetry gauges (Orbits = universe computations covered,
@@ -60,10 +64,15 @@ func (s PatternSweep) Skipped() int64 { return s.Computations - s.RepComputation
 // nothing.
 func PatternSweepParallel(ctx context.Context, edges []PatternEdge, maxNodes, numLocs, workers int, rec obs.Recorder) (PatternSweep, error) {
 	numModels := len(memmodel.ModelNames())
+	mask := uint16(1)<<numModels - 1
+	if len(edges) > 0 {
+		mask = 0
+	}
 	for _, e := range edges {
 		if e.A < 0 || e.A >= numModels || e.B < 0 || e.B >= numModels {
 			panic(fmt.Sprintf("enum: pattern edge %+v out of range", e))
 		}
+		mask |= 1<<e.A | 1<<e.B
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -112,7 +121,7 @@ func PatternSweepParallel(ctx context.Context, edges []PatternEdge, maxNodes, nu
 						if cancelled.Load() {
 							return false
 						}
-						sr.counts[pd.Pattern(o)] += orbit
+						sr.counts[pd.Masked(o, mask)] += orbit
 						sr.pairs += orbit
 						return true
 					})

@@ -1,8 +1,10 @@
 package expt
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/enum"
 	"repro/internal/memmodel"
 )
 
@@ -19,6 +21,31 @@ func BenchmarkLatticeSweep(b *testing.B) {
 			}
 		}
 	})
+	// aux is the SC/LC edge alone on the two-location auxiliary
+	// universe that reduced/n=5 sweeps for it (sclcAuxMaxNodes nodes).
+	b.Run("aux", func(b *testing.B) {
+		edge := []enum.PatternEdge{{A: modelBit(b, "SC"), B: modelBit(b, "LC")}}
+		for i := 0; i < b.N; i++ {
+			s, err := enum.PatternSweepParallel(context.Background(), edge, sclcAuxMaxNodes, 2, 1, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if r := s.Edges[0]; !r.StrictlyStronger() {
+				b.Fatalf("SC vs LC on two locations: %+v, want SC ⊊ LC", r)
+			}
+		}
+	})
+}
+
+// modelBit is name's pattern bit index.
+func modelBit(b *testing.B, name string) int {
+	for i, n := range memmodel.ModelNames() {
+		if n == name {
+			return i
+		}
+	}
+	b.Fatalf("unknown model %s", name)
+	return -1
 }
 
 // BenchmarkStar is the Theorem 23 experiment behind `lattice -n 5

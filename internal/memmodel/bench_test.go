@@ -23,7 +23,7 @@ import (
 // from. The third, random24, is built here at the size the daemon's
 // cache-missing traffic sends (12–24 nodes).
 
-func loadLitmus(b *testing.B, name string) (*computation.Computation, *observer.Observer) {
+func loadLitmus(b testing.TB, name string) (*computation.Computation, *observer.Observer) {
 	b.Helper()
 	f, err := os.Open(filepath.Join("..", "..", "testdata", "litmus", name))
 	if err != nil {
@@ -41,7 +41,7 @@ func loadLitmus(b *testing.B, name string) (*computation.Computation, *observer.
 // last-writer observer of its topological sort. That observer is an SC
 // witness, so every registered model decides In and runs its check to
 // completion instead of stopping at the first violation.
-func random24(b *testing.B) (*computation.Computation, *observer.Observer) {
+func random24(b testing.TB) (*computation.Computation, *observer.Observer) {
 	b.Helper()
 	const n, locs = 24, 2
 	rng := rand.New(rand.NewSource(1))

@@ -56,10 +56,14 @@ const (
 	PatternAll = PatternSC | PatternLC | PatternNN | PatternNW | PatternWN | PatternWW
 )
 
+// patternEvery holds every registered model's bit.
+const patternEvery = uint16(1)<<len(registry) - 1
+
 // PatternDecider computes membership patterns for the observers of
 // one computation at a time. Reset once per computation, then Pattern
-// once per observer; buffers are reused across both. Not safe for
-// concurrent use.
+// or Masked once per observer. Buffers live across both: the LC and
+// happens-before cores, and one search.Runner for the engine searches
+// (SC with L ≥ 2 locations, TSO). Not safe for concurrent use.
 type PatternDecider struct {
 	c       *computation.Computation
 	cl      *dag.Closure
@@ -68,6 +72,7 @@ type PatternDecider struct {
 	writers [][]dag.Node // per location, cached from c.Writers
 	lc      lcCore
 	hb      hbCore
+	runner  search.Runner
 }
 
 // NewPatternDecider returns a decider; its engine searches (SC with
@@ -84,14 +89,33 @@ func (pd *PatternDecider) Reset(c *computation.Computation) {
 }
 
 // Pattern returns the membership pattern of (c, o) for a valid
-// observer o of the Reset computation.
+// observer o of the Reset computation: every registered model's bit.
 func (pd *PatternDecider) Pattern(o *observer.Observer) uint16 {
-	pattern := pd.qdagBits(o)
+	return pd.Masked(o, patternEvery)
+}
+
+// Masked returns Pattern(o) & mask, deciding only what the requested
+// bits need: LC (and SC behind it) when SC, LC or TSO is asked for,
+// the fused Q-dag scan when a Q-dag bit is, and the happens-before
+// build when RA, CAUSAL or TSO is, each of those three only when its
+// own bit is. A bit never depends on which other bits were asked for:
+// TSO's SC shortcut is taken whenever LC and SC ran, and they run
+// whenever TSO is asked for.
+func (pd *PatternDecider) Masked(o *observer.Observer, mask uint16) uint16 {
+	const (
+		qdag     = PatternNN | PatternNW | PatternWN | PatternWW
+		lcNeeded = PatternSC | PatternLC | PatternTSO
+		hbNeeded = PatternTSO | PatternRA | PatternCAUSAL
+	)
+	var pattern uint16
+	if mask&qdag != 0 {
+		pattern = pd.qdagBits(o)
+	}
 	sc := false
-	if pd.lcOK(o) {
+	if mask&lcNeeded != 0 && pd.lcOK(o) {
 		pattern |= PatternLC
 		// One location: SC and LC coincide.
-		sc = pd.numLocs <= 1 || searchLastWriter(context.Background(), pd.c, o, allLocs(pd.c), SearchOptions{}).Found
+		sc = pd.numLocs <= 1 || pd.runner.Run(context.Background(), lastWriterSpec(pd.c, o, allLocs(pd.c)), SearchOptions{}).Found
 	}
 	if sc {
 		pattern |= PatternSC
@@ -99,22 +123,24 @@ func (pd *PatternDecider) Pattern(o *observer.Observer) uint16 {
 	// The extension models share one happens-before relation, whose
 	// acyclicity tsoSpec requires; SC ⊆ TSO spares the engine when the
 	// pair is already known in.
-	if pd.hb.build(pd.c, pd.cl, o) {
-		if pd.hb.ra(context.Background(), pd.c, o, pd.writers).In() {
+	if mask&hbNeeded != 0 && pd.hb.build(pd.c, pd.cl, o) {
+		if mask&PatternRA != 0 && pd.hb.ra(context.Background(), pd.c, o, pd.writers).In() {
 			pattern |= PatternRA
 		}
-		if pd.hb.causal(context.Background(), pd.c, o, pd.writers).In() {
+		if mask&PatternCAUSAL != 0 && pd.hb.causal(context.Background(), pd.c, o, pd.writers).In() {
 			pattern |= PatternCAUSAL
 		}
-		if sc {
-			pattern |= PatternTSO
-		} else if spec, feasible := tsoSpec(pd.c, pd.cl, o, pd.writers); feasible {
-			if search.Run(spec, SearchOptions{}).Found {
+		if mask&PatternTSO != 0 {
+			if sc {
 				pattern |= PatternTSO
+			} else if spec, feasible := tsoSpec(pd.c, pd.cl, o, pd.writers); feasible {
+				if pd.runner.Run(context.Background(), spec, SearchOptions{}).Found {
+					pattern |= PatternTSO
+				}
 			}
 		}
 	}
-	return pattern
+	return pattern & mask
 }
 
 // qdagBits evaluates all four Q-dag consistency predicates in one scan

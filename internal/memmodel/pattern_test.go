@@ -32,10 +32,22 @@ func eachComputationLocal(n, numLocs int, fn func(c *computation.Computation)) {
 	})
 }
 
+// patternMasks are the row masks the masked-decision tests ask for: the
+// SC/LC auxiliary sweep's, each single bit, the Figure 1 bits and every
+// bit.
+func patternMasks() []uint16 {
+	masks := []uint16{PatternSC | PatternLC, PatternAll, patternEvery}
+	for i := range ModelNames() {
+		masks = append(masks, 1<<i)
+	}
+	return masks
+}
+
 // TestPatternMatchesContains differentially checks the fused decider
 // against the registered models' Contains over the full universe: for
 // every computation and every valid observer, the pattern bits must
-// agree with the individual model deciders.
+// agree with the individual model deciders, and a masked decision must
+// equal the full pattern under the mask.
 func TestPatternMatchesContains(t *testing.T) {
 	models := PatternModels()
 	if len(models) != len(ModelNames()) {
@@ -53,6 +65,7 @@ func TestPatternMatchesContains(t *testing.T) {
 	if testing.Short() {
 		cases = cases[:7]
 	}
+	masks := patternMasks()
 	pd := NewPatternDecider()
 	for _, tc := range cases {
 		pairs := 0
@@ -69,6 +82,12 @@ func TestPatternMatchesContains(t *testing.T) {
 				if got != want {
 					t.Fatalf("n=%d locs=%d %v / %v: pattern %09b, Contains say %09b",
 						tc.n, tc.locs, c, o, got, want)
+				}
+				for _, mask := range masks {
+					if got := pd.Masked(o, mask); got != want&mask {
+						t.Fatalf("n=%d locs=%d %v / %v: mask %09b decided %09b, want %09b",
+							tc.n, tc.locs, c, o, mask, got, want&mask)
+					}
 				}
 				pairs++
 				return true
@@ -99,8 +118,10 @@ func TestSleepSetsPreserveSC(t *testing.T) {
 
 // TestPatternDeciderReuse checks that one decider instance gives the
 // same answers when hopping between computations of different sizes and
-// location counts — the pooled buffers must not leak state.
+// location counts, and between row masks — the pooled buffers must not
+// leak state.
 func TestPatternDeciderReuse(t *testing.T) {
+	masks := patternMasks()
 	shared := NewPatternDecider()
 	sizes := []struct{ n, locs int }{{3, 2}, {2, 1}, {3, 1}, {1, 2}}
 	for _, tc := range sizes {
@@ -109,9 +130,16 @@ func TestPatternDeciderReuse(t *testing.T) {
 			shared.Reset(c)
 			fresh.Reset(c)
 			observer.Enumerate(c, func(o *observer.Observer) bool {
-				if g, w := shared.Pattern(o), fresh.Pattern(o); g != w {
+				w := fresh.Pattern(o)
+				if g := shared.Pattern(o); g != w {
 					t.Fatalf("n=%d locs=%d %v / %v: reused decider %09b, fresh %09b",
 						tc.n, tc.locs, c, o, g, w)
+				}
+				for _, mask := range masks {
+					if g := shared.Masked(o, mask); g != w&mask {
+						t.Fatalf("n=%d locs=%d %v / %v: reused decider under mask %09b %09b, fresh %09b",
+							tc.n, tc.locs, c, o, mask, g, w&mask)
+					}
 				}
 				return true
 			})

@@ -17,7 +17,8 @@ import (
 // in-degrees, partial order) and one failed-state memo table; the
 // parallel path gives each worker its own engine and shares only the
 // compiled problem, the state budget, and the lowest-successful-root
-// register.
+// register. A Runner owns the compiled problem, the serial engine and
+// the governor block, and keeps their storage from one run to the next.
 
 // rec outcomes.
 const (
@@ -56,14 +57,18 @@ type shared struct {
 	live *obs.Counters
 }
 
-func newShared(ctx context.Context, budget int64, chunk int64, rec obs.Recorder) *shared {
-	sh := &shared{limited: budget > 0, chunk: chunk, ctx: ctx, done: ctx.Done(), rec: rec}
+// reset readies sh for a run under ctx with the given state budget
+// (0 = unlimited), budget batch size and recorder.
+func (sh *shared) reset(ctx context.Context, budget int64, chunk int64, rec obs.Recorder) {
+	sh.limited, sh.chunk = budget > 0, chunk
+	sh.ctx, sh.done, sh.rec = ctx, ctx.Done(), rec
+	sh.live = nil
 	if rec != nil {
 		sh.live = &obs.Counters{}
 	}
 	sh.budget.Store(budget)
 	sh.bestRoot.Store(math.MaxInt64)
-	return sh
+	sh.stop.Store(0)
 }
 
 // setStop records reason as the run's stop cause if none is set yet.
@@ -107,11 +112,11 @@ func (sh *shared) casMinRoot(r int64) {
 type engine struct {
 	p      *problem
 	sh     *shared
-	placed *bitset.Set
+	placed bitset.Set
 	last   []dag.Node
 	indeg  []int32
 	order  []dag.Node
-	memo   *stateSet
+	memo   stateSet
 	keyBuf []uint64
 	myRoot int64
 	grant  int64
@@ -132,21 +137,38 @@ type engine struct {
 	frozeSeen bool
 }
 
-func newEngine(p *problem, sh *shared, memoCap int64) *engine {
-	e := &engine{
-		p:      p,
-		sh:     sh,
-		placed: bitset.New(p.n),
-		last:   make([]dag.Node, p.numSlots),
-		indeg:  make([]int32, p.n),
-		order:  make([]dag.Node, 0, p.n),
-		memo:   newStateSetCapped(p.keyWords, memoCap),
-		keyBuf: make([]uint64, p.keyWords),
-		myRoot: math.MaxInt64,
-		sleep:  make([]uint64, (p.n+1)*p.placedWords),
-	}
+// bind sizes e's buffers for p, over their old backing arrays where
+// those are large enough, and restores the empty search state.
+func (e *engine) bind(p *problem) {
+	e.p = p
+	e.placed.Reset(p.n)
+	e.last = reuse(e.last, p.numSlots)
+	e.indeg = reuse(e.indeg, p.n)
+	e.order = reuse(e.order, p.n)[:0]
+	e.keyBuf = reuse(e.keyBuf, p.keyWords)
+	e.sleep = reuse(e.sleep, (p.n+1)*p.placedWords)
 	e.reset()
-	return e
+}
+
+// start readies a bound engine for a run under sh: the memo table is
+// emptied to the size a new one starts at and every counter and
+// register is zeroed, so the run counts exactly what a new engine's
+// would.
+func (e *engine) start(sh *shared, opts Options, memoCap int64) {
+	e.memo.reset(e.p.keyWords, memoCap)
+	*e = engine{
+		p:       e.p,
+		sh:      sh,
+		placed:  e.placed,
+		last:    e.last,
+		indeg:   e.indeg,
+		order:   e.order,
+		memo:    e.memo,
+		keyBuf:  e.keyBuf,
+		myRoot:  math.MaxInt64,
+		sleep:   e.sleep,
+		noSleep: opts.DisableSleep || e.p.gate != nil,
+	}
 }
 
 // reset restores the empty search state; the memo table survives
@@ -158,9 +180,7 @@ func (e *engine) reset() {
 	}
 	copy(e.indeg, e.p.indeg0)
 	e.order = e.order[:0]
-	for i := range e.sleep {
-		e.sleep[i] = 0
-	}
+	clear(e.sleep)
 }
 
 // takeState charges one state against the shared budget, batching
@@ -267,7 +287,7 @@ func (e *engine) admissible(u dag.Node) bool {
 			return false
 		}
 	}
-	if e.p.gate != nil && !e.p.gate(u, e.last, e.placed) {
+	if e.p.gate != nil && !e.p.gate(u, e.last, &e.placed) {
 		return false
 	}
 	return true
@@ -432,24 +452,55 @@ func Run(spec Spec, opts Options) Result {
 	return RunContext(context.Background(), spec, opts)
 }
 
-// frontier returns the admissible first-choice roots of a compiled
-// problem, in node order. At the root every slot's last writer is ⊥,
-// so a node is admissible iff all of its constraint sets contain ⊥ and
-// the gate (when present) admits it from the empty state. The order is
-// deterministic, which is what makes frontier indices a meaningful
-// shard coordinate across processes: every replica that compiles the
-// same Spec sees the same frontier.
-func frontier(p *problem) []dag.Node {
-	var emptyLast []dag.Node
-	var emptyPlaced *bitset.Set
-	if p.gate != nil {
-		emptyLast = make([]dag.Node, p.numSlots)
-		for i := range emptyLast {
-			emptyLast[i] = dag.None
-		}
-		emptyPlaced = bitset.New(p.n)
+// Runner runs searches on storage it keeps between runs: the compiled
+// problem's tables, the serial engine's placed set, last-writer vector,
+// in-degrees, order, key buffer and sleep slab, the memo table, the
+// governor block and the root frontier. Callers that decide many small
+// instances in a row (the bulk sweeps' pattern decider) keep one Runner
+// and stop paying per-run setup; RunContext is a run on a new Runner,
+// so every engine decision takes the same path. A Runner holds on to
+// the storage of the largest instance it has run (its memo table until
+// a later run outgrows it), so a long-lived one suits streams of small
+// instances. The zero value is ready to use; the caller owns the
+// Runner, which is not safe for concurrent use.
+type Runner struct {
+	p     problem
+	e     engine
+	sh    shared
+	roots []dag.Node
+}
+
+// plan compiles spec into r and computes its admissible root frontier
+// into r.roots. done reports a question resolved without search
+// (static unsat filtering, the empty problem, an empty frontier), with
+// res the answer.
+func (r *Runner) plan(spec Spec) (res Result, done bool) {
+	p := &r.p
+	p.compile(spec)
+	if p.unsat {
+		// Static filtering emptied some candidate set: no sort exists.
+		return Result{Exhausted: true, WitnessRoot: -1}, true
 	}
-	var roots []dag.Node
+	if p.n == 0 {
+		return Result{Order: []dag.Node{}, Found: true, Exhausted: true, WitnessRoot: -1}, true
+	}
+	r.e.bind(p)
+	r.roots = frontier(p, r.roots[:0], r.e.last, &r.e.placed)
+	if len(r.roots) == 0 {
+		return Result{Exhausted: true, WitnessRoot: -1, Stats: Stats{States: 1}}, true
+	}
+	return Result{}, false
+}
+
+// frontier appends the admissible first-choice roots of a compiled
+// problem to roots, in node order. At the root every slot's last writer
+// is ⊥, so a node is admissible iff all of its constraint sets contain
+// ⊥ and the gate (when present) admits it from the empty state, which
+// emptyLast and emptyPlaced describe. The order is deterministic, which
+// is what makes frontier indices a meaningful shard coordinate across
+// processes: every replica that compiles the same Spec sees the same
+// frontier.
+func frontier(p *problem, roots []dag.Node, emptyLast []dag.Node, emptyPlaced *bitset.Set) []dag.Node {
 	for u := 0; u < p.n; u++ {
 		if p.indeg0[u] != 0 {
 			continue
@@ -480,18 +531,11 @@ func frontier(p *problem) []dag.Node {
 // Result a full Run would return, so planners can short-circuit
 // instead of dispatching shards of nothing.
 func Frontier(spec Spec) (int, *Result) {
-	p := compile(spec)
-	if p.unsat {
-		return 0, &Result{Exhausted: true, WitnessRoot: -1}
+	var r Runner
+	if res, done := r.plan(spec); done {
+		return 0, &res
 	}
-	if p.n == 0 {
-		return 0, &Result{Order: []dag.Node{}, Found: true, Exhausted: true, WitnessRoot: -1}
-	}
-	roots := frontier(p)
-	if len(roots) == 0 {
-		return 0, &Result{Exhausted: true, WitnessRoot: -1, Stats: Stats{States: 1}}
-	}
-	return len(roots), nil
+	return len(r.roots), nil
 }
 
 // RunContext is Run under a context: cancellation and deadline expiry
@@ -500,26 +544,29 @@ func Frontier(spec Spec) (int, *Result) {
 // which governor fired. A witness found before the stop is kept: Found
 // results are definitive even under a cancelled context. RunContext
 // never leaks goroutines; it returns only after every worker has
-// stopped.
+// stopped. It is a run on a new Runner.
 func RunContext(ctx context.Context, spec Spec, opts Options) Result {
+	return new(Runner).Run(ctx, spec, opts)
+}
+
+// Run is RunContext on r's storage. Every table, buffer and counter is
+// reset per run, and the memo table to the size a new one starts at
+// (64 slots, or what Options.MaxMemoBytes shrinks that to), so the
+// Result equals a new Runner's field for field, Stats included (under
+// parallel splitting the counters depend on the schedule either way);
+// a found Order is a copy the Runner does not retain. The parallel
+// root splitter still gives each worker an engine of its own.
+func (r *Runner) Run(ctx context.Context, spec Spec, opts Options) Result {
 	if err := ctx.Err(); err != nil {
 		// Already cancelled: don't even compile.
 		return Result{Stop: ctxStopReason(err), WitnessRoot: -1}
 	}
 	rec := opts.Recorder
-	p := compile(spec)
-	if p.unsat {
-		// Static filtering emptied some candidate set: no sort exists.
-		return trivialResult(rec, Result{Exhausted: true, WitnessRoot: -1})
+	if res, done := r.plan(spec); done {
+		return trivialResult(rec, res)
 	}
-	if p.n == 0 {
-		return trivialResult(rec, Result{Order: []dag.Node{}, Found: true, Exhausted: true, WitnessRoot: -1})
-	}
-
-	roots := frontier(p)
-	if len(roots) == 0 {
-		return trivialResult(rec, Result{Exhausted: true, WitnessRoot: -1, Stats: Stats{States: 1}})
-	}
+	p := &r.p
+	roots := r.roots
 	total := len(roots)
 
 	// Shard restriction: clamp [RootLo, RootHi) onto the frontier. An
@@ -556,13 +603,14 @@ func RunContext(ctx context.Context, spec Spec, opts Options) Result {
 	if workers <= 1 {
 		chunk = 1
 	}
-	sh := newShared(ctx, opts.Budget, chunk, rec)
+	sh := &r.sh
+	sh.reset(ctx, opts.Budget, chunk, rec)
 	if rec != nil {
 		obs.Emit(rec, obs.Event{Kind: obs.RunStart, Total: len(roots), N: opts.Budget, Live: sh.live})
 	}
 	var res Result
 	if workers <= 1 && !sharded {
-		res = runSerial(p, sh, opts, len(roots))
+		res = r.runSerial(opts, len(roots))
 	} else {
 		// A sharded run always takes the per-root path, even with one
 		// worker: the serial whole-tree engine cannot skip frontier
@@ -575,8 +623,8 @@ func RunContext(ctx context.Context, spec Spec, opts Options) Result {
 	res.WitnessRoot = -1
 	if res.Found && len(res.Order) > 0 {
 		// Order[0] is the chosen root; report its global frontier index.
-		for i, r := range roots {
-			if r == res.Order[0] {
+		for i, root := range roots {
+			if root == res.Order[0] {
 				res.WitnessRoot = lo + i
 				break
 			}
@@ -599,10 +647,11 @@ func trivialResult(rec obs.Recorder, res Result) Result {
 	return res
 }
 
-func runSerial(p *problem, sh *shared, opts Options, numRoots int) Result {
-	e := newEngine(p, sh, opts.MaxMemoBytes)
-	e.noSleep = opts.DisableSleep || p.gate != nil
-	st := e.rec(p.n)
+// runSerial explores the whole tree on r's engine, which plan bound.
+func (r *Runner) runSerial(opts Options, numRoots int) Result {
+	e := &r.e
+	e.start(&r.sh, opts, opts.MaxMemoBytes)
+	st := e.rec(r.p.n)
 	e.flushObs()
 	e.stats.Roots = numRoots
 	e.stats.Workers = 1
@@ -615,7 +664,7 @@ func runSerial(p *problem, sh *shared, opts Options, numRoots int) Result {
 		res.Order = append([]dag.Node(nil), e.order...)
 	}
 	if !res.Exhausted {
-		res.Stop = sh.stopReason()
+		res.Stop = r.sh.stopReason()
 	}
 	return res
 }
@@ -650,8 +699,9 @@ func runParallel(p *problem, sh *shared, opts Options, roots []dag.Node, workers
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			e := newEngine(p, sh, memoCap)
-			e.noSleep = opts.DisableSleep || p.gate != nil
+			e := &engine{}
+			e.bind(p)
+			e.start(sh, opts, memoCap)
 			e.worker = w
 			engines[w] = e
 			defer e.flushObs()

@@ -211,7 +211,9 @@ type nodeCon struct {
 }
 
 // problem is a compiled Spec: closure-filtered candidate sets plus the
-// static tables the hot loop indexes.
+// static tables the hot loop indexes. A problem compiles over its
+// previous tables (see compile), so a Runner's problem stops
+// allocating once its tables have grown to the largest spec it sees.
 type problem struct {
 	n        int
 	numSlots int
@@ -219,6 +221,9 @@ type problem struct {
 	indeg0   []int32
 	// writeSlot[u] is the slot u writes, or -1.
 	writeSlot []int32
+	// writers is a slab of placed-set-width bitmasks, one per slot:
+	// writers[s*placedWords..] holds the nodes that write slot s.
+	writers []uint64
 	// cands[slot*n+u] is the filtered candidate set (nil when
 	// unconstrained). For a write constrained at its own slot the
 	// constraint is static (u ∈ set) and is resolved at compile time.
@@ -249,57 +254,68 @@ type problem struct {
 	placedWords int
 	keyWords    int
 	unsat       bool
+
+	// Backing storage kept for the next compile: the shared constraint
+	// and candidate arrays the slices above point into, the conflict
+	// matrix's slab and the identity array behind own-slot constraints.
+	conBacking  []nodeCon
+	nodeBacking []dag.Node
+	keptBacking []dag.Node
+	sleepSlab   []uint64
+	self        []dag.Node
 }
 
-func compile(spec Spec) *problem {
-	n := spec.Dag.NumNodes()
-	p := &problem{
-		n:           n,
-		numSlots:    spec.NumSlots,
-		succs:       make([][]dag.Node, n),
-		indeg0:      make([]int32, n),
-		writeSlot:   make([]int32, n),
-		cands:       make([][]dag.Node, spec.NumSlots*n),
-		nodeCons:    make([][]nodeCon, n),
-		consNodes:   make([][]dag.Node, spec.NumSlots),
-		predWOff:    make([]int32, spec.NumSlots*n),
-		gate:        spec.Gate,
-		placedWords: (n + 63) / 64,
+// reuse returns a zeroed slice of length n, over s's backing array
+// when its capacity suffices.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	p.keyWords = p.placedWords + (spec.NumSlots+1)/2
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// compile compiles spec into p, overwriting every table of an earlier
+// compile and reusing its storage.
+func (p *problem) compile(spec Spec) {
+	n := spec.Dag.NumNodes()
+	numSlots := spec.NumSlots
+	pw := (n + 63) / 64
+	p.n, p.numSlots, p.placedWords = n, numSlots, pw
+	p.keyWords = pw + (numSlots+1)/2
+	p.gate = spec.Gate
+	p.unsat = false
+	p.succs = reuse(p.succs, n)
+	p.indeg0 = reuse(p.indeg0, n)
+	p.writeSlot = reuse(p.writeSlot, n)
+	p.writers = reuse(p.writers, numSlots*pw)
+	p.cands = reuse(p.cands, numSlots*n)
+	p.nodeCons = reuse(p.nodeCons, n)
+	p.consNodes = reuse(p.consNodes, numSlots)
+	p.predWOff = reuse(p.predWOff, numSlots*n)
+	p.conflict = nil
 	cl := spec.Closure
 	if cl == nil {
 		cl = dag.MustClosure(spec.Dag)
 	}
-	// selfCands backs the compiled own-slot write constraints: one
-	// shared array instead of a singleton allocation per write.
-	var selfCands []dag.Node
 	for u := 0; u < n; u++ {
 		p.succs[u] = spec.Dag.Succs(dag.Node(u))
 		p.indeg0[u] = int32(spec.Dag.InDegree(dag.Node(u)))
 		p.writeSlot[u] = -1
 		if s := spec.WriteSlot(dag.Node(u)); s >= 0 {
-			if s >= spec.NumSlots {
-				panic(fmt.Sprintf("search: WriteSlot(%d) = %d out of range [0,%d)", u, s, spec.NumSlots))
+			if s >= numSlots {
+				panic(fmt.Sprintf("search: WriteSlot(%d) = %d out of range [0,%d)", u, s, numSlots))
 			}
 			p.writeSlot[u] = int32(s)
-		}
-	}
-	writersMask := make([]*bitset.Set, spec.NumSlots)
-	for s := range writersMask {
-		writersMask[s] = bitset.New(n)
-	}
-	for u := 0; u < n; u++ {
-		if s := p.writeSlot[u]; s >= 0 {
-			writersMask[s].Add(u)
+			p.writers[s*pw+u>>6] |= 1 << (uint(u) & 63)
 		}
 	}
 	// Pass 1: collect and filter candidate sets, counting the dynamic
-	// constraints per node and per slot for exact-size backing arrays.
-	perNode := make([]int32, n)
-	perSlot := make([]int32, spec.NumSlots)
+	// constraints for exact-size backing arrays.
+	p.keptBacking = p.keptBacking[:0]
 	total := 0
-	for s := 0; s < spec.NumSlots; s++ {
+	for s := 0; s < numSlots; s++ {
 		for u := 0; u < n; u++ {
 			idx := s*n + u
 			p.predWOff[idx] = -1
@@ -312,69 +328,64 @@ func compile(spec Spec) *problem {
 				// Definition 13.1): the constraint holds always or never.
 				if !containsNode(raw, dag.Node(u)) {
 					p.unsat = true
-					return p
+					return
 				}
-				if selfCands == nil {
-					selfCands = make([]dag.Node, n)
-					for v := range selfCands {
-						selfCands[v] = dag.Node(v)
+				if len(p.self) < n {
+					// Identity array backing the own-slot constraints:
+					// one shared array instead of a singleton per write.
+					p.self = make([]dag.Node, n)
+					for v := range p.self {
+						p.self[v] = dag.Node(v)
 					}
 				}
-				p.cands[idx] = selfCands[u : u+1 : u+1]
+				p.cands[idx] = p.self[u : u+1 : u+1]
 				continue
 			}
-			kept := filterCandidates(raw, dag.Node(u), cl, writersMask[s], p.writeSlot, int32(s))
+			kept := p.filterCandidates(raw, dag.Node(u), s, cl)
 			if len(kept) == 0 {
 				p.unsat = true
-				return p
+				return
 			}
 			p.cands[idx] = kept
-			perNode[u]++
-			perSlot[s]++
 			total++
 		}
 	}
 	// Pass 2: distribute the dynamic constraints into shared backings
-	// and build the predW slab.
-	conBacking := make([]nodeCon, 0, total)
-	nodeBacking := make([]dag.Node, 0, total)
-	p.predW = make([]uint64, 0, total*p.placedWords)
+	// and build the predW slab. The backings have room for every
+	// constraint, so the slices cut from them never move.
+	p.conBacking = reuse(p.conBacking, total)[:0]
+	p.nodeBacking = reuse(p.nodeBacking, total)[:0]
+	p.predW = reuse(p.predW, total*pw)[:0]
 	for u := 0; u < n; u++ {
-		if perNode[u] == 0 {
-			continue
-		}
-		start := len(conBacking)
-		for s := 0; s < spec.NumSlots; s++ {
+		start := len(p.conBacking)
+		aw := cl.Ancestors(dag.Node(u)).Words()
+		for s := 0; s < numSlots; s++ {
 			idx := s*n + u
 			if p.cands[idx] == nil || p.writeSlot[u] == int32(s) {
 				continue
 			}
-			conBacking = append(conBacking, nodeCon{slot: int32(s), set: p.cands[idx]})
+			p.conBacking = append(p.conBacking, nodeCon{slot: int32(s), set: p.cands[idx]})
 			p.predWOff[idx] = int32(len(p.predW))
-			ww := writersMask[s].Words()
-			aw := cl.Ancestors(dag.Node(u)).Words()
-			for i := 0; i < p.placedWords; i++ {
+			ww := p.writers[s*pw : (s+1)*pw]
+			for i := 0; i < pw; i++ {
 				p.predW = append(p.predW, ww[i]&aw[i])
 			}
 		}
-		p.nodeCons[u] = conBacking[start:len(conBacking):len(conBacking)]
+		p.nodeCons[u] = p.conBacking[start:len(p.conBacking):len(p.conBacking)]
 	}
-	for s := 0; s < spec.NumSlots; s++ {
-		if perSlot[s] == 0 {
-			continue
-		}
-		start := len(nodeBacking)
+	for s := 0; s < numSlots; s++ {
+		start := len(p.nodeBacking)
 		for u := 0; u < n; u++ {
 			if p.cands[s*n+u] != nil && p.writeSlot[u] != int32(s) {
-				nodeBacking = append(nodeBacking, dag.Node(u))
+				p.nodeBacking = append(p.nodeBacking, dag.Node(u))
 			}
 		}
-		p.consNodes[s] = nodeBacking[start:len(nodeBacking):len(nodeBacking)]
+		p.consNodes[s] = p.nodeBacking[start:len(p.nodeBacking):len(p.nodeBacking)]
 	}
 	if p.gate != nil {
 		// Gated specs never sleep (see Spec.Gate), so the conflict
 		// matrix would be dead weight.
-		return p
+		return
 	}
 	// Pass 3: the placement dependence relation for sleep-set pruning,
 	// built word-parallel (a per-cell Comparable loop costs more than
@@ -383,21 +394,15 @@ func compile(spec Spec) *problem {
 	// constraint on s (own-slot write constraints were compiled away
 	// and depend on no state). conflict(u,v) holds when u==v, the
 	// closure orders them, or one writes a slot the other touches.
-	pw := p.placedWords
-	slab := make([]uint64, (n+2*spec.NumSlots)*pw)
-	p.conflict = slab[:n*pw]
-	slotMasks := slab[n*pw:]
-	touch := slotMasks[:spec.NumSlots*pw]   // touch[s*pw..]: nodes touching slot s
-	writers := slotMasks[spec.NumSlots*pw:] // writers[s*pw..]: nodes writing slot s
+	p.sleepSlab = reuse(p.sleepSlab, (n+numSlots)*pw)
+	p.conflict = p.sleepSlab[:n*pw]
+	touch := p.sleepSlab[n*pw:] // touch[s*pw..]: nodes touching slot s
 	for x := 0; x < n; x++ {
 		bit := uint64(1) << (uint(x) & 63)
-		for s := 0; s < spec.NumSlots; s++ {
+		for s := 0; s < numSlots; s++ {
 			if p.writeSlot[x] == int32(s) || p.predWOff[s*n+x] >= 0 {
 				touch[s*pw+x>>6] |= bit
 			}
-		}
-		if ws := int(p.writeSlot[x]); ws >= 0 {
-			writers[ws*pw+x>>6] |= bit
 		}
 	}
 	for u := 0; u < n; u++ {
@@ -413,15 +418,14 @@ func compile(spec Spec) *problem {
 				row[i] |= touch[ws*pw+i]
 			}
 		}
-		for s := 0; s < spec.NumSlots; s++ {
+		for s := 0; s < numSlots; s++ {
 			if p.writeSlot[u] == int32(s) || p.predWOff[s*n+u] >= 0 {
 				for i := range row {
-					row[i] |= writers[s*pw+i]
+					row[i] |= p.writers[s*pw+i]
 				}
 			}
 		}
 	}
-	return p
 }
 
 // filterCandidates drops candidates that no topological sort can
@@ -435,35 +439,47 @@ func compile(spec Spec) *problem {
 //     them (w ≺ x ≺ u): x overwrites w before u in every sort.
 //
 // When nothing is dropped the raw slice is returned as-is — the common
-// case (singleton observer constraints, trace candidate sets) costs no
-// allocation.
-func filterCandidates(raw []dag.Node, u dag.Node, cl *dag.Closure, writers *bitset.Set, writeSlot []int32, slot int32) []dag.Node {
+// case (singleton observer constraints, trace candidate sets); the
+// survivors of a filtered set go to keptBacking.
+func (p *problem) filterCandidates(raw []dag.Node, u dag.Node, slot int, cl *dag.Closure) []dag.Node {
+	pw := p.placedWords
+	writers := p.writers[slot*pw : (slot+1)*pw]
+	anc := cl.Ancestors(u).Words()
 	keep := func(w dag.Node) bool {
 		if w == dag.None {
-			return !writers.Intersects(cl.Ancestors(u))
+			for i, x := range writers {
+				if x&anc[i] != 0 {
+					return false
+				}
+			}
+			return true
 		}
-		if int(w) < 0 || int(w) >= len(writeSlot) || writeSlot[w] != slot {
+		if int(w) < 0 || int(w) >= p.n || p.writeSlot[w] != int32(slot) {
 			return false
 		}
 		if cl.Precedes(u, w) {
 			return false
 		}
-		between := cl.Descendants(w).Clone()
-		between.IntersectWith(cl.Ancestors(u))
-		return !between.Intersects(writers)
+		desc := cl.Descendants(w).Words()
+		for i, x := range writers {
+			if x&desc[i]&anc[i] != 0 {
+				return false
+			}
+		}
+		return true
 	}
 	for i, w := range raw {
 		if keep(w) {
 			continue
 		}
-		kept := make([]dag.Node, 0, len(raw)-1)
-		kept = append(kept, raw[:i]...)
+		start := len(p.keptBacking)
+		p.keptBacking = append(p.keptBacking, raw[:i]...)
 		for _, w := range raw[i+1:] {
 			if keep(w) {
-				kept = append(kept, w)
+				p.keptBacking = append(p.keptBacking, w)
 			}
 		}
-		return kept
+		return p.keptBacking[start:len(p.keptBacking):len(p.keptBacking)]
 	}
 	return raw
 }

@@ -73,6 +73,9 @@ func hashKey(key []uint64) uint64 {
 // spills. Memoization only skips work the search would redo, so a
 // frozen table degrades exactly — the answer never changes, only the
 // state count.
+//
+// A set can be reset and reused: reset keeps the backing arrays when
+// they are large enough, and only growth past them allocates.
 type stateSet struct {
 	kw       int
 	keys     []uint64
@@ -86,16 +89,23 @@ type stateSet struct {
 
 const stateSetInitSlots = 1 << 6
 
-func newStateSet(kw int) *stateSet { return newStateSetCapped(kw, 0) }
+// newStateSet returns an empty, uncapped set of kw-word keys.
+func newStateSet(kw int) *stateSet {
+	s := &stateSet{}
+	s.reset(kw, 0)
+	return s
+}
 
-// newStateSetCapped builds a set whose backing arrays never exceed
-// maxBytes bytes (0 = unlimited). The initial allocation shrinks to fit
-// under tight caps.
-func newStateSetCapped(kw int, maxBytes int64) *stateSet {
+// reset empties the set for kw-word keys under a cap of maxBytes bytes
+// on its backing arrays (0 = unlimited), keeping the arrays. It starts
+// at the size every new set starts at: stateSetInitSlots slots, halved
+// until they fit under a tight cap.
+func (s *stateSet) reset(kw int, maxBytes int64) {
 	if kw <= 0 {
 		kw = 1
 	}
-	s := &stateSet{kw: kw, maxBytes: maxBytes}
+	s.kw, s.maxBytes = kw, maxBytes
+	s.size, s.frozen, s.spilled = 0, false, 0
 	slots := stateSetInitSlots
 	if maxBytes > 0 {
 		for slots > 1 && s.bytesFor(slots) > maxBytes {
@@ -103,12 +113,13 @@ func newStateSetCapped(kw int, maxBytes int64) *stateSet {
 		}
 	}
 	s.alloc(slots)
-	return s
 }
 
+// alloc gives the set `slots` empty slots over its current arrays when
+// they are large enough.
 func (s *stateSet) alloc(slots int) {
-	s.keys = make([]uint64, slots*s.kw)
-	s.occ = make([]bool, slots)
+	s.keys = reuse(s.keys, slots*s.kw)
+	s.occ = reuse(s.occ, slots)
 	s.grow = slots / 4 * 3
 }
 
@@ -176,6 +187,9 @@ func (s *stateSet) insert(key []uint64) bool {
 
 func (s *stateSet) rehash() {
 	oldKeys, oldOcc := s.keys, s.occ
+	// The old arrays may be large enough to reuse, but they still hold
+	// the keys to move.
+	s.keys, s.occ = nil, nil
 	s.alloc(len(oldOcc) * 2)
 	mask := len(s.occ) - 1
 	for i, live := range oldOcc {

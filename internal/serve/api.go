@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -155,15 +156,29 @@ func clampInt64(req, max int64) int64 {
 	}
 }
 
+// saturatingMul returns v*unit for a positive unit, pinned at the int64
+// range's ends instead of wrapping.
+func saturatingMul(v, unit int64) int64 {
+	switch {
+	case v > math.MaxInt64/unit:
+		return math.MaxInt64
+	case v < math.MinInt64/unit:
+		return math.MinInt64
+	}
+	return v * unit
+}
+
 // searchOptions maps request options onto engine options under the
-// limits, and returns the effective wall-clock budget (0 = none).
+// limits, and returns the effective wall-clock budget (0 = none). The
+// unit conversions saturate, so an oversized request gets the ceiling,
+// or the largest representable value when there is none.
 func (l Limits) searchOptions(o Options) (search.Options, time.Duration) {
 	opts := search.Options{
 		Budget:       clampInt64(o.MaxStates, l.MaxStates),
-		MaxMemoBytes: clampInt64(o.MaxMemoMB, l.MaxMemoMB) << 20,
+		MaxMemoBytes: saturatingMul(clampInt64(o.MaxMemoMB, l.MaxMemoMB), 1<<20),
 		Workers:      int(clampInt64(int64(o.Workers), int64(l.MaxWorkers))),
 	}
-	timeout := time.Duration(o.TimeoutMS) * time.Millisecond
+	timeout := time.Duration(saturatingMul(o.TimeoutMS, int64(time.Millisecond)))
 	if timeout <= 0 {
 		timeout = l.DefaultTimeout
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -60,6 +61,51 @@ func TestSearchOptionsNoLimits(t *testing.T) {
 	opts, timeout := Limits{}.searchOptions(Options{MaxStates: 7, Workers: 3})
 	if opts.Budget != 7 || opts.Workers != 3 || timeout != 0 {
 		t.Errorf("limitless server altered the request: %+v, %v", opts, timeout)
+	}
+}
+
+// TestSearchOptionsSaturate: the MiB and millisecond conversions
+// saturate instead of wrapping. An oversized request gets the ceiling,
+// or the largest representable value when there is none; requests in
+// range keep their values and their cache fingerprint.
+func TestSearchOptionsSaturate(t *testing.T) {
+	// ccmd's default limits: a 30 s default and a 5 min ceiling on the
+	// deadline, no memo ceiling.
+	ccmd := Limits{DefaultTimeout: 30 * time.Second, MaxTimeout: 5 * time.Minute}
+	const maxMiB = math.MaxInt64 >> 20
+	const maxMS = math.MaxInt64 / int64(time.Millisecond)
+	cases := []struct {
+		name    string
+		l       Limits
+		o       Options
+		memo    int64
+		timeout time.Duration
+		print   string // fingerprint, when pinned
+	}{
+		{name: "in range", l: ccmd, o: Options{MaxMemoMB: 3, TimeoutMS: 1500},
+			memo: 3 << 20, timeout: 1500 * time.Millisecond, print: "budget=0,memo=3145728,workers=0"},
+		{name: "largest exact MiB", o: Options{MaxMemoMB: maxMiB}, memo: maxMiB << 20},
+		{name: "2^43+7 MiB was negative (unlimited)", o: Options{MaxMemoMB: 1<<43 + 7}, memo: math.MaxInt64},
+		{name: "2^44+1 MiB was a 1 MiB cap", o: Options{MaxMemoMB: 1<<44 + 1}, memo: math.MaxInt64},
+		{name: "oversized MiB under a ceiling", l: Limits{MaxMemoMB: 8}, o: Options{MaxMemoMB: 1<<44 + 1},
+			memo: 8 << 20, print: "budget=0,memo=8388608,workers=0"},
+		{name: "oversized MiB ceiling", l: Limits{MaxMemoMB: 1 << 44}, memo: math.MaxInt64},
+		{name: "oversized negative MiB stays negative (unlimited)", o: Options{MaxMemoMB: -(1<<44 + 1)}, memo: math.MinInt64},
+		{name: "timeout past the ceiling was 448µs", l: ccmd, o: Options{TimeoutMS: 18446744073710}, timeout: 5 * time.Minute},
+		{name: "oversized timeout, no ceiling", o: Options{TimeoutMS: maxMS + 1}, timeout: math.MaxInt64},
+		{name: "largest exact timeout", o: Options{TimeoutMS: maxMS}, timeout: time.Duration(maxMS) * time.Millisecond},
+		{name: "oversized negative timeout is the default", l: ccmd, o: Options{TimeoutMS: -18446744073710}, timeout: 30 * time.Second},
+	}
+	for _, tc := range cases {
+		opts, timeout := tc.l.searchOptions(tc.o)
+		if opts.MaxMemoBytes != tc.memo || timeout != tc.timeout {
+			t.Errorf("%s: memo %d bytes, timeout %v; want %d, %v", tc.name, opts.MaxMemoBytes, timeout, tc.memo, tc.timeout)
+		}
+		if tc.print != "" {
+			if got := tc.l.optionsFingerprint(tc.o); got != tc.print {
+				t.Errorf("%s: fingerprint %q, want %q", tc.name, got, tc.print)
+			}
+		}
 	}
 }
 
