@@ -133,7 +133,7 @@ func BenchmarkTheorem21NNStrongest(b *testing.B) {
 // equality is a proof for those sizes).
 func BenchmarkTheorem23NNStar(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := expt.RunStar(memmodel.NN, 4, 1, nil)
+		rep := expt.RunStar(memmodel.NN, 4, 1, 1, nil)
 		if rep.FirstMismatch != "" {
 			b.Fatalf("NN* ≠ LC: %s", rep.FirstMismatch)
 		}

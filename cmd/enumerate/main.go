@@ -10,10 +10,11 @@
 // Both tables enumerate canonical representatives only and weight each
 // count by its orbit (isomorphism-class) size, so every printed number
 // covers the whole universe while far fewer computations are
-// materialized. -workers shards the census; -persize is serial.
+// materialized. -workers sets how many goroutines the census runs on;
+// -persize is serial.
 //
-// -n and -locs must be non-negative. Exit codes: 0 on success, 2 on
-// usage errors.
+// -n, -locs and -workers must be non-negative (-workers 0, the default,
+// means GOMAXPROCS). Exit codes: 0 on success, 2 on usage errors.
 package main
 
 import (
@@ -49,8 +50,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "enumerate: unexpected arguments %v\n", fs.Args())
 		return 2
 	}
-	if *maxNodes < 0 || *locs < 0 {
-		fmt.Fprintln(stderr, "enumerate: -n and -locs must be non-negative")
+	if *maxNodes < 0 || *locs < 0 || *workers < 0 {
+		fmt.Fprintln(stderr, "enumerate: -n, -locs and -workers must be non-negative")
 		return 2
 	}
 	sess, err := obsFlags.Start("enumerate", args, stderr)

@@ -76,14 +76,16 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-n", "-1", "-persize"},
 		{"-n", "2", "-locs", "-1"},
 		{"-n", "2", "-locs", "-1", "-persize"},
+		{"-n", "2", "-workers", "-1"},
+		{"-n", "2", "-workers", "-3", "-persize"},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(args, &out, &errb); code != 2 {
 			t.Errorf("run(%v) = %d, want 2", args, code)
 		}
 	}
-	// -n 0 and -locs 0 stay legal.
-	for _, args := range [][]string{{"-n", "0"}, {"-n", "2", "-locs", "0", "-persize"}} {
+	// -n 0, -locs 0 and -workers 0 (GOMAXPROCS) stay legal.
+	for _, args := range [][]string{{"-n", "0"}, {"-n", "2", "-locs", "0", "-persize"}, {"-n", "2", "-workers", "0"}} {
 		var out, errb bytes.Buffer
 		if code := run(args, &out, &errb); code != 0 {
 			t.Errorf("run(%v) = %d, want 0; stderr: %s", args, code, errb.String())

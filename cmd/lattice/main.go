@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	lattice [-n MAXNODES] [-locs L] [-census] [-witnesses DIR] [-star NN|WN|NW] [-props MODEL] [-findtrap MODEL]
+//	lattice [-n MAXNODES] [-locs L] [-workers W] [-census] [-witnesses DIR] [-star NN|WN|NW] [-props MODEL] [-findtrap MODEL]
 //
 // Examples:
 //
@@ -30,12 +30,15 @@
 // ignored, so command lines that still pass it (the benchmark's
 // lattice-n5 among them) keep working.
 //
-// -n and -locs must be non-negative, and -star needs -n ≥ 1.
+// -n, -locs and -workers must be non-negative, and -star needs -n ≥ 1.
 //
-// -workers shards the sweep for the default lattice check and -census.
-// The -star/-props/-findtrap experiments run the serial fixpoint code;
-// setting -workers alongside them is a usage error rather than a
-// silent no-op.
+// -workers sets how many goroutines the default lattice check, -census
+// and -star run on (0, the default, means GOMAXPROCS); each claims the
+// next dag or computation whenever it finishes one, and the output does
+// not depend on the count. -props and -findtrap run serially, because
+// the first failure they report depends on the order of the sweep, so
+// setting -workers alongside them is a usage error rather than a silent
+// no-op.
 //
 // Exit codes follow the suite convention: 0 when every checked claim
 // holds, 1 when a check fails (a Figure 1 edge mismatches, a star
@@ -69,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	star := fs.String("star", "", "run the constructible-version fixpoint for this base model")
 	props := fs.String("props", "", "check completeness/monotonicity/constructibility for this model")
 	findtrap := fs.String("findtrap", "", "search for the smallest non-constructibility witness of this model")
-	workers := fs.Int("workers", 0, "parallel sweep workers for the lattice check and -census (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "parallel workers for the lattice check, -census and -star (0 = GOMAXPROCS)")
 	witnesses := fs.String("witnesses", "testdata/litmus", "directory of committed strictness-witness fixtures re-checked by the lattice check (empty = skip)")
 	fs.Bool("reduce", false, "ignored: every sweep is orbit-weighted (kept so existing command lines still parse)")
 	obsFlags := obs.AddFlags(fs)
@@ -80,8 +83,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "lattice: unexpected arguments %v\n", fs.Args())
 		return 2
 	}
-	if *maxNodes < 0 || *locs < 0 {
-		fmt.Fprintln(stderr, "lattice: -n and -locs must be non-negative")
+	if *maxNodes < 0 || *locs < 0 || *workers < 0 {
+		fmt.Fprintln(stderr, "lattice: -n, -locs and -workers must be non-negative")
 		return 2
 	}
 	// The star fixpoint compares its interior, the computations below
@@ -92,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// The serial experiments cannot honor -workers; reject it loudly
 	// instead of ignoring it (the historical behavior).
-	if *star != "" || *props != "" || *findtrap != "" {
+	if *props != "" || *findtrap != "" {
 		workersSet := false
 		fs.Visit(func(f *flag.Flag) {
 			if f.Name == "workers" {
@@ -100,7 +103,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		})
 		if workersSet {
-			fmt.Fprintln(stderr, "lattice: -workers applies only to the default lattice check and -census")
+			fmt.Fprintln(stderr, "lattice: -workers applies only to the default lattice check, -census and -star")
 			return 2
 		}
 	}
@@ -123,12 +126,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 // runChecked dispatches to the selected experiment and maps its report
 // onto the exit-code convention. rec observes the run: the default
 // lattice check and -census stream their sweeps' phases and gauges; the
-// other branches bracket their (serial) experiment in a RunStart/RunEnd
-// pair.
+// other branches bracket their experiment in a RunStart/RunEnd pair.
 func runChecked(maxNodes, locs int, census bool, star, props, findtrap string, workers int, witnesses string, rec obs.Recorder, stdout, stderr io.Writer) int {
-	// bracket wraps a serial experiment so -report/-trace sessions see
-	// one run per invocation even off the parallel sweep path; fn
-	// records its phases, if any, under the run.
+	// bracket wraps an experiment so -report/-trace sessions see one run
+	// per invocation even off the sweep path; fn records its phases, if
+	// any, under the run.
 	bracket := func(name string, fn func(r obs.Recorder) (string, bool)) int {
 		r := obs.WithRun(rec, name)
 		obs.Emit(r, obs.Event{Kind: obs.RunStart, Total: 1})
@@ -166,7 +168,7 @@ func runChecked(maxNodes, locs int, census bool, star, props, findtrap string, w
 			return 2
 		}
 		return bracket("star "+m.Name(), func(r obs.Recorder) (string, bool) {
-			rep := expt.RunStar(m, maxNodes, locs, r)
+			rep := expt.RunStar(m, maxNodes, locs, workers, r)
 			return rep.String(), rep.OK()
 		})
 	case props != "":

@@ -157,7 +157,6 @@ func TestUsageErrors(t *testing.T) {
 		{"unknown star model", []string{"-star", "XX"}},
 		{"unknown props model", []string{"-props", "XX"}},
 		{"unknown findtrap model", []string{"-findtrap", "XX"}},
-		{"workers with star", []string{"-workers", "2", "-star", "NN"}},
 		{"workers with props", []string{"-workers", "2", "-props", "SC", "-n", "3"}},
 		{"workers with findtrap", []string{"-workers", "2", "-findtrap", "NN", "-n", "3"}},
 		{"negative n", []string{"-n", "-1"}},
@@ -173,6 +172,10 @@ func TestUsageErrors(t *testing.T) {
 		{"negative locs with props", []string{"-locs", "-1", "-n", "2", "-props", "SC"}},
 		{"negative locs with findtrap", []string{"-locs", "-1", "-n", "2", "-findtrap", "NN"}},
 		{"star without an interior", []string{"-n", "0", "-star", "NN"}},
+		{"negative workers", []string{"-workers", "-3", "-n", "2"}},
+		{"negative workers with census", []string{"-workers", "-1", "-n", "2", "-census"}},
+		{"negative workers with star", []string{"-workers", "-1", "-n", "2", "-star", "NN"}},
+		{"negative workers with props", []string{"-workers", "-1", "-n", "2", "-props", "SC"}},
 	} {
 		if code, out, _ := runLattice(t, tc.args...); code != 2 {
 			t.Errorf("%s: exit code = %d, want 2; output:\n%s", tc.name, code, out)
@@ -204,10 +207,25 @@ func TestModelNames(t *testing.T) {
 	}
 }
 
-// -workers is honored (not rejected) on the branches that shard.
+// -workers is honored (not rejected) on the parallel branches, and
+// their output does not depend on it: the lattice check, the census
+// and the star fixpoint, a failing one included.
 func TestWorkersAllowedOnShardedBranches(t *testing.T) {
-	if code, out, _ := runLattice(t, "-n", "3", "-workers", "2"); code != 0 {
-		t.Fatalf("lattice -workers: exit code = %d, want 0; output:\n%s", code, out)
+	for _, args := range [][]string{
+		{"-n", "3"},
+		{"-n", "3", "-census"},
+		{"-n", "3", "-star", "NN"},
+		{"-n", "3", "-star", "WN"},
+		{"-n", "3", "-locs", "2", "-star", "NW"},
+	} {
+		wantCode, want, _ := runLattice(t, args...)
+		for _, workers := range []string{"1", "2", "3"} {
+			withWorkers := append([]string{"-workers", workers}, args...)
+			if code, out, errOut := runLattice(t, withWorkers...); code != wantCode || out != want {
+				t.Fatalf("%v: exit code %d, output:\n%s%s\nwithout -workers: exit code %d, output:\n%s",
+					withWorkers, code, out, errOut, wantCode, want)
+			}
+		}
 	}
 }
 

@@ -138,6 +138,24 @@ func MustFrom(g *dag.Dag, ops []Op, numLocs int) *Computation {
 	return c
 }
 
+// Relabel returns the computation with c's dag and locations and the
+// labelling ops, which is not copied. It shares c's dag and c's closure,
+// built here if c has none yet, so that sweeps over the labellings of
+// one dag validate it and build its closure once: neither c nor the
+// result may be mutated afterwards. It panics if ops does not label
+// every node with an instruction of O.
+func (c *Computation) Relabel(ops []Op) *Computation {
+	r := &Computation{g: c.g, ops: ops, numLocs: c.numLocs}
+	if len(ops) != len(c.ops) {
+		panic(fmt.Sprintf("computation: %d ops for %d nodes", len(ops), len(c.ops)))
+	}
+	if err := r.validateOps(); err != nil {
+		panic(err)
+	}
+	r.closure = c.Closure()
+	return r
+}
+
 // Empty reports whether this is the empty computation ε.
 func (c *Computation) Empty() bool { return c.g.NumNodes() == 0 }
 
@@ -202,6 +220,14 @@ func (c *Computation) checkOp(op Op) {
 
 // Validate checks that the dag is acyclic and every label is in O.
 func (c *Computation) Validate() error {
+	if err := c.validateOps(); err != nil {
+		return err
+	}
+	return c.g.Validate()
+}
+
+// validateOps checks that every label is in O.
+func (c *Computation) validateOps() error {
 	for u, op := range c.ops {
 		if op.Kind != Noop && (op.Loc < 0 || int(op.Loc) >= c.numLocs) {
 			return fmt.Errorf("computation: node %d has location %d out of range [0,%d)", u, op.Loc, c.numLocs)
@@ -210,7 +236,7 @@ func (c *Computation) Validate() error {
 			return fmt.Errorf("computation: node %d has unknown op kind %d", u, op.Kind)
 		}
 	}
-	return c.g.Validate()
+	return nil
 }
 
 // Closure returns the precedence relation of the computation, computed

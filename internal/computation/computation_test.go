@@ -113,6 +113,33 @@ func TestFromValidation(t *testing.T) {
 	}
 }
 
+// Relabel shares the dag and the closure, keeps the new labels, and
+// rejects labellings From would reject.
+func TestRelabel(t *testing.T) {
+	c := diamondWRRW()
+	ops := []Op{R(0), W(0), N, W(0)}
+	r := c.Relabel(ops)
+	if r.Dag() != c.Dag() || r.Closure() != c.Closure() {
+		t.Fatal("Relabel must share the dag and its closure")
+	}
+	if r.NumLocs() != 1 || &r.Ops()[0] != &ops[0] || r.String() != "comp(locs=1; 0:R(0) 1:W(0) 2:N 3:W(0); 0->1 0->2 1->3 2->3)" {
+		t.Fatalf("relabelled: %v", r)
+	}
+	if c.String() != diamondWRRW().String() {
+		t.Fatalf("Relabel changed its receiver: %v", c)
+	}
+	for _, bad := range [][]Op{{W(0)}, {N, N, N, R(1)}, {N, N, N, {Kind: 7}}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Relabel(%v) accepted", bad)
+				}
+			}()
+			c.Relabel(bad)
+		}()
+	}
+}
+
 func TestClosureCacheInvalidation(t *testing.T) {
 	c := New(1)
 	a := c.AddNode(W(0))

@@ -107,32 +107,46 @@ func (d *Dag) IsRelaxationOf(o *Dag) bool {
 // from a lower index to a higher index, invoking fn with each. Every dag
 // on n nodes is isomorphic to at least one member of this family (fix a
 // topological order and renumber), so it is a complete universe for
-// isomorphism-invariant experiments. There are 2^(n(n-1)/2) members.
-// The Dag passed to fn is freshly allocated; it may be retained. Returns
-// the number visited; stops early if fn returns false.
+// isomorphism-invariant experiments. There are NumDagsOnNodes(n)
+// members, visited in mask order (DagOnNodes). The Dag passed to fn is
+// freshly allocated; it may be retained. Returns the number visited;
+// stops early if fn returns false.
 func EachDagOnNodes(n int, fn func(d *Dag) bool) int {
-	type pair struct{ u, v Node }
-	var slots []pair
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			slots = append(slots, pair{Node(u), Node(v)})
-		}
-	}
-	if len(slots) > 30 {
-		panic("dag: EachDagOnNodes would enumerate more than 2^30 graphs")
-	}
+	count := NumDagsOnNodes(n)
 	visited := 0
-	for mask := 0; mask < 1<<uint(len(slots)); mask++ {
-		d := New(n)
-		for i, s := range slots {
-			if mask&(1<<uint(i)) != 0 {
-				d.MustAddEdge(s.u, s.v)
-			}
-		}
+	for mask := uint64(0); mask < count; mask++ {
 		visited++
-		if !fn(d) {
+		if !fn(DagOnNodes(n, mask)) {
 			break
 		}
 	}
 	return visited
+}
+
+// NumDagsOnNodes returns 2^(n(n-1)/2), the number of dags EachDagOnNodes
+// visits. It panics past 2^30, a universe no sweep here could finish.
+func NumDagsOnNodes(n int) uint64 {
+	slots := n * (n - 1) / 2
+	if slots > 30 {
+		panic("dag: EachDagOnNodes would enumerate more than 2^30 graphs")
+	}
+	return 1 << uint(slots)
+}
+
+// DagOnNodes returns the mask-th dag EachDagOnNodes visits: slot i of
+// the edge slots (u, v), u < v, ordered u-ascending then v-ascending, is
+// an edge iff bit i of mask is set. Sweeps that hand dags out to
+// workers build each one from its index with it.
+func DagOnNodes(n int, mask uint64) *Dag {
+	d := New(n)
+	slot := 0
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if mask&(1<<uint(slot)) != 0 {
+				d.MustAddEdge(Node(u), Node(v))
+			}
+			slot++
+		}
+	}
+	return d
 }

@@ -28,37 +28,37 @@ import (
 )
 
 // EachComputation enumerates every computation with exactly n nodes
-// over numLocs locations (ordered-node universe). The computation
-// passed to fn is freshly allocated and may be retained. Enumeration
-// stops early if fn returns false. Returns the count visited.
+// over numLocs locations (ordered-node universe). The computations of
+// one dag's labellings share that dag and its closure
+// (computation.Relabel): they may be retained but must not be mutated.
+// Enumeration stops early if fn returns false. Returns the count
+// visited.
 func EachComputation(n, numLocs int, fn func(c *computation.Computation) bool) int {
 	ops := computation.AllOps(numLocs)
+	labels := make([]computation.Op, n)
+	var proto *computation.Computation // the dag being labelled, all no-ops
 	visited := 0
 	stopped := false
-	dag.EachDagOnNodes(n, func(g *dag.Dag) bool {
-		labels := make([]computation.Op, n)
-		var rec func(i int) bool
-		rec = func(i int) bool {
-			if stopped {
+	var rec func(i int) bool
+	rec = func(i int) bool {
+		if i == n {
+			visited++
+			if !fn(proto.Relabel(append([]computation.Op(nil), labels...))) {
+				stopped = true
 				return false
-			}
-			if i == n {
-				c := computation.MustFrom(g.Clone(), append([]computation.Op(nil), labels...), numLocs)
-				visited++
-				if !fn(c) {
-					stopped = true
-					return false
-				}
-				return true
-			}
-			for _, op := range ops {
-				labels[i] = op
-				if !rec(i + 1) {
-					return false
-				}
 			}
 			return true
 		}
+		for _, op := range ops {
+			labels[i] = op
+			if !rec(i + 1) {
+				return false
+			}
+		}
+		return true
+	}
+	dag.EachDagOnNodes(n, func(g *dag.Dag) bool {
+		proto = computation.MustFrom(g, make([]computation.Op, n), numLocs)
 		rec(0)
 		return !stopped
 	})

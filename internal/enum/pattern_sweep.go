@@ -50,14 +50,15 @@ func (s PatternSweep) Skipped() int64 { return s.Computations - s.RepComputation
 
 // PatternSweepParallel classifies every pair of the universe up to
 // maxNodes nodes into its membership pattern, deciding only canonical
-// representatives (orbit-weighted), sharded over workers (<= 0 means
-// GOMAXPROCS). It decides only the bits its edges read (their union;
+// representatives (orbit-weighted), on workers goroutines (<= 0 means
+// GOMAXPROCS) that each claim the next unclaimed dag when they finish
+// one. It decides only the bits its edges read (their union;
 // every registered model's bit when edges is empty, the census), so
 // Counts is indexed by that masked pattern. Edge relations are
 // identical to running the serial Compare once per edge, for every
 // worker count. The recorder (nil = off) sees a
 // RunStart with live gauges (decided pairs as States), one WorkerDone
-// per shard, and a RunEnd; WorkerDone and RunEnd stats carry the
+// per worker, and a RunEnd; WorkerDone and RunEnd stats carry the
 // symmetry gauges (Orbits = universe computations covered,
 // SymmetrySkipped = computations never materialized). err is ctx's
 // error when the sweep was cut short; the partial counts then prove
@@ -82,24 +83,27 @@ func PatternSweepParallel(ctx context.Context, edges []PatternEdge, maxNodes, nu
 		live = &obs.Counters{}
 		obs.Emit(rec, obs.Event{Kind: obs.RunStart, Total: workers, Live: live})
 	}
-	type shardRes struct {
+	type workerRes struct {
 		counts          [512]int64
 		pairs, decided  int64
 		comps, repComps int64
 	}
-	results := make([]shardRes, workers)
+	results := make([]workerRes, workers)
+	// One claim counter per size: a worker takes the next dag of a size
+	// whenever it finishes one, and moves on once the size runs out.
+	next := make([]atomic.Uint64, max(maxNodes+1, 0))
 	var cancelled atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(shard int) {
+		go func(w int) {
 			defer wg.Done()
-			sr := &results[shard]
+			sr := &results[w]
 			pd := memmodel.NewPatternDecider()
 			tick, published := 0, 0
 			var pubSkip int64
 			for n := 0; n <= maxNodes; n++ {
-				eachComputationReducedShard(n, numLocs, shard, workers, func(c *computation.Computation, orbit int64) bool {
+				eachComputationReducedClaimed(n, numLocs, &next[n], func(c *computation.Computation, orbit int64) bool {
 					pd.Reset(c)
 					sr.repComps++
 					sr.comps += orbit
@@ -136,7 +140,7 @@ func PatternSweepParallel(ctx context.Context, edges []PatternEdge, maxNodes, nu
 				live.States.Add(int64(tick - published))
 				live.Skipped.Add(sr.comps - sr.repComps - pubSkip)
 				live.Done.Add(1)
-				obs.Emit(rec, obs.Event{Kind: obs.WorkerDone, Worker: shard,
+				obs.Emit(rec, obs.Event{Kind: obs.WorkerDone, Worker: w,
 					Stats: &obs.Stats{States: int64(tick), Orbits: sr.comps,
 						SymmetrySkipped: sr.comps - sr.repComps, Workers: workers}})
 			}

@@ -17,20 +17,27 @@ package enum
 // unreduced one, not merely an isomorphic one.
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+
 	"repro/internal/computation"
 	"repro/internal/dag"
 )
 
 // EachComputationReduced enumerates one canonical representative per
 // isomorphism class of computations with exactly n nodes over numLocs
-// locations, passing each with its orbit size (the number of
-// ordered-universe members it stands for). Σ orbit over a full sweep
-// equals EachComputation's visit count. The computation is freshly
-// allocated and may be retained; enumeration stops early if fn returns
-// false. Returns the number of representatives visited.
+// locations, in enumeration order, passing each with its orbit size
+// (the number of ordered-universe members it stands for). Σ orbit over
+// a full sweep equals EachComputation's visit count. The computations
+// of one dag's labellings share that dag and its closure
+// (computation.Relabel): they may be retained but must not be mutated.
+// Enumeration stops early if fn returns false. Returns the number of
+// representatives visited.
 func EachComputationReduced(n, numLocs int, fn func(c *computation.Computation, orbit int64) bool) int {
 	visited := 0
-	eachComputationReducedShard(n, numLocs, 0, 1, func(c *computation.Computation, orbit int64) bool {
+	var next atomic.Uint64
+	eachComputationReducedClaimed(n, numLocs, &next, func(c *computation.Computation, orbit int64) bool {
 		visited++
 		return fn(c, orbit)
 	})
@@ -57,50 +64,85 @@ func EachComputationReducedUpTo(maxNodes, numLocs int, fn func(c *computation.Co
 	return total
 }
 
-// eachComputationReducedShard enumerates the canonical representatives
-// whose dag mask index is ≡ shard (mod shards), passing the orbit size.
-// Ownership is decided on the raw mask index, before the symmetry
-// analysis, so each worker analyzes only its own dags.
-func eachComputationReducedShard(n, numLocs, shard, shards int, fn func(c *computation.Computation, orbit int64) bool) {
-	ops := computation.AllOps(numLocs)
-	cz := dag.NewCanonicalizer()
-	var dagIdx uint64
-	dag.EachDagOnNodes(n, func(g *dag.Dag) bool {
-		idx := dagIdx
-		dagIdx++
-		if idx%uint64(shards) != uint64(shard) {
-			return true
-		}
-		if !cz.AnalyzeDag(g) {
-			return true // every labeling of a non-minimal mask is non-canonical
-		}
-		labels := make([]computation.Op, n)
-		lidx := make([]int32, n)
-		stopped := false
-		var rec func(i int) bool
-		rec = func(i int) bool {
-			if i == n {
-				orbit, canonical := cz.LabelOrbit(lidx)
-				if !canonical {
-					return true
+// EachComputationReducedParallel visits what EachComputationReduced
+// visits, on workers goroutines (<= 0 means GOMAXPROCS) that each claim
+// the next unclaimed dag when they finish one, so the order of visits
+// is unspecified. fn receives the index in [0, workers) of the worker
+// calling it; calls with one index never overlap, so per-worker state
+// indexed by it needs no locking. When fn returns false, every worker
+// stops before its next call. Returns the number of representatives
+// visited.
+func EachComputationReducedParallel(n, numLocs, workers int, fn func(worker int, c *computation.Computation, orbit int64) bool) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var next atomic.Uint64
+	var stop atomic.Bool
+	visited := make([]int, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			eachComputationReducedClaimed(n, numLocs, &next, func(c *computation.Computation, orbit int64) bool {
+				if stop.Load() {
+					return false
 				}
-				c := computation.MustFrom(g.Clone(), append([]computation.Op(nil), labels...), numLocs)
-				if !fn(c, orbit) {
-					stopped = true
+				visited[w]++
+				if !fn(w, c, orbit) {
+					stop.Store(true)
 					return false
 				}
 				return true
-			}
-			for oi, op := range ops {
-				labels[i] = op
-				lidx[i] = int32(oi)
-				if !rec(i + 1) {
-					return false
-				}
-			}
-			return true
+			})
+		}(w)
+	}
+	wg.Wait()
+	total := 0
+	for _, v := range visited {
+		total += v
+	}
+	return total
+}
+
+// eachComputationReducedClaimed is one worker of a reduced enumeration
+// of the n-node universe. It claims dag mask indices from next, one at
+// a time, until none is left, and passes fn the canonical labellings of
+// each claimed dag that is its own canonical form, in enumeration
+// order. Workers sharing next visit every representative once between
+// them, and a worker that finishes a dag claims the next one, so none
+// idles while another still has several dags to go; a lone worker
+// visits them in enumeration order. It stops when fn returns false.
+func eachComputationReducedClaimed(n, numLocs int, next *atomic.Uint64, fn func(c *computation.Computation, orbit int64) bool) {
+	ops := computation.AllOps(numLocs)
+	numDags := dag.NumDagsOnNodes(n)
+	cz := dag.NewCanonicalizer()
+	labels := make([]computation.Op, n)
+	lidx := make([]int32, n)
+	var proto *computation.Computation // the claimed dag, all no-ops
+	var rec func(i int) bool
+	rec = func(i int) bool {
+		if i == n {
+			orbit, canonical := cz.LabelOrbit(lidx)
+			return !canonical || fn(proto.Relabel(append([]computation.Op(nil), labels...)), orbit)
 		}
-		rec(0)
-		return !stopped
-	})
+		for oi, op := range ops {
+			labels[i] = op
+			lidx[i] = int32(oi)
+			if !rec(i + 1) {
+				return false
+			}
+		}
+		return true
+	}
+	for idx := next.Add(1) - 1; idx < numDags; idx = next.Add(1) - 1 {
+		g := dag.DagOnNodes(n, idx)
+		if !cz.AnalyzeDag(g) {
+			continue // every labeling of a non-minimal mask is non-canonical
+		}
+		proto = computation.MustFrom(g, make([]computation.Op, n), numLocs)
+		if !rec(0) {
+			return
+		}
+	}
 }

@@ -2,6 +2,8 @@ package enum
 
 import (
 	"context"
+	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/computation"
@@ -228,5 +230,94 @@ func TestReducedCensusAndPairCounts(t *testing.T) {
 				t.Fatalf("locs=%d workers=%d: reduced pattern census differs from the unreduced one", locs, workers)
 			}
 		}
+	}
+}
+
+// TestEachComputationReducedParallelMatchesSerial: at every worker
+// count the parallel enumeration visits the multiset of (computation,
+// orbit) the serial one does, passing in-range worker indices, and the
+// closure each labelling shares is its dag's.
+func TestEachComputationReducedParallelMatchesSerial(t *testing.T) {
+	cases := []struct{ n, locs int }{
+		{0, 1}, {1, 1}, {2, 1}, {3, 1}, {4, 1}, {0, 2}, {1, 2}, {2, 2}, {3, 2},
+	}
+	key := func(c *computation.Computation, orbit int64) string { return fmt.Sprintf("%v ×%d", c, orbit) }
+	for _, tc := range cases {
+		want := map[string]int{}
+		reps := EachComputationReduced(tc.n, tc.locs, func(c *computation.Computation, orbit int64) bool {
+			want[key(c, orbit)]++
+			return true
+		})
+		for workers := 1; workers <= 3; workers++ {
+			seen := make([]map[string]int, workers) // one per worker: its calls never overlap
+			for w := range seen {
+				seen[w] = map[string]int{}
+			}
+			visited := EachComputationReducedParallel(tc.n, tc.locs, workers, func(w int, c *computation.Computation, orbit int64) bool {
+				if w < 0 || w >= workers {
+					t.Errorf("worker index %d of %d", w, workers)
+					return false
+				}
+				if err := sameClosure(c); err != nil {
+					t.Errorf("%v: %v", c, err)
+				}
+				seen[w][key(c, orbit)]++
+				return true
+			})
+			got := map[string]int{}
+			for _, m := range seen {
+				for k, v := range m {
+					got[k] += v
+				}
+			}
+			if visited != reps || len(got) != len(want) {
+				t.Fatalf("n=%d locs=%d workers=%d: %d visits of %d representatives, want %d of %d",
+					tc.n, tc.locs, workers, visited, len(got), reps, len(want))
+			}
+			for k, v := range want {
+				if got[k] != v {
+					t.Fatalf("n=%d locs=%d workers=%d: %s visited %d times, want %d", tc.n, tc.locs, workers, k, got[k], v)
+				}
+			}
+		}
+	}
+}
+
+// sameClosure reports whether c's closure, shared with the other
+// labellings of its dag, is the closure of that dag.
+func sameClosure(c *computation.Computation) error {
+	want, got := dag.MustClosure(c.Dag()), c.Closure()
+	for u := 0; u < c.NumNodes(); u++ {
+		for v := 0; v < c.NumNodes(); v++ {
+			if got.Precedes(dag.Node(u), dag.Node(v)) != want.Precedes(dag.Node(u), dag.Node(v)) {
+				return fmt.Errorf("closure disagrees with its dag at %d ≺ %d", u, v)
+			}
+		}
+	}
+	return nil
+}
+
+// TestEachComputationReducedParallelStops: a worker whose fn returns
+// false makes no further call, and the others stop too.
+func TestEachComputationReducedParallelStops(t *testing.T) {
+	for workers := 1; workers <= 3; workers++ {
+		var calls atomic.Int64
+		visited := EachComputationReducedParallel(4, 1, workers, func(int, *computation.Computation, int64) bool {
+			calls.Add(1)
+			return false
+		})
+		if visited != int(calls.Load()) || visited < 1 || visited > workers {
+			t.Errorf("workers=%d, every call false: %d visits, %d calls", workers, visited, calls.Load())
+		}
+	}
+	// Only the first call returns false. Without a shared stop, the
+	// other workers would go on to visit nearly every representative.
+	total := EachComputationReduced(4, 2, func(*computation.Computation, int64) bool { return true })
+	var calls atomic.Int64
+	visited := EachComputationReducedParallel(4, 2, 3, func(int, *computation.Computation, int64) bool {
+		return calls.Add(1) != 1
+	})
+	if visited != int(calls.Load()) || visited > total/2 {
+		t.Errorf("first call false: %d visits, %d calls, of %d representatives", visited, calls.Load(), total)
 	}
 }

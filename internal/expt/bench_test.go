@@ -55,7 +55,7 @@ func modelBit(b *testing.B, name string) int {
 func BenchmarkStar(b *testing.B) {
 	b.Run("NN/n=5", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rep := RunStar(memmodel.NN, 5, 1, nil)
+			rep := RunStar(memmodel.NN, 5, 1, 1, nil)
 			if !rep.OK() {
 				b.Fatalf("NN* ≠ LC:\n%s", rep)
 			}

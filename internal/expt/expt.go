@@ -244,14 +244,16 @@ type StarReport struct {
 // Section 7. Only the interior (below maxNodes nodes) is materialized:
 // the boundary is counted over canonical representatives weighted by
 // orbit, so base must be isomorphism-invariant, as every registered
-// model is. rec (nil = off) receives one PhaseStart per stage: the
-// fixpoint's three, then "LC comparison".
-func RunStar(base memmodel.Model, maxNodes, numLocs int, rec obs.Recorder) StarReport {
+// model is. The fixpoint runs on workers goroutines (<= 0 means
+// GOMAXPROCS) and the LC comparison serially; the report does not
+// depend on workers. rec (nil = off) receives one PhaseStart per stage:
+// the fixpoint's three, then "LC comparison".
+func RunStar(base memmodel.Model, maxNodes, numLocs, workers int, rec obs.Recorder) StarReport {
 	interior := enum.AllComputations(maxNodes-1, numLocs)
-	boundary := func(fn func(c *computation.Computation, orbit int64) bool) {
-		enum.EachComputationReduced(maxNodes, numLocs, fn)
+	boundary := func(workers int, fn func(worker int, c *computation.Computation, orbit int64) bool) {
+		enum.EachComputationReducedParallel(maxNodes, numLocs, workers, fn)
 	}
-	star := memmodel.ConstructibleFixpoint(base, interior, maxNodes, computation.AllOps(numLocs), boundary, rec)
+	star := memmodel.ConstructibleFixpoint(base, interior, maxNodes, computation.AllOps(numLocs), workers, boundary, rec)
 
 	rep := StarReport{
 		Base:     base.Name(),
@@ -268,19 +270,23 @@ func RunStar(base memmodel.Model, maxNodes, numLocs int, rec obs.Recorder) StarR
 // compareLC sets LCEqualUpTo and FirstMismatch by comparing r.Star with
 // LC on interior, the slice the set was built from. Boundary pairs are
 // never pruned, so only the interior is compared, in enumeration order;
-// the first mismatch at the smallest size is the one reported.
+// the first mismatch at the smallest size is the one reported. LC is
+// decided on a pooled PatternDecider: the enumerated observers are
+// valid.
 func (r *StarReport) compareLC(interior []*computation.Computation) {
 	mismatchSize := r.MaxNodes + 1
+	pd := memmodel.NewPatternDecider()
 	for i, c := range interior {
 		size := c.NumNodes()
 		if size >= mismatchSize {
 			continue
 		}
+		pd.Reset(c)
 		rank := 0
 		observer.Enumerate(c, func(o *observer.Observer) bool {
 			inStar := r.Star.ContainsAt(i, rank)
 			rank++
-			if inStar == memmodel.LC.Contains(c, o) {
+			if inStar == (pd.Masked(o, memmodel.PatternLC) != 0) {
 				return true
 			}
 			mismatchSize = size

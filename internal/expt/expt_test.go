@@ -94,7 +94,7 @@ func checkStarGolden(t *testing.T, rep StarReport) {
 // orbit weights over the five ops of two locations, which the
 // one-location goldens do not reach.
 func TestRunStarTwoLocationsGolden(t *testing.T) {
-	checkStarGolden(t, RunStar(memmodel.NN, 4, 2, nil))
+	checkStarGolden(t, RunStar(memmodel.NN, 4, 2, 0, nil))
 }
 
 // starReference is the fixpoint experiment over the materialized
@@ -117,7 +117,7 @@ func TestRunStarMatchesConstructibleVersion(t *testing.T) {
 	sizes := []struct{ n, locs int }{{1, 1}, {2, 1}, {3, 1}, {4, 1}, {1, 2}, {2, 2}, {3, 2}}
 	for _, m := range memmodel.PatternModels() {
 		for _, sz := range sizes {
-			got := RunStar(m, sz.n, sz.locs, nil)
+			got := RunStar(m, sz.n, sz.locs, 0, nil)
 			want, interior := starReference(m, sz.n, sz.locs)
 			if got.String() != want.String() || got.LCEqualUpTo != want.LCEqualUpTo || got.FirstMismatch != want.FirstMismatch {
 				t.Fatalf("%s n=%d locs=%d: RunStar\n%s\nmaterialized\n%s", m.Name(), sz.n, sz.locs, got, want)
@@ -133,6 +133,40 @@ func TestRunStarMatchesConstructibleVersion(t *testing.T) {
 	}
 }
 
+// The star report does not depend on the worker count: the same text,
+// size table, LC verdict and survivors at every interior pair, for the
+// Theorem 23 model and both open-problem probes, over one and two
+// locations.
+func TestRunStarWorkersDeterministic(t *testing.T) {
+	sizes := []struct{ n, locs int }{{4, 1}, {3, 2}}
+	for _, m := range []memmodel.Model{memmodel.NN, memmodel.WN, memmodel.NW} {
+		for _, sz := range sizes {
+			want := RunStar(m, sz.n, sz.locs, 1, nil)
+			interior := enum.AllComputations(sz.n-1, sz.locs)
+			for _, workers := range []int{2, 3} {
+				got := RunStar(m, sz.n, sz.locs, workers, nil)
+				if got.String() != want.String() || got.LCEqualUpTo != want.LCEqualUpTo || got.FirstMismatch != want.FirstMismatch {
+					t.Fatalf("%s n=%d locs=%d workers=%d:\n%s\none worker:\n%s", m.Name(), sz.n, sz.locs, workers, got, want)
+				}
+				gotBase, gotStar := got.Star.SizeCounts()
+				wantBase, wantStar := want.Star.SizeCounts()
+				if fmt.Sprint(gotBase, gotStar) != fmt.Sprint(wantBase, wantStar) {
+					t.Fatalf("%s n=%d locs=%d workers=%d: size counts %v %v, one worker %v %v",
+						m.Name(), sz.n, sz.locs, workers, gotBase, gotStar, wantBase, wantStar)
+				}
+				for i, c := range interior {
+					for rank := 0; rank < observer.Count(c, 0); rank++ {
+						if got.Star.ContainsAt(i, rank) != want.Star.ContainsAt(i, rank) {
+							t.Fatalf("%s n=%d locs=%d workers=%d: survivors differ at %v, rank %d",
+								m.Name(), sz.n, sz.locs, workers, c, rank)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // E7 (Theorem 23): NN* = LC proved on the interior of the 5-node
 // universe. Size 4 is the first size where NN ≠ LC, and the fixpoint
 // prunes exactly the difference there (12818 → 12722).
@@ -140,7 +174,7 @@ func TestRunStarNN(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fixpoint sweep skipped in -short mode")
 	}
-	rep := RunStar(memmodel.NN, 5, 1, nil)
+	rep := RunStar(memmodel.NN, 5, 1, 0, nil)
 	if rep.FirstMismatch != "" {
 		t.Fatalf("NN* ≠ LC: %s", rep.FirstMismatch)
 	}
@@ -187,7 +221,7 @@ func TestRunStarOpenProblems(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fixpoint sweeps skipped in -short mode")
 	}
-	wn := RunStar(memmodel.WN, 5, 1, nil)
+	wn := RunStar(memmodel.WN, 5, 1, 0, nil)
 	if wn.FirstMismatch == "" {
 		t.Fatal("WN survivors collapsing to LC would contradict LC ⊊ WN*")
 	}
@@ -205,7 +239,7 @@ func TestRunStarOpenProblems(t *testing.T) {
 	// NW's survivors also exceed LC at this size, but survivors only
 	// over-approximate NW*, so no conclusion is drawn — the golden pins
 	// the documented shape.
-	checkStarGolden(t, RunStar(memmodel.NW, 5, 1, nil))
+	checkStarGolden(t, RunStar(memmodel.NW, 5, 1, 0, nil))
 }
 
 func enumFind(t *testing.T, key string) *computation.Computation {

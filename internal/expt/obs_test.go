@@ -108,7 +108,7 @@ func TestRunLatticeObsEmitsPhases(t *testing.T) {
 
 func TestRunStarEmitsPhases(t *testing.T) {
 	log := &phaseLog{}
-	if rep := RunStar(memmodel.NN, 3, 1, log); !rep.OK() {
+	if rep := RunStar(memmodel.NN, 3, 1, 0, log); !rep.OK() {
 		t.Fatalf("star fixpoint failed:\n%s", rep)
 	}
 	var phases []string

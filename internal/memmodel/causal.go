@@ -53,7 +53,7 @@ func decideCausal(ctx context.Context, c *computation.Computation, o *observer.O
 	if !hb.build(c, c.Closure(), o) {
 		return Decision{Verdict: search.VerdictOut()}
 	}
-	return Decision{Verdict: hb.causal(ctx, c, o, writersByLoc(c))}
+	return Decision{Verdict: hb.causal(ctx, c, o, writersByLoc(nil, c))}
 }
 
 // causal runs the per-node linearization check against the built

@@ -3,6 +3,9 @@ package memmodel
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/computation"
@@ -114,8 +117,8 @@ func (s *PairSet) SizeCounts() (base, star []int) {
 }
 
 // ConstructibleVersion computes the greatest fixpoint described above
-// for model m over the given universe of computations. Its
-// computations of the largest size, maxN, form the boundary; those
+// for model m over the given universe of computations, on one worker.
+// Its computations of the largest size, maxN, form the boundary; those
 // below maxN−1 nodes must have their augmentations in the universe
 // (internal/enum universes do). ops is the instruction set O to
 // quantify over, typically computation.AllOps(numLocs). The returned
@@ -131,19 +134,19 @@ func ConstructibleVersion(m Model, universe []*computation.Computation, ops []co
 			interior = append(interior, c)
 		}
 	}
-	boundary := func(fn func(c *computation.Computation, weight int64) bool) {
+	boundary := func(_ int, fn func(worker int, c *computation.Computation, weight int64) bool) {
 		seen := make(map[string]bool) // each distinct computation counts once
 		for _, c := range universe {
 			key := string(appendKey(nil, c))
 			if c.NumNodes() == maxN && !seen[key] {
 				seen[key] = true
-				if !fn(c, 1) {
+				if !fn(0, c, 1) {
 					return
 				}
 			}
 		}
 	}
-	return ConstructibleFixpoint(m, interior, maxN, ops, boundary, nil)
+	return ConstructibleFixpoint(m, interior, maxN, ops, 1, boundary, nil)
 }
 
 // ConstructibleFixpoint computes the greatest fixpoint described above
@@ -154,13 +157,27 @@ func ConstructibleVersion(m Model, universe []*computation.Computation, ops []co
 // isomorphism class's orbit, for an isomorphism-invariant m). The
 // boundary's augmentations are never looked up: the maxN−1-node
 // computations are pruned against augmentations decided on the fly,
-// and boundary pairs are only counted. rec (nil = off) receives one
-// PhaseStart per stage: "interior membership", "fixpoint" and
-// "boundary count".
-func ConstructibleFixpoint(m Model, interior []*computation.Computation, maxN int, ops []computation.Op,
-	boundary func(fn func(c *computation.Computation, weight int64) bool), rec obs.Recorder) *PairSet {
+// and boundary pairs are only counted.
+//
+// Interior membership, then each fixpoint level from maxN−1 nodes down
+// (a level reads only the finished level above it), runs on workers
+// goroutines (<= 0 means GOMAXPROCS) that claim the next unclaimed
+// computation whenever they finish one. boundary, which spreads the
+// boundary count over the workers, is called once, with the worker
+// count, and must pass fn a worker index in [0, workers), never running
+// two calls with one index at once. Each worker
+// decides pairs on its own decider: a PatternDecider asked for m's bit
+// when m is a registry row, m.Contains otherwise, which must then be
+// safe for concurrent use. The result does not depend on workers. rec
+// (nil = off) receives one PhaseStart per stage: "interior
+// membership", "fixpoint" and "boundary count".
+func ConstructibleFixpoint(m Model, interior []*computation.Computation, maxN int, ops []computation.Op, workers int,
+	boundary func(workers int, fn func(worker int, c *computation.Computation, weight int64) bool), rec obs.Recorder) *PairSet {
 	if maxN < 0 {
 		panic(fmt.Sprintf("memmodel: negative universe size %d", maxN))
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	s := &PairSet{
 		name:  m.Name() + "*",
@@ -171,80 +188,157 @@ func ConstructibleFixpoint(m Model, interior []*computation.Computation, maxN in
 		base:  make([]int, maxN+1),
 		star:  make([]int, maxN+1),
 	}
+	ws := make([]*fixpointWorker, workers)
+	for w := range ws {
+		ws[w] = newFixpointWorker(m)
+	}
 
-	// Membership: decide m once per interior pair.
+	// Membership: decide m once per interior pair. The workers only read
+	// the index and the closures (Computation.Closure caches without
+	// synchronization), so both are built first.
 	obs.Emit(rec, obs.Event{Kind: obs.PhaseStart, Str: "interior membership"})
 	bySize := make([][]int32, maxN)
-	var members []int
 	for i, c := range interior {
 		size := c.NumNodes()
 		if size >= maxN {
 			panic(fmt.Sprintf("memmodel: interior computation %s has %d ≥ %d nodes", c, size, maxN))
 		}
 		s.index[string(appendKey(nil, c))] = int32(i)
-		members = members[:0]
-		alive := bitset.New(eachMember(m, c, func(r int) { members = append(members, r) }))
-		for _, r := range members {
+		c.Closure()
+		bySize[size] = append(bySize[size], int32(i))
+	}
+	forEachClaimed(workers, len(interior), func(w, i int) {
+		fw := ws[w]
+		fw.ranks = fw.ranks[:0]
+		alive := bitset.New(fw.eachMember(interior[i], func(r int) { fw.ranks = append(fw.ranks, r) }))
+		for _, r := range fw.ranks {
 			alive.Add(r)
 		}
 		s.alive[i] = alive
-		bySize[size] = append(bySize[size], int32(i))
-	}
+	})
 	s.countBySize(interior, s.base)
 
 	// A computation listed twice is pruned twice, identically.
 	obs.Emit(rec, obs.Event{Kind: obs.PhaseStart, Str: "fixpoint"})
-	var key [64]byte
 	for size := maxN - 1; size >= 0; size-- {
-		for _, i := range bySize[size] {
-			c, alive := interior[i], s.alive[i]
-			extended := bitset.New(alive.Cap()) // the ranks some augmentation survivor restricts to
-			for _, op := range ops {
-				aug, _ := c.Augment(op)
-				ln := newAugLink(c, aug)
-				extended.Clear()
-				if size == maxN-1 {
-					// A boundary augmentation: its survivors are its base pairs.
-					eachMember(m, aug, func(r int) { extended.Add(ln.prefixRank(r)) })
-				} else {
-					j, ok := s.index[string(appendKey(key[:0], aug))]
-					if !ok {
-						panic(fmt.Sprintf("memmodel: universe not closed under augmentation: %s missing", aug))
-					}
-					s.alive[j].ForEach(func(r int) bool {
-						extended.Add(ln.prefixRank(r))
-						return true
-					})
-				}
-				alive.IntersectWith(extended)
-			}
-		}
+		level := bySize[size]
+		forEachClaimed(workers, len(level), func(w, k int) {
+			ws[w].prune(s, interior[level[k]], s.alive[level[k]], ops)
+		})
 	}
 	s.countBySize(interior, s.star)
 
 	// Boundary pairs are never pruned: count them, and keep nothing.
 	obs.Emit(rec, obs.Event{Kind: obs.PhaseStart, Str: "boundary count"})
-	boundary(func(c *computation.Computation, weight int64) bool {
-		pairs := 0
-		eachMember(m, c, func(int) { pairs++ })
-		s.base[maxN] += pairs * int(weight)
+	pairs := make([]int, workers)
+	boundary(workers, func(w int, c *computation.Computation, weight int64) bool {
+		n := 0
+		ws[w].eachMember(c, func(int) { n++ })
+		pairs[w] += n * int(weight)
 		return true
 	})
+	for _, n := range pairs {
+		s.base[maxN] += n
+	}
 	s.star[maxN] = s.base[maxN]
 	return s
 }
 
-// eachMember calls fn with the rank of every observer of c that m
-// contains, and returns c's observer count.
-func eachMember(m Model, c *computation.Computation, fn func(rank int)) int {
+// forEachClaimed calls fn(worker, i) for every i in [0, n), on workers
+// goroutines that each claim the next unclaimed i whenever they finish
+// one, and returns once every call has.
+func forEachClaimed(workers, n int, fn func(worker, i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(w, i)
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// fixpointWorker is one fixpoint worker's decider and scratch.
+type fixpointWorker struct {
+	m        Model
+	pd       *PatternDecider // nil unless m is a registry row
+	bit      uint16          // m's pattern bit, with pd
+	ranks    []int
+	extended bitset.Set // the ranks some augmentation survivor restricts to
+	key      [64]byte
+}
+
+func newFixpointWorker(m Model) *fixpointWorker {
+	fw := &fixpointWorker{m: m}
+	if e, ok := m.(*Entry); ok {
+		if fw.bit = e.patternBit(); fw.bit != 0 {
+			fw.pd = NewPatternDecider()
+		}
+	}
+	return fw
+}
+
+// eachMember calls fn with the rank of every observer of c that the
+// model contains, and returns c's observer count. The enumerated
+// observers are valid, so a registry row is decided without Validate
+// or a Decision.
+func (fw *fixpointWorker) eachMember(c *computation.Computation, fn func(rank int)) int {
+	if fw.pd != nil {
+		fw.pd.Reset(c)
+	}
 	rank := 0
 	return observer.Enumerate(c, func(o *observer.Observer) bool {
-		if m.Contains(c, o) {
+		var in bool
+		if fw.pd != nil {
+			in = fw.pd.Masked(o, fw.bit) != 0
+		} else {
+			in = fw.m.Contains(c, o)
+		}
+		if in {
 			fn(rank)
 		}
 		rank++
 		return true
 	})
+}
+
+// prune intersects alive, the survivors of interior computation c,
+// with the restrictions of each augmentation's survivors. The
+// augmentations share one dag. Those of a largest interior computation
+// are on the boundary, whose survivors are its base pairs, so they are
+// decided here; the others are looked up in s, whose larger levels are
+// final.
+func (fw *fixpointWorker) prune(s *PairSet, c *computation.Computation, alive *bitset.Set, ops []computation.Op) {
+	if len(ops) == 0 {
+		return
+	}
+	cands := observer.Candidates(c)
+	first, _ := c.Augment(ops[0])
+	for k, op := range ops {
+		aug := first
+		if k > 0 {
+			aug = first.Relabel(append(append(make([]computation.Op, 0, c.NumNodes()+1), c.Ops()...), op))
+		}
+		ln := newAugLink(c, cands, op)
+		fw.extended.Reset(alive.Cap())
+		if aug.NumNodes() == s.maxN {
+			fw.eachMember(aug, func(r int) { fw.extended.Add(ln.prefixRank(r)) })
+		} else {
+			j, ok := s.index[string(appendKey(fw.key[:0], aug))]
+			if !ok {
+				panic(fmt.Sprintf("memmodel: universe not closed under augmentation: %s missing", aug))
+			}
+			s.alive[j].ForEach(func(r int) bool {
+				fw.extended.Add(ln.prefixRank(r))
+				return true
+			})
+		}
+		alive.IntersectWith(&fw.extended)
+	}
 }
 
 // countBySize adds each distinct interior computation's alive pairs to
@@ -272,17 +366,27 @@ type augLink []linkDigit
 
 type linkDigit struct{ augStride, block, stride int }
 
-func newAugLink(c, aug *computation.Computation) augLink {
-	cc, ac := observer.Candidates(c), observer.Candidates(aug)
+// newAugLink links c, whose observer.Candidates are cands, to
+// aug_op(C). The final node's candidates at l are itself when op writes
+// l, and otherwise ⊥ and every write to l, none of which it precedes.
+func newAugLink(c *computation.Computation, cands [][][]dag.Node, op computation.Op) augLink {
 	n := c.NumNodes()
 	ln := make(augLink, c.NumLocs())
 	stride, augStride := 1, 1
 	for l := c.NumLocs() - 1; l >= 0; l-- {
 		block := 1
 		for u := 0; u < n; u++ {
-			block *= len(cc[l][u])
+			block *= len(cands[l][u])
 		}
-		augStride *= len(ac[l][n]) // the final node is its location's last digit
+		final := 1 // the final node's candidate count: its location's last digit
+		if !op.IsWriteTo(computation.Loc(l)) {
+			for _, o := range c.Ops() {
+				if o.IsWriteTo(computation.Loc(l)) {
+					final++
+				}
+			}
+		}
+		augStride *= final
 		ln[l] = linkDigit{augStride: augStride, block: block, stride: stride}
 		stride *= block
 		augStride *= block

@@ -1,6 +1,8 @@
 package memmodel
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/computation"
@@ -489,7 +491,7 @@ func TestAugLinkPrefixRankIsRestriction(t *testing.T) {
 	for _, c := range smallUniverseLocs(3, 2) {
 		for _, op := range ops {
 			aug, _ := c.Augment(op)
-			ln := newAugLink(c, aug)
+			ln := newAugLink(c, observer.Candidates(c), op)
 			rank := 0
 			observer.Enumerate(aug, func(o *observer.Observer) bool {
 				p, ok := o.Restrict(c.NumNodes())
@@ -546,6 +548,54 @@ func TestConstructibleVersionCascade(t *testing.T) {
 	}
 	if pruned := checkAgainstReference(t, hole, universe, computation.AllOps(1)); pruned == 0 {
 		t.Fatal("nothing pruned")
+	}
+}
+
+// The fixpoint does not depend on its worker count, for a model that
+// is no registry row, so its workers decide it through Contains
+// concurrently, and whose pruning runs through the whole interior: the
+// cascade's hole. The boundary hands its computations round-robin to
+// one goroutine per worker.
+func TestConstructibleFixpointWorkers(t *testing.T) {
+	hole := Func("HOLE", func(c *computation.Computation, _ *observer.Observer) bool { return c.NumNodes() != 3 })
+	var interior, last []*computation.Computation
+	for _, c := range smallUniverse(4) {
+		if c.NumNodes() < 4 {
+			interior = append(interior, c)
+		} else {
+			last = append(last, c)
+		}
+	}
+	boundary := func(workers int, fn func(worker int, c *computation.Computation, weight int64) bool) {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for j := w; j < len(last); j += workers {
+					fn(w, last[j], 1)
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+	ops := computation.AllOps(1)
+	want := ConstructibleFixpoint(hole, interior, 4, ops, 1, boundary, nil)
+	got := ConstructibleFixpoint(hole, interior, 4, ops, 3, boundary, nil)
+	if want.NumPairs(3) != 0 || want.NumPairs(-1) == 0 {
+		t.Fatalf("one worker: survivors up to 3 nodes: %d, in all: %d; want 0 and the boundary", want.NumPairs(3), want.NumPairs(-1))
+	}
+	gotBase, gotStar := got.SizeCounts()
+	wantBase, wantStar := want.SizeCounts()
+	if fmt.Sprint(gotBase, gotStar) != fmt.Sprint(wantBase, wantStar) {
+		t.Fatalf("three workers: size counts %v %v, one worker %v %v", gotBase, gotStar, wantBase, wantStar)
+	}
+	for i, c := range interior {
+		for rank := 0; rank < observer.Count(c, 0); rank++ {
+			if got.ContainsAt(i, rank) != want.ContainsAt(i, rank) {
+				t.Fatalf("three workers: survivors differ at %v, rank %d", c, rank)
+			}
+		}
 	}
 }
 

@@ -90,13 +90,22 @@ func (h *hbCore) prec(u, v dag.Node) bool {
 	return h.rows[int(u)*h.words+int(v)/64]&(1<<(uint(v)%64)) != 0
 }
 
-// writersByLoc lists c's writers per location. PatternDecider keeps
-// the lists for a computation's observers; the one-shot deciders list
-// them per call.
-func writersByLoc(c *computation.Computation) [][]dag.Node {
-	ws := make([][]dag.Node, c.NumLocs())
+// writersByLoc lists c's writers per location, in increasing order,
+// into ws's slices, and returns the lists. PatternDecider keeps the
+// lists for a computation's observers and reuses them for the next
+// computation; the one-shot deciders pass nil.
+func writersByLoc(ws [][]dag.Node, c *computation.Computation) [][]dag.Node {
+	if cap(ws) < c.NumLocs() {
+		ws = make([][]dag.Node, c.NumLocs())
+	}
+	ws = ws[:c.NumLocs()]
 	for l := range ws {
-		ws[l] = c.Writers(computation.Loc(l))
+		ws[l] = ws[l][:0]
+	}
+	for u, op := range c.Ops() {
+		if op.Kind == computation.Write {
+			ws[op.Loc] = append(ws[op.Loc], dag.Node(u))
+		}
 	}
 	return ws
 }

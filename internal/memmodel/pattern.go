@@ -69,7 +69,7 @@ type PatternDecider struct {
 	cl      *dag.Closure
 	n       int
 	numLocs int
-	writers [][]dag.Node // per location, cached from c.Writers
+	writers [][]dag.Node // per location, from writersByLoc
 	lc      lcCore
 	hb      hbCore
 	runner  search.Runner
@@ -85,7 +85,7 @@ func (pd *PatternDecider) Reset(c *computation.Computation) {
 	pd.cl = c.Closure()
 	pd.n = c.NumNodes()
 	pd.numLocs = c.NumLocs()
-	pd.writers = writersByLoc(c)
+	pd.writers = writersByLoc(pd.writers, c)
 }
 
 // Pattern returns the membership pattern of (c, o) for a valid
@@ -95,27 +95,29 @@ func (pd *PatternDecider) Pattern(o *observer.Observer) uint16 {
 }
 
 // Masked returns Pattern(o) & mask, deciding only what the requested
-// bits need: LC (and SC behind it) when SC, LC or TSO is asked for,
-// the fused Q-dag scan when a Q-dag bit is, and the happens-before
-// build when RA, CAUSAL or TSO is, each of those three only when its
-// own bit is. A bit never depends on which other bits were asked for:
-// TSO's SC shortcut is taken whenever LC and SC ran, and they run
-// whenever TSO is asked for.
+// bits need: LC when SC, LC or TSO is asked for, and SC behind it when
+// SC or TSO is, the fused Q-dag scan when a Q-dag bit is, and the
+// happens-before build when RA, CAUSAL or TSO is, each of those three
+// only when its own bit is. A bit never depends on which other bits
+// were asked for: TSO's SC shortcut is taken whenever LC and SC ran,
+// and they run whenever TSO is asked for.
 func (pd *PatternDecider) Masked(o *observer.Observer, mask uint16) uint16 {
 	const (
 		qdag     = PatternNN | PatternNW | PatternWN | PatternWW
-		lcNeeded = PatternSC | PatternLC | PatternTSO
+		scNeeded = PatternSC | PatternTSO
+		lcNeeded = PatternLC | scNeeded
 		hbNeeded = PatternTSO | PatternRA | PatternCAUSAL
 	)
 	var pattern uint16
 	if mask&qdag != 0 {
-		pattern = pd.qdagBits(o)
+		pattern = pd.qdagBits(o, mask)
 	}
 	sc := false
 	if mask&lcNeeded != 0 && pd.lcOK(o) {
 		pattern |= PatternLC
 		// One location: SC and LC coincide.
-		sc = pd.numLocs <= 1 || pd.runner.Run(context.Background(), lastWriterSpec(pd.c, o, allLocs(pd.c)), SearchOptions{}).Found
+		sc = mask&scNeeded != 0 && (pd.numLocs <= 1 ||
+			pd.runner.Run(context.Background(), lastWriterSpec(pd.c, o, allLocs(pd.c)), SearchOptions{}).Found)
 	}
 	if sc {
 		pattern |= PatternSC
@@ -143,16 +145,18 @@ func (pd *PatternDecider) Masked(o *observer.Observer, mask uint16) uint16 {
 	return pattern & mask
 }
 
-// qdagBits evaluates all four Q-dag consistency predicates in one scan
-// over the violation triples u ≺ v ≺ w, Φ(l,u) = Φ(l,w) ≠ Φ(l,v):
-// every such triple violates NN; it violates NW/WN/WW exactly when the
-// corresponding side conditions (v resp. u writes l) hold. The scan
-// stops once all four are violated.
-func (pd *PatternDecider) qdagBits(o *observer.Observer) uint16 {
+// qdagBits evaluates the Q-dag consistency predicates asked for in
+// want in one scan over the violation triples u ≺ v ≺ w,
+// Φ(l,u) = Φ(l,w) ≠ Φ(l,v): every such triple violates NN; it violates
+// NW/WN/WW exactly when the corresponding side conditions (v resp. u
+// writes l) hold. The scan stops once every wanted predicate is
+// violated, so only the wanted bits of the result are decided.
+func (pd *PatternDecider) qdagBits(o *observer.Observer, want uint16) uint16 {
 	const qAll = PatternNN | PatternNW | PatternWN | PatternWW
 	var viol uint16
+	want &= qAll
 	for l := computation.Loc(0); int(l) < pd.numLocs; l++ {
-		for vi := 0; vi < pd.n && viol != qAll; vi++ {
+		for vi := 0; vi < pd.n && viol&want != want; vi++ {
 			v := dag.Node(vi)
 			phiV := o.Get(l, v)
 			vWrites := pd.c.Op(v).IsWriteTo(l)
@@ -161,6 +165,7 @@ func (pd *PatternDecider) qdagBits(o *observer.Observer) uint16 {
 			if vWrites {
 				vAdds |= PatternNW | PatternWW
 			}
+			vAdds &= want
 			if vAdds&^viol == 0 {
 				continue
 			}
@@ -187,11 +192,11 @@ func (pd *PatternDecider) qdagBits(o *observer.Observer) uint16 {
 						uAdds |= PatternWW
 					}
 				}
-				if uAdds&^viol == 0 {
+				if uAdds&want&^viol == 0 {
 					return true
 				}
 				pd.scanW(o, l, u, v, phiV, uWrites, &viol)
-				return viol != qAll
+				return viol&want != want
 			})
 		}
 	}

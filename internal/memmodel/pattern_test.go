@@ -36,7 +36,7 @@ func eachComputationLocal(n, numLocs int, fn func(c *computation.Computation)) {
 // SC/LC auxiliary sweep's, each single bit, the Figure 1 bits and every
 // bit.
 func patternMasks() []uint16 {
-	masks := []uint16{PatternSC | PatternLC, PatternAll, patternEvery}
+	masks := []uint16{PatternSC | PatternLC, PatternNW | PatternWN, PatternLC | PatternNN, PatternAll, patternEvery}
 	for i := range ModelNames() {
 		masks = append(masks, 1<<i)
 	}
@@ -153,7 +153,7 @@ func TestPatternDeciderReuse(t *testing.T) {
 // the per-pair cost PatternDecider pays on the lattice sweeps.
 func TestHBCoreWarmAllocatesNothing(t *testing.T) {
 	eachComputationLocal(3, 2, func(c *computation.Computation) {
-		cl, writers := c.Closure(), writersByLoc(c)
+		cl, writers := c.Closure(), writersByLoc(nil, c)
 		var h hbCore
 		observer.Enumerate(c, func(o *observer.Observer) bool {
 			decide := func() {

@@ -44,7 +44,7 @@ func decideRA(ctx context.Context, c *computation.Computation, o *observer.Obser
 	if !hb.build(c, c.Closure(), o) {
 		return Decision{Verdict: search.VerdictOut()}
 	}
-	return Decision{Verdict: hb.ra(ctx, c, o, writersByLoc(c))}
+	return Decision{Verdict: hb.ra(ctx, c, o, writersByLoc(nil, c))}
 }
 
 // ra runs the per-location modification-order check against the built

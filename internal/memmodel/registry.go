@@ -106,6 +106,17 @@ func (e *Entry) Contains(c *computation.Computation, o *observer.Observer) bool 
 	return o.Validate(c) == nil && e.decide(context.Background(), c, o, SearchOptions{}).Verdict.In()
 }
 
+// patternBit returns the row's PatternDecider bit, its index in the
+// registry, or 0 for an Entry that is not a registry row.
+func (e *Entry) patternBit() uint16 {
+	for i := range registry {
+		if &registry[i] == e {
+			return 1 << i
+		}
+	}
+	return 0
+}
+
 // Engine reports whether the model is decided by a search on the
 // engine, so that its decisions carry search stats.
 func (e *Entry) Engine() bool { return e.engine }

@@ -39,7 +39,7 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 		if !hb.build(c, c.Closure(), o) {
 			return
 		}
-		if s, feasible := tsoSpec(c, c.Closure(), o, writersByLoc(c)); feasible {
+		if s, feasible := tsoSpec(c, c.Closure(), o, writersByLoc(nil, c)); feasible {
 			specs = append(specs, spec{name + " TSO", s})
 		}
 	}

@@ -60,7 +60,7 @@ func decideTSO(ctx context.Context, c *computation.Computation, o *observer.Obse
 	if !hb.build(c, cl, o) {
 		return Decision{Verdict: search.VerdictOut()}
 	}
-	spec, feasible := tsoSpec(c, cl, o, writersByLoc(c))
+	spec, feasible := tsoSpec(c, cl, o, writersByLoc(nil, c))
 	if !feasible {
 		return Decision{Verdict: search.VerdictOut()}
 	}

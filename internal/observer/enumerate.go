@@ -14,26 +14,36 @@ import (
 // The result is indexed cands[l][u]. Every observer function is a
 // member of the candidate product, and conversely every member of the
 // product is a valid observer function, so the product enumerates the
-// full observer space exactly.
+// full observer space exactly. The rows share one backing array.
 func Candidates(c *computation.Computation) [][][]dag.Node {
 	cl := c.Closure()
-	n := c.NumNodes()
-	cands := make([][][]dag.Node, c.NumLocs())
-	for l := computation.Loc(0); int(l) < c.NumLocs(); l++ {
-		writers := c.Writers(l)
-		cands[l] = make([][]dag.Node, n)
+	n, numLocs := c.NumNodes(), c.NumLocs()
+	writes := 0
+	for _, op := range c.Ops() {
+		if op.Kind == computation.Write {
+			writes++
+		}
+	}
+	// A row holds ⊥ and writers to its location, so the rows of all
+	// locations together hold at most n·(numLocs + writes) values.
+	cands := make([][][]dag.Node, numLocs)
+	rows := make([][]dag.Node, numLocs*n)
+	vals := make([]dag.Node, 0, n*(numLocs+writes))
+	for l := computation.Loc(0); int(l) < numLocs; l++ {
+		cands[l] = rows[int(l)*n : int(l+1)*n : int(l+1)*n]
 		for u := dag.Node(0); int(u) < n; u++ {
+			start := len(vals)
 			if c.Op(u).IsWriteTo(l) {
-				cands[l][u] = []dag.Node{u}
-				continue
-			}
-			row := []dag.Node{Bottom}
-			for _, w := range writers {
-				if !cl.Precedes(u, w) {
-					row = append(row, w)
+				vals = append(vals, u)
+			} else {
+				vals = append(vals, Bottom)
+				for w := dag.Node(0); int(w) < n; w++ {
+					if c.Op(w).IsWriteTo(l) && !cl.Precedes(u, w) {
+						vals = append(vals, w)
+					}
 				}
 			}
-			cands[l][u] = row
+			cands[l][u] = vals[start:len(vals):len(vals)]
 		}
 	}
 	return cands
