@@ -22,12 +22,13 @@
 // a resource governor (-timeout, -max-states, -max-memo-mb is exact
 // and never inconclusive) stopped a decision first. Exit codes: 0 on
 // definitive verdicts (1 when -model selects a single model and it is
-// OUT), 2 on usage errors (an unknown -model among them), 3 when any
-// verdict is inconclusive.
+// OUT), 2 on usage errors (an unknown -model or a negative governance
+// flag among them), 3 when any verdict is inconclusive.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -41,6 +42,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/observer"
 	"repro/internal/paperfig"
+	"repro/internal/search"
 	"repro/internal/serve"
 	"repro/internal/viz"
 )
@@ -64,12 +66,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	opts, err := searchOptions(*workers, *timeout, *maxStates, *maxMemoMB)
+	if err != nil {
+		fmt.Fprintln(stderr, "ccmc:", err)
+		return 2
+	}
 	sess, err := obsFlags.Start("ccmc", args, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, "ccmc:", err)
 		return 2
 	}
-	code := runChecks(fs, sess.Rec, *model, *explain, *demo, *dot, *workers, *timeout, *maxStates, *maxMemoMB, stdout, stderr)
+	opts.Recorder = sess.Rec
+	code := runChecks(fs, opts, *model, *explain, *demo, *dot, *timeout, stdout, stderr)
 	if err := sess.Close(code); err != nil {
 		fmt.Fprintln(stderr, "ccmc:", err)
 		if code == 0 {
@@ -79,8 +87,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return code
 }
 
-func runChecks(fs *flag.FlagSet, rec obs.Recorder, model string, explain, demo, dot bool,
-	workers int, timeout time.Duration, maxStates, maxMemoMB int64, stdout, stderr io.Writer) int {
+// searchOptions maps the governance flags onto the deciders' options.
+// Negative values are usage errors; the memo cap converts through
+// search.MiB, so an oversized one saturates instead of wrapping.
+func searchOptions(workers int, timeout time.Duration, maxStates, maxMemoMB int64) (memmodel.SearchOptions, error) {
+	if timeout < 0 || maxStates < 0 || maxMemoMB < 0 {
+		return memmodel.SearchOptions{}, errors.New("-timeout, -max-states, and -max-memo-mb must be non-negative")
+	}
+	return memmodel.SearchOptions{Workers: workers, Budget: maxStates, MaxMemoBytes: search.MiB(maxMemoMB)}, nil
+}
+
+func runChecks(fs *flag.FlagSet, opts memmodel.SearchOptions, model string, explain, demo, dot bool,
+	timeout time.Duration, stdout, stderr io.Writer) int {
 
 	models := memmodel.ModelNames()
 	if model != "" {
@@ -139,13 +157,6 @@ func runChecks(fs *flag.FlagSet, rec obs.Recorder, model string, explain, demo, 
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	opts := memmodel.SearchOptions{
-		Workers:      workers,
-		Budget:       maxStates,
-		MaxMemoBytes: maxMemoMB << 20,
-		Recorder:     rec,
-	}
-
 	anyOut, anyInconclusive := false, false
 	for _, name := range models {
 		// The decision and its rendering are shared with the serving

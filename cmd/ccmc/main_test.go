@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -101,5 +103,39 @@ func TestRunBudgetFlagAccepted(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-demo", "-max-states", "100000", "-max-memo-mb", "16"}, &out, &errb); code != 0 {
 		t.Fatalf("exit code = %d, want 0; stderr: %s", code, errb.String())
+	}
+}
+
+// TestGovernanceFlags: -max-memo-mb converts through the saturating
+// MiB conversion (2^43 MiB used to wrap to a negative, uncapped memo
+// cap and 2^44+1 MiB to a 1 MiB cap), and a negative governance flag
+// is a usage error instead of running ungoverned.
+func TestGovernanceFlags(t *testing.T) {
+	for _, tc := range []struct {
+		mb   int64
+		code int
+		memo int64
+	}{
+		{0, 0, 0},
+		{1, 0, 1 << 20},
+		{1 << 43, 0, math.MaxInt64},
+		{1<<44 + 1, 0, math.MaxInt64},
+		{-1, 2, 0},
+	} {
+		mb := strconv.FormatInt(tc.mb, 10)
+		var out, errb bytes.Buffer
+		if code := run([]string{"-demo", "-max-memo-mb", mb}, &out, &errb); code != tc.code {
+			t.Errorf("-max-memo-mb %s: exit %d, want %d; stderr: %s", mb, code, tc.code, errb.String())
+		}
+		opts, err := searchOptions(1, 0, 0, tc.mb)
+		if (err != nil) != (tc.code == 2) || opts.MaxMemoBytes != tc.memo {
+			t.Errorf("-max-memo-mb %s: memo cap %d bytes, err %v; want %d", mb, opts.MaxMemoBytes, err, tc.memo)
+		}
+	}
+	for _, args := range [][]string{{"-max-states", "-5"}, {"-timeout", "-1s"}} {
+		var out, errb bytes.Buffer
+		if code := run(append(args, "-demo"), &out, &errb); code != 2 || !strings.Contains(errb.String(), "non-negative") {
+			t.Errorf("%v: exit %d, want 2 naming the rule; stderr: %s", args, code, errb.String())
+		}
 	}
 }

@@ -56,6 +56,7 @@ import (
 
 	"repro/internal/mw"
 	"repro/internal/obs"
+	"repro/internal/search"
 	"repro/internal/serve"
 )
 
@@ -89,7 +90,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	streamMaxAge := fs.Duration("stream-max-age", 10*time.Minute, "absolute lifetime cap on one /v1/trace stream")
 	streamIdle := fs.Duration("stream-idle", time.Minute, "rolling deadline for the next /v1/trace event; a stalled stream finishes INCONCLUSIVE(deadline)")
 	streamHeartbeat := fs.Duration("stream-heartbeat", 5*time.Second, "cadence of gauge heartbeat records on /v1/trace responses")
-	streamBuffer := fs.Int("stream-buffer", 1024, "per-stream event ring capacity (rounded up to a power of two); overflow sheds and degrades to INCONCLUSIVE(overrun)")
+	streamBuffer := fs.Int("stream-buffer", 1024, "per-stream event queue capacity, exact; overflow sheds and degrades to INCONCLUSIVE(overrun)")
 	streamMaxEvents := fs.Int64("stream-max-events", 0, "cap on node events per /v1/trace stream; past it the overflow policy sheds (0 = unlimited)")
 	accessLog := fs.String("access-log", "", "structured access-log destination: a file path (appended), or - for stderr (empty disables)")
 	trustedProxies := fs.String("trusted-proxies", "", "comma-separated CIDRs/IPs whose X-Forwarded-For headers are honored for client-IP logging")
@@ -141,7 +142,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		server: serve.Config{
 			Slots:      *slots,
 			Queue:      *queue,
-			CacheBytes: *cacheMB << 20,
+			CacheBytes: search.MiB(*cacheMB),
 			Limits: serve.Limits{
 				DefaultTimeout: *timeout,
 				MaxTimeout:     *maxTimeout,

@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
 	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -186,6 +188,44 @@ func TestRunFlagErrors(t *testing.T) {
 		if code := run(context.Background(), args, &out, &errb); code != 2 {
 			t.Errorf("run(%v) = %d, want 2; stderr: %s", args, code, errb.String())
 		}
+	}
+}
+
+// TestCacheMBSaturates: -cache-mb converts through the saturating MiB
+// conversion. 2^43 MiB used to wrap to a negative capacity and 2^44+1
+// MiB to 1 MiB; 2^44 MiB wrapped to 0 and silently turned storage off.
+func TestCacheMBSaturates(t *testing.T) {
+	for _, tc := range []struct {
+		mb   int64
+		want int64
+	}{
+		{0, 0},
+		{1, 1 << 20},
+		{1 << 43, math.MaxInt64},
+		{1 << 44, math.MaxInt64},
+		{1<<44 + 1, math.MaxInt64},
+	} {
+		var out, errb syncBuffer
+		base, cancel, done := startDaemon(t, []string{"-cache-mb", strconv.FormatInt(tc.mb, 10)}, &out, &errb)
+		resp, err := http.Get(base + "/statsz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st serve.Statsz
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		cancel()
+		<-done
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Cache.Capacity != tc.want {
+			t.Errorf("-cache-mb %d: capacity_bytes %d, want %d", tc.mb, st.Cache.Capacity, tc.want)
+		}
+	}
+	var out, errb bytes.Buffer
+	if code := run(context.Background(), []string{"-cache-mb", "-1"}, &out, &errb); code != 2 {
+		t.Errorf("-cache-mb -1: exit %d, want 2", code)
 	}
 }
 

@@ -22,8 +22,8 @@
 // INCONCLUSIVE(reason) when a governor (-timeout, -max-states) stopped
 // the search first; -max-memo-mb is exact and never inconclusive. Exit
 // codes: 0 when every check is explainable, 1 when any check is
-// definitively violated, 2 on usage errors, 3 when the outcome is
-// inconclusive.
+// definitively violated, 2 on usage errors (a negative governance flag
+// among them), 3 when the outcome is inconclusive.
 //
 // A pair mode mirrors the ccmc CLI and the ccmd daemon's POST
 // /v1/check: given a committed (computation, observer) pair in the
@@ -54,6 +54,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -66,6 +67,7 @@ import (
 	"repro/internal/memmodel"
 	"repro/internal/obs"
 	"repro/internal/observer"
+	"repro/internal/search"
 	"repro/internal/stream"
 	"repro/internal/trace"
 )
@@ -101,12 +103,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	opts, err := searchOptions(*workers, *timeout, *budget, *maxStates, *maxMemoMB)
+	if err != nil {
+		fmt.Fprintln(stderr, "verify:", err)
+		return 2
+	}
 	sess, err := obsFlags.Start("verify", args, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, "verify:", err)
 		return 2
 	}
-	code := runChecks(fs, sess.Rec, *budget, *maxStates, *timeout, *maxMemoMB, *witness, *demo, *workers, *streamMode, *emitEvents, *pairMode, *model, stdout, stderr)
+	code := runChecks(fs, sess.Rec, opts, *timeout, *witness, *demo, *streamMode, *emitEvents, *pairMode, *model, stdout, stderr)
 	if err := sess.Close(code); err != nil {
 		fmt.Fprintln(stderr, "verify:", err)
 		if code == 0 {
@@ -116,8 +123,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return code
 }
 
-func runChecks(fs *flag.FlagSet, rec obs.Recorder, budget, maxStates int64, timeout time.Duration,
-	maxMemoMB int64, witness, demo bool, workers int, streamMode, emitEvents, pairMode bool, model string, stdout, stderr io.Writer) int {
+// searchOptions maps the governance flags onto the searches' options.
+// Negative values are usage errors; -max-states overrides -budget when
+// set, and the memo cap converts through search.MiB, so an oversized
+// one saturates instead of wrapping.
+func searchOptions(workers int, timeout time.Duration, budget, maxStates, maxMemoMB int64) (checker.SearchOptions, error) {
+	if budget < 0 || maxStates < 0 || maxMemoMB < 0 || timeout < 0 {
+		return checker.SearchOptions{}, errors.New("-budget, -max-states, -max-memo-mb, and -timeout must be non-negative")
+	}
+	opts := checker.SearchOptions{Workers: workers, Budget: budget, MaxMemoBytes: search.MiB(maxMemoMB)}
+	if maxStates > 0 {
+		opts.Budget = maxStates
+	}
+	return opts, nil
+}
+
+func runChecks(fs *flag.FlagSet, rec obs.Recorder, opts checker.SearchOptions, timeout time.Duration,
+	witness, demo, streamMode, emitEvents, pairMode bool, model string, stdout, stderr io.Writer) int {
 
 	if pairMode {
 		if demo || streamMode || emitEvents {
@@ -128,7 +150,7 @@ func runChecks(fs *flag.FlagSet, rec obs.Recorder, budget, maxStates int64, time
 			fmt.Fprintln(stderr, "usage: verify -pair [-model M] FILE")
 			return 2
 		}
-		return pairChecks(rec, fs.Arg(0), model, budget, maxStates, timeout, maxMemoMB, workers, stdout, stderr)
+		return pairChecks(rec, fs.Arg(0), model, opts, timeout, stdout, stderr)
 	}
 	if model != "" {
 		fmt.Fprintln(stderr, "verify: -model applies only to -pair")
@@ -181,12 +203,6 @@ func runChecks(fs *flag.FlagSet, rec obs.Recorder, budget, maxStates int64, time
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	opts := checker.SearchOptions{Workers: workers, MaxMemoBytes: maxMemoMB << 20}
-	opts.Budget = budget
-	if maxStates > 0 {
-		opts.Budget = maxStates
-	}
-
 	if streamMode {
 		return streamChecks(ctx, rec, nt, opts, witness, stdout, stderr)
 	}
@@ -237,8 +253,8 @@ func runChecks(fs *flag.FlagSet, rec obs.Recorder, budget, maxStates int64, time
 // ccmc, POST /v1/check, and fleetctl, so verify's verdicts cannot
 // drift from theirs (the litmus conformance suite pins all four to one
 // golden file).
-func pairChecks(rec obs.Recorder, file, model string, budget, maxStates int64, timeout time.Duration,
-	maxMemoMB int64, workers int, stdout, stderr io.Writer) int {
+func pairChecks(rec obs.Recorder, file, model string, opts memmodel.SearchOptions, timeout time.Duration,
+	stdout, stderr io.Writer) int {
 
 	models := memmodel.ModelNames()
 	if model != "" {
@@ -268,11 +284,7 @@ func pairChecks(rec obs.Recorder, file, model string, budget, maxStates int64, t
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	opts := memmodel.SearchOptions{Workers: workers, MaxMemoBytes: maxMemoMB << 20, Recorder: rec}
-	opts.Budget = budget
-	if maxStates > 0 {
-		opts.Budget = maxStates
-	}
+	opts.Recorder = rec
 
 	anyOut, anyInconclusive := false, false
 	for _, name := range models {

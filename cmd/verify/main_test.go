@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -229,4 +231,42 @@ func writeHardTrace(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// TestGovernanceFlags: -max-memo-mb converts through the saturating
+// MiB conversion in every mode (2^43 MiB used to wrap to a negative,
+// uncapped memo cap and 2^44+1 MiB to a 1 MiB cap), and a negative
+// governance flag is a usage error instead of running ungoverned.
+func TestGovernanceFlags(t *testing.T) {
+	modes := [][]string{{"-demo"}, {"-stream", "../../testdata/mp_stale.trace"}, {"-pair", "../../testdata/figure2.ccm"}}
+	for _, tc := range []struct {
+		mb   int64
+		ok   bool
+		memo int64
+	}{
+		{0, true, 0},
+		{1, true, 1 << 20},
+		{1 << 43, true, math.MaxInt64},
+		{1<<44 + 1, true, math.MaxInt64},
+		{-1, false, 0},
+	} {
+		mb := strconv.FormatInt(tc.mb, 10)
+		for _, mode := range modes {
+			var out, errb bytes.Buffer
+			code := run(append([]string{"-max-memo-mb", mb}, mode...), &out, &errb)
+			if (code == 2) == tc.ok {
+				t.Errorf("-max-memo-mb %s %v: exit %d; stderr: %s", mb, mode, code, errb.String())
+			}
+		}
+		opts, err := searchOptions(1, 0, 0, 0, tc.mb)
+		if (err == nil) != tc.ok || opts.MaxMemoBytes != tc.memo {
+			t.Errorf("-max-memo-mb %s: memo cap %d bytes, err %v; want %d", mb, opts.MaxMemoBytes, err, tc.memo)
+		}
+	}
+	for _, args := range [][]string{{"-max-states", "-5"}, {"-budget", "-1"}, {"-timeout", "-1s"}} {
+		var out, errb bytes.Buffer
+		if code := run(append(args, "-demo"), &out, &errb); code != 2 || !strings.Contains(errb.String(), "non-negative") {
+			t.Errorf("%v: exit %d, want 2 naming the rule; stderr: %s", args, code, errb.String())
+		}
+	}
 }

@@ -126,15 +126,15 @@ func findViolation(ctx context.Context, p Predicate, c *computation.Computation,
 				return nil, err
 			}
 			phiV := o.Get(l, v)
-			// Candidate u values: ⊥ and every strict ancestor of v.
-			for _, u := range candidateUs(cl, v) {
+			// Candidate u values: ⊥, then every strict ancestor of v.
+			var bad *Violation
+			scan := func(u dag.Node) bool {
 				phiU := o.Get(l, u)
 				if phiU == phiV {
-					continue // condition cannot fail with Φ(l,v) = Φ(l,u)
+					return true // condition cannot fail with Φ(l,v) = Φ(l,u)
 				}
 				// Any strict descendant w of v with Φ(l,w) = Φ(l,u) and
 				// Q(l,u,v,w) is a violation.
-				var bad *Violation
 				cl.Descendants(v).ForEach(func(wi int) bool {
 					w := dag.Node(wi)
 					if o.Get(l, w) == phiU && p.Holds(c, l, u, v, w) {
@@ -143,20 +143,15 @@ func findViolation(ctx context.Context, p Predicate, c *computation.Computation,
 					}
 					return true
 				})
-				if bad != nil {
-					return bad, nil
-				}
+				return bad == nil
+			}
+			if scan(observer.Bottom) {
+				cl.Ancestors(v).ForEach(func(ui int) bool { return scan(dag.Node(ui)) })
+			}
+			if bad != nil {
+				return bad, nil
 			}
 		}
 	}
 	return nil, nil
-}
-
-func candidateUs(cl *dag.Closure, v dag.Node) []dag.Node {
-	out := []dag.Node{observer.Bottom}
-	cl.Ancestors(v).ForEach(func(ui int) bool {
-		out = append(out, dag.Node(ui))
-		return true
-	})
-	return out
 }

@@ -54,27 +54,33 @@ func MonotonicAt(m Model, c *computation.Computation, o *observer.Observer) bool
 // the single-node extension ext of c: whether there is an observer o2
 // for ext with (ext, o2) ∈ m and o2|c = o. ext must extend c by exactly
 // one node (which is necessarily a sink of ext).
+func CanExtend(m Model, c *computation.Computation, o *observer.Observer, ext *computation.Computation) bool {
+	return ExtendObserver(m, c, o, ext) != nil
+}
+
+// ExtendObserver returns the first observer o2 for the single-node
+// extension ext of c with (ext, o2) ∈ m and o2|c = o, or nil when none
+// exists. "First" is in the order of the new node's candidate rows,
+// location by location. ext must extend c by exactly one node.
 //
 // Only the new node's entries are free: the new node adds no precedence
 // among old nodes, so o's entries remain valid in ext and o2 must agree
 // with them.
-func CanExtend(m Model, c *computation.Computation, o *observer.Observer, ext *computation.Computation) bool {
+func ExtendObserver(m Model, c *computation.Computation, o *observer.Observer, ext *computation.Computation) *observer.Observer {
 	if ext.NumNodes() != c.NumNodes()+1 || !c.IsPrefixOfExtension(ext) {
-		panic("memmodel: CanExtend requires a one-node extension")
+		panic("memmodel: ExtendObserver requires a one-node extension")
 	}
 	u := dag.Node(c.NumNodes())
 	cands := observer.Candidates(ext)
 	numLocs := ext.NumLocs()
 
-	// Seed o2 with o's entries and the canonical value for u.
+	// Seed o2 with o's entries, then try every assignment of u's row.
 	o2 := observer.New(ext)
 	for l := computation.Loc(0); int(l) < numLocs; l++ {
 		for v := dag.Node(0); v < u; v++ {
 			o2.Set(l, v, o.Get(l, v))
 		}
 	}
-
-	// Try every assignment of the new node's row.
 	var try func(l int) bool
 	try = func(l int) bool {
 		if l == numLocs {
@@ -88,10 +94,10 @@ func CanExtend(m Model, c *computation.Computation, o *observer.Observer, ext *c
 		}
 		return false
 	}
-	if numLocs == 0 {
-		return m.Contains(ext, o2)
+	if !try(0) {
+		return nil
 	}
-	return try(0)
+	return o2
 }
 
 // ConstructibleAtAug checks the Theorem 12 criterion at one pair: for

@@ -153,35 +153,13 @@ func (g *Universal) Reset(numLocs int) {
 // Step implements Memory.
 func (g *Universal) Step(op computation.Op, preds []dag.Node) ([]dag.Node, error) {
 	ext, u := g.comp.Extend(op, preds)
-	numLocs := ext.NumLocs()
-	cands := observer.Candidates(ext)
-
-	next := observer.New(ext)
-	for l := computation.Loc(0); int(l) < numLocs; l++ {
-		for v := dag.Node(0); v < u; v++ {
-			next.Set(l, v, g.obs.Get(l, v))
-		}
-	}
-	row := make([]dag.Node, numLocs)
-	var try func(l int) bool
-	try = func(l int) bool {
-		if l == numLocs {
-			return g.model.Contains(ext, next)
-		}
-		for _, v := range cands[l][u] {
-			next.Set(computation.Loc(l), u, v)
-			row[l] = v
-			if try(l + 1) {
-				return true
-			}
-		}
-		return false
-	}
-	if numLocs > 0 && !try(0) {
+	next := memmodel.ExtendObserver(g.model, g.comp, g.obs, ext)
+	if next == nil {
 		return nil, ErrStuck
 	}
-	if numLocs == 0 && !g.model.Contains(ext, next) {
-		return nil, ErrStuck
+	row := make([]dag.Node, ext.NumLocs())
+	for l := range row {
+		row[l] = next.Get(computation.Loc(l), u)
 	}
 	g.comp = ext
 	g.obs = next

@@ -1,9 +1,10 @@
 // Package obs is the observability layer of the decision stack: a
 // zero-dependency (stdlib-only) event model that the search engine,
 // the enumeration sweeps, the BACKER simulator, and the chaos harness
-// report into, plus built-in recorders — a periodic progress reporter,
-// a machine-readable JSON run-report writer, and a span collector with
-// a Chrome trace_event exporter.
+// report into, plus built-in recorders — Totals, the one counter fold
+// that both ccmd's /statsz and the run report render, a periodic
+// progress reporter, a machine-readable JSON run-report writer, and a
+// span collector with a Chrome trace_event exporter.
 //
 // The design keeps the hot paths honest:
 //
@@ -169,21 +170,21 @@ type Counters struct {
 // events. It mirrors the engine's stats; sweep producers fill only the
 // fields that apply (States = pairs or plans).
 type Stats struct {
-	States      int64
-	MemoHits    int64
-	Pruned      int64
-	Memoized    int64
-	MemoBytes   int64
-	MemoSpilled int64
+	States      int64 `json:"states"`
+	MemoHits    int64 `json:"memo_hits"`
+	Pruned      int64 `json:"pruned"`
+	Memoized    int64 `json:"memoized"`
+	MemoBytes   int64 `json:"memo_bytes"`
+	MemoSpilled int64 `json:"memo_spilled"`
 	// SleepSetPruned counts engine children skipped by sleep-set
 	// pruning; SymmetrySkipped counts computations a reduced sweep
 	// skipped as non-canonical; Orbits is the total class weight a
 	// reduced sweep credited to its representatives.
-	SleepSetPruned  int64
-	SymmetrySkipped int64
-	Orbits          int64
-	Roots           int
-	Workers         int
+	SleepSetPruned  int64 `json:"sleep_set_pruned"`
+	SymmetrySkipped int64 `json:"symmetry_skipped"`
+	Orbits          int64 `json:"orbits"`
+	Roots           int   `json:"roots"`
+	Workers         int   `json:"workers"`
 }
 
 // Event is one observation. Which fields are meaningful depends on

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"maps"
 	"os"
 	"runtime/metrics"
 	"sync"
@@ -39,22 +40,9 @@ type RunReport struct {
 	Name    string  `json:"name"`
 	Outcome string  `json:"outcome"`
 	WallMS  float64 `json:"wall_ms"`
-	// Engine counters, zero for producers that keep none.
-	States      int64 `json:"states"`
-	MemoHits    int64 `json:"memo_hits"`
-	Pruned      int64 `json:"pruned"`
-	Memoized    int64 `json:"memoized"`
-	MemoBytes   int64 `json:"memo_bytes"`
-	MemoSpilled int64 `json:"memo_spilled"`
-	// Symmetry/sleep gauges: children skipped by sleep-set pruning,
-	// computations covered by orbit weighting instead of being
-	// materialized, and the total class weight credited to
-	// representatives (zero for producers without reduction).
-	SleepSetPruned  int64 `json:"sleep_set_pruned"`
-	SymmetrySkipped int64 `json:"symmetry_skipped"`
-	Orbits          int64 `json:"orbits"`
-	Roots           int   `json:"roots"`
-	Workers         int   `json:"workers"`
+	// The run's final counters, inlined; zero for producers that keep
+	// none.
+	Stats
 }
 
 // EventCounts aggregates the discrete events of a session.
@@ -91,29 +79,32 @@ type EventCounts struct {
 	Decisions map[string]int64 `json:"decisions"`
 }
 
-// ReportCollector is the recorder behind -report: it folds the event
-// stream into a Report, finalized by Finish.
+// ReportCollector is the recorder behind -report: it keeps the
+// per-run summaries and the decisions by run label itself, renders
+// the events block from its Totals, and is finalized by Finish.
 type ReportCollector struct {
-	mu     sync.Mutex
-	rep    Report
-	open   map[string]time.Time
-	cpu0   float64
-	closed bool
+	totals    Totals
+	mu        sync.Mutex
+	rep       Report
+	open      map[string]time.Time
+	decisions map[string]int64
+	cpu0      float64
+	closed    bool
 }
 
 // NewReportCollector starts a collector for the given tool invocation.
 func NewReportCollector(tool string, args []string) *ReportCollector {
-	c := &ReportCollector{
-		rep:  Report{Tool: tool, Args: args, Start: time.Now(), Runs: []RunReport{}},
-		open: make(map[string]time.Time),
-		cpu0: cpuSeconds(),
+	return &ReportCollector{
+		rep:       Report{Tool: tool, Args: args, Start: time.Now(), Runs: []RunReport{}},
+		open:      make(map[string]time.Time),
+		decisions: make(map[string]int64),
+		cpu0:      cpuSeconds(),
 	}
-	c.rep.Events.Decisions = make(map[string]int64)
-	return c
 }
 
 // Record folds one event into the report.
 func (c *ReportCollector) Record(ev Event) {
+	c.totals.Record(ev)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	switch ev.Kind {
@@ -126,54 +117,10 @@ func (c *ReportCollector) Record(ev Event) {
 			delete(c.open, ev.Run)
 		}
 		if ev.Stats != nil {
-			rr.States = ev.Stats.States
-			rr.MemoHits = ev.Stats.MemoHits
-			rr.Pruned = ev.Stats.Pruned
-			rr.Memoized = ev.Stats.Memoized
-			rr.MemoBytes = ev.Stats.MemoBytes
-			rr.MemoSpilled = ev.Stats.MemoSpilled
-			rr.SleepSetPruned = ev.Stats.SleepSetPruned
-			rr.SymmetrySkipped = ev.Stats.SymmetrySkipped
-			rr.Orbits = ev.Stats.Orbits
-			rr.Roots = ev.Stats.Roots
-			rr.Workers = ev.Stats.Workers
+			rr.Stats = *ev.Stats
 		}
 		c.rep.Runs = append(c.rep.Runs, rr)
-		c.rep.Events.Decisions[ev.Run]++
-	case GovernorFired:
-		c.rep.Events.GovernorsFired++
-	case MemoFreeze:
-		c.rep.Events.MemoFreezes++
-	case RootSkipped:
-		c.rep.Events.RootsSkipped++
-	case FaultInjected:
-		c.rep.Events.FaultsInjected++
-	case ShrinkStep:
-		c.rep.Events.ShrinkSteps++
-	case PlanDone:
-		c.rep.Events.PlansDone++
-		if ev.Str == "VIOLATED" || ev.Str == "OUT" {
-			c.rep.Events.PlanViolations++
-		}
-	case PanicRecovered:
-		c.rep.Events.PanicsRecovered++
-	case ShardRetry:
-		c.rep.Events.ShardRetries++
-	case ShardHedge:
-		c.rep.Events.ShardHedges++
-	case ShardDone:
-		if ev.Str == "lost" {
-			c.rep.Events.ShardsLost++
-		}
-	case BreakerFlip:
-		c.rep.Events.BreakerFlips++
-	case StreamViolation:
-		c.rep.Events.StreamViolations++
-	case StreamOverrun:
-		c.rep.Events.StreamOverruns++
-	case StreamDone:
-		c.rep.Events.StreamsDone++
-		c.rep.Events.TraceEventsIngested += ev.N
+		c.decisions[ev.Run]++
 	}
 }
 
@@ -191,6 +138,8 @@ func (c *ReportCollector) Finish(exitCode int) *Report {
 	c.rep.ExitCode = exitCode
 	snap := c.rep
 	snap.Runs = append([]RunReport(nil), c.rep.Runs...)
+	snap.Events = c.totals.Snapshot().Events
+	snap.Events.Decisions = maps.Clone(c.decisions)
 	return &snap
 }
 

@@ -59,6 +59,7 @@ package search
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/bitset"
 	"repro/internal/dag"
@@ -110,6 +111,20 @@ type Options struct {
 	// Since checker.SearchOptions and memmodel.SearchOptions alias this
 	// type, a recorder set here flows through every decision procedure.
 	Recorder obs.Recorder
+}
+
+// MiB returns n mebibytes in bytes, pinned at the int64 range's ends
+// instead of wrapping. Every MiB flag and request field converts
+// through it, so an oversized value never wraps into a small, zero or
+// negative (uncapped) byte count.
+func MiB(n int64) int64 {
+	switch {
+	case n > math.MaxInt64>>20:
+		return math.MaxInt64
+	case n < math.MinInt64>>20:
+		return math.MinInt64
+	}
+	return n << 20
 }
 
 // Stats reports how much work a Run did.

@@ -39,9 +39,9 @@ const (
 	// this reason; only the internal/fleet merge layer does, and the
 	// fleet report carries the exact shard-coverage counts behind it.
 	StopFleet
-	// StopOverrun: a streaming ingest outran its bounded ring buffer
+	// StopOverrun: a streaming ingest outran its bounded event buffer
 	// and events were shed, so the checker saw only part of the trace.
-	// The engine never produces this reason; only the internal/stream
+	// The engine never produces this reason; only the streaming
 	// overflow policy does. Stable violations detected before the
 	// overrun remain definitive — only undecided models degrade.
 	StopOverrun

@@ -175,7 +175,7 @@ func saturatingMul(v, unit int64) int64 {
 func (l Limits) searchOptions(o Options) (search.Options, time.Duration) {
 	opts := search.Options{
 		Budget:       clampInt64(o.MaxStates, l.MaxStates),
-		MaxMemoBytes: saturatingMul(clampInt64(o.MaxMemoMB, l.MaxMemoMB), 1<<20),
+		MaxMemoBytes: search.MiB(clampInt64(o.MaxMemoMB, l.MaxMemoMB)),
 		Workers:      int(clampInt64(int64(o.Workers), int64(l.MaxWorkers))),
 	}
 	timeout := time.Duration(saturatingMul(o.TimeoutMS, int64(time.Millisecond)))

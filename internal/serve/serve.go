@@ -122,55 +122,9 @@ func (m *endpointMetrics) stats() EndpointStats {
 }
 
 // EngineTotals is the cumulative decision-core counter block in
-// /statsz: every engine search and enumeration sweep the server ran
-// folds its final run stats in here. SleepSetPruned counts children
-// the engine's sleep sets skipped; SymmetrySkipped counts universe
-// computations the reduced census covered by orbit weighting instead
-// of materializing; Orbits is the total class weight those sweeps
-// credited to their representatives.
-type EngineTotals struct {
-	Runs            int64 `json:"runs"`
-	States          int64 `json:"states"`
-	MemoHits        int64 `json:"memo_hits"`
-	Pruned          int64 `json:"pruned"`
-	SleepSetPruned  int64 `json:"sleep_set_pruned"`
-	SymmetrySkipped int64 `json:"symmetry_skipped"`
-	Orbits          int64 `json:"orbits"`
-}
-
-// engineTotals is the recorder behind EngineTotals; it folds RunEnd
-// stats (the merged per-run totals) and ignores every other event.
-type engineTotals struct {
-	runs, states, memoHits, pruned          atomic.Int64
-	sleepSetPruned, symmetrySkipped, orbits atomic.Int64
-}
-
-func (t *engineTotals) Record(ev obs.Event) {
-	if ev.Kind != obs.RunEnd {
-		return
-	}
-	t.runs.Add(1)
-	if st := ev.Stats; st != nil {
-		t.states.Add(st.States)
-		t.memoHits.Add(st.MemoHits)
-		t.pruned.Add(st.Pruned)
-		t.sleepSetPruned.Add(st.SleepSetPruned)
-		t.symmetrySkipped.Add(st.SymmetrySkipped)
-		t.orbits.Add(st.Orbits)
-	}
-}
-
-func (t *engineTotals) stats() EngineTotals {
-	return EngineTotals{
-		Runs:            t.runs.Load(),
-		States:          t.states.Load(),
-		MemoHits:        t.memoHits.Load(),
-		Pruned:          t.pruned.Load(),
-		SleepSetPruned:  t.sleepSetPruned.Load(),
-		SymmetrySkipped: t.symmetrySkipped.Load(),
-		Orbits:          t.orbits.Load(),
-	}
-}
+// /statsz: the RunEnd sums of the server's obs fold, covering every
+// engine search and enumeration sweep the server ran.
+type EngineTotals = obs.RunTotals
 
 // RuntimeStats is the process health block in /statsz — the gauges a
 // soak harness samples for goroutine and memory watermarks.
@@ -235,10 +189,9 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	metrics    map[string]*endpointMetrics
-	totals     engineTotals
-	streams    streamTotals
+	totals     obs.Totals
+	streams    streamGauges
 	decisions  map[string]*atomic.Int64
-	panics     atomic.Int64
 }
 
 // countDecision ticks the per-model decision counter behind /statsz.
@@ -278,9 +231,10 @@ func New(cfg Config) *Server {
 		s.decisions[m] = &atomic.Int64{}
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	// Every decision records through the totals recorder so /statsz
-	// exposes cumulative engine counters even without a -trace/-report
-	// session attached.
+	// Every event the server emits folds into its totals, which render
+	// /statsz's engine, panic and stream counters even without a
+	// -trace/-report session attached. Producers emit before the
+	// response that implies the event, so /statsz is never behind it.
 	s.cfg.Recorder = obs.Multi(cfg.Recorder, &s.totals)
 	s.mux.HandleFunc("POST /v1/check", s.instrument("check", s.handleCheck))
 	s.mux.HandleFunc("POST /v1/batch", s.instrument("batch", s.handleBatch))
@@ -320,10 +274,9 @@ func accessLogOrNoop(w io.Writer) mw.Middleware {
 	return mw.AccessLog(w)
 }
 
-// onPanic is the Recovery hook: count for /statsz, report the value
-// and stack through obs under the exchange's request ID.
+// onPanic is the Recovery hook: report the value and stack through obs
+// under the exchange's request ID, which also counts it for /statsz.
 func (s *Server) onPanic(p mw.PanicInfo) {
-	s.panics.Add(1)
 	obs.Emit(s.cfg.Recorder, obs.Event{
 		Kind: obs.PanicRecovered,
 		Run:  fmt.Sprintf("%s %s %s", p.Method, p.Path, p.RequestID),
@@ -703,15 +656,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	adm := s.adm.stats()
+	tally := s.totals.Snapshot()
 	doc := Statsz{
 		UptimeMS:        time.Since(s.start).Milliseconds(),
 		Draining:        adm.Draining,
-		PanicsRecovered: s.panics.Load(),
+		PanicsRecovered: tally.Events.PanicsRecovered,
 		Admission:       adm,
 		Cache:           s.cache.stats(),
-		Engine:          s.totals.stats(),
+		Engine:          tally.Runs,
 		Decisions:       make(map[string]int64, len(s.decisions)),
-		Stream:          s.streams.stats(),
+		Stream:          s.streams.stats(tally),
 		Runtime:         readRuntimeStats(),
 		Endpoints:       make(map[string]EndpointStats, len(s.metrics)),
 	}

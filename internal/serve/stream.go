@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"runtime"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -43,12 +43,12 @@ import (
 //     every read, both from StreamConfig. A stalled or immortal client
 //     is cut off by governance, not by a transport constant.
 //
-// Ingest is decoupled from verification by the bounded SPSC ring in
-// internal/stream: the connection reader parses and pushes, the
-// checker goroutine pops and verifies, and when the checker cannot
-// keep up the overflow policy sheds events, marks the stream overrun,
-// and degrades undecided models to INCONCLUSIVE(overrun) rather than
-// blocking the socket or buffering without bound.
+// Ingest is decoupled from verification by a buffered channel: the
+// connection reader parses and sends, the checker goroutine receives
+// and verifies, and when the checker cannot keep up the overflow
+// policy sheds events, marks the stream overrun, and degrades
+// undecided models to INCONCLUSIVE(overrun) rather than blocking the
+// socket or buffering without bound.
 //
 // Streams are never cached: the resource is the connection, not the
 // verdict, and each stream's event order is its own.
@@ -66,13 +66,13 @@ type StreamConfig struct {
 	// Heartbeat is the cadence of gauge heartbeat records on an
 	// otherwise quiet response (0 = 5s).
 	Heartbeat time.Duration
-	// Buffer is the event ring capacity, rounded up to a power of two
-	// (0 = 1024).
+	// Buffer is the capacity of the event queue between the
+	// connection reader and the checker (0 = 1024).
 	Buffer int
 	// MaxEvents caps node events per stream; past it the overflow
 	// policy treats the stream as overrun (0 = unlimited).
 	MaxEvents int64
-	// PushWait bounds how long the reader waits for ring space before
+	// PushWait bounds how long the reader waits for queue space before
 	// shedding (0 = 10ms).
 	PushWait time.Duration
 	// CheckEvery is the incremental checker's cycle-check cadence in
@@ -142,29 +142,29 @@ type StreamStats struct {
 	CheckpointAge int64 `json:"checkpoint_age"`
 }
 
-// streamTotals is the server-side accumulator behind StreamStats.
-type streamTotals struct {
-	active, done, events, violations, overruns, shed atomic.Int64
-	frontier, checkpointAge                          atomic.Int64
+// streamGauges holds the StreamStats fields no event carries; the
+// counters come from the server's obs fold.
+type streamGauges struct {
+	active, frontier, checkpointAge atomic.Int64
 }
 
-func (t *streamTotals) stats() StreamStats {
+func (g *streamGauges) stats(t obs.Tally) StreamStats {
 	return StreamStats{
-		Active:         t.active.Load(),
-		Done:           t.done.Load(),
-		EventsIngested: t.events.Load(),
-		Violations:     t.violations.Load(),
-		Overruns:       t.overruns.Load(),
-		Shed:           t.shed.Load(),
-		Frontier:       t.frontier.Load(),
-		CheckpointAge:  t.checkpointAge.Load(),
+		Active:         g.active.Load(),
+		Done:           t.Events.StreamsDone,
+		EventsIngested: t.Events.TraceEventsIngested,
+		Violations:     t.Events.StreamViolations,
+		Overruns:       t.Events.StreamOverruns,
+		Shed:           t.StreamShed,
+		Frontier:       g.frontier.Load(),
+		CheckpointAge:  g.checkpointAge.Load(),
 	}
 }
 
 // sample publishes one checker gauge snapshot to /statsz.
-func (t *streamTotals) sample(st stream.Stats) {
-	t.frontier.Store(int64(st.Frontier))
-	t.checkpointAge.Store(st.CheckpointAge)
+func (g *streamGauges) sample(st stream.Stats) {
+	g.frontier.Store(int64(st.Frontier))
+	g.checkpointAge.Store(st.CheckpointAge)
 }
 
 // handleTrace is the long-lived streaming exchange. One admission slot
@@ -203,27 +203,36 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	s.streams.active.Add(1)
 	defer s.streams.active.Add(-1)
 
-	ring := stream.NewRing(cfg.Buffer)
+	// The queue absorbs checker jitter; the overflow policy sheds what
+	// it cannot hold.
+	events := make(chan stream.Event, cfg.Buffer)
+	var shed atomic.Int64
 	var stopRead atomic.Bool
 	var readerErr error
 	readerDone := make(chan struct{})
 	go func() {
-		readerErr = s.streamReader(r, rc, ring, cfg, cutoff, &stopRead)
-		ring.Close()
+		readerErr = streamReader(r, rc, events, &shed, cfg, cutoff, &stopRead)
+		close(events)
 		close(readerDone)
 	}()
 	// joinReader stops the producer and waits it out. The reader may
 	// sit blocked on the socket, so the read deadline is punched (and
 	// re-punched, in case the reader re-armed it in the race window)
 	// until the goroutine exits; net.Conn deadlines are safe to set
-	// concurrently with a blocked Read.
+	// concurrently with a blocked Read. An exited reader is never
+	// punched: past body EOF, net/http reads ahead on the kept-alive
+	// connection, and a failed read-ahead cancels its next request.
 	joinReader := func() {
 		stopRead.Store(true)
 		for {
-			rc.SetReadDeadline(time.Now())
 			select {
 			case <-readerDone:
 				return
+			default:
+			}
+			rc.SetReadDeadline(time.Now())
+			select {
+			case <-readerDone:
 			case <-time.After(5 * time.Millisecond):
 			}
 		}
@@ -240,21 +249,20 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		rc.Flush()
 	}
 
-	// noteOverrun folds ring-policy sheds into the checker and flips
+	// noteOverrun folds the reader's sheds into the checker and flips
 	// the stream into the overrun state exactly once, whether the
-	// trigger was the ring (events shed by the reader) or the checker
+	// trigger was the queue (events shed by the reader) or the checker
 	// itself (MaxEvents). It reports whether the stream is overrun.
 	var foldedShed int64
 	overrunSeen := false
 	noteOverrun := func() bool {
-		if shed := ring.Shed(); shed > foldedShed {
-			chk.AddShed(shed - foldedShed)
-			foldedShed = shed
+		if n := shed.Load(); n > foldedShed {
+			chk.AddShed(n - foldedShed)
+			foldedShed = n
 			chk.MarkOverrun()
 		}
 		if chk.Overrun() && !overrunSeen {
 			overrunSeen = true
-			s.streams.overruns.Add(1)
 			obs.Emit(rec, obs.Event{Kind: obs.StreamOverrun, Run: "stream", N: chk.Stats().Events})
 		}
 		return chk.Overrun()
@@ -275,25 +283,25 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		st := chk.Stats()
 		final.Stats = &st
 		final.RequestID = reqID
-		// Count before writing: a client that reads the final record and
-		// then GETs /statsz must see this stream as done.
-		s.streams.done.Add(1)
-		s.streams.events.Add(st.Events)
-		s.streams.shed.Add(st.Shed)
 		s.streams.sample(st)
-		writeRecord(final)
+		// Emit before writing: a client that reads the final record and
+		// then GETs /statsz must see this stream as done.
 		summary := fmt.Sprintf("LC=%s SC=%s", final.LC.Text, final.SC.Text)
 		obs.Emit(rec, obs.Event{Kind: obs.StreamDone, Run: "stream", N: st.Events, Total: int(st.Shed), Str: summary})
 		obs.Emit(rec, obs.Event{Kind: obs.RunEnd, Run: "stream", Str: summary})
+		writeRecord(final)
 	}
 
 	for {
-		ev, ok := ring.TryPop()
-		if !ok {
-			if ring.Drained() {
-				break
-			}
+		// Queued events go first; the heartbeat and cancellation are
+		// looked at only when none is waiting.
+		var ev stream.Event
+		var ok bool
+		select {
+		case ev, ok = <-events:
+		default:
 			select {
+			case ev, ok = <-events:
 			case <-s.baseCtx.Done():
 				finish(search.StopCancel, nil)
 				return
@@ -301,9 +309,11 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 				st := chk.Stats()
 				s.streams.sample(st)
 				writeRecord(StreamRecord{Type: "heartbeat", Stats: &st})
-			case <-time.After(time.Millisecond):
+				continue
 			}
-			continue
+		}
+		if !ok {
+			break // the reader closed the queue
 		}
 		v, err := chk.Ingest(ev)
 		if err != nil {
@@ -313,9 +323,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if v != nil {
-			s.streams.violations.Add(1)
 			obs.Emit(rec, obs.Event{Kind: obs.StreamViolation, Run: "stream",
-				Str: fmt.Sprintf("%s %s", joinModels(v.Models), v.Kind), N: v.Event})
+				Str: fmt.Sprintf("%s %s", strings.Join(v.Models, ","), v.Kind), N: v.Event})
 			writeRecord(StreamRecord{Type: "violation", Violation: v})
 		}
 		if noteOverrun() {
@@ -326,7 +335,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Ring drained: the reader finished (end event, clean EOF, or a
+	// Queue drained: the reader finished (end event, clean EOF, or a
 	// read/parse error).
 	<-readerDone
 	switch {
@@ -352,11 +361,11 @@ func stopReasonFor(err error) search.StopReason {
 }
 
 // streamReader is the producer side: it scans NDJSON lines off the
-// request body under the rolling idle deadline, parses them, and
-// pushes into the ring, shedding under the overflow policy when the
-// checker cannot keep up. It returns nil after the end event, on clean
-// EOF, or when stopped; otherwise the fatal read/parse error.
-func (s *Server) streamReader(r *http.Request, rc *http.ResponseController, ring *stream.Ring, cfg StreamConfig, cutoff time.Time, stop *atomic.Bool) error {
+// request body under the rolling idle deadline, parses them, and sends
+// them on events, counting in shed what the overflow policy drops when
+// the checker cannot keep up. It returns nil after the end event, on
+// clean EOF, or when stopped; otherwise the fatal read/parse error.
+func streamReader(r *http.Request, rc *http.ResponseController, events chan<- stream.Event, shed *atomic.Int64, cfg StreamConfig, cutoff time.Time, stop *atomic.Bool) error {
 	sc := bufio.NewScanner(r.Body)
 	sc.Buffer(make([]byte, 64<<10), maxBodyBytes)
 	overrun := false
@@ -377,11 +386,11 @@ func (s *Server) streamReader(r *http.Request, rc *http.ResponseController, ring
 			// shed without waiting. (The consumer finishes the exchange
 			// on its own; consuming here just keeps the socket moving
 			// until it does.)
-			ring.ShedOne()
+			shed.Add(1)
 			continue
 		}
-		if !tryPushWait(ring, ev, cfg.PushWait) {
-			ring.ShedOne()
+		if !pushWait(events, ev, cfg.PushWait) {
+			shed.Add(1)
 			overrun = true
 			continue
 		}
@@ -405,18 +414,24 @@ func (s *Server) streamReader(r *http.Request, rc *http.ResponseController, ring
 	return sc.Err() // nil on clean EOF without an end event
 }
 
-// tryPushWait pushes with a bounded wait for ring space: brief
+// pushWait sends ev with a bounded wait for queue space: brief
 // backpressure absorbs checker scheduling jitter, and only a
-// persistently full ring triggers the shed policy.
-func tryPushWait(ring *stream.Ring, ev stream.Event, wait time.Duration) bool {
-	deadline := time.Now().Add(wait)
-	for !ring.TryPush(ev) {
-		if time.Now().After(deadline) {
-			return false
-		}
-		runtime.Gosched()
+// persistently full queue triggers the shed policy. A free slot takes
+// the send without arming a timer.
+func pushWait(events chan<- stream.Event, ev stream.Event, wait time.Duration) bool {
+	select {
+	case events <- ev:
+		return true
+	default:
 	}
-	return true
+	t := time.NewTimer(wait)
+	defer t.Stop()
+	select {
+	case events <- ev:
+		return true
+	case <-t.C:
+		return false
+	}
 }
 
 // streamFinal computes the final record's verdict block. A cleanly
@@ -464,20 +479,5 @@ func (s *Server) streamFinal(rec obs.Recorder, chk *stream.Checker, earlyStop se
 	}
 	out.LC = early(lcViolated)
 	out.SC = early(scViolated)
-	return out
-}
-
-// joinModels renders a violation's model list for the obs label.
-func joinModels(models []string) string {
-	switch len(models) {
-	case 0:
-		return ""
-	case 1:
-		return models[0]
-	}
-	out := models[0]
-	for _, m := range models[1:] {
-		out += "," + m
-	}
 	return out
 }

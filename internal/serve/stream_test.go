@@ -2,17 +2,22 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/checker"
+	"repro/internal/obs"
 	"repro/internal/stream"
 	"repro/internal/trace"
 )
@@ -377,5 +382,143 @@ func TestTraceStreamDrainRejects(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining POST /v1/trace = %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestPushWait: a send waits at most about PushWait for queue space
+// before the reader gives up and sheds.
+func TestPushWait(t *testing.T) {
+	queue := make(chan stream.Event, 1)
+	end := stream.Event{Ev: stream.EvEnd}
+	if !pushWait(queue, end, time.Hour) {
+		t.Fatal("send into an empty queue failed")
+	}
+	const wait = 20 * time.Millisecond
+	start := time.Now()
+	if pushWait(queue, end, wait) {
+		t.Fatal("send into a full queue succeeded")
+	}
+	if elapsed := time.Since(start); elapsed < wait || elapsed > wait+time.Second {
+		t.Fatalf("full-queue send gave up after %v, want about %v", elapsed, wait)
+	}
+}
+
+// TestStreamReaderShedsOnFullQueue: with nobody receiving, the reader
+// queues the first event and counts every later one, the end event
+// included, as shed.
+func TestStreamReaderShedsOnFullQueue(t *testing.T) {
+	evs := corpusEvents(t, "mp_stale.trace")
+	var body bytes.Buffer
+	if err := stream.WriteNDJSON(&body, evs); err != nil {
+		t.Fatal(err)
+	}
+	r := httptest.NewRequest(http.MethodPost, "/v1/trace", &body)
+	rc := http.NewResponseController(httptest.NewRecorder())
+	queue := make(chan stream.Event, 1)
+	var shed atomic.Int64
+	var stop atomic.Bool
+	cfg := StreamConfig{PushWait: time.Millisecond}.withDefaults()
+	if err := streamReader(r, rc, queue, &shed, cfg, time.Now().Add(time.Minute), &stop); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := shed.Load(), int64(len(evs)-1); got != want {
+		t.Errorf("shed = %d, want %d", got, want)
+	}
+	if ev := <-queue; ev.Ev != stream.EvLocs {
+		t.Errorf("queued event = %+v, want the locs event", ev)
+	}
+}
+
+// stallOnViolation sleeps on the first stream violation it sees,
+// stalling the checker goroutine that emits it.
+type stallOnViolation struct {
+	d    time.Duration
+	done atomic.Bool
+}
+
+func (s *stallOnViolation) Record(ev obs.Event) {
+	if ev.Kind == obs.StreamViolation && s.done.CompareAndSwap(false, true) {
+		time.Sleep(s.d)
+	}
+}
+
+// TestTraceStreamShedOverrun: a checker stalled behind a one-slot
+// queue makes the reader shed, and the stream finishes overrun: LC,
+// which no online rule decided, degrades to INCONCLUSIVE(overrun), and
+// /statsz counts the same sheds the final record reports.
+func TestTraceStreamShedOverrun(t *testing.T) {
+	_, ts := testServer(t, Config{
+		Recorder: &stallOnViolation{d: 500 * time.Millisecond},
+		Stream:   StreamConfig{Buffer: 1, PushWait: 20 * time.Millisecond, CheckEvery: 1},
+	})
+	// dekker_bottom's SC cycle shows on its last node; padding no-ops
+	// follow it, for the reader to shed while the checker stalls.
+	evs := corpusEvents(t, "dekker_bottom.trace")
+	end := evs[len(evs)-1]
+	evs = evs[:len(evs)-1]
+	for i := 0; i < 32; i++ {
+		evs = append(evs, stream.Event{Ev: stream.EvNode, Name: fmt.Sprintf("pad%d", i), Op: "N"})
+	}
+	conn := openStream(t, ts.URL)
+	conn.send(t, append(evs, end)...)
+
+	recs := conn.collectUntilFinal(t)
+	final := recs[len(recs)-1]
+	if final.LC.Text != "INCONCLUSIVE(overrun)" {
+		t.Errorf("final LC = %s, want INCONCLUSIVE(overrun)", final.LC.Text)
+	}
+	if final.Stats == nil || !final.Stats.Overrun || final.Stats.Shed == 0 {
+		t.Fatalf("final stats = %+v, want Overrun with shed > 0", final.Stats)
+	}
+	if st := statsz(t, ts.URL); st.Stream.Shed != final.Stats.Shed || st.Stream.Overruns != 1 {
+		t.Errorf("statsz stream = %+v, want shed %d and one overrun", st.Stream, final.Stats.Shed)
+	}
+}
+
+// TestTraceStreamKeepAlive: a cleanly ended stream leaves its
+// keep-alive connection usable. Its reader has exited before the
+// handler joins it, so the join must not punch the read deadline: once
+// the body reaches EOF net/http reads ahead on the connection, and a
+// failed read-ahead cancels the connection's next request.
+func TestTraceStreamKeepAlive(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	client := ts.Client()
+	var body bytes.Buffer
+	if err := stream.WriteNDJSON(&body, corpusEvents(t, "mp_stale.trace")); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := client.Post(ts.URL+"/v1/trace", "application/x-ndjson", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(records), `"type":"final"`) {
+		t.Fatalf("stream response has no final record: %s", records)
+	}
+
+	reused := false
+	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+		GotConn: func(info httptrace.GotConnInfo) { reused = info.Reused },
+	})
+	check, err := json.Marshal(CheckRequest{Pair: readTestdata(t, "figure2.ccm")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/check", bytes.NewReader(check))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = client.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("check after a stream = %d: %s", resp.StatusCode, data)
+	}
+	if !reused {
+		t.Fatal("the check did not reuse the stream's connection")
 	}
 }

@@ -452,7 +452,7 @@ func (c *Checker) CheckNow() *Violation {
 // finish INCONCLUSIVE(overrun).
 func (c *Checker) MarkOverrun() { c.overrun = true }
 
-// AddShed folds ring-level shed counts into the checker's gauge.
+// AddShed folds events shed before ingest into the checker's gauge.
 func (c *Checker) AddShed(n int64) { c.shed += n }
 
 // Ended reports whether the end event has been ingested.

@@ -276,71 +276,6 @@ func TestOverrunPolicy(t *testing.T) {
 	})
 }
 
-// TestCheckpointRestore: snapshotting mid-stream and resuming in a
-// fresh checker yields the same violations and final verdicts as an
-// uninterrupted stream.
-func TestCheckpointRestore(t *testing.T) {
-	ctx := context.Background()
-	for name, nt := range loadCorpus(t) {
-		t.Run(name, func(t *testing.T) {
-			events, err := EventsFromTrace(nt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, _ := streamEvents(t, Options{CheckEvery: 1}, events)
-			refF := ref.Finish(ctx, checker.SearchOptions{})
-
-			cut := len(events) / 2
-			c := New(Options{CheckEvery: 1})
-			for _, ev := range events[:cut] {
-				if _, err := c.Ingest(ev); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var buf bytes.Buffer
-			if err := c.Checkpoint(&buf); err != nil {
-				t.Fatal(err)
-			}
-			r, err := Restore(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := r.Stats(), c.Stats(); got != want {
-				t.Fatalf("restored stats %+v != original %+v", got, want)
-			}
-			for _, ev := range events[cut:] {
-				if _, err := r.Ingest(ev); err != nil {
-					t.Fatal(err)
-				}
-			}
-			gotF := r.Finish(ctx, checker.SearchOptions{})
-			if a, b := checker.VerdictText(gotF.LC), checker.VerdictText(refF.LC); a != b {
-				t.Fatalf("LC after restore %q, uninterrupted %q", a, b)
-			}
-			if a, b := checker.VerdictText(gotF.SC), checker.VerdictText(refF.SC); a != b {
-				t.Fatalf("SC after restore %q, uninterrupted %q", a, b)
-			}
-			if got, want := len(r.Violations()), len(ref.Violations()); got != want {
-				t.Fatalf("violations after restore %d, uninterrupted %d", got, want)
-			}
-		})
-	}
-}
-
-func TestCheckpointEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := New(Options{}).Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Restore(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := r.Stats(); st.Events != 0 || st.Nodes != 0 {
-		t.Fatalf("restored empty checker stats %+v", st)
-	}
-}
-
 // TestProtocolErrors: malformed streams fail with a clear error at the
 // offending event, never a panic or silent misparse.
 func TestProtocolErrors(t *testing.T) {
