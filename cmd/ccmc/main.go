@@ -158,11 +158,14 @@ func runChecks(fs *flag.FlagSet, opts memmodel.SearchOptions, model string, expl
 		defer cancel()
 	}
 	anyOut, anyInconclusive := false, false
+	// The decision context and the rendering are shared with the
+	// serving layer, so CLI and service verdicts and witnesses come from
+	// one code path.
+	var dec memmodel.Decider
+	dec.Reset(comp)
+	dec.Observe(ofn)
 	for _, name := range models {
-		// The decision and its rendering are shared with the serving
-		// layer, so CLI and service verdicts and witnesses come from one
-		// code path.
-		d, err := memmodel.DecideByName(ctx, name, comp, ofn, opts)
+		d, err := dec.Decide(ctx, name, opts)
 		if err != nil {
 			fmt.Fprintln(stderr, "ccmc:", err)
 			return 1

@@ -29,7 +29,7 @@
 // /v1/check: given a committed (computation, observer) pair in the
 // .ccm format instead of a trace, decide membership under every
 // registered model (or one, with -model) through the same
-// memmodel.DecideByName front door the other frontends use:
+// memmodel.Decider front door the other frontends use:
 //
 //	verify -pair testdata/litmus/sb.ccm
 //	verify -pair -model TSO testdata/litmus/sb.ccm
@@ -249,8 +249,8 @@ func runChecks(fs *flag.FlagSet, rec obs.Recorder, opts checker.SearchOptions, t
 }
 
 // pairChecks decides a committed (computation, observer) pair under
-// the registered models — the same memmodel.DecideByName path behind
-// ccmc, POST /v1/check, and fleetctl, so verify's verdicts cannot
+// the registered models — the same memmodel.Decider path behind ccmc,
+// POST /v1/check, and fleetctl, so verify's verdicts cannot
 // drift from theirs (the litmus conformance suite pins all four to one
 // golden file).
 func pairChecks(rec obs.Recorder, file, model string, opts memmodel.SearchOptions, timeout time.Duration,
@@ -287,8 +287,11 @@ func pairChecks(rec obs.Recorder, file, model string, opts memmodel.SearchOption
 	opts.Recorder = rec
 
 	anyOut, anyInconclusive := false, false
+	var dec memmodel.Decider
+	dec.Reset(named.Comp)
+	dec.Observe(ofn)
 	for _, name := range models {
-		d, err := memmodel.DecideByName(ctx, name, named.Comp, ofn, opts)
+		d, err := dec.Decide(ctx, name, opts)
 		if err != nil {
 			fmt.Fprintln(stderr, "verify:", err)
 			return 2

@@ -1,11 +1,11 @@
 package computation
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/dag"
 )
@@ -103,54 +103,126 @@ func (n *Named) parseOp(s string) (Op, error) {
 	}
 }
 
-// Parse reads the text format from r. Malformed input of any shape
-// returns an error, never a panic: Parse is an input boundary (files,
-// stdin, fuzzers), so the panicking constructors used by programmatic
-// builders are guarded here — explicitly for the known cases, and by a
-// recover fence for anything a hostile file finds that we didn't.
-func Parse(r io.Reader) (named *Named, err error) {
+// Parse reads the text format from r and parses it as ParseString
+// does.
+func Parse(r io.Reader) (*Named, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return ParseString(string(b))
+}
+
+// ParseString parses the text format. Malformed input of any shape
+// returns an error, never a panic: the parser is an input boundary
+// (files, stdin, fuzzers), so the panicking constructors used by
+// programmatic builders are guarded here — explicitly for the known
+// cases, and by a recover fence for anything a hostile file finds that
+// we didn't.
+func ParseString(s string) (*Named, error) {
+	return ParseWith(s, "", nil)
+}
+
+// ParseWith is ParseString for a text that also carries lines of
+// another format: every line whose first field is exactly directive
+// (none when directive is empty) is set aside, and once the rest has
+// parsed into a valid computation each set-aside line goes to fn, in
+// input order, with its 1-based line number and its fields. The first
+// error fn returns is ParseWith's; fn must not retain fields. The text
+// is walked once: each line is split into a reused field slice
+// (strings.Fields takes the rare line with a non-ASCII byte, so Unicode
+// spaces separate fields there as they always have), node and edge
+// lines are applied as they come, and a set-aside line is remembered by
+// its place in s and split again when its turn comes.
+func ParseWith(s, directive string, fn func(named *Named, line int, fields []string) error) (*Named, error) {
+	var p parser
+	named, err := p.parse(s, directive)
+	if err != nil {
+		return nil, err
+	}
+	for _, d := range p.deferred {
+		line, _, _ := strings.Cut(s[d.start:], "\n")
+		p.line = splitFields(p.line[:0], line)
+		if err := fn(named, d.no, p.line); err != nil {
+			return nil, err
+		}
+	}
+	return named, nil
+}
+
+// parser holds one parse's scratch: the field slice every line is split
+// into, and the set-aside lines.
+type parser struct {
+	line     []string
+	deferred []deferredLine
+}
+
+// deferredLine is a set-aside line: its number and the offset of its
+// first byte in the text.
+type deferredLine struct{ no, start int }
+
+func (p *parser) parse(s, directive string) (named *Named, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			named, err = nil, fmt.Errorf("computation: invalid input: %v", rec)
 		}
 	}()
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+	// The line count bounds the tables; sizing them from it spares their
+	// regrowth. A pair's text has about three edge and observe lines per
+	// node, so the node tables start at a quarter of it. No table starts
+	// above maxHint, so blank lines cannot make a small text allocate
+	// much; larger tables grow with what they hold.
+	const maxHint = 256
+	lines := min(strings.Count(s, "\n")+1, maxHint)
+	nodes := lines/4 + 1
+	p.line = make([]string, 0, 8)
+	for pos, lineNo := 0, 1; pos < len(s); lineNo++ {
+		start := pos
+		line, _, _ := strings.Cut(s[pos:], "\n")
+		pos += len(line) + 1
+		fields := splitFields(p.line[:0], line)
+		p.line = fields
+		if len(fields) == 0 || fields[0][0] == '#' {
 			continue
 		}
-		fields := strings.Fields(line)
 		switch fields[0] {
+		case directive:
+			if len(p.deferred) == cap(p.deferred) {
+				// Set-aside lines tend to come last: make room for the
+				// rest of the text, and then double, so that a text of
+				// them all allocates about twice what it keeps.
+				p.deferred = slices.Grow(p.deferred, max(lines-lineNo+1, len(p.deferred), 1))
+			}
+			p.deferred = append(p.deferred, deferredLine{no: lineNo, start: start})
 		case "locs":
 			if named != nil {
 				return nil, fmt.Errorf("line %d: duplicate locs directive", lineNo)
 			}
-			seen := make(map[string]bool, len(fields)-1)
-			for _, name := range fields[1:] {
-				if seen[name] {
+			named = newParsedNamed(fields[1:], nodes)
+			for i, name := range named.LocName {
+				if _, dup := named.LocID[name]; dup {
 					return nil, fmt.Errorf("line %d: duplicate location name %q", lineNo, name)
 				}
-				seen[name] = true
+				named.LocID[name] = Loc(i)
 			}
-			named = NewNamed(fields[1:]...)
 		case "node":
 			if named == nil {
-				named = NewNamed()
+				named = newParsedNamed(nil, nodes)
 			}
 			if len(fields) != 3 {
 				return nil, fmt.Errorf("line %d: want `node NAME OP`", lineNo)
 			}
-			if _, dup := named.NodeID[fields[1]]; dup {
+			// One map write both claims the name and finds a duplicate.
+			before := len(named.NodeID)
+			if named.NodeID[fields[1]] = dag.Node(named.Comp.NumNodes()); len(named.NodeID) == before {
 				return nil, fmt.Errorf("line %d: duplicate node %q", lineNo, fields[1])
 			}
 			op, err := named.parseOp(fields[2])
 			if err != nil {
 				return nil, fmt.Errorf("line %d: %v", lineNo, err)
 			}
-			named.AddNode(fields[1], op)
+			named.NodeName = append(named.NodeName, fields[1])
+			named.Comp.AddNode(op)
 		case "edge":
 			if named == nil || len(fields) != 3 {
 				return nil, fmt.Errorf("line %d: want `edge FROM TO`", lineNo)
@@ -162,55 +234,93 @@ func Parse(r io.Reader) (named *Named, err error) {
 			return nil, fmt.Errorf("line %d: unknown directive %q", lineNo, fields[0])
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
 	if named == nil {
 		named = NewNamed()
 	}
-	if err := named.Comp.Validate(); err != nil {
+	// The closure's topological sort is the cycle check Validate runs.
+	c := named.Comp
+	if c.closure, err = dag.NewClosure(c.g); err != nil {
 		return nil, err
 	}
 	return named, nil
 }
 
-// ParseString is Parse over a string.
-func ParseString(s string) (*Named, error) {
-	return Parse(strings.NewReader(s))
+// newParsedNamed returns the empty computation of a parse and its
+// symbol tables, with room for the given number of nodes; the caller
+// fills LocID.
+func newParsedNamed(locNames []string, nodes int) *Named {
+	return &Named{
+		Comp:     New(len(locNames)),
+		NodeName: make([]string, 0, nodes),
+		NodeID:   make(map[string]dag.Node, nodes),
+		LocName:  append([]string(nil), locNames...),
+		LocID:    make(map[string]Loc, len(locNames)),
+	}
+}
+
+// asciiSpace marks the bytes strings.TrimSpace and strings.Fields treat
+// as space in ASCII text.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// splitFields appends the fields of line, as strings.Fields splits it,
+// to fields. An ASCII line is split in place; a line with any other byte
+// goes to strings.Fields.
+func splitFields(fields []string, line string) []string {
+	n, start := len(fields), -1
+	for i := 0; i < len(line); i++ {
+		switch b := line[i]; {
+		case b >= utf8.RuneSelf:
+			return append(fields[:n], strings.Fields(line)...)
+		case asciiSpace[b]:
+			if start >= 0 {
+				fields, start = append(fields, line[start:i]), -1
+			}
+		case start < 0:
+			start = i
+		}
+	}
+	if start >= 0 {
+		fields = append(fields, line[start:])
+	}
+	return fields
 }
 
 // Format writes the computation in the text format accepted by Parse.
 func (n *Named) Format(w io.Writer) error {
+	_, err := w.Write(n.AppendText(nil))
+	return err
+}
+
+// AppendText appends the text Format writes to b: the locs line, the
+// nodes in id order and the edges in lexicographic order.
+func (n *Named) AppendText(b []byte) []byte {
 	if len(n.LocName) > 0 {
-		if _, err := fmt.Fprintf(w, "locs %s\n", strings.Join(n.LocName, " ")); err != nil {
-			return err
+		b = append(b, "locs"...)
+		for _, name := range n.LocName {
+			b = append(append(b, ' '), name...)
 		}
+		b = append(b, '\n')
 	}
 	for u, name := range n.NodeName {
-		op := n.Comp.Op(dag.Node(u))
-		var opStr string
-		if op.Kind == Noop {
-			opStr = "N"
+		b = append(append(append(b, "node "...), name...), ' ')
+		if op := n.Comp.Op(dag.Node(u)); op.Kind == Noop {
+			b = append(b, 'N')
 		} else {
-			opStr = fmt.Sprintf("%s(%s)", op.Kind, n.LocName[op.Loc])
+			b = append(append(append(append(b, op.Kind.String()...), '('), n.LocName[op.Loc]...), ')')
 		}
-		if _, err := fmt.Fprintf(w, "node %s %s\n", name, opStr); err != nil {
-			return err
+		b = append(b, '\n')
+	}
+	var buf [32]dag.Node
+	g := n.Comp.Dag()
+	for u := 0; u < g.NumNodes(); u++ {
+		succs := append(buf[:0], g.Succs(dag.Node(u))...)
+		slices.Sort(succs)
+		for _, v := range succs {
+			b = append(append(append(append(b, "edge "...), n.NodeName[u]...), ' '), n.NodeName[v]...)
+			b = append(b, '\n')
 		}
 	}
-	edges := n.Comp.Dag().Edges()
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
-		}
-		return edges[i][1] < edges[j][1]
-	})
-	for _, e := range edges {
-		if _, err := fmt.Fprintf(w, "edge %s %s\n", n.NodeName[e[0]], n.NodeName[e[1]]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return b
 }
 
 // FormatString renders the computation via Format.

@@ -47,15 +47,6 @@ import (
 // brute-force enumeration of linearizations.
 var CAUSAL Model = registered("CAUSAL")
 
-// decideCausal decides CAUSAL membership in polynomial time.
-func decideCausal(ctx context.Context, c *computation.Computation, o *observer.Observer, _ SearchOptions) Decision {
-	var hb hbCore
-	if !hb.build(c, c.Closure(), o) {
-		return Decision{Verdict: search.VerdictOut()}
-	}
-	return Decision{Verdict: hb.causal(ctx, c, o, writersByLoc(nil, c))}
-}
-
 // causal runs the per-node linearization check against the built
 // (acyclic) hb of (c, o), with writers c's writers per location,
 // polling ctx once per node.

@@ -1,12 +1,9 @@
 package memmodel
 
 import (
-	"context"
-
 	"repro/internal/computation"
 	"repro/internal/dag"
 	"repro/internal/observer"
-	"repro/internal/search"
 )
 
 // Predicate is the parameter Q of Definition 20. Holds is evaluated on
@@ -84,21 +81,6 @@ var (
 	WW Model = registered("WW")
 )
 
-// decideQDag is the registry's decider for QDag(p): an Out decision
-// carries the violating triple.
-func decideQDag(p Predicate) decider {
-	return func(ctx context.Context, c *computation.Computation, o *observer.Observer, _ SearchOptions) Decision {
-		v, err := findViolation(ctx, p, c, o)
-		switch {
-		case err != nil:
-			return inconclusive(err)
-		case v != nil:
-			return Decision{Verdict: search.VerdictOut(), Violation: v}
-		}
-		return Decision{Verdict: search.VerdictIn()}
-	}
-}
-
 // Violation records a failed instance of Condition 20.1, for error
 // reporting in the cmd tools.
 type Violation struct {
@@ -108,23 +90,12 @@ type Violation struct {
 
 // ExplainQDag returns a witness triple violating Condition 20.1 for the
 // given predicate, or nil if (c, o) is in the model. The observer must
-// be valid for c.
+// be valid for c. The Decider's fused scan finds the same triple.
 func ExplainQDag(p Predicate, c *computation.Computation, o *observer.Observer) *Violation {
-	v, _ := findViolation(context.Background(), p, c, o)
-	return v
-}
-
-// findViolation is ExplainQDag under a context, polled once per
-// (location, node) outer iteration. A non-nil error means the scan was
-// stopped before covering every triple.
-func findViolation(ctx context.Context, p Predicate, c *computation.Computation, o *observer.Observer) (*Violation, error) {
 	cl := c.Closure()
 	n := c.NumNodes()
 	for l := computation.Loc(0); int(l) < c.NumLocs(); l++ {
 		for v := dag.Node(0); int(v) < n; v++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
 			phiV := o.Get(l, v)
 			// Candidate u values: ⊥, then every strict ancestor of v.
 			var bad *Violation
@@ -149,9 +120,9 @@ func findViolation(ctx context.Context, p Predicate, c *computation.Computation,
 				cl.Ancestors(v).ForEach(func(ui int) bool { return scan(dag.Node(ui)) })
 			}
 			if bad != nil {
-				return bad, nil
+				return bad
 			}
 		}
 	}
-	return nil, nil
+	return nil
 }

@@ -31,8 +31,7 @@ import (
 // hbCore is the happens-before relation of one pair together with the
 // scratch the hb-based checks run in. The zero value is ready; the
 // buffers grow to the largest computation seen and are reused, so a
-// long-lived core (PatternDecider's) decides without allocating, and
-// the one-shot deciders use a fresh one per call.
+// long-lived Decider's core decides without allocating.
 type hbCore struct {
 	words int      // words per row
 	rows  []uint64 // row u (words words from u*words) = {v : u ≺_hb v}
@@ -91,9 +90,7 @@ func (h *hbCore) prec(u, v dag.Node) bool {
 }
 
 // writersByLoc lists c's writers per location, in increasing order,
-// into ws's slices, and returns the lists. PatternDecider keeps the
-// lists for a computation's observers and reuses them for the next
-// computation; the one-shot deciders pass nil.
+// into ws's slices, and returns the lists.
 func writersByLoc(ws [][]dag.Node, c *computation.Computation) [][]dag.Node {
 	if cap(ws) < c.NumLocs() {
 		ws = make([][]dag.Node, c.NumLocs())

@@ -24,22 +24,32 @@ import (
 // the naming collision.
 var LC Model = registered("LC")
 
-// decideLC decides each location by the polynomial SerializeLoc
-// reduction, polling ctx between locations. An In decision carries one
-// witnessing sort per location.
-func decideLC(ctx context.Context, c *computation.Computation, o *observer.Observer, _ SearchOptions) Decision {
-	sorts := make([][]dag.Node, c.NumLocs())
+// decideLC decides each location by the polynomial serialization
+// reduction (serialize.go), polling ctx between locations. An In
+// decision carries one witnessing sort per location.
+func (d *Decider) decideLC(ctx context.Context) Decision {
+	sorts := make([][]dag.Node, d.numLocs)
+	slab := make([]dag.Node, d.numLocs*d.n)
 	for l := range sorts {
 		if err := ctx.Err(); err != nil {
 			return inconclusive(err)
 		}
-		order, ok := SerializeLoc(c, computation.Loc(l), o)
+		writeOrder, ok := d.lcLoc(computation.Loc(l))
 		if !ok {
 			return Decision{Verdict: search.VerdictOut()}
 		}
-		sorts[l] = order
+		sorts[l] = d.serialize(computation.Loc(l), writeOrder, slab[l*d.n:(l+1)*d.n:(l+1)*d.n])
 	}
 	return Decision{Verdict: search.VerdictIn(), LocOrders: sorts}
+}
+
+// lcLoc runs the LC core at location l and returns the order of l's
+// writers in a serialization, or ok = false when there is none.
+func (d *Decider) lcLoc(l computation.Loc) ([]int, bool) {
+	if _, ok := d.lc.check(d.c, d.cl, d.o, l, d.locWriters()[l]); !ok {
+		return nil, false
+	}
+	return d.lc.sort()
 }
 
 // explainLCOut renders ExplainLC's proof of non-membership.

@@ -2,6 +2,7 @@ package memmodel
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/computation"
@@ -46,8 +47,11 @@ func patternMasks() []uint16 {
 // TestPatternMatchesContains differentially checks the fused decider
 // against the registered models' Contains over the full universe: for
 // every computation and every valid observer, the pattern bits must
-// agree with the individual model deciders, and a masked decision must
-// equal the full pattern under the mask.
+// agree with the individual model deciders, which run the engine for
+// SC and TSO whatever the inclusions imply, and a masked decision must
+// equal the full pattern under the mask. The Q-dag models' Decisions,
+// made by one fused scan on a reused Decider, must carry the triple
+// ExplainQDag finds.
 func TestPatternMatchesContains(t *testing.T) {
 	models := PatternModels()
 	if len(models) != len(ModelNames()) {
@@ -65,13 +69,27 @@ func TestPatternMatchesContains(t *testing.T) {
 	if testing.Short() {
 		cases = cases[:7]
 	}
+	preds := []Predicate{PredNN, PredNW, PredWN, PredWW}
 	masks := patternMasks()
 	pd := NewPatternDecider()
+	var qd Decider
 	for _, tc := range cases {
 		pairs := 0
 		eachComputationLocal(tc.n, tc.locs, func(c *computation.Computation) {
 			pd.Reset(c)
+			qd.Reset(c)
 			observer.Enumerate(c, func(o *observer.Observer) bool {
+				qd.Observe(o)
+				for _, p := range preds {
+					d, err := qd.Decide(context.Background(), p.Name, SearchOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := ExplainQDag(p, c, o); !reflect.DeepEqual(d.Violation, want) {
+						t.Fatalf("n=%d locs=%d %v / %v: %s violation %+v, ExplainQDag %+v",
+							tc.n, tc.locs, c, o, p.Name, d.Violation, want)
+					}
+				}
 				got := pd.Pattern(o)
 				var want uint16
 				for i, m := range models {
@@ -106,7 +124,11 @@ func TestSleepSetsPreserveSC(t *testing.T) {
 	for _, tc := range []struct{ n, locs int }{{3, 1}, {3, 2}, {4, 1}} {
 		eachComputationLocal(tc.n, tc.locs, func(c *computation.Computation) {
 			observer.Enumerate(c, func(o *observer.Observer) bool {
-				if got, want := SC.Contains(c, o), decideSC(context.Background(), c, o, noSleep).Verdict.In(); got != want {
+				d, err := DecideByName(context.Background(), "SC", c, o, noSleep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := SC.Contains(c, o), d.Verdict.In(); got != want {
 					t.Fatalf("n=%d locs=%d %v / %v: SC with sleep %v, without %v",
 						tc.n, tc.locs, c, o, got, want)
 				}
@@ -149,19 +171,27 @@ func TestPatternDeciderReuse(t *testing.T) {
 
 // TestHBCoreWarmAllocatesNothing: once its buffers have grown to the
 // computation, the happens-before core builds hb and runs the RA and
-// CAUSAL checks, and TSO runs its static checks, without allocating —
-// the per-pair cost PatternDecider pays on the lattice sweeps.
+// CAUSAL checks, and TSO runs its static checks, rejecting a pair they
+// rule out, without allocating — the per-pair cost PatternDecider pays
+// on the lattice sweeps.
 func TestHBCoreWarmAllocatesNothing(t *testing.T) {
 	eachComputationLocal(3, 2, func(c *computation.Computation) {
 		cl, writers := c.Closure(), writersByLoc(nil, c)
 		var h hbCore
+		var tso tsoCore
 		observer.Enumerate(c, func(o *observer.Observer) bool {
+			feasible := true
+			if h.build(c, cl, o) {
+				_, feasible = tso.spec(c, cl, o, writers)
+			}
 			decide := func() {
 				if h.build(c, cl, o) {
 					h.ra(context.Background(), c, o, writers)
 					h.causal(context.Background(), c, o, writers)
+					if !feasible {
+						tso.spec(c, cl, o, writers)
+					}
 				}
-				tsoFeasible(c, cl, o, writers)
 			}
 			decide()
 			if allocs := testing.AllocsPerRun(5, decide); allocs != 0 {

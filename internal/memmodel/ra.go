@@ -38,15 +38,6 @@ import (
 // live in testdata/litmus and are machine-checked by cmd/lattice.
 var RA Model = registered("RA")
 
-// decideRA decides RA membership in polynomial time.
-func decideRA(ctx context.Context, c *computation.Computation, o *observer.Observer, _ SearchOptions) Decision {
-	var hb hbCore
-	if !hb.build(c, c.Closure(), o) {
-		return Decision{Verdict: search.VerdictOut()}
-	}
-	return Decision{Verdict: hb.ra(ctx, c, o, writersByLoc(nil, c))}
-}
-
 // ra runs the per-location modification-order check against the built
 // (acyclic) hb of (c, o), with writers c's writers per location,
 // polling ctx once per location.

@@ -7,18 +7,18 @@ import (
 
 	"repro/internal/computation"
 	"repro/internal/dag"
-	"repro/internal/obs"
 	"repro/internal/observer"
 	"repro/internal/search"
 )
 
 // This file is the model registry: one ordered table of the memory
 // models the frontends serve. A row carries what every layer needs to
-// know about its model: the name, the governed decide function, whether
-// that function runs a search on the engine, and how -explain shows its
-// witness. The exported model values (SC, LC, …), ModelNames,
-// PatternModels, Lookup and DecideByName all derive from the table, so
-// a new model is its decider file, one row, and its PatternDecider bit.
+// know about its model: the name, whether its decider runs a search on
+// the engine, and how -explain shows its witness; its index is its
+// pattern bit, which Decider.decide dispatches on. The exported model
+// values (SC, LC, …), ModelNames, PatternModels, Lookup and
+// DecideByName all derive from the table, so a new model is its decider
+// file, one row, and its bit's case in the Decider.
 
 // Verdict is the three-valued decision outcome (In / Out /
 // Inconclusive with a machine-readable StopReason).
@@ -50,15 +50,10 @@ type Decision struct {
 	Violation *Violation
 }
 
-// decider answers (c, o) ∈ a model under ctx; o has already been
-// validated for c.
-type decider func(ctx context.Context, c *computation.Computation, o *observer.Observer, opts SearchOptions) Decision
-
 // Entry is one row of the model registry. It is a Model: Contains is
-// the row's decide function, ungoverned.
+// the row's Decision, made without a deadline or budget.
 type Entry struct {
-	name   string
-	decide decider
+	name string
 	// engine marks a model decided by a search on the engine: its
 	// decisions carry search stats, and the engine emits their run
 	// events.
@@ -76,15 +71,15 @@ type Entry struct {
 // hardware/language models appended after the paper's six. A model's
 // pattern bit is its row index, so rows are only ever appended.
 var registry = [...]Entry{
-	{name: "SC", decide: decideSC, engine: true, witness: "witness sort"},
-	{name: "LC", decide: decideLC, explainOut: explainLCOut},
-	{name: "NN", decide: decideQDag(PredNN)},
-	{name: "NW", decide: decideQDag(PredNW)},
-	{name: "WN", decide: decideQDag(PredWN)},
-	{name: "WW", decide: decideQDag(PredWW)},
-	{name: "TSO", decide: decideTSO, engine: true, witness: "witness memory order"},
-	{name: "RA", decide: decideRA},
-	{name: "CAUSAL", decide: decideCausal},
+	{name: "SC", engine: true, witness: "witness sort"},
+	{name: "LC", explainOut: explainLCOut},
+	{name: "NN"},
+	{name: "NW"},
+	{name: "WN"},
+	{name: "WW"},
+	{name: "TSO", engine: true, witness: "witness memory order"},
+	{name: "RA"},
+	{name: "CAUSAL"},
 }
 
 // registered returns the row named name; the model variables of the
@@ -100,10 +95,11 @@ func registered(name string) *Entry {
 // Name returns the model's registered name.
 func (e *Entry) Name() string { return e.name }
 
-// Contains reports whether (c, o) is in the model, deciding it without
-// a deadline or budget.
+// Contains reports whether (c, o) is in the model: the verdict of the
+// model's full decider, run without a deadline or budget.
 func (e *Entry) Contains(c *computation.Computation, o *observer.Observer) bool {
-	return o.Validate(c) == nil && e.decide(context.Background(), c, o, SearchOptions{}).Verdict.In()
+	d, _ := DecideByName(context.Background(), e.name, c, o, SearchOptions{})
+	return d.Verdict.In()
 }
 
 // patternBit returns the row's PatternDecider bit, its index in the
@@ -163,31 +159,14 @@ func Lookup(name string) (*Entry, error) {
 	return nil, unknownModel(name)
 }
 
-// DecideByName answers (c, o) ∈ model for one of the ModelNames,
-// spelled exactly, under ctx. Engine models label their engine's run
-// events on opts.Recorder with the model name; the polynomial ones get
-// an explicit RunStart/RunEnd pair, so recorded sessions see one run
-// per decision either way. An observer that fails validation is
-// definitively Out (it is not an observer function for c at all). An
-// unknown model name is an error naming the registered models.
+// DecideByName answers (c, o) ∈ model as Decider.Decide does, on a
+// one-shot Decider.
 func DecideByName(ctx context.Context, model string, c *computation.Computation, o *observer.Observer, opts SearchOptions) (Decision, error) {
-	e, err := Lookup(model)
-	if err != nil || e.name != model {
-		return Decision{}, unknownModel(model)
-	}
-	opts.Recorder = obs.WithRun(opts.Recorder, e.name)
-	if !e.engine {
-		obs.Emit(opts.Recorder, obs.Event{Kind: obs.RunStart, Total: 1})
-	}
-	d := Decision{Verdict: search.VerdictOut()}
-	if o.Validate(c) == nil {
-		d = e.decide(ctx, c, o, opts)
-	}
-	d.Model = e.name
-	if !e.engine {
-		obs.Emit(opts.Recorder, obs.Event{Kind: obs.RunEnd, Str: d.Verdict.String()})
-	}
-	return d, nil
+	var d Decider
+	d.Reset(c)
+	d.Observe(o)
+	d.qAsk = 0 // a Q-dag model scans for its own predicate alone
+	return d.Decide(ctx, model, opts)
 }
 
 func unknownModel(name string) error {

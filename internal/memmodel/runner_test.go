@@ -34,12 +34,13 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 	}
 	var specs []spec
 	add := func(name string, c *computation.Computation, o *observer.Observer) {
-		specs = append(specs, spec{name + " SC", lastWriterSpec(c, o, allLocs(c))})
+		specs = append(specs, spec{name + " SC", lastWriterSpec(c, o, make([]dag.Node, c.NumLocs()*c.NumNodes()))})
 		var hb hbCore
 		if !hb.build(c, c.Closure(), o) {
 			return
 		}
-		if s, feasible := tsoSpec(c, c.Closure(), o, writersByLoc(nil, c)); feasible {
+		// Each spec keeps the storage of its own core.
+		if s, feasible := new(tsoCore).spec(c, c.Closure(), o, writersByLoc(nil, c)); feasible {
 			specs = append(specs, spec{name + " TSO", s})
 		}
 	}

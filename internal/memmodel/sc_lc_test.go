@@ -36,7 +36,11 @@ func TestSCAcceptsLastWriterObservers(t *testing.T) {
 		if !SC.Contains(c, o) {
 			t.Fatalf("SC rejected last-writer observer of %v", c)
 		}
-		w := decideSC(context.Background(), c, o, SearchOptions{}).Order
+		d, err := DecideByName(context.Background(), "SC", c, o, SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := d.Order
 		if !c.Dag().IsTopoSort(w) {
 			t.Fatalf("no SC witness sort for %v", c)
 		}
@@ -95,7 +99,11 @@ func TestDekkerSeparatesSCFromLC(t *testing.T) {
 	if !LC.Contains(fx.Comp, fx.Obs) {
 		t.Fatal("Dekker outcome must be location consistent")
 	}
-	sorts := decideLC(context.Background(), fx.Comp, fx.Obs, SearchOptions{}).LocOrders
+	d, err := DecideByName(context.Background(), "LC", fx.Comp, fx.Obs, SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorts := d.LocOrders
 	if len(sorts) != 2 {
 		t.Fatal("no LC witness sorts for Dekker")
 	}

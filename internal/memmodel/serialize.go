@@ -2,7 +2,6 @@ package memmodel
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/computation"
 	"repro/internal/dag"
@@ -35,60 +34,65 @@ import (
 // topological-sort search (kept in search.go for SC, which needs all
 // locations simultaneously serialized and is NP-hard, and for
 // cross-validation in the tests). One core, lcCore, runs the reduction
-// for SerializeLoc, ExplainLC and the pooled PatternDecider alike.
+// for SerializeLoc, ExplainLC and the Decider alike.
 
 // SerializeLoc returns a topological sort T of c with W_T(l, u) =
 // Φ(l, u) for every node u, or ok = false if none exists. The observer
 // must be valid for c.
 func SerializeLoc(c *computation.Computation, l computation.Loc, o *observer.Observer) ([]dag.Node, bool) {
-	var lc lcCore
-	writers := c.Writers(l)
-	if _, ok := lc.check(c, c.Closure(), o, l, writers); !ok {
-		return nil, false
-	}
-	writeOrder, ok := lc.sort()
+	var d Decider
+	d.Reset(c)
+	d.observe(o)
+	writeOrder, ok := d.lcLoc(l)
 	if !ok {
 		return nil, false
 	}
-	// Rank every node by interval: a write by its 1-based position in
-	// the write order, every other node by the write it observes (0 for
-	// ⊥).
-	n := c.NumNodes()
-	rank := make([]int, n)
+	return d.serialize(l, writeOrder, make([]dag.Node, c.NumNodes())), true
+}
+
+// serialize fills order with the witness sort of location l for the
+// order of l's writers the LC core found, and returns it. Every node is
+// ranked by interval — a write by its 1-based position in writeOrder,
+// any other node by the write it observes (0 for ⊥) — and the sort
+// lists the intervals in rank order, each led by its write and then in
+// c's topological order.
+func (d *Decider) serialize(l computation.Loc, writeOrder []int, order []dag.Node) []dag.Node {
+	if d.topo == nil {
+		d.topo, _ = d.c.Dag().TopoSort() // c is acyclic: it has a closure
+	}
+	writers := d.locWriters()[l]
+	n, k := d.n, len(writers)
+	d.scr = grow(d.scr, n+k+1)
+	rank, start := d.scr[:n], d.scr[n:]
 	for pos, wi := range writeOrder {
 		rank[writers[wi]] = pos + 1
 	}
 	for u := dag.Node(0); int(u) < n; u++ {
-		if w := o.Get(l, u); w != observer.Bottom && w != u {
+		if w := d.o.Get(l, u); w == observer.Bottom {
+			rank[u] = 0
+		} else if w != u {
 			rank[u] = rank[w]
 		}
 	}
-	baseOrder, err := c.Dag().TopoSort()
-	if err != nil {
-		return nil, false
+	// start[r] becomes where interval r begins.
+	clear(start)
+	for _, r := range rank {
+		start[r]++
 	}
-	topoPos := make([]int, n)
-	for pos, u := range baseOrder {
-		topoPos[u] = pos
+	for r, sum := 0, 0; r <= k; r++ {
+		start[r], sum = sum, sum+start[r]
 	}
-	order := make([]dag.Node, n)
-	for u := range order {
-		order[u] = dag.Node(u)
+	for pos, wi := range writeOrder {
+		order[start[pos+1]] = writers[wi]
+		start[pos+1]++
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if rank[a] != rank[b] {
-			return rank[a] < rank[b]
+	for _, u := range d.topo {
+		if !d.c.Op(u).IsWriteTo(l) {
+			order[start[rank[u]]] = u
+			start[rank[u]]++
 		}
-		// The interval's write leads its interval.
-		aw := c.Op(a).IsWriteTo(l)
-		bw := c.Op(b).IsWriteTo(l)
-		if aw != bw {
-			return aw
-		}
-		return topoPos[a] < topoPos[b]
-	})
-	return order, true
+	}
+	return order
 }
 
 // LCExplanation is a proof of non-membership in LC at one location:

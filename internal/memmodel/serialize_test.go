@@ -9,16 +9,29 @@ import (
 	"repro/internal/computation"
 	"repro/internal/dag"
 	"repro/internal/observer"
+	"repro/internal/search"
 )
 
 // lcContainsBySearch is the exponential topological-sort search for LC
-// membership: the engine run one location at a time.
+// membership: the engine run one location at a time, with that
+// location as its only slot.
 func lcContainsBySearch(c *computation.Computation, o *observer.Observer) bool {
 	if o.Validate(c) != nil {
 		return false
 	}
 	for l := computation.Loc(0); int(l) < c.NumLocs(); l++ {
-		if !searchLastWriter(context.Background(), c, o, []computation.Loc{l}, SearchOptions{}).Found {
+		spec := search.Spec{
+			Dag:      c.Dag(),
+			NumSlots: 1,
+			WriteSlot: func(u dag.Node) int {
+				if c.Op(u).IsWriteTo(l) {
+					return 0
+				}
+				return -1
+			},
+			Allowed: func(_ int, u dag.Node) ([]dag.Node, bool) { return []dag.Node{o.Get(l, u)}, true },
+		}
+		if !search.Run(spec, SearchOptions{}).Found {
 			return false
 		}
 	}
@@ -65,7 +78,11 @@ func TestQuickSerializeWitnessRealizes(t *testing.T) {
 		}
 		ok := true
 		observer.Enumerate(c, func(o *observer.Observer) bool {
-			sorts := decideLC(context.Background(), c, o, SearchOptions{}).LocOrders
+			d, err := DecideByName(context.Background(), "LC", c, o, SearchOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sorts := d.LocOrders
 			if sorts == nil {
 				return true
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/computation"
+	"repro/internal/dag"
 	"repro/internal/observer"
 	"repro/internal/search"
 )
@@ -28,7 +29,7 @@ func SCShardPlan(c *computation.Computation, o *observer.Observer) (int, *search
 	if o.Validate(c) != nil {
 		return 0, &search.Result{Exhausted: true, WitnessRoot: -1}
 	}
-	return search.Frontier(lastWriterSpec(c, o, allLocs(c)))
+	return search.Frontier(lastWriterSpec(c, o, make([]dag.Node, c.NumLocs()*c.NumNodes())))
 }
 
 // SCDecideShard is the SC decision restricted to the frontier shard
@@ -43,5 +44,5 @@ func SCDecideShard(ctx context.Context, c *computation.Computation, o *observer.
 		return search.Result{Exhausted: true, WitnessRoot: -1}
 	}
 	opts.RootLo, opts.RootHi = lo, hi
-	return searchLastWriter(ctx, c, o, allLocs(c), opts)
+	return search.RunContext(ctx, lastWriterSpec(c, o, make([]dag.Node, c.NumLocs()*c.NumNodes())), opts)
 }

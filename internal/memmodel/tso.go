@@ -49,141 +49,152 @@ var TSO Model = registered("TSO")
 // engine-backed model. An In decision's Order is the memory order over
 // the original nodes, sequenced by when they take effect: reads and
 // noops at issue, writes at commit.
-func decideTSO(ctx context.Context, c *computation.Computation, o *observer.Observer, opts SearchOptions) Decision {
-	// View causality must be acyclic: every cross-past observation is
-	// a real-time ordering (the observed write committed before the
-	// observer sampled it), so a cycle in precedence ∪ observation has
-	// no execution — and its image in tsoSpec's event dag would be
-	// cyclic too.
-	var hb hbCore
-	cl := c.Closure()
-	if !hb.build(c, cl, o) {
+func (d *Decider) decideTSO(ctx context.Context, opts SearchOptions) Decision {
+	res, ran := d.tsoSearch(ctx, opts)
+	if !ran {
 		return Decision{Verdict: search.VerdictOut()}
 	}
-	spec, feasible := tsoSpec(c, cl, o, writersByLoc(nil, c))
-	if !feasible {
-		return Decision{Verdict: search.VerdictOut()}
-	}
-	res := search.RunContext(ctx, spec, opts)
-	d := Decision{Verdict: res.Verdict(), Stats: res.Stats, Order: res.Order}
+	dec := Decision{Verdict: res.Verdict(), Stats: res.Stats, Order: res.Order}
 	if res.Found {
-		n := c.NumNodes()
-		writes := tsoEventWrites(c)
-		d.Order = make([]dag.Node, 0, n)
+		dec.Order = make([]dag.Node, 0, d.n)
 		for _, ev := range res.Order {
-			if int(ev) < n {
-				if c.Op(ev).Kind != computation.Write {
-					d.Order = append(d.Order, ev)
-				}
-			} else {
-				d.Order = append(d.Order, writes[int(ev)-n])
+			if int(ev) >= d.n {
+				dec.Order = append(dec.Order, d.tso.writes[int(ev)-d.n])
+			} else if d.c.Op(ev).Kind != computation.Write {
+				dec.Order = append(dec.Order, ev)
 			}
 		}
 	}
-	return d
+	return dec
 }
 
-// tsoEventWrites lists the write nodes in commit-event order: commit
-// events are numbered n, n+1, ... over the writes in node order.
-func tsoEventWrites(c *computation.Computation) []dag.Node {
-	var ws []dag.Node
-	for u := 0; u < c.NumNodes(); u++ {
-		if c.Op(dag.Node(u)).Kind == computation.Write {
-			ws = append(ws, dag.Node(u))
+// tsoSearch runs the pair's TSO search; ran is false when the pair is
+// out without one. View causality must be acyclic: every cross-past
+// observation is a real-time ordering (the observed write committed
+// before the observer sampled it), so a cycle in precedence ∪
+// observation has no execution — and its image in the event dag would
+// be cyclic too. And the static checks of tsoCore.spec must pass.
+func (d *Decider) tsoSearch(ctx context.Context, opts SearchOptions) (search.Result, bool) {
+	if d.hbAcyclic() {
+		if spec, feasible := d.tso.spec(d.c, d.cl, d.o, d.locWriters()); feasible {
+			return d.run(ctx, spec, opts), true
 		}
 	}
-	return ws
+	return search.Result{}, false
 }
 
 // tsoGate is one view constraint at a node's issue event: the buffer
-// for slot is the commit events in lwCommits still unplaced; while any
-// is pending the view must be want, buffered and unshadowed
-// (wantCommit is want's commit event, -1 when want is outside the
-// C-past); once the buffer drains the view is memory, last[slot] —
-// which tracks commit events, the slot writers.
+// for slot is the commit events commits[lo:hi] of the tsoCore still
+// unplaced; while any is pending the view must be want, buffered and
+// unshadowed (wantCommit is want's commit event, -1 when want is
+// outside the C-past); once the buffer drains the view is memory,
+// last[slot] — which tracks commit events, the slot writers.
 type tsoGate struct {
-	slot       int32
-	wantCommit int32
-	wantPast   bool // want is in the node's C-past (forwardable)
-	lwCommits  []int32
+	slot, wantCommit int32
+	wantPast         bool // want is in the node's C-past (forwardable)
+	lo, hi           int32
 }
 
-// tsoFeasible runs the static infeasibility checks at every node's
-// issue event, without allocating: a constraint whose buffer — the
+// tsoCore is the storage of TSO's engine question, reused from one
+// pair to the next.
+type tsoCore struct {
+	commitOf []int32    // node -> its commit event, -1 for a non-write
+	writes   []dag.Node // commit event n+i -> its write
+	gates    []tsoGate  // issue event u's gates end at gateEnd[u]
+	gateEnd  []int32
+	commits  []int32 // the gates' buffers
+	vals     []dag.Node
+	skip     []bool
+}
+
+// spec compiles the TSO membership question into an engine Spec on
+// the two-event expansion of c, over t's storage: events 0..n-1 are
+// the original nodes' issue events (reads and noops take effect
+// there), and each write additionally owns a commit event ≥ n, the sole
+// writer of its location slot. cl is c's precedence closure and writers
+// its writers per location. The caller has checked that view causality
+// (hb) is acyclic, which keeps the event dag acyclic.
+//
+// feasible is false when a constraint is statically unsatisfiable, and
+// the pair is then definitively out: a constraint whose buffer — the
 // C-past writes to the location — is non-empty is unsatisfiable when
 // the view is ⊥ (a program-order-earlier write is always visible,
 // buffered or committed) or when a C-past write program-order-later
 // than the view shadows it (while buffered it is the newer buffer
 // entry, and FIFO commits it after the view, so memory never ends at
-// the view either). writers lists c's writers per location.
-func tsoFeasible(c *computation.Computation, cl *dag.Closure, o *observer.Observer, writers [][]dag.Node) bool {
-	for l, ws := range writers {
-		loc := computation.Loc(l)
-		for u := 0; u < c.NumNodes(); u++ {
-			node := dag.Node(u)
-			if c.Op(node).IsWriteTo(loc) {
-				continue // self-observation, trivial
-			}
-			want := o.Get(loc, node)
-			for _, w := range ws {
-				if !cl.Precedes(w, node) {
-					continue
-				}
-				if want == observer.Bottom || (w != want && cl.Precedes(want, w)) {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// tsoSpec compiles the TSO membership question into an engine Spec on
-// the two-event expansion of c: events 0..n-1 are the original nodes'
-// issue events (reads and noops take effect there), and each write
-// additionally owns a commit event ≥ n, the sole writer of its
-// location slot. cl is c's precedence closure and writers its writers
-// per location. The caller has checked that view causality (hb) is
-// acyclic, which keeps the event dag acyclic. feasible is false when
-// tsoFeasible rules a constraint statically unsatisfiable; the pair is
-// then definitively out, and nothing is built.
-func tsoSpec(c *computation.Computation, cl *dag.Closure, o *observer.Observer, writers [][]dag.Node) (search.Spec, bool) {
-	if !tsoFeasible(c, cl, o, writers) {
-		return search.Spec{}, false
-	}
+// the view either). Those checks run first, on the gates, and a warm
+// core runs them without allocating.
+func (t *tsoCore) spec(c *computation.Computation, cl *dag.Closure, o *observer.Observer, writers [][]dag.Node) (search.Spec, bool) {
 	n := c.NumNodes()
 	numLocs := c.NumLocs()
 
 	// Commit event ids: n + rank of the write among the writes.
-	commitOf := make([]int32, n)
-	nEvents := n
+	t.commitOf, t.writes = grow(t.commitOf, n), t.writes[:0]
 	for u := 0; u < n; u++ {
-		commitOf[u] = -1
+		t.commitOf[u] = -1
 		if c.Op(dag.Node(u)).Kind == computation.Write {
-			commitOf[u] = int32(nEvents)
-			nEvents++
+			t.commitOf[u] = int32(n + len(t.writes))
+			t.writes = append(t.writes, dag.Node(u))
 		}
+	}
+	nEvents := n + len(t.writes)
+	commitOf := t.commitOf
+
+	// Each issue event's gates, and skip marking the (slot, issue
+	// event) pairs Allowed leaves unconstrained: self-observations, and
+	// views a gate owns. Commit events carry no view constraint.
+	t.gates, t.commits, t.gateEnd = t.gates[:0], t.commits[:0], grow(t.gateEnd, n)
+	t.skip = grow(t.skip, numLocs*nEvents)
+	clear(t.skip)
+	for u := 0; u < n; u++ {
+		node := dag.Node(u)
+		for l := 0; l < numLocs; l++ {
+			loc := computation.Loc(l)
+			if c.Op(node).IsWriteTo(loc) {
+				t.skip[l*nEvents+u] = true // self-observation, trivial
+				continue
+			}
+			want := o.Get(loc, node)
+			g := tsoGate{lo: int32(len(t.commits))}
+			for _, w := range writers[l] {
+				if !cl.Precedes(w, node) {
+					continue
+				}
+				if want == observer.Bottom || (w != want && cl.Precedes(want, w)) {
+					return search.Spec{}, false
+				}
+				t.commits = append(t.commits, commitOf[w])
+				g.wantPast = g.wantPast || w == want
+			}
+			if g.hi = int32(len(t.commits)); g.hi == g.lo {
+				continue // engine-native singleton constraint on the issue event
+			}
+			g.slot, g.wantCommit = int32(l), commitOf[want]
+			t.skip[l*nEvents+u] = true
+			t.gates = append(t.gates, g)
+		}
+		t.gateEnd[u] = int32(len(t.gates))
 	}
 
 	rd := dag.New(nEvents)
 	for u := 0; u < n; u++ {
 		node := dag.Node(u)
-		// Issues respect program order in full.
-		cl.Descendants(node).ForEach(func(vi int) bool {
-			rd.MustAddEdge(node, dag.Node(vi))
-			return true
-		})
-		if cu := commitOf[u]; cu >= 0 {
+		// Issues respect program order in full: c's own edges carry
+		// its closure into the event dag's.
+		for _, v := range c.Dag().Succs(node) {
+			rd.MustAddEdge(node, v)
+		}
+		if cu := dag.Node(commitOf[u]); cu >= 0 {
 			// A write commits after it issues; buffers drain FIFO; a
 			// program-order-later noop is a fence the commit cannot
 			// cross.
-			rd.MustAddEdge(node, dag.Node(cu))
+			rd.MustAddEdge(node, cu)
 			cl.Descendants(node).ForEach(func(vi int) bool {
 				switch c.Op(dag.Node(vi)).Kind {
 				case computation.Write:
-					rd.MustAddEdge(dag.Node(cu), dag.Node(commitOf[vi]))
+					rd.MustAddEdge(cu, dag.Node(commitOf[vi]))
 				case computation.Noop:
-					rd.MustAddEdge(dag.Node(cu), dag.Node(vi))
+					rd.MustAddEdge(cu, dag.Node(vi))
 				}
 				return true
 			})
@@ -191,9 +202,8 @@ func tsoSpec(c *computation.Computation, cl *dag.Closure, o *observer.Observer, 
 	}
 	// A view of a write outside the node's C-past is a read from
 	// memory: that commit precedes this issue. (Inside the C-past the
-	// buffer machinery below owns the constraint.) These edges are
-	// images of happens-before pairs, so the caller's hb check keeps rd
-	// acyclic.
+	// buffer machinery owns the constraint.) These edges are images of
+	// happens-before pairs, so the caller's hb check keeps rd acyclic.
 	for l := computation.Loc(0); int(l) < numLocs; l++ {
 		for u := 0; u < n; u++ {
 			node := dag.Node(u)
@@ -205,65 +215,25 @@ func tsoSpec(c *computation.Computation, cl *dag.Closure, o *observer.Observer, 
 		}
 	}
 
-	gates := make([][]tsoGate, nEvents) // commit events carry no gates
-	vals := make([]dag.Node, numLocs*nEvents)
-	// byGate marks (slot, issue event) pairs whose constraint lives in
-	// the gate; commit events and self-observations are never
-	// constrained through Allowed either.
-	byGate := make([]bool, numLocs*nEvents)
-	for l := 0; l < numLocs; l++ {
-		loc := computation.Loc(l)
-		for u := 0; u < n; u++ {
-			node := dag.Node(u)
-			if c.Op(node).IsWriteTo(loc) {
-				continue // self-observation, trivial
-			}
-			want := o.Get(loc, node)
-			var g tsoGate
-			for _, w := range writers[l] {
-				if cl.Precedes(w, node) {
-					g.lwCommits = append(g.lwCommits, commitOf[w])
-					if w == want {
-						g.wantPast = true
-					}
-				}
-			}
-			if len(g.lwCommits) == 0 {
-				continue // engine-native singleton constraint on the issue event
-			}
-			// tsoFeasible passed, so want is a write no C-past write
-			// shadows.
-			g.slot, g.wantCommit = int32(l), commitOf[want]
-			byGate[l*nEvents+u] = true
-			gates[u] = append(gates[u], g)
-		}
-	}
-
-	slotOfEvent := make([]int, nEvents)
-	for ev := range slotOfEvent {
-		slotOfEvent[ev] = -1
-	}
-	for u := 0; u < n; u++ {
-		if cu := commitOf[u]; cu >= 0 {
-			slotOfEvent[cu] = int(c.Op(dag.Node(u)).Loc)
-		}
-	}
-
+	t.vals = grow(t.vals, numLocs*nEvents)
+	vals, skip, writes := t.vals, t.skip, t.writes
+	gates, gateEnd, commits := t.gates, t.gateEnd, t.commits
 	return search.Spec{
-		Dag:       rd,
-		Closure:   dag.MustClosure(rd),
-		NumSlots:  numLocs,
-		WriteSlot: func(u dag.Node) int { return slotOfEvent[u] },
+		Dag:      rd,
+		Closure:  dag.MustClosure(rd),
+		NumSlots: numLocs,
+		WriteSlot: func(u dag.Node) int {
+			if int(u) < n {
+				return -1 // issue events write no slot
+			}
+			return int(c.Op(writes[int(u)-n]).Loc)
+		},
 		Allowed: func(s int, u dag.Node) ([]dag.Node, bool) {
-			if int(u) >= n || byGate[s*nEvents+int(u)] {
+			if int(u) >= n || skip[s*nEvents+int(u)] {
 				return nil, false
 			}
-			node := dag.Node(u)
-			if c.Op(node).IsWriteTo(computation.Loc(s)) {
-				return nil, false // self-observation
-			}
 			i := s*nEvents + int(u)
-			vals[i] = o.Get(computation.Loc(s), node)
+			vals[i] = o.Get(computation.Loc(s), u)
 			if vals[i] != observer.Bottom {
 				// The constraint tracks commit events: the slot writer
 				// is the write's commit, not its issue.
@@ -272,9 +242,16 @@ func tsoSpec(c *computation.Computation, cl *dag.Closure, o *observer.Observer, 
 			return vals[i : i+1 : i+1], true
 		},
 		Gate: func(u dag.Node, last []dag.Node, placed *bitset.Set) bool {
-			for _, g := range gates[u] {
+			if int(u) >= n {
+				return true // commit events carry no gates
+			}
+			lo := int32(0)
+			if u > 0 {
+				lo = gateEnd[u-1]
+			}
+			for _, g := range gates[lo:gateEnd[u]] {
 				buffered := false
-				for _, ce := range g.lwCommits {
+				for _, ce := range commits[g.lo:g.hi] {
 					if !placed.Contains(int(ce)) {
 						buffered = true
 						break

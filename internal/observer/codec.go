@@ -1,10 +1,8 @@
 package observer
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/computation"
 	"repro/internal/dag"
@@ -24,56 +22,59 @@ import (
 // observe themselves, everything else observes ⊥.
 
 // ParsePair reads a computation and an observer function from the
-// combined text format. Like computation.Parse, it is an input
-// boundary: malformed files return errors, and a recover fence
-// converts any panic a hostile file provokes into one.
-func ParsePair(r io.Reader) (named *computation.Named, o *Observer, err error) {
+// combined text format and parses them as ParsePairString does.
+func ParsePair(r io.Reader) (*computation.Named, *Observer, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ParsePairString(string(b))
+}
+
+// ParsePairString parses a computation and an observer function from
+// the combined text format, in one pass over s: a line whose first
+// field is exactly "observe" is an observer entry, and every other line
+// belongs to the computation (computation.ParseWith). Observer entries
+// apply once the computation has parsed, so they may name nodes
+// declared below them. Errors name the input's own line. Like
+// computation.ParseString, it is an input boundary: malformed text
+// returns an error, and a recover fence converts any panic a hostile
+// file provokes into one.
+func ParsePairString(s string) (named *computation.Named, o *Observer, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			named, o, err = nil, nil, fmt.Errorf("observer: invalid input: %v", rec)
 		}
 	}()
-	var compLines, obsLines []string
-	sc := bufio.NewScanner(r)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if strings.HasPrefix(line, "observe") {
-			obsLines = append(obsLines, line)
-		} else {
-			compLines = append(compLines, line)
+	named, err = computation.ParseWith(s, "observe", func(named *computation.Named, line int, fields []string) error {
+		if o == nil {
+			o = New(named.Comp)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, err
-	}
-	named, err = computation.Parse(strings.NewReader(strings.Join(compLines, "\n")))
-	if err != nil {
-		return nil, nil, err
-	}
-	o = New(named.Comp)
-	for i, line := range obsLines {
-		fields := strings.Fields(line)
 		if len(fields) != 4 {
-			return nil, nil, fmt.Errorf("observe line %d: want `observe NODE LOC WRITER`", i+1)
+			return fmt.Errorf("line %d: want `observe NODE LOC WRITER`", line)
 		}
 		u, ok := named.NodeID[fields[1]]
 		if !ok {
-			return nil, nil, fmt.Errorf("observe line %d: unknown node %q", i+1, fields[1])
+			return fmt.Errorf("line %d: unknown node %q", line, fields[1])
 		}
 		l, ok := named.LocID[fields[2]]
 		if !ok {
-			return nil, nil, fmt.Errorf("observe line %d: unknown location %q", i+1, fields[2])
+			return fmt.Errorf("line %d: unknown location %q", line, fields[2])
 		}
-		var w dag.Node
-		if fields[3] == "bottom" || fields[3] == "⊥" {
-			w = Bottom
-		} else {
-			w, ok = named.NodeID[fields[3]]
-			if !ok {
-				return nil, nil, fmt.Errorf("observe line %d: unknown writer %q", i+1, fields[3])
+		w := Bottom
+		if fields[3] != "bottom" && fields[3] != "⊥" {
+			if w, ok = named.NodeID[fields[3]]; !ok {
+				return fmt.Errorf("line %d: unknown writer %q", line, fields[3])
 			}
 		}
 		o.Set(l, u, w)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	if o == nil {
+		o = New(named.Comp)
 	}
 	if err := o.Validate(named.Comp); err != nil {
 		return nil, nil, err
@@ -81,34 +82,38 @@ func ParsePair(r io.Reader) (named *computation.Named, o *Observer, err error) {
 	return named, o, nil
 }
 
-// ParsePairString is ParsePair over a string.
-func ParsePairString(s string) (*computation.Named, *Observer, error) {
-	return ParsePair(strings.NewReader(s))
+// FormatPair writes the computation and the observer's non-default
+// entries in the format accepted by ParsePair: AppendPair's text.
+func FormatPair(w io.Writer, named *computation.Named, o *Observer) error {
+	// Room for the usual text: node, edge and observe lines of about
+	// 24 bytes, some three of them per node.
+	_, err := w.Write(AppendPair(make([]byte, 0, 64+72*len(named.NodeName)), named, o))
+	return err
 }
 
-// FormatPair renders the computation and the observer's non-default
-// entries in the format accepted by ParsePair.
-func FormatPair(w io.Writer, named *computation.Named, o *Observer) error {
-	if err := named.Format(w); err != nil {
-		return err
-	}
+// AppendPair appends the pair's canonical text to b: the computation
+// as computation.Named.AppendText writes it, then one observe line per
+// entry that differs from its default — a write observes itself and
+// every other entry observes ⊥ — by location, then node.
+func AppendPair(b []byte, named *computation.Named, o *Observer) []byte {
+	b = named.AppendText(b)
 	c := named.Comp
-	def := New(c)
 	for l := computation.Loc(0); int(l) < c.NumLocs(); l++ {
 		for u := dag.Node(0); int(u) < c.NumNodes(); u++ {
-			v := o.Get(l, u)
-			if v == def.Get(l, u) {
+			v, def := o.Get(l, u), Bottom
+			if c.Op(u).IsWriteTo(l) {
+				def = u
+			}
+			if v == def {
 				continue
 			}
-			target := "bottom"
-			if v != Bottom {
-				target = named.NodeName[v]
-			}
-			if _, err := fmt.Fprintf(w, "observe %s %s %s\n",
-				named.NodeName[u], named.LocName[l], target); err != nil {
-				return err
+			b = append(append(append(append(b, "observe "...), named.NodeName[u]...), ' '), named.LocName[l]...)
+			if v == Bottom {
+				b = append(b, " bottom\n"...)
+			} else {
+				b = append(append(append(b, ' '), named.NodeName[v]...), '\n')
 			}
 		}
 	}
-	return nil
+	return b
 }

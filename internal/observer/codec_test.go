@@ -43,17 +43,44 @@ func TestParsePairUnicodeBottom(t *testing.T) {
 
 func TestParsePairErrors(t *testing.T) {
 	cases := []string{
-		"locs x\nnode A R(x)\nobserve A x",        // short line
-		"locs x\nnode A R(x)\nobserve Z x bottom", // unknown node
-		"locs x\nnode A R(x)\nobserve A y bottom", // unknown loc
-		"locs x\nnode A R(x)\nobserve A x Z",      // unknown writer
-		"locs x\nnode A R(x)\nobserve A x A",      // invalid: read observes itself
-		"locs x\nnode A W(x)\nobserve A x bottom", // invalid: write must observe itself
-		"bogus\nobserve A x bottom",               // computation parse error
+		"locs x\nnode A R(x)\nobserve A x",                   // short line
+		"locs x\nnode A R(x)\nobserve Z x bottom",            // unknown node
+		"locs x\nnode A R(x)\nobserve A y bottom",            // unknown loc
+		"locs x\nnode A R(x)\nobserve A x Z",                 // unknown writer
+		"locs x\nnode A R(x)\nobserve A x A",                 // invalid: read observes itself
+		"locs x\nnode A W(x)\nobserve A x bottom",            // invalid: write must observe itself
+		"bogus\nobserve A x bottom",                          // computation parse error
+		"locs x\nnode A W(x)\nnode B R(x)\nobserveXYZ B x A", // misspelled directive
+		"locs x\nnode A W(x)\nnode B R(x)\nobserver B x A",   // misspelled directive
 	}
 	for _, src := range cases {
 		if _, _, err := ParsePairString(src); err == nil {
 			t.Errorf("no error for %q", src)
+		}
+	}
+}
+
+// TestParsePairErrorLines pins that a pair error names the input's own
+// line, whichever kind of line fails and whatever lines precede it.
+func TestParsePairErrorLines(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{"locs x\nnode A W(x)\nobserve A x A\nobserve A x A\nnode B Q(x)\n",
+			`line 5: computation: unknown op kind 'Q'`},
+		{"locs x\nnode A W(x)\nnode B R(x)\nobserve B x A\nedge A B\nobserve B x Z\n",
+			`line 6: unknown writer "Z"`},
+		{"locs x\n\n# a comment\nnode B R(x)\nobserve B\n",
+			"line 5: want `observe NODE LOC WRITER`"},
+		{"observe B x A\nlocs x\nnode A W(x)\nnode B R(x)\nobserve C x A\n",
+			`line 5: unknown node "C"`},
+		{"locs x\nnode A W(x)\nnode B R(x)\nobserver B x A\n",
+			`line 4: unknown directive "observer"`},
+		{"locs x\nnode A W(x)\nnode B R(x)\n  observeXYZ B x A\n",
+			`line 4: unknown directive "observeXYZ"`},
+	}
+	for _, tc := range cases {
+		_, _, err := ParsePairString(tc.src)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("ParsePairString(%q) = %v, want %s", tc.src, err, tc.want)
 		}
 	}
 }

@@ -86,7 +86,12 @@ type BatchResponse struct {
 type parsedPair struct {
 	named *computation.Named
 	ofn   *observer.Observer
-	canon string
+	// key is the pair's share of its items' cache keys, framed: the
+	// endpoint and the pair's canonical text.
+	key []byte
+	// dec is the pair's decision context, taken from deciderPool by
+	// the first item fill that needs one.
+	dec *memmodel.Decider
 }
 
 // batchItem is a validated, parsed item ready to decide.
@@ -130,11 +135,7 @@ func parseBatchItem(it BatchItem, idx int, pairs map[string]*parsedPair) (batchI
 		if named.Comp.NumNodes() == 0 {
 			return batchItem{}, fmt.Errorf("item %d: pair has no nodes", idx)
 		}
-		var canon strings.Builder
-		if err := observer.FormatPair(&canon, named, ofn); err != nil {
-			return batchItem{}, fmt.Errorf("item %d: %w", idx, err)
-		}
-		p = &parsedPair{named: named, ofn: ofn, canon: canon.String()}
+		p = &parsedPair{named: named, ofn: ofn, key: append(observer.AppendPair(appendKeyParts(nil, "batch"), named, ofn), 0)}
 		pairs[it.Pair] = p
 	}
 	return batchItem{id: it.ID, model: it.Model, lo: it.RootLo, hi: it.RootHi, parsedPair: p}, nil
@@ -156,6 +157,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	items := make([]batchItem, len(req.Items))
 	pairs := make(map[string]*parsedPair, 1)
+	defer func() {
+		for _, p := range pairs {
+			if p.dec != nil {
+				deciderPool.Put(p.dec)
+			}
+		}
+	}()
 	for i, it := range req.Items {
 		p, err := parseBatchItem(it, i, pairs)
 		if err != nil {
@@ -182,10 +190,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	bodies := make([][]byte, len(items))
 	size := len(`{"results":[]}` + "\n")
 	src := sourceHit
+	var kb []byte
 	for i, it := range items {
 		it := it
-		key := Key("batch", it.canon, it.model, fmt.Sprintf("lo=%d,hi=%d", it.lo, it.hi), fp)
-		body, itemSrc, err := s.cache.do(r.Context(), key, func() ([]byte, bool, error) {
+		kb = appendKeyParts(append(kb[:0], it.key...), it.model, fmt.Sprintf("lo=%d,hi=%d", it.lo, it.hi), fp)
+		body, itemSrc, err := s.cache.do(r.Context(), keyOf(kb), func() ([]byte, bool, error) {
 			return s.decideBatchItem(it, opts, timeout, rec)
 		})
 		if err != nil {
@@ -236,8 +245,13 @@ func (s *Server) decideBatchItem(it batchItem, opts memmodel.SearchOptions, time
 		d = memmodel.Decision{Model: it.model, Verdict: sr.Verdict(), Stats: sr.Stats, Order: sr.Order}
 		witnessRoot, rootsTotal = sr.WitnessRoot, sr.Stats.Roots
 	} else {
+		if it.dec == nil {
+			it.dec = deciderPool.Get().(*memmodel.Decider)
+			it.dec.Reset(it.named.Comp)
+			it.dec.Observe(it.ofn)
+		}
 		var err error
-		if d, err = memmodel.DecideByName(ctx, it.model, it.named.Comp, it.ofn, opts); err != nil {
+		if d, err = it.dec.Decide(ctx, it.model, opts); err != nil {
 			return nil, false, err // unreachable: the model name was validated
 		}
 	}

@@ -3,13 +3,17 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/computation"
+	"repro/internal/dag"
 	"repro/internal/memmodel"
+	"repro/internal/observer"
 )
 
 // BenchmarkBatch drives POST /v1/batch with the request the fleet
@@ -39,6 +43,55 @@ func BenchmarkBatch(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				w := httptest.NewRecorder()
 				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)))
+				if w.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", w.Code, w.Body.Bytes())
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCheck drives POST /v1/check for every model through the
+// whole handler stack, as BenchmarkBatch does, with cache storage off
+// so that every request parses, canonicalizes and decides its pair.
+// The rows are two corpus pairs and random24: a seeded 24-node pair
+// over two locations, built like internal/memmodel's random24 fixture
+// (the last-writer observer of a topological sort, so every model
+// decides In and runs to completion), the size of the daemon's
+// cache-missing traffic.
+func BenchmarkCheck(b *testing.B) {
+	pairs := map[string]string{}
+	for _, name := range []string{"dekker.ccm", "litmus/iriw.ccm"} {
+		pair, err := os.ReadFile(filepath.Join("..", "..", "testdata", name))
+		if err != nil {
+			b.Fatal(err)
+		}
+		pairs[filepath.Base(name)] = string(pair)
+	}
+	rng := rand.New(rand.NewSource(1))
+	g := dag.Random(rng, 24, 0.25)
+	ops := computation.AllOps(2)
+	labels := make([]computation.Op, 24)
+	for u := range labels {
+		labels[u] = ops[rng.Intn(len(ops))]
+	}
+	c := computation.MustFrom(g, labels, 2)
+	order, err := g.TopoSort()
+	if err != nil {
+		b.Fatal(err)
+	}
+	pairs["random24"] = pinPairText(c, observer.FromLastWriter(c, order))
+	for _, name := range []string{"dekker.ccm", "iriw.ccm", "random24"} {
+		body, err := json.Marshal(CheckRequest{Pair: pairs[name]})
+		if err != nil {
+			b.Fatal(err)
+		}
+		h := New(Config{}).Handler()
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/check", bytes.NewReader(body)))
 				if w.Code != http.StatusOK {
 					b.Fatalf("status %d: %s", w.Code, w.Body.Bytes())
 				}

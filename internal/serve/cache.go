@@ -29,12 +29,27 @@ import (
 
 // Key hashes canonical request material into a content address.
 func Key(parts ...string) string {
-	h := sha256.New()
+	size := len(parts)
 	for _, p := range parts {
-		h.Write([]byte(p))
-		h.Write([]byte{0}) // unambiguous field separator
+		size += len(p)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return keyOf(appendKeyParts(make([]byte, 0, size), parts...))
+}
+
+// appendKeyParts appends parts to b as Key frames them: each followed
+// by a zero byte, an unambiguous field separator.
+func appendKeyParts(b []byte, parts ...string) []byte {
+	for _, p := range parts {
+		b = append(append(b, p...), 0)
+	}
+	return b
+}
+
+// keyOf is the content address of request material framed as
+// appendKeyParts frames it.
+func keyOf(framed []byte) string {
+	sum := sha256.Sum256(framed)
+	return hex.EncodeToString(sum[:])
 }
 
 // cacheSource says how a response was obtained.

@@ -30,7 +30,7 @@
 //     half-written responses.
 //
 // The decisions themselves are the same code paths the CLIs use
-// (memmodel.DecideByName, checker.Verify*Ctx, expt census), so a
+// (memmodel.Decider, checker.Verify*Ctx, expt census), so a
 // verdict or witness obtained over HTTP is byte-identical to the CLI's
 // — the property the conformance suite in cmd/ccmc and cmd/verify
 // pins.
@@ -48,6 +48,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -427,6 +428,11 @@ func (s *Server) decisionContext(timeout time.Duration) (context.Context, contex
 	return context.WithCancel(s.baseCtx)
 }
 
+// deciderPool holds decision contexts: a cache-missing request decides
+// on one taken from it, so it reuses the search tables and buffers that
+// earlier requests grew.
+var deciderPool = sync.Pool{New: func() any { return new(memmodel.Decider) }}
+
 // respond writes a computed-or-cached body, tagging the cache source.
 func respond(w http.ResponseWriter, src cacheSource, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
@@ -458,12 +464,8 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	// Content address: the canonical re-rendering of the parsed pair
 	// (comments, blank lines, and duplicate defaults vanish), the model
 	// list, and the effective governance fingerprint.
-	var canon strings.Builder
-	if err := observer.FormatPair(&canon, named, ofn); err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	key := Key("check", canon.String(), strings.Join(models, ","), s.cfg.Limits.optionsFingerprint(req.Options))
+	kb := append(observer.AppendPair(appendKeyParts(nil, "check"), named, ofn), 0)
+	key := keyOf(appendKeyParts(kb, strings.Join(models, ","), s.cfg.Limits.optionsFingerprint(req.Options)))
 
 	rec := s.requestRecorder(r)
 	body, src, err := s.cache.do(r.Context(), key, func() ([]byte, bool, error) {
@@ -476,11 +478,17 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := s.decisionContext(timeout)
 		defer cancel()
 
+		// Every model is decided on one context, which validates the
+		// pair once and shares what the models have in common.
+		dec := deciderPool.Get().(*memmodel.Decider)
+		defer deciderPool.Put(dec)
+		dec.Reset(named.Comp)
+		dec.Observe(ofn)
 		resp := CheckResponse{Results: make([]ModelResult, 0, len(models))}
 		cacheable := true
+		opts.Recorder = rec // Decide labels each model's events with its name
 		for _, model := range models {
-			opts.Recorder = obs.WithRun(rec, model)
-			d, err := memmodel.DecideByName(ctx, model, named.Comp, ofn, opts)
+			d, err := dec.Decide(ctx, model, opts)
 			if err != nil { // unreachable: models were validated
 				return nil, false, err
 			}

@@ -6,9 +6,10 @@
 # internal/search) at a fixed iteration count so runs are quick and
 # comparable, the model-decider suite (BenchmarkDecide in
 # internal/memmodel — every registered model through DecideByName over
-# the litmus corpus), the batch-handler suite (BenchmarkBatch in
-# internal/serve — the fleet's nine-item POST /v1/batch, every item
-# decided, at a fixed 200 iterations), and the
+# the litmus corpus), the handler suite (BenchmarkBatch and
+# BenchmarkCheck in internal/serve — the fleet's nine-item POST
+# /v1/batch and an every-model POST /v1/check, every item decided, at a
+# fixed 200 iterations), and the
 # paper-experiment suite (BenchmarkLatticeSweep and BenchmarkStar in
 # internal/expt: the Figure 1 sweeps and the Theorem 23 NN* fixpoint),
 # whose single iteration is a multi-second exhaustive sweep and
@@ -33,7 +34,7 @@ mkdir -p benchmarks
 {
   go test ./internal/search -run '^$' -bench "$PATTERN" -benchmem -benchtime "$TIME"
   go test ./internal/memmodel -run '^$' -bench "$DECIDE_PATTERN" -benchmem -benchtime "$DECIDE_TIME"
-  go test ./internal/serve -run '^$' -bench BenchmarkBatch -benchmem -benchtime 200x
+  go test ./internal/serve -run '^$' -bench 'BenchmarkBatch|BenchmarkCheck' -benchmem -benchtime 200x
   if [ "$SWEEP_TIME" != "0" ]; then
     go test ./internal/expt -run '^$' -bench "$SWEEP_PATTERN" -benchmem -benchtime "$SWEEP_TIME"
   fi
