@@ -193,19 +193,8 @@ func chaosSchedule(cfg config) (*sched.Schedule, error) {
 // byte-comparable against exploration output.
 func printOutcome(w io.Writer, p *chaos.Plan, verdict checker.Verdict, tr *trace.Trace) {
 	fmt.Fprintf(w, "plan:\n%s", p)
-	fmt.Fprintf(w, "verdict: %s\n", renderVerdict(verdict))
+	fmt.Fprintf(w, "verdict: %s\n", checker.VerdictText(verdict))
 	fmt.Fprintf(w, "trace: %v\n", tr)
-}
-
-func renderVerdict(v checker.Verdict) string {
-	switch {
-	case v.In():
-		return "explainable"
-	case v.Out():
-		return "VIOLATED"
-	default:
-		return v.String() // INCONCLUSIVE(reason)
-	}
 }
 
 func runExplore(ctx context.Context, cfg config, stdout, stderr io.Writer) int {

@@ -8,13 +8,15 @@
 //	verify [-max-states N] [-timeout D] [-max-memo-mb N] [-witness] FILE
 //	verify -demo
 //
-// File format — the computation format plus values:
+// File format — the computation format plus values, with whole-line
+// '#' comments:
 //
 //	locs data flag
 //	node Wd W(data) = 1
 //	node Wf W(flag) = 1
 //	node Rf R(flag) = 1
-//	node Rd R(data) = ?     # ? or ⊥ means "read uninitialized memory"
+//	# ? or ⊥ means "read uninitialized memory"
+//	node Rd R(data) = ?
 //	edge Wd Wf
 //	edge Rf Rd
 //
@@ -207,45 +209,15 @@ func runChecks(fs *flag.FlagSet, rec obs.Recorder, opts checker.SearchOptions, t
 		return streamChecks(ctx, rec, nt, opts, witness, stdout, stderr)
 	}
 
-	violated, inconclusive := false, false
-
 	// Both checks run on the engine; label each check's run events.
+	var fin stream.Final
 	lcOpts := opts
 	lcOpts.Recorder = obs.WithRun(rec, "LC")
-	lc, lcVerdict, lcStats := checker.VerifyLCCtx(ctx, tr, lcOpts)
-	fmt.Fprintf(stdout, "LC: %s  (search states: %d)\n", checker.VerdictText(lcVerdict), lcStats.States)
-	violated = violated || lcVerdict.Out()
-	inconclusive = inconclusive || lcVerdict.Inconclusive()
-	if lcVerdict.In() && witness {
-		fmt.Fprintf(stdout, "    witness: %v\n", lc.Observer)
-	}
-
+	fin.LCResult, fin.LC, fin.LCStats = checker.VerifyLCCtx(ctx, tr, lcOpts)
 	scOpts := opts
 	scOpts.Recorder = obs.WithRun(rec, "SC")
-	scRes, scVerdict, scStats := checker.VerifySCCtx(ctx, tr, scOpts)
-	fmt.Fprintf(stdout, "SC: %s  (search states: %d)\n", checker.VerdictText(scVerdict), scStats.States)
-	violated = violated || scVerdict.Out()
-	inconclusive = inconclusive || scVerdict.Inconclusive()
-	switch {
-	case scVerdict.In() && witness:
-		fmt.Fprintf(stdout, "    witness: %v\n", scRes.Observer)
-	case scVerdict.Inconclusive():
-		fmt.Fprintf(stdout, "    stopped by the %s governor; raise -timeout/-max-states and retry\n", scVerdict.Reason)
-	}
-
-	if lcVerdict.In() && scVerdict.Out() {
-		fmt.Fprintln(stdout, "\n=> a relaxed (coherent but not sequentially consistent) execution")
-	}
-	if lcVerdict.Out() {
-		fmt.Fprintln(stdout, "\n=> not even location consistent: per-location write serialization is violated")
-	}
-	switch {
-	case violated:
-		return 1
-	case inconclusive:
-		return 3
-	}
-	return 0
+	fin.SCResult, fin.SC, fin.SCStats = checker.VerifySCCtx(ctx, tr, scOpts)
+	return printVerdicts(stdout, fin, witness)
 }
 
 // pairChecks decides a committed (computation, observer) pair under
@@ -349,6 +321,15 @@ func streamChecks(ctx context.Context, rec obs.Recorder, nt *trace.NamedTrace,
 	obs.Emit(srec, obs.Event{Kind: obs.StreamDone, N: st.Events, Total: int(st.Shed), Str: summary})
 	obs.Emit(srec, obs.Event{Kind: obs.RunEnd, Str: summary})
 
+	return printVerdicts(stdout, fin, witness)
+}
+
+// printVerdicts prints a trace's LC and SC verdict lines, the witnesses
+// when asked for, the governor note and the diagnosis, and returns the
+// exit code: 1 when either check is violated, else 3 when either is
+// inconclusive, else 0. The post-mortem and the streaming runs both end
+// here, so their output cannot drift apart.
+func printVerdicts(stdout io.Writer, fin stream.Final, witness bool) int {
 	fmt.Fprintf(stdout, "LC: %s  (search states: %d)\n", checker.VerdictText(fin.LC), fin.LCStats.States)
 	if fin.LC.In() && witness {
 		fmt.Fprintf(stdout, "    witness: %v\n", fin.LCResult.Observer)

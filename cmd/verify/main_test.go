@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -268,5 +269,56 @@ func TestGovernanceFlags(t *testing.T) {
 		if code := run(append(args, "-demo"), &out, &errb); code != 2 || !strings.Contains(errb.String(), "non-negative") {
 			t.Errorf("%v: exit %d, want 2 naming the rule; stderr: %s", args, code, errb.String())
 		}
+	}
+}
+
+// TestRunErrorNamesFileLine: a parse error names the line of the file,
+// past its comment header and the value lines before it.
+func TestRunErrorNamesFileLine(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join("..", "..", "testdata", "dekker_bottom.trace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(b), "\n")
+	if lines[14] != "node RY R(y) = ?" {
+		t.Fatalf("line 15 of dekker_bottom.trace is %q", lines[14])
+	}
+	lines[14] = "node RY Q(y) = ?"
+	path := filepath.Join(t.TempDir(), "bad.trace")
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{path}, &out, &errb); code != 1 || errb.String() != "verify: line 15: computation: unknown op kind 'Q'\n" {
+		t.Fatalf("exit code %d, stderr %q", code, errb.String())
+	}
+}
+
+// TestRunDocExample runs verify on the trace of its own usage text,
+// verbatim: it is the demo trace, so it prints the demo's verdicts.
+func TestRunDocExample(t *testing.T) {
+	b, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, _ := strings.Cut(string(b), "// File format")
+	var example strings.Builder
+	for _, line := range strings.Split(rest, "\n") {
+		if text, ok := strings.CutPrefix(line, "//\t"); ok {
+			example.WriteString(text + "\n")
+		} else if example.Len() > 0 {
+			break
+		}
+	}
+	path := filepath.Join(t.TempDir(), "example.trace")
+	if err := os.WriteFile(path, []byte(example.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb, demo bytes.Buffer
+	code := run([]string{path}, &out, &errb)
+	demoCode := run([]string{"-demo"}, &demo, io.Discard)
+	_, demoVerdicts, _ := strings.Cut(demo.String(), demoTrace+"\n")
+	if code != demoCode || errb.Len() != 0 || out.String() != demoVerdicts {
+		t.Fatalf("exit code %d (demo %d), stderr %q, output:\n%s\ndemo's:\n%s", code, demoCode, errb.String(), out.String(), demoVerdicts)
 	}
 }

@@ -11,8 +11,9 @@ import (
 )
 
 // This file implements a small line-oriented text format for
-// computations (and, via the observer package, observer functions), so
-// the cmd/ tools can exchange the paper's objects as files:
+// computations, so the cmd/ tools can exchange the paper's objects as
+// files; the pair (observer), trace and schedule (sched) formats extend
+// it through ParseWith:
 //
 //	# Figure 2 of the paper
 //	locs x
@@ -25,8 +26,9 @@ import (
 //	edge C D
 //
 // Node and location names are arbitrary identifiers; ops are N, R(loc),
-// or W(loc). Nodes are numbered in order of declaration; locations in
-// order of appearance on the locs line.
+// or W(loc), spelled by ParseOp and AppendOp alone. Nodes are numbered
+// in order of declaration; locations in order of appearance on the locs
+// line.
 
 // Named is a Computation together with the symbol tables used by the
 // text format.
@@ -80,8 +82,9 @@ func (n *Named) AddEdge(from, to string) error {
 	return n.Comp.AddEdge(u, v)
 }
 
-// parseOp parses "N", "R(name)" or "W(name)" against the location table.
-func (n *Named) parseOp(s string) (Op, error) {
+// ParseOp parses an op as the text formats spell it, "N", "R(loc)" or
+// "W(loc)", against the location table.
+func (n *Named) ParseOp(s string) (Op, error) {
 	if s == "N" {
 		return N, nil
 	}
@@ -103,6 +106,14 @@ func (n *Named) parseOp(s string) (Op, error) {
 	}
 }
 
+// AppendOp appends the spelling of op that ParseOp reads to b.
+func (n *Named) AppendOp(b []byte, op Op) []byte {
+	if op.Kind == Noop {
+		return append(b, 'N')
+	}
+	return append(append(append(append(b, op.Kind.String()...), '('), n.LocName[op.Loc]...), ')')
+}
+
 // Parse reads the text format from r and parses it as ParseString
 // does.
 func Parse(r io.Reader) (*Named, error) {
@@ -120,80 +131,53 @@ func Parse(r io.Reader) (*Named, error) {
 // cases, and by a recover fence for anything a hostile file finds that
 // we didn't.
 func ParseString(s string) (*Named, error) {
-	return ParseWith(s, "", nil)
+	return ParseWith(s, nil)
 }
 
 // ParseWith is ParseString for a text that also carries lines of
-// another format: every line whose first field is exactly directive
-// (none when directive is empty) is set aside, and once the rest has
-// parsed into a valid computation each set-aside line goes to fn, in
-// input order, with its 1-based line number and its fields. The first
-// error fn returns is ParseWith's; fn must not retain fields. The text
-// is walked once: each line is split into a reused field slice
-// (strings.Fields takes the rare line with a non-ASCII byte, so Unicode
-// spaces separate fields there as they always have), node and edge
-// lines are applied as they come, and a set-aside line is remembered by
-// its place in s and split again when its turn comes.
-func ParseWith(s, directive string, fn func(named *Named, line int, fields []string) error) (*Named, error) {
-	var p parser
-	named, err := p.parse(s, directive)
-	if err != nil {
-		return nil, err
-	}
-	for _, d := range p.deferred {
-		line, _, _ := strings.Cut(s[d.start:], "\n")
-		p.line = splitFields(p.line[:0], line)
-		if err := fn(named, d.no, p.line); err != nil {
-			return nil, err
-		}
-	}
-	return named, nil
-}
-
-// parser holds one parse's scratch: the field slice every line is split
-// into, and the set-aside lines.
-type parser struct {
-	line     []string
-	deferred []deferredLine
-}
-
-// deferredLine is a set-aside line: its number and the offset of its
-// first byte in the text.
-type deferredLine struct{ no, start int }
-
-func (p *parser) parse(s, directive string) (named *Named, err error) {
+// another format. The text is walked once. Every line that is neither
+// blank nor a whole-line '#' comment goes first to other, with its
+// 1-based number, the offset of its first byte in s and its fields;
+// other returns the fields the computation parses, none for a line of
+// its own format, or an error, which is ParseWith's. A nil other hands
+// every line to the computation. other must not retain fields, which
+// are split into a slice reused from line to line (strings.Fields takes
+// the rare line with a non-ASCII byte, so Unicode spaces separate
+// fields there as they always have). Node and edge lines apply as they
+// come, so a line error is the first in line order, and the closure's
+// topological sort is the cycle check.
+func ParseWith(s string, other func(line, offset int, fields []string) ([]string, error)) (named *Named, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			named, err = nil, fmt.Errorf("computation: invalid input: %v", rec)
 		}
 	}()
-	// The line count bounds the tables; sizing them from it spares their
-	// regrowth. A pair's text has about three edge and observe lines per
-	// node, so the node tables start at a quarter of it. No table starts
-	// above maxHint, so blank lines cannot make a small text allocate
+	// The line count bounds the node tables; sizing them from it spares
+	// their regrowth. A pair's text has about three edge and observe
+	// lines per node, so the tables start at a quarter of it, and never
+	// above maxHint/4, so blank lines cannot make a small text allocate
 	// much; larger tables grow with what they hold.
 	const maxHint = 256
-	lines := min(strings.Count(s, "\n")+1, maxHint)
-	nodes := lines/4 + 1
-	p.line = make([]string, 0, 8)
+	nodes := min(strings.Count(s, "\n")+1, maxHint)/4 + 1
+	buf := make([]string, 0, 8)
 	for pos, lineNo := 0, 1; pos < len(s); lineNo++ {
 		start := pos
 		line, _, _ := strings.Cut(s[pos:], "\n")
 		pos += len(line) + 1
-		fields := splitFields(p.line[:0], line)
-		p.line = fields
-		if len(fields) == 0 || fields[0][0] == '#' {
+		buf = AppendFields(buf[:0], line)
+		if len(buf) == 0 || buf[0][0] == '#' {
 			continue
 		}
-		switch fields[0] {
-		case directive:
-			if len(p.deferred) == cap(p.deferred) {
-				// Set-aside lines tend to come last: make room for the
-				// rest of the text, and then double, so that a text of
-				// them all allocates about twice what it keeps.
-				p.deferred = slices.Grow(p.deferred, max(lines-lineNo+1, len(p.deferred), 1))
+		fields := buf
+		if other != nil {
+			if fields, err = other(lineNo, start, fields); err != nil {
+				return nil, err
 			}
-			p.deferred = append(p.deferred, deferredLine{no: lineNo, start: start})
+			if len(fields) == 0 {
+				continue
+			}
+		}
+		switch fields[0] {
 		case "locs":
 			if named != nil {
 				return nil, fmt.Errorf("line %d: duplicate locs directive", lineNo)
@@ -217,7 +201,7 @@ func (p *parser) parse(s, directive string) (named *Named, err error) {
 			if named.NodeID[fields[1]] = dag.Node(named.Comp.NumNodes()); len(named.NodeID) == before {
 				return nil, fmt.Errorf("line %d: duplicate node %q", lineNo, fields[1])
 			}
-			op, err := named.parseOp(fields[2])
+			op, err := named.ParseOp(fields[2])
 			if err != nil {
 				return nil, fmt.Errorf("line %d: %v", lineNo, err)
 			}
@@ -262,10 +246,11 @@ func newParsedNamed(locNames []string, nodes int) *Named {
 // as space in ASCII text.
 var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
-// splitFields appends the fields of line, as strings.Fields splits it,
-// to fields. An ASCII line is split in place; a line with any other byte
-// goes to strings.Fields.
-func splitFields(fields []string, line string) []string {
+// AppendFields appends the fields of line, as strings.Fields splits it,
+// to fields: the split every line of the text format gets. An ASCII
+// line is split in place; a line with any other byte goes to
+// strings.Fields.
+func AppendFields(fields []string, line string) []string {
 	n, start := len(fields), -1
 	for i := 0; i < len(line); i++ {
 		switch b := line[i]; {
@@ -303,12 +288,7 @@ func (n *Named) AppendText(b []byte) []byte {
 	}
 	for u, name := range n.NodeName {
 		b = append(append(append(b, "node "...), name...), ' ')
-		if op := n.Comp.Op(dag.Node(u)); op.Kind == Noop {
-			b = append(b, 'N')
-		} else {
-			b = append(append(append(append(b, op.Kind.String()...), '('), n.LocName[op.Loc]...), ')')
-		}
-		b = append(b, '\n')
+		b = append(n.AppendOp(b, n.Comp.Op(dag.Node(u))), '\n')
 	}
 	var buf [32]dag.Node
 	g := n.Comp.Dag()

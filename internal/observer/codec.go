@@ -3,6 +3,7 @@ package observer
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/computation"
 	"repro/internal/dag"
@@ -46,35 +47,47 @@ func ParsePairString(s string) (named *computation.Named, o *Observer, err error
 			named, o, err = nil, nil, fmt.Errorf("observer: invalid input: %v", rec)
 		}
 	}()
-	named, err = computation.ParseWith(s, "observe", func(named *computation.Named, line int, fields []string) error {
-		if o == nil {
-			o = New(named.Comp)
+	// An observe line is set aside as its number and the offset of its
+	// first byte, and split again when its turn comes.
+	type observeLine struct{ no, offset int }
+	var observes []observeLine
+	named, err = computation.ParseWith(s, func(line, offset int, fields []string) ([]string, error) {
+		if fields[0] != "observe" {
+			return fields, nil
 		}
-		if len(fields) != 4 {
-			return fmt.Errorf("line %d: want `observe NODE LOC WRITER`", line)
+		if observes == nil {
+			// Room for every line from here on that starts with "observe".
+			observes = make([]observeLine, 0, strings.Count(s[offset:], "\nobserve")+1)
 		}
-		u, ok := named.NodeID[fields[1]]
-		if !ok {
-			return fmt.Errorf("line %d: unknown node %q", line, fields[1])
-		}
-		l, ok := named.LocID[fields[2]]
-		if !ok {
-			return fmt.Errorf("line %d: unknown location %q", line, fields[2])
-		}
-		w := Bottom
-		if fields[3] != "bottom" && fields[3] != "⊥" {
-			if w, ok = named.NodeID[fields[3]]; !ok {
-				return fmt.Errorf("line %d: unknown writer %q", line, fields[3])
-			}
-		}
-		o.Set(l, u, w)
-		return nil
+		observes = append(observes, observeLine{line, offset})
+		return nil, nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	if o == nil {
-		o = New(named.Comp)
+	o = New(named.Comp)
+	var buf [4]string
+	for _, ob := range observes {
+		text, _, _ := strings.Cut(s[ob.offset:], "\n")
+		fields := computation.AppendFields(buf[:0], text)
+		if len(fields) != 4 {
+			return nil, nil, fmt.Errorf("line %d: want `observe NODE LOC WRITER`", ob.no)
+		}
+		u, ok := named.NodeID[fields[1]]
+		if !ok {
+			return nil, nil, fmt.Errorf("line %d: unknown node %q", ob.no, fields[1])
+		}
+		l, ok := named.LocID[fields[2]]
+		if !ok {
+			return nil, nil, fmt.Errorf("line %d: unknown location %q", ob.no, fields[2])
+		}
+		w := Bottom
+		if fields[3] != "bottom" && fields[3] != "⊥" {
+			if w, ok = named.NodeID[fields[3]]; !ok {
+				return nil, nil, fmt.Errorf("line %d: unknown writer %q", ob.no, fields[3])
+			}
+		}
+		o.Set(l, u, w)
 	}
 	if err := o.Validate(named.Comp); err != nil {
 		return nil, nil, err

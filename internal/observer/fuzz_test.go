@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -13,7 +14,8 @@ import (
 // FuzzParsePair drives the combined computation+observer parser with
 // arbitrary input. The contract of the input boundary: any byte
 // sequence either parses into a pair whose observer validates against
-// its computation, or returns an error — never a panic. Reading the
+// its computation, or returns an error that names, if any line, one
+// that is neither blank nor a comment — never a panic. Reading the
 // input through an io.Reader parses it exactly as the string does, and
 // the canonical text is a fixpoint: FormatPair's output re-parses to
 // an equal pair and formats to the same bytes, which is what lets the
@@ -39,6 +41,16 @@ func FuzzParsePair(f *testing.F) {
 			t.Fatalf("ParsePairString error %v, ParsePair error %v", err, rerr)
 		}
 		if err != nil {
+			// An error that names a line names one that is neither blank
+			// nor a comment.
+			if m := lineErr.FindStringSubmatch(err.Error()); m != nil {
+				n, _ := strconv.Atoi(m[1])
+				if lines := strings.Split(input, "\n"); n < 1 || n > len(lines) {
+					t.Fatalf("error %q names line %d of %d", err, n, len(lines))
+				} else if f := strings.Fields(lines[n-1]); len(f) == 0 || f[0][0] == '#' {
+					t.Fatalf("error %q names a blank or comment line: %q", err, lines[n-1])
+				}
+			}
 			return
 		}
 		if !samePair(named.Comp.Equal(rnamed.Comp), o, ro, named.NodeName, rnamed.NodeName) {

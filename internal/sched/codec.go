@@ -1,9 +1,9 @@
 package sched
 
 import (
-	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -31,8 +31,10 @@ import (
 //	assign C 0 1 2
 //	order A B C
 //
-// Blank lines and '#' comments are ignored. ParseSchedule validates the
-// result, so a file that parses is a runnable schedule.
+// Blank lines are ignored, and a '#' anywhere on a line starts a
+// comment (the computation format knows only whole-line comments).
+// ParseSchedule validates the result, so a file that parses is a
+// runnable schedule.
 
 // FormatSchedule writes the schedule in the text format accepted by
 // ParseSchedule. named supplies the node/location names; its
@@ -70,95 +72,100 @@ func FormatSchedule(w io.Writer, named *computation.Named, s *Schedule) error {
 	return nil
 }
 
-// ParseSchedule reads the schedule text format. Like the other codecs
-// it is an input boundary: malformed files return errors (a recover
+// ParseSchedule reads the schedule text format from r and parses it as
+// ParseScheduleString does.
+func ParseSchedule(r io.Reader) (*computation.Named, *Schedule, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ParseScheduleString(string(b))
+}
+
+// ParseScheduleString parses the schedule text format in one pass over
+// str (computation.ParseWith): schedule, steals, assign and order lines
+// are read as they come, every other line belongs to the computation,
+// and the node names of assign and order lines resolve once it has
+// parsed. The first line error in line order is reported, naming the
+// input's own line, then an assign line's unknown or repeated node, and
+// last the whole-text checks: a missing `schedule P`, the assign and
+// order counts, the order's names and Validate. Like the other codecs
+// it is an input boundary: malformed text returns an error (a recover
 // fence converts hostile-input panics), and the returned schedule has
 // passed Validate.
-func ParseSchedule(r io.Reader) (named *computation.Named, s *Schedule, err error) {
+func ParseScheduleString(str string) (named *computation.Named, s *Schedule, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			named, s, err = nil, nil, fmt.Errorf("sched: invalid input: %v", rec)
 		}
 	}()
 	type assign struct {
+		line, proc    int
 		node          string
-		proc          int
 		start, finish Tick
-		line          int
 	}
 	var (
-		compLines  []string
-		assigns    []assign
-		orderNames []string
-		p          = -1
-		steals     = 0
-		haveOrder  bool
+		assigns   []assign
+		order     []string
+		haveOrder bool
+		p         = -1
+		steals    = 0
 	)
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = strings.TrimSpace(line[:i])
+	named, err = computation.ParseWith(str, func(line, _ int, fields []string) ([]string, error) {
+		for i, f := range fields {
+			if j := strings.IndexByte(f, '#'); j >= 0 {
+				if fields = fields[:i]; j > 0 {
+					fields = append(fields, f[:j])
+				}
+				break
+			}
 		}
-		if line == "" {
-			continue
+		if len(fields) == 0 {
+			return nil, nil
 		}
-		fields := strings.Fields(line)
 		switch fields[0] {
 		case "schedule":
 			if len(fields) != 2 || p >= 0 {
-				return nil, nil, fmt.Errorf("line %d: want one `schedule P`", lineNo)
+				return nil, fmt.Errorf("line %d: want one `schedule P`", line)
 			}
-			v, perr := strconv.Atoi(fields[1])
-			if perr != nil || v < 1 {
-				return nil, nil, fmt.Errorf("line %d: bad processor count %q", lineNo, fields[1])
+			v, err := strconv.Atoi(fields[1])
+			if err != nil || v < 1 {
+				return nil, fmt.Errorf("line %d: bad processor count %q", line, fields[1])
 			}
 			p = v
 		case "steals":
 			if len(fields) != 2 {
-				return nil, nil, fmt.Errorf("line %d: want `steals N`", lineNo)
+				return nil, fmt.Errorf("line %d: want `steals N`", line)
 			}
-			v, serr := strconv.Atoi(fields[1])
-			if serr != nil || v < 0 {
-				return nil, nil, fmt.Errorf("line %d: bad steal count %q", lineNo, fields[1])
+			v, err := strconv.Atoi(fields[1])
+			if err != nil || v < 0 {
+				return nil, fmt.Errorf("line %d: bad steal count %q", line, fields[1])
 			}
 			steals = v
 		case "assign":
 			if len(fields) != 5 {
-				return nil, nil, fmt.Errorf("line %d: want `assign NODE PROC START FINISH`", lineNo)
+				return nil, fmt.Errorf("line %d: want `assign NODE PROC START FINISH`", line)
 			}
 			proc, e1 := strconv.Atoi(fields[2])
 			start, e2 := strconv.ParseInt(fields[3], 10, 64)
 			finish, e3 := strconv.ParseInt(fields[4], 10, 64)
 			if e1 != nil || e2 != nil || e3 != nil {
-				return nil, nil, fmt.Errorf("line %d: bad assign numbers", lineNo)
+				return nil, fmt.Errorf("line %d: bad assign numbers", line)
 			}
-			assigns = append(assigns, assign{
-				node: fields[1], proc: proc,
-				start: Tick(start), finish: Tick(finish), line: lineNo,
-			})
+			assigns = append(assigns, assign{line: line, proc: proc, node: fields[1], start: Tick(start), finish: Tick(finish)})
 		case "order":
 			if haveOrder {
-				return nil, nil, fmt.Errorf("line %d: duplicate order directive", lineNo)
+				return nil, fmt.Errorf("line %d: duplicate order directive", line)
 			}
 			haveOrder = true
-			orderNames = fields[1:]
+			order = slices.Clone(fields[1:])
 		default:
-			compLines = append(compLines, line)
+			return fields, nil
 		}
-	}
-	if serr := sc.Err(); serr != nil {
-		return nil, nil, serr
-	}
-	if p < 0 {
-		return nil, nil, fmt.Errorf("sched: missing `schedule P` directive")
-	}
-
-	named, cerr := computation.Parse(strings.NewReader(strings.Join(compLines, "\n")))
-	if cerr != nil {
-		return nil, nil, cerr
+		return nil, nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	c := named.Comp
 	n := c.NumNodes()
@@ -171,9 +178,6 @@ func ParseSchedule(r io.Reader) (named *computation.Named, s *Schedule, err erro
 		Order:  make([]dag.Node, 0, n),
 		Steals: steals,
 	}
-	if len(assigns) != n {
-		return nil, nil, fmt.Errorf("sched: %d assign lines for %d nodes", len(assigns), n)
-	}
 	seen := make([]bool, n)
 	for _, a := range assigns {
 		u, ok := named.NodeID[a.node]
@@ -185,27 +189,25 @@ func ParseSchedule(r io.Reader) (named *computation.Named, s *Schedule, err erro
 		}
 		seen[u] = true
 		s.Proc[u], s.Start[u], s.Finish[u] = a.proc, a.start, a.finish
-		if a.finish > s.Makespan {
-			s.Makespan = a.finish
-		}
+		s.Makespan = max(s.Makespan, a.finish)
 	}
-	if len(orderNames) != n {
-		return nil, nil, fmt.Errorf("sched: order lists %d nodes, computation has %d", len(orderNames), n)
+	switch {
+	case p < 0:
+		return nil, nil, fmt.Errorf("sched: missing `schedule P` directive")
+	case len(assigns) != n:
+		return nil, nil, fmt.Errorf("sched: %d assign lines for %d nodes", len(assigns), n)
+	case len(order) != n:
+		return nil, nil, fmt.Errorf("sched: order lists %d nodes, computation has %d", len(order), n)
 	}
-	for _, name := range orderNames {
+	for _, name := range order {
 		u, ok := named.NodeID[name]
 		if !ok {
 			return nil, nil, fmt.Errorf("sched: unknown node %q in order", name)
 		}
 		s.Order = append(s.Order, u)
 	}
-	if verr := s.Validate(); verr != nil {
-		return nil, nil, verr
+	if err := s.Validate(); err != nil {
+		return nil, nil, err
 	}
 	return named, s, nil
-}
-
-// ParseScheduleString is ParseSchedule over a string.
-func ParseScheduleString(str string) (*computation.Named, *Schedule, error) {
-	return ParseSchedule(strings.NewReader(str))
 }

@@ -157,3 +157,39 @@ func TestParseScheduleErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestParseScheduleErrorLines: every error names the input's own line,
+// whatever comments, blank lines and schedule lines come before it, and
+// of several errors the first in line order is reported, before the
+// whole-text checks.
+func TestParseScheduleErrorLines(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{"schedule 1\n# c\n\nlocs x\nnode A N\nnode B Q(x)\n",
+			"line 6: computation: unknown op kind 'Q'"},
+		{"schedule 2 # processors\nsteals 1\nlocs x\nnode A N\nassign A 0 0 1\nedge A Z\n",
+			`line 6: computation: unknown node "Z"`},
+		{"# no schedule line\nlocs x\nnode A Q(x)\n",
+			"line 3: computation: unknown op kind 'Q'"},
+		{"schedule 1\nlocs x\nnode A N\nassign A 0 0 1\n\nassign Z 0 0 1\norder A\n",
+			`line 6: unknown node "Z"`},
+		{"schedule 1\nlocs x\nnode A N # the node\nassign A 0 0 1 # proc 0\nassign A 0 1 2\norder A\n",
+			`line 5: duplicate assign for "A"`},
+	}
+	for _, c := range cases {
+		_, _, err := ParseScheduleString(c.src)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%q: error %v, want %s", c.src, err, c.want)
+		}
+	}
+}
+
+// TestParseScheduleLongLine: a line over 64 KiB parses.
+func TestParseScheduleLongLine(t *testing.T) {
+	named, s, err := ParseScheduleString(strings.Replace(litmusSchedText, "locs x", longLocsLine("x"), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Makespan != 2 || named.Comp.NumLocs() < 10000 {
+		t.Fatalf("parsed %d locations, makespan %d", named.Comp.NumLocs(), s.Makespan)
+	}
+}

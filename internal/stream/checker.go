@@ -240,9 +240,9 @@ func (c *Checker) ingestNode(ev Event) (*Violation, error) {
 	if _, dup := c.named.NodeID[ev.Name]; dup {
 		return nil, fmt.Errorf("stream: duplicate node %q", ev.Name)
 	}
-	op, err := parseOp(ev.Op, c.named.LocID)
+	op, err := c.named.ParseOp(ev.Op)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("stream: %w", err)
 	}
 	switch op.Kind {
 	case computation.Write:

@@ -119,35 +119,6 @@ func ParseEvent(line []byte) (Event, error) {
 	return ev, nil
 }
 
-// parseOp parses "N", "R(name)", or "W(name)" against a location table.
-func parseOp(s string, locID map[string]computation.Loc) (computation.Op, error) {
-	if s == "N" {
-		return computation.N, nil
-	}
-	if len(s) < 4 || s[1] != '(' || s[len(s)-1] != ')' {
-		return computation.Op{}, fmt.Errorf("stream: malformed op %q", s)
-	}
-	l, ok := locID[s[2:len(s)-1]]
-	if !ok {
-		return computation.Op{}, fmt.Errorf("stream: unknown location %q", s[2:len(s)-1])
-	}
-	switch s[0] {
-	case 'R':
-		return computation.R(l), nil
-	case 'W':
-		return computation.W(l), nil
-	}
-	return computation.Op{}, fmt.Errorf("stream: unknown op kind in %q", s)
-}
-
-// renderOp is parseOp's inverse.
-func renderOp(op computation.Op, locName []string) string {
-	if op.Kind == computation.Noop {
-		return "N"
-	}
-	return fmt.Sprintf("%s(%s)", op.Kind, locName[op.Loc])
-}
-
 // EventsFromTrace converts a parsed trace into an event stream
 // delivered in a canonical topological order (the lexicographically
 // least one), ending with an end event. It is the bridge from the
@@ -172,9 +143,11 @@ func EventsFromTraceOrder(nt *trace.NamedTrace, order []dag.Node) ([]Event, erro
 	}
 	events := make([]Event, 0, c.NumNodes()+2)
 	events = append(events, Event{Ev: EvLocs, Locs: append([]string(nil), named.LocName...)})
+	var opBuf []byte
 	for _, u := range order {
 		op := c.Op(u)
-		ev := Event{Ev: EvNode, Name: named.NodeName[u], Op: renderOp(op, named.LocName)}
+		opBuf = named.AppendOp(opBuf[:0], op)
+		ev := Event{Ev: EvNode, Name: named.NodeName[u], Op: string(opBuf)}
 		for _, p := range c.Dag().Preds(u) {
 			ev.Pred = append(ev.Pred, named.NodeName[p])
 		}

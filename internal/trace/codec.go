@@ -1,9 +1,9 @@
 package trace
 
 import (
-	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -17,13 +17,16 @@ import (
 //
 //	locs x y
 //	node A W(x) = 1
-//	node B R(y) = ?        # read returned Undefined
+//	# B's read returned Undefined
+//	node B R(y) = ?
 //	node C R(x) = 1
 //	edge A B
 //	edge B C
 //
 // Writes carry the stored value after "="; reads carry the returned
-// value, with "?" (or "⊥") for Undefined. No-ops carry no value.
+// value, with "?" (or "⊥") for Undefined. No-ops carry no value. As in
+// the computation format, a comment is a whole line whose first field
+// starts with '#'.
 
 // NamedTrace couples a trace with the symbol tables of its text form.
 type NamedTrace struct {
@@ -31,76 +34,53 @@ type NamedTrace struct {
 	Trace *Trace
 }
 
-// ParseTrace reads the trace text format. Like computation.Parse, it
-// is an input boundary: malformed files return errors, and a recover
-// fence converts any panic a hostile file provokes into one.
-func ParseTrace(r io.Reader) (nt *NamedTrace, err error) {
+// ParseTrace reads the trace text format from r and parses it as
+// ParseTraceString does.
+func ParseTrace(r io.Reader) (*NamedTrace, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return ParseTraceString(string(b))
+}
+
+// ParseTraceString parses the trace text format in one pass over s
+// (computation.ParseWith): a node line with a value hands the
+// computation its first three fields, and the value applies once the
+// computation has parsed. Errors name the input's own line: the first
+// line error in line order, then a value on a no-op, then Validate's.
+// Like computation.Parse, it is an input boundary: malformed text
+// returns an error, and a recover fence converts any panic a hostile
+// file provokes into one.
+func ParseTraceString(s string) (nt *NamedTrace, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			nt, err = nil, fmt.Errorf("trace: invalid input: %v", rec)
 		}
 	}()
-	var compLines []string
 	type valued struct {
-		node string
-		val  string
 		line int
+		node string
+		val  Value
 	}
 	var values []valued
-
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if !strings.HasPrefix(line, "node ") {
-			compLines = append(compLines, line)
-			continue
+	named, err := computation.ParseWith(s, func(line, _ int, fields []string) ([]string, error) {
+		if fields[0] != "node" {
+			return fields, nil
 		}
 		// node NAME OP [= VALUE]
-		fields := strings.Fields(line)
-		eq := -1
-		for i, f := range fields {
-			if f == "=" {
-				eq = i
-				break
-			}
-		}
+		eq := slices.Index(fields, "=")
 		if eq == -1 {
-			compLines = append(compLines, line)
-			continue
+			return fields, nil
 		}
 		if eq != 3 || len(fields) != 5 {
-			return nil, fmt.Errorf("line %d: want `node NAME OP = VALUE`", lineNo)
+			return nil, fmt.Errorf("line %d: want `node NAME OP = VALUE`", line)
 		}
-		compLines = append(compLines, strings.Join(fields[:3], " "))
-		values = append(values, valued{node: fields[1], val: fields[4], line: lineNo})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-
-	named, perr := computation.Parse(strings.NewReader(strings.Join(compLines, "\n")))
-	if perr != nil {
-		return nil, perr
-	}
-	tr := New(named.Comp)
-	for _, v := range values {
-		u, ok := named.NodeID[v.node]
-		if !ok {
-			return nil, fmt.Errorf("line %d: unknown node %q", v.line, v.node)
-		}
-		op := named.Comp.Op(u)
-		var val Value
-		if v.val == "?" || v.val == "⊥" {
-			val = Undefined
-		} else {
-			n, err := strconv.ParseInt(v.val, 10, 64)
+		v := valued{line: line, node: fields[1], val: Undefined}
+		if fields[4] != "?" && fields[4] != "⊥" {
+			n, err := strconv.ParseInt(fields[4], 10, 64)
 			if err != nil {
-				return nil, fmt.Errorf("line %d: bad value %q", v.line, v.val)
+				return nil, fmt.Errorf("line %d: bad value %q", line, fields[4])
 			}
 			// The Undefined (⊥) sentinel is an in-band reservation of
 			// math.MinInt64. A literal value equal to it would silently
@@ -108,15 +88,25 @@ func ParseTrace(r io.Reader) (nt *NamedTrace, err error) {
 			// become "observed no write"), so the boundary rejects it
 			// instead; ⊥ is spelled "?" in this format.
 			if Value(n) == Undefined {
-				return nil, fmt.Errorf("line %d: value %d is reserved for the Undefined sentinel (spell ⊥ as \"?\")", v.line, n)
+				return nil, fmt.Errorf("line %d: value %d is reserved for the Undefined sentinel (spell ⊥ as \"?\")", line, n)
 			}
-			val = Value(n)
+			v.val = Value(n)
 		}
-		switch op.Kind {
+		values = append(values, v)
+		return fields[:3], nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	tr := New(named.Comp)
+	for _, v := range values {
+		// The value's own line declared the node.
+		u := named.NodeID[v.node]
+		switch named.Comp.Op(u).Kind {
 		case computation.Write:
-			tr.WriteVal[u] = val
+			tr.WriteVal[u] = v.val
 		case computation.Read:
-			tr.ReadVal[u] = val
+			tr.ReadVal[u] = v.val
 		default:
 			return nil, fmt.Errorf("line %d: no-op node %q cannot carry a value", v.line, v.node)
 		}
@@ -125,11 +115,6 @@ func ParseTrace(r io.Reader) (nt *NamedTrace, err error) {
 		return nil, err
 	}
 	return &NamedTrace{Named: named, Trace: tr}, nil
-}
-
-// ParseTraceString is ParseTrace over a string.
-func ParseTraceString(s string) (*NamedTrace, error) {
-	return ParseTrace(strings.NewReader(s))
 }
 
 // Format writes the trace in the format accepted by ParseTrace.
@@ -141,14 +126,10 @@ func (nt *NamedTrace) Format(w io.Writer) error {
 			return err
 		}
 	}
+	var opStr []byte
 	for u, name := range named.NodeName {
 		op := c.Op(dag.Node(u))
-		var opStr string
-		if op.Kind == computation.Noop {
-			opStr = "N"
-		} else {
-			opStr = fmt.Sprintf("%s(%s)", op.Kind, named.LocName[op.Loc])
-		}
+		opStr = named.AppendOp(opStr[:0], op)
 		switch op.Kind {
 		case computation.Write:
 			if _, err := fmt.Fprintf(w, "node %s %s = %d\n", name, opStr, tr.WriteVal[u]); err != nil {

@@ -3,13 +3,15 @@ package trace
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // FuzzParseTrace drives the trace parser with arbitrary input. The
 // contract of the input boundary: any byte sequence either parses into
-// a trace that validates, or returns an error — never a panic. Parsed
+// a trace that validates, or returns an error that names, if any line,
+// one that is neither blank nor a comment — never a panic. Parsed
 // traces must survive a format/re-parse roundtrip.
 func FuzzParseTrace(f *testing.F) {
 	seeds, _ := filepath.Glob(filepath.Join("..", "..", "testdata", "*.trace"))
@@ -23,9 +25,11 @@ func FuzzParseTrace(f *testing.F) {
 	f.Add("locs x\nnode A N = 3\n")        // value on a no-op (invalid)
 	f.Add("locs x\nnode A W(x) = zzz\n")   // non-numeric value
 	f.Add("locs x\nnode A W(x) = 1 = 2\n") // double assignment
+	f.Add("# c\n\nlocs x\nnode A Q(x)\n")  // an error past a comment and a blank line
 	f.Fuzz(func(t *testing.T, input string) {
 		nt, err := ParseTraceString(input)
 		if err != nil {
+			checkErrorLine(t, input, err)
 			return
 		}
 		if verr := nt.Trace.Validate(); verr != nil {
@@ -53,4 +57,21 @@ func FuzzParseTrace(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkErrorLine fails t when err names a line of input that is blank
+// or a whole-line comment, or no line of input at all.
+func checkErrorLine(t *testing.T, input string, err error) {
+	m := pinLineErr.FindStringSubmatch(err.Error())
+	if m == nil {
+		return
+	}
+	n, _ := strconv.Atoi(m[1])
+	lines := strings.Split(input, "\n")
+	if n < 1 || n > len(lines) {
+		t.Fatalf("error %q names line %d of %d", err, n, len(lines))
+	}
+	if f := strings.Fields(lines[n-1]); len(f) == 0 || f[0][0] == '#' {
+		t.Fatalf("error %q names a blank or comment line: %q", err, lines[n-1])
+	}
 }
