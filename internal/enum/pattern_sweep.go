@@ -56,9 +56,8 @@ func (s PatternSweep) Skipped() int64 { return s.Computations - s.RepComputation
 // every registered model's bit when edges is empty, the census), so
 // Counts is indexed by that masked pattern. Edge relations are
 // identical to running the serial Compare once per edge, for every
-// worker count. The recorder (nil = off) sees a
-// RunStart with live gauges (decided pairs as States), one WorkerDone
-// per worker, and a RunEnd; WorkerDone and RunEnd stats carry the
+// worker count. The recorder (nil = off) sees a RunStart with live
+// gauges (decided pairs as States) and a RunEnd whose stats carry the
 // symmetry gauges (Orbits = universe computations covered,
 // SymmetrySkipped = computations never materialized). err is ctx's
 // error when the sweep was cut short; the partial counts then prove
@@ -140,9 +139,6 @@ func PatternSweepParallel(ctx context.Context, edges []PatternEdge, maxNodes, nu
 				live.States.Add(int64(tick - published))
 				live.Skipped.Add(sr.comps - sr.repComps - pubSkip)
 				live.Done.Add(1)
-				obs.Emit(rec, obs.Event{Kind: obs.WorkerDone, Worker: w,
-					Stats: &obs.Stats{States: int64(tick), Orbits: sr.comps,
-						SymmetrySkipped: sr.comps - sr.repComps, Workers: workers}})
 			}
 		}(w)
 	}

@@ -235,7 +235,15 @@ type StarReport struct {
 	// the interior, if any.
 	FirstMismatch string
 	Star          *memmodel.PairSet
+	// lcLost marks a first mismatch that is an LC pair outside the
+	// survivors, and so outside Base*.
+	lcLost bool
 }
+
+// lcBelow names the bases Δ known to contain LC: LC itself, and NN, NW,
+// WN and WW (Theorem 22 and Figure 1). LC is constructible, so for them
+// LC ⊆ Δ* ⊆ survivors, and survivors = LC proves Δ* = LC.
+var lcBelow = map[string]bool{"LC": true, "NN": true, "NW": true, "WN": true, "WW": true}
 
 // RunStar computes the constructible version of the named base model
 // over the universe of computations with at most maxNodes nodes and
@@ -292,6 +300,7 @@ func (r *StarReport) compareLC(interior []*computation.Computation) {
 			mismatchSize = size
 			r.FirstMismatch = fmt.Sprintf("size %d: %v / %v (star=%v, LC=%v)",
 				size, c, o, inStar, !inStar)
+			r.lcLost = !inStar
 			return false
 		})
 	}
@@ -312,12 +321,21 @@ func (r StarReport) String() string {
 	for s := range r.BasePairs {
 		fmt.Fprintf(&b, "%-6d %-12d %-12d\n", s, r.BasePairs[s], r.StarPairs[s])
 	}
-	if r.FirstMismatch == "" {
-		fmt.Fprintf(&b, "survivors = LC on the interior (sizes ≤ %d): with LC ⊆ %s* ⊆ survivors, this PROVES %s* = LC for those sizes\n",
-			r.LCEqualUpTo, r.Base, r.Base)
-	} else {
+	base := r.Base
+	switch {
+	case r.FirstMismatch != "":
 		fmt.Fprintf(&b, "survivors ≠ LC: first mismatch at %s\n", r.FirstMismatch)
-		fmt.Fprintf(&b, "(survivors over-approximate %s*, so a mismatch is inconclusive about %s* ≠ LC)\n", r.Base, r.Base)
+		if r.lcLost {
+			fmt.Fprintf(&b, "(an LC pair outside the survivors, which contain %s*, lies outside %s*: this PROVES %s* ≠ LC)\n", base, base, base)
+		} else {
+			fmt.Fprintf(&b, "(survivors over-approximate %s*, so a mismatch is inconclusive about %s* ≠ LC)\n", base, base)
+		}
+	case lcBelow[base]:
+		fmt.Fprintf(&b, "survivors = LC on the interior (sizes ≤ %d): with LC ⊆ %s* ⊆ survivors, this PROVES %s* = LC for those sizes\n",
+			r.LCEqualUpTo, base, base)
+	default:
+		fmt.Fprintf(&b, "survivors = LC on the interior (sizes ≤ %d): with %s* ⊆ survivors, %s* ⊆ LC for those sizes; without LC ⊆ %s this does not prove %s* = LC\n",
+			r.LCEqualUpTo, base, base, base, base)
 	}
 	return b.String()
 }

@@ -299,3 +299,24 @@ func TestMembershipCensus(t *testing.T) {
 		t.Fatalf("census: %s", s)
 	}
 }
+
+// TestRunStarClosingLines: the report proves Δ* = LC only for a base
+// known to contain LC, and an LC pair outside the survivors proves
+// Δ* ≠ LC, since the survivors contain Δ*.
+func TestRunStarClosingLines(t *testing.T) {
+	for _, c := range []struct {
+		base    memmodel.Model
+		n, locs int
+		want    string
+	}{
+		{memmodel.TSO, 3, 2, "survivors ≠ LC: first mismatch at size 2: comp(locs=2; 0:W(0) 1:W(1);) / Φ(l0: 0→0 1→0; l1: 0→1 1→1) (star=false, LC=true)\n" +
+			"(an LC pair outside the survivors, which contain TSO*, lies outside TSO*: this PROVES TSO* ≠ LC)\n"},
+		{memmodel.TSO, 4, 1, "survivors = LC on the interior (sizes ≤ 3): with TSO* ⊆ survivors, TSO* ⊆ LC for those sizes; without LC ⊆ TSO this does not prove TSO* = LC\n"},
+		{memmodel.NN, 4, 1, "survivors = LC on the interior (sizes ≤ 3): with LC ⊆ NN* ⊆ survivors, this PROVES NN* = LC for those sizes\n"},
+	} {
+		text := RunStar(c.base, c.n, c.locs, 0, nil).String()
+		if _, got, _ := strings.Cut(text, "\nsurvivors "); "survivors "+got != c.want {
+			t.Errorf("%s* at n=%d, %d location(s): closing lines\n%s\nwant\n%s", c.base.Name(), c.n, c.locs, "survivors "+got, c.want)
+		}
+	}
+}

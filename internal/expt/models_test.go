@@ -137,9 +137,10 @@ func TestTSOFullConstructibleSmall(t *testing.T) {
 }
 
 // TestStarTSOSmall: the Δ* fixpoint for TSO at ≤3 nodes — the
-// constructible-version survivors collapse to LC on the interior,
-// exactly as they do for the paper's NN (Theorem 23). With LC ⊆ TSO*
-// ⊆ survivors this proves TSO* = LC at those sizes.
+// constructible-version survivors collapse to LC on the interior, as
+// they do for the paper's NN (Theorem 23). With TSO* ⊆ survivors this
+// gives TSO* ⊆ LC at those sizes; LC ⊄ TSO in general (iriw), so it
+// does not prove TSO* = LC.
 func TestStarTSOSmall(t *testing.T) {
 	rep := RunStar(memmodel.TSO, 3, 1, 0, nil)
 	if !rep.OK() {

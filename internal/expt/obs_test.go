@@ -75,7 +75,7 @@ func (l *phaseLog) Record(ev obs.Event) {
 
 // TestRunLatticeObsEmitsPhases: at one location the lattice check is
 // two sweeps, the fused one and the SC/LC auxiliary one, each a phase
-// and a run with one WorkerDone per shard.
+// and a run.
 func TestRunLatticeObsEmitsPhases(t *testing.T) {
 	log := &phaseLog{}
 	rep := RunLatticeReduced(3, 1, 2, log)
@@ -83,7 +83,7 @@ func TestRunLatticeObsEmitsPhases(t *testing.T) {
 		t.Fatalf("lattice check failed:\n%s", rep)
 	}
 	var phases, runs []string
-	var ends, workers int
+	var ends int
 	log.mu.Lock()
 	defer log.mu.Unlock()
 	for _, ev := range log.evs {
@@ -92,8 +92,6 @@ func TestRunLatticeObsEmitsPhases(t *testing.T) {
 			phases = append(phases, ev.Str)
 		case obs.RunStart:
 			runs = append(runs, ev.Run)
-		case obs.WorkerDone:
-			workers++
 		case obs.RunEnd:
 			ends++
 		}
@@ -101,8 +99,8 @@ func TestRunLatticeObsEmitsPhases(t *testing.T) {
 	if got := strings.Join(phases, ", "); got != "pattern sweep, SC vs LC" {
 		t.Fatalf("phases %q", got)
 	}
-	if got := strings.Join(runs, ", "); got != "lattice-reduced, SC vs LC" || ends != 2 || workers != 4 {
-		t.Fatalf("runs %q, %d run ends, %d worker dones", got, ends, workers)
+	if got := strings.Join(runs, ", "); got != "lattice-reduced, SC vs LC" || ends != 2 {
+		t.Fatalf("runs %q, %d run ends", got, ends)
 	}
 }
 

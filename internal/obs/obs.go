@@ -70,9 +70,6 @@ const (
 	// Fields: Run, N (plan index), Str (verdict spelling), Total
 	// (events in the plan).
 	PlanDone
-	// WorkerDone: a worker flushed its private counters at exit.
-	// Fields: Run, Worker, Stats.
-	WorkerDone
 	// PanicRecovered: a serving-stack recovery middleware caught a
 	// handler panic and completed the exchange with a 500. Fields: Run
 	// (endpoint and request ID), Str (the panic value followed by the
@@ -126,7 +123,6 @@ var kindNames = [numKinds]string{
 	FaultInjected:   "fault",
 	ShrinkStep:      "shrink-step",
 	PlanDone:        "plan-done",
-	WorkerDone:      "worker-done",
 	PanicRecovered:  "panic-recovered",
 	ShardSent:       "shard-sent",
 	ShardRetry:      "shard-retry",
@@ -166,8 +162,8 @@ type Counters struct {
 	Skipped atomic.Int64
 }
 
-// Stats is the final counter block attached to RunEnd and WorkerDone
-// events. It mirrors the engine's stats; sweep producers fill only the
+// Stats is the final counter block attached to RunEnd events. It
+// mirrors the engine's stats; sweep producers fill only the
 // fields that apply (States = pairs or plans).
 type Stats struct {
 	States      int64 `json:"states"`
@@ -200,7 +196,7 @@ type Event struct {
 	Str    string // kind-specific detail (verdict, reason, fault kind…)
 	// Src and Dst are fault-site node ids (-1 when not applicable).
 	Src, Dst int
-	Stats    *Stats    // RunEnd / WorkerDone
+	Stats    *Stats    // RunEnd
 	Live     *Counters // RunStart
 }
 
@@ -230,50 +226,56 @@ type RecorderFunc func(Event)
 // Record calls f.
 func (f RecorderFunc) Record(ev Event) { f(ev) }
 
-// withRun stamps a run label on unlabeled events.
-type withRun struct {
-	rec Recorder
-	run string
+// labeled stamps run labels: an unlabeled event takes run, and a
+// labeled one gets prefix in front of its own label. Wrapping composes
+// when it wraps (see WithRun and WithRunPrefix), so a stack of labels
+// is one wrapper and an unlabeled event, which is every engine event,
+// takes its label without building a string.
+type labeled struct {
+	rec    Recorder
+	prefix string
+	run    string
 }
 
-func (w withRun) Record(ev Event) {
+func (l labeled) Record(ev Event) {
 	if ev.Run == "" {
-		ev.Run = w.run
+		ev.Run = l.run
+	} else if l.prefix != "" {
+		ev.Run = l.prefix + ev.Run
 	}
-	w.rec.Record(ev)
+	l.rec.Record(ev)
 }
 
 // WithRun returns a recorder that labels unlabeled events with run
 // before forwarding to rec. A nil rec stays nil, so producers keep
-// their fast path.
+// their fast path, and an empty run returns rec unchanged. Over a
+// recorder from WithRun or WithRunPrefix the label is composed once,
+// here: WithRun(WithRunPrefix(rec, p), run) labels unlabeled events
+// p+run.
 func WithRun(rec Recorder, run string) Recorder {
-	if rec == nil {
-		return nil
+	if rec == nil || run == "" {
+		return rec
 	}
-	return withRun{rec: rec, run: run}
-}
-
-// withRunPrefix prepends a prefix to every event's run label, labeled
-// or not. The serving stack uses it to thread request IDs into the
-// decision events its handlers produce.
-type withRunPrefix struct {
-	rec    Recorder
-	prefix string
-}
-
-func (w withRunPrefix) Record(ev Event) {
-	ev.Run = w.prefix + ev.Run
-	w.rec.Record(ev)
+	if l, ok := rec.(labeled); ok {
+		return labeled{rec: l.rec, prefix: l.prefix, run: l.prefix + run}
+	}
+	return labeled{rec: rec, run: run}
 }
 
 // WithRunPrefix returns a recorder that prefixes every event's run
 // label (empty or not) with prefix before forwarding to rec. A nil
-// rec stays nil, and an empty prefix returns rec unchanged.
+// rec stays nil, and an empty prefix returns rec unchanged. The
+// serving stack uses it to thread request IDs into the decision events
+// its handlers produce.
 func WithRunPrefix(rec Recorder, prefix string) Recorder {
 	if rec == nil || prefix == "" {
 		return rec
 	}
-	return withRunPrefix{rec: rec, prefix: prefix}
+	if l, ok := rec.(labeled); ok {
+		prefix = l.prefix + prefix
+		rec = l.rec
+	}
+	return labeled{rec: rec, prefix: prefix, run: prefix}
 }
 
 // multi fans events out to several recorders.

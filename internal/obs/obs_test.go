@@ -60,20 +60,58 @@ func TestEmit(t *testing.T) {
 	}
 }
 
+// TestWithRun holds the composed label wrapper to the labels of one
+// wrapper per call: WithRun stamps unlabeled events, WithRunPrefix
+// prefixes every label, and the outer wrapper acts first.
 func TestWithRun(t *testing.T) {
-	if WithRun(nil, "x") != nil {
-		t.Fatal("WithRun(nil) must stay nil to keep producer fast paths")
+	for _, nilRec := range []Recorder{
+		WithRun(nil, "x"),
+		WithRunPrefix(nil, "id "),
+		WithRun(WithRunPrefix(nil, "id "), "SC"),
+	} {
+		if nilRec != nil {
+			t.Fatal("a nil recorder must stay nil to keep producer fast paths")
+		}
 	}
-	c := &collector{}
-	rec := WithRun(c, "SC")
-	rec.Record(Event{Kind: RunStart})
-	rec.Record(Event{Kind: RunEnd, Run: "already"})
-	evs := c.events()
-	if evs[0].Run != "SC" {
-		t.Errorf("unlabeled event got run %q", evs[0].Run)
+	for _, tc := range []struct {
+		name             string
+		wrap             func(Recorder) Recorder
+		unlabeled, label string // the labels of "" and of "X"
+	}{
+		{"WithRun", func(r Recorder) Recorder { return WithRun(r, "SC") }, "SC", "X"},
+		{"WithRunPrefix", func(r Recorder) Recorder { return WithRunPrefix(r, "id ") }, "id ", "id X"},
+		{"WithRun over WithRunPrefix", func(r Recorder) Recorder { return WithRun(WithRunPrefix(r, "id "), "SC") }, "id SC", "id X"},
+		{"WithRun over WithRun", func(r Recorder) Recorder { return WithRun(WithRun(r, "A"), "B") }, "B", "X"},
+		{"WithRunPrefix over WithRun", func(r Recorder) Recorder { return WithRunPrefix(WithRun(r, "A"), "p ") }, "p ", "p X"},
+		{"WithRunPrefix over WithRunPrefix", func(r Recorder) Recorder { return WithRunPrefix(WithRunPrefix(r, "a "), "b ") }, "a b ", "a b X"},
+		{"WithRun over WithRunPrefix over WithRun", func(r Recorder) Recorder {
+			return WithRun(WithRunPrefix(WithRun(r, "A"), "id "), "SC")
+		}, "id SC", "id X"},
+		{"empty prefix", func(r Recorder) Recorder { return WithRunPrefix(r, "") }, "", "X"},
+		{"empty run", func(r Recorder) Recorder { return WithRun(r, "") }, "", "X"},
+		{"empty run over WithRunPrefix", func(r Recorder) Recorder { return WithRun(WithRunPrefix(r, "id "), "") }, "id ", "id X"},
+	} {
+		c := &collector{}
+		rec := tc.wrap(c)
+		rec.Record(Event{Kind: RunStart})
+		rec.Record(Event{Kind: RunEnd, Run: "X"})
+		evs := c.events()
+		if evs[0].Run != tc.unlabeled || evs[1].Run != tc.label {
+			t.Errorf("%s: labels %q and %q, want %q and %q", tc.name, evs[0].Run, evs[1].Run, tc.unlabeled, tc.label)
+		}
 	}
-	if evs[1].Run != "already" {
-		t.Errorf("labeled event was relabeled to %q", evs[1].Run)
+}
+
+// TestWithRunAllocs: the label of an unlabeled event through a request
+// prefix and a model label was composed when the wrappers were built.
+func TestWithRunAllocs(t *testing.T) {
+	var last string
+	rec := WithRun(WithRunPrefix(RecorderFunc(func(ev Event) { last = ev.Run }), "id "), "SC")
+	if allocs := testing.AllocsPerRun(100, func() { rec.Record(Event{Kind: RunStart}) }); allocs != 0 {
+		t.Fatalf("%v allocs per unlabeled event", allocs)
+	}
+	if last != "id SC" {
+		t.Fatalf("label %q", last)
 	}
 }
 

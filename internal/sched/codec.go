@@ -38,11 +38,17 @@ import (
 
 // FormatSchedule writes the schedule in the text format accepted by
 // ParseSchedule. named supplies the node/location names; its
-// computation must be the schedule's.
+// computation must be the schedule's, and no name may hold a '#', which
+// the reader takes for the start of a comment.
 func FormatSchedule(w io.Writer, named *computation.Named, s *Schedule) error {
 	if named.Comp.NumNodes() != s.Comp.NumNodes() {
 		return fmt.Errorf("sched: symbol table for %d nodes, schedule has %d",
 			named.Comp.NumNodes(), s.Comp.NumNodes())
+	}
+	for _, names := range [][]string{named.NodeName, named.LocName} {
+		if i := slices.IndexFunc(names, func(name string) bool { return strings.Contains(name, "#") }); i >= 0 {
+			return fmt.Errorf("sched: name %q cannot be written: '#' starts a schedule comment", names[i])
+		}
 	}
 	if _, err := fmt.Fprintf(w, "schedule %d\n", s.P); err != nil {
 		return err
@@ -89,10 +95,10 @@ func ParseSchedule(r io.Reader) (*computation.Named, *Schedule, error) {
 // parsed. The first line error in line order is reported, naming the
 // input's own line, then an assign line's unknown or repeated node, and
 // last the whole-text checks: a missing `schedule P`, the assign and
-// order counts, the order's names and Validate. Like the other codecs
-// it is an input boundary: malformed text returns an error (a recover
-// fence converts hostile-input panics), and the returned schedule has
-// passed Validate.
+// order counts, the order line's names (naming that line) and
+// Validate. Like the other codecs it is an input boundary: malformed
+// text returns an error (a recover fence converts hostile-input
+// panics), and the returned schedule has passed Validate.
 func ParseScheduleString(str string) (named *computation.Named, s *Schedule, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -107,7 +113,7 @@ func ParseScheduleString(str string) (named *computation.Named, s *Schedule, err
 	var (
 		assigns   []assign
 		order     []string
-		haveOrder bool
+		orderLine int // 0 until an order line is read
 		p         = -1
 		steals    = 0
 	)
@@ -154,10 +160,10 @@ func ParseScheduleString(str string) (named *computation.Named, s *Schedule, err
 			}
 			assigns = append(assigns, assign{line: line, proc: proc, node: fields[1], start: Tick(start), finish: Tick(finish)})
 		case "order":
-			if haveOrder {
+			if orderLine > 0 {
 				return nil, fmt.Errorf("line %d: duplicate order directive", line)
 			}
-			haveOrder = true
+			orderLine = line
 			order = slices.Clone(fields[1:])
 		default:
 			return fields, nil
@@ -202,7 +208,7 @@ func ParseScheduleString(str string) (named *computation.Named, s *Schedule, err
 	for _, name := range order {
 		u, ok := named.NodeID[name]
 		if !ok {
-			return nil, nil, fmt.Errorf("sched: unknown node %q in order", name)
+			return nil, nil, fmt.Errorf("line %d: unknown node %q in order", orderLine, name)
 		}
 		s.Order = append(s.Order, u)
 	}

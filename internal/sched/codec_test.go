@@ -193,3 +193,38 @@ func TestParseScheduleLongLine(t *testing.T) {
 		t.Fatalf("parsed %d locations, makespan %d", named.Comp.NumLocs(), s.Makespan)
 	}
 }
+
+// TestFormatScheduleRefusesCommentNames: a '#' in a node or location
+// name would start a comment when the text is read back, so the writer
+// refuses the name, before writing anything, instead of writing text
+// its reader rejects.
+func TestFormatScheduleRefusesCommentNames(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"locs x\nnode a#b W(x)\nnode C R(x)\nedge a#b C\n",
+			`sched: name "a#b" cannot be written: '#' starts a schedule comment`},
+		{"locs x#y\nnode A W(x#y)\n",
+			`sched: name "x#y" cannot be written: '#' starts a schedule comment`},
+	} {
+		named, err := computation.ParseString(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := ListSchedule(named.Comp, 2, UnitCost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := FormatSchedule(&b, named, s); err == nil || err.Error() != c.want || b.Len() > 0 {
+			t.Errorf("%q: error %v after writing %q, want %s", c.src, err, b.String(), c.want)
+		}
+	}
+}
+
+// TestParseScheduleOrderErrorLine: an unknown name on the order line
+// names that line, as an assign line's does.
+func TestParseScheduleOrderErrorLine(t *testing.T) {
+	_, _, err := ParseScheduleString("schedule 1\nlocs x\nnode A W(x)\nassign A 0 0 1\norder Z\n")
+	if want := `line 5: unknown node "Z" in order`; err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %s", err, want)
+	}
+}

@@ -25,7 +25,7 @@ import (
 // FormatSchedule text, or the full error text. The file was recorded
 // with the codec that scanned its input with bufio.Scanner and parsed
 // the computation's lines again once joined, so an output that differs
-// from it is a behaviour change. TestScheduleCodecPinned accepts three:
+// from it is a behaviour change. TestScheduleCodecPinned accepts four:
 //
 //   - line: an error names the input's own line, where the old codec
 //     counted a computation error among the computation's lines only;
@@ -35,7 +35,9 @@ import (
 //     own (schedule lines, `schedule P`, the computation, the assign
 //     count, assign names, the order, Validate);
 //   - widened: the input has a line over 64 KiB, where the old codec
-//     stopped; the input now parses, or fails with another error.
+//     stopped; the input now parses, or fails with another error;
+//   - order line: an unknown name on the order line names that line,
+//     where the old codec reported it without a line.
 //
 // In every class an error that names a line names one that is neither
 // blank nor a comment. SCHED_PINS_RECORD=1 rewrites the file from the
@@ -175,9 +177,9 @@ func schedPinOutput(named *computation.Named, s *Schedule, err error) string {
 var scheduleDirectives = map[string]bool{"schedule": true, "steals": true, "assign": true, "order": true}
 
 // scheduleLines returns the numbers of the lines of input that are
-// neither blank nor a comment once a '#' has cut them, and of those the
-// ones that belong to the computation.
-func scheduleLines(input string) (content, computation []int) {
+// neither blank nor a comment once a '#' has cut them, of those the
+// ones that belong to the computation, and the first order line's.
+func scheduleLines(input string) (content, computation []int, order int) {
 	for i, line := range strings.Split(input, "\n") {
 		line, _, _ = strings.Cut(line, "#")
 		if f := strings.Fields(line); len(f) > 0 {
@@ -185,9 +187,12 @@ func scheduleLines(input string) (content, computation []int) {
 			if !scheduleDirectives[f[0]] {
 				computation = append(computation, i+1)
 			}
+			if f[0] == "order" && order == 0 {
+				order = i + 1
+			}
 		}
 	}
-	return content, computation
+	return content, computation, order
 }
 
 var pinLineErr = regexp.MustCompile(`(?s)^line (\d+): (.*)$`)
@@ -239,6 +244,8 @@ func readScheduleErr(text string, numbered []int) pinErr {
 	switch {
 	case schedLineMsg.MatchString(e.msg):
 		e.kind = "directive"
+	case strings.HasSuffix(e.msg, " in order"):
+		e.kind = "ordername"
 	case schedAssignMsg.MatchString(e.msg):
 		e.kind = "assign"
 	default:
@@ -282,7 +289,7 @@ func judgeSchedule(input, want, got string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	content, comp := scheduleLines(input)
+	content, comp, orderLine := scheduleLines(input)
 	old := readScheduleErr(wantErr, comp)
 	var now *pinErr
 	if gotText, ok := strings.CutPrefix(got, "E "); ok {
@@ -307,6 +314,8 @@ func judgeSchedule(input, want, got string) (string, error) {
 		return "", fmt.Errorf("rejected at the pin (%s), now parses", wantErr)
 	case now.kind == old.kind && now.msg == old.msg && now.line == old.line:
 		return "line", nil
+	case now.kind == "ordername" && old.kind == "ordername" && "sched: "+now.msg == old.msg && now.line == orderLine:
+		return "order line", nil
 	case before(schedNewOrder, *now, old) && before(schedOldOrder, old, *now):
 		return "several", nil
 	}
@@ -350,6 +359,6 @@ func TestScheduleCodecPinned(t *testing.T) {
 		}
 		classes[class]++
 	}
-	t.Logf("%d inputs: %d same, %d line, %d several, %d widened", len(inputs),
-		classes["same"], classes["line"], classes["several"], classes["widened"])
+	t.Logf("%d inputs: %d same, %d line, %d several, %d widened, %d order line", len(inputs),
+		classes["same"], classes["line"], classes["several"], classes["widened"], classes["order line"])
 }

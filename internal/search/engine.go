@@ -12,20 +12,21 @@ import (
 	"repro/internal/obs"
 )
 
-// Below the serial engine and the parallel root splitter. One engine
-// owns one mutable search state (placed set, last-writer vector,
-// in-degrees, partial order) and one failed-state memo table; the
-// parallel path gives each worker its own engine and shares only the
-// compiled problem, the state budget, and the lowest-successful-root
-// register. A Runner owns the compiled problem, the serial engine and
-// the governor block, and keeps their storage from one run to the next.
+// Below the engine and the root loop every run walks. One engine owns
+// one mutable search state (placed set, last-writer vector, in-degrees,
+// partial order) and one failed-state memo table; a run's workers share
+// only the compiled problem, the root counter, the state budget and the
+// lowest-successful-root register.
 
-// rec outcomes.
+// rec outcomes, and their names on RootFinished events.
 const (
 	stFail  int8 = iota // subtree exhausted, no witness
 	stFound             // witness completed in e.order
 	stAbort             // budget ran out or a lower root won
+	stOpen              // enter only: the state's children must be explored
 )
+
+var outcomeNames = [...]string{stFail: "exhausted", stFound: "found", stAbort: "aborted"}
 
 // budget batching: workers draw states in chunks to keep the shared
 // atomic cold. Serial runs draw one at a time so the cap is exact.
@@ -55,6 +56,14 @@ type shared struct {
 	// that workers publish into in cancellation-poll batches.
 	rec  obs.Recorder
 	live *obs.Counters
+	// The root loop's work: the frontier slice the run explores, the
+	// global frontier index of roots[0], the counter workers claim
+	// indices into roots from, and whether claims emit root events
+	// (parallel and sharded runs only).
+	roots      []dag.Node
+	rootOff    int
+	next       atomic.Int64
+	rootEvents bool
 }
 
 // reset readies sh for a run under ctx with the given state budget
@@ -69,6 +78,7 @@ func (sh *shared) reset(ctx context.Context, budget int64, chunk int64, rec obs.
 	sh.budget.Store(budget)
 	sh.bestRoot.Store(math.MaxInt64)
 	sh.stop.Store(0)
+	sh.next.Store(0)
 }
 
 // setStop records reason as the run's stop cause if none is set yet.
@@ -118,6 +128,8 @@ type engine struct {
 	order  []dag.Node
 	memo   stateSet
 	keyBuf []uint64
+	// myRoot is the index into sh.roots of the root being explored, and
+	// once the engine has found a witness, of the root holding it.
 	myRoot int64
 	grant  int64
 	tick   uint32
@@ -147,7 +159,10 @@ func (e *engine) bind(p *problem) {
 	e.order = reuse(e.order, p.n)[:0]
 	e.keyBuf = reuse(e.keyBuf, p.keyWords)
 	e.sleep = reuse(e.sleep, (p.n+1)*p.placedWords)
-	e.reset()
+	for i := range e.last {
+		e.last[i] = dag.None
+	}
+	copy(e.indeg, p.indeg0)
 }
 
 // start readies a bound engine for a run under sh: the memo table is
@@ -169,18 +184,6 @@ func (e *engine) start(sh *shared, opts Options, memoCap int64) {
 		sleep:   e.sleep,
 		noSleep: opts.DisableSleep || e.p.gate != nil,
 	}
-}
-
-// reset restores the empty search state; the memo table survives
-// (failed states are state-functions, valid across roots).
-func (e *engine) reset() {
-	e.placed.Clear()
-	for i := range e.last {
-		e.last[i] = dag.None
-	}
-	copy(e.indeg, e.p.indeg0)
-	e.order = e.order[:0]
-	clear(e.sleep)
 }
 
 // takeState charges one state against the shared budget, batching
@@ -242,20 +245,6 @@ func (e *engine) publishLive() {
 		e.frozeSeen = true
 		obs.Emit(e.sh.rec, obs.Event{Kind: obs.MemoFreeze, Worker: e.worker, N: e.memo.bytes()})
 	}
-}
-
-// flushObs publishes the final gauge deltas and emits this worker's
-// WorkerDone with its complete private counters. No-op without a
-// recorder.
-func (e *engine) flushObs() {
-	if e.sh.rec == nil {
-		return
-	}
-	e.publishLive()
-	st := e.stats
-	st.MemoBytes = e.memo.bytes()
-	st.MemoSpilled = e.memo.spilled
-	obs.Emit(e.sh.rec, obs.Event{Kind: obs.WorkerDone, Worker: e.worker, Stats: obsStats(st)})
 }
 
 // obsStats converts the engine's counter block to the event form.
@@ -375,15 +364,35 @@ func (e *engine) predWPlaced(idx int) bool {
 	return true
 }
 
-// rec explores the subtree below the current state.
+// rec explores the subtree below the current state: enter's prologue,
+// a step for every ready node, and refute's epilogue. The root loop
+// (claim) runs the same three parts on the empty state.
 func (e *engine) rec(remaining int) int8 {
 	if remaining == 0 {
 		return stFound
 	}
-	if !e.takeState() {
-		return stAbort
+	if st := e.enter(); st != stOpen {
+		return st
 	}
-	if e.cancelled() {
+	depth := e.p.n - remaining
+	for u := 0; u < e.p.n; u++ {
+		if e.indeg[u] != 0 || e.placed.Contains(u) {
+			continue
+		}
+		if st := e.step(u, depth); st != stFail {
+			return st
+		}
+	}
+	e.refute()
+	return stFail
+}
+
+// enter is the per-state prologue: it charges the state to the
+// governors and counts it, then settles it without expansion when the
+// memo already refutes it or the closure prune does (stFail), or
+// reports stOpen for a state whose children must be explored.
+func (e *engine) enter() int8 {
+	if !e.takeState() || e.cancelled() {
 		return stAbort
 	}
 	e.stats.States++
@@ -393,56 +402,101 @@ func (e *engine) rec(remaining int) int8 {
 	}
 	if e.infeasible() {
 		e.stats.Pruned++
-		if e.memo.insert(e.encodeKey()) {
-			e.stats.Memoized++
-		}
+		e.refute()
 		return stFail
 	}
+	return stOpen
+}
+
+// step is the per-child step: it explores the subtree of placing ready
+// node u at depth, unless u is asleep in the depth's sleep row or not
+// admissible (stFail either way). The child row is the depth's row
+// woken by u's conflicts; a refuted subtree puts u to sleep for the
+// later siblings. A stFound leaves the witness placed in e.order.
+func (e *engine) step(u, depth int) int8 {
 	pw := e.p.placedWords
-	depth := e.p.n - remaining
 	cur := e.sleep[depth*pw : (depth+1)*pw]
-	child := e.sleep[(depth+1)*pw : (depth+2)*pw]
-	for u := 0; u < e.p.n; u++ {
-		if e.indeg[u] != 0 || e.placed.Contains(u) {
-			continue
-		}
-		if !e.noSleep && cur[u>>6]&(1<<(uint(u)&63)) != 0 {
-			// Asleep: this subtree is witness-free (see the package
-			// comment's soundness argument).
-			e.stats.SleepSetPruned++
-			continue
-		}
-		node := dag.Node(u)
-		if !e.admissible(node) {
-			continue
-		}
-		if !e.noSleep {
-			// The child wakes every placement that conflicts with u.
-			crow := e.p.conflict[u*pw : (u+1)*pw]
-			for i, w := range cur {
-				child[i] = w &^ crow[i]
-			}
-		}
-		prev := e.place(node)
-		st := e.rec(remaining - 1)
-		if st == stFound {
-			return stFound
-		}
-		e.unplace(node, prev)
-		if st == stAbort {
-			return stAbort
-		}
-		// u's subtree is exhausted and empty: later siblings may skip
-		// placing u while their placements commute with it.
-		if !e.noSleep {
-			cur[u>>6] |= 1 << (uint(u) & 63)
+	if !e.noSleep && cur[u>>6]&(1<<(uint(u)&63)) != 0 {
+		// Asleep: this subtree is witness-free (see the package
+		// comment's soundness argument).
+		e.stats.SleepSetPruned++
+		return stFail
+	}
+	node := dag.Node(u)
+	if !e.admissible(node) {
+		return stFail
+	}
+	if !e.noSleep {
+		child := e.sleep[(depth+1)*pw : (depth+2)*pw]
+		crow := e.p.conflict[u*pw : (u+1)*pw]
+		for i, w := range cur {
+			child[i] = w &^ crow[i]
 		}
 	}
-	// keyBuf was overwritten by the children; re-encode before storing.
+	prev := e.place(node)
+	st := e.rec(e.p.n - depth - 1)
+	if st == stFound {
+		return stFound
+	}
+	e.unplace(node, prev)
+	if st == stFail && !e.noSleep {
+		// u's subtree is exhausted and empty: later siblings may skip
+		// placing u while their placements commute with it.
+		cur[u>>6] |= 1 << (uint(u) & 63)
+	}
+	return st
+}
+
+// refute is the per-state epilogue: it memoizes the current state as
+// refuted. The children overwrote keyBuf, so the key is re-encoded.
+func (e *engine) refute() {
 	if e.memo.insert(e.encodeKey()) {
 		e.stats.Memoized++
 	}
-	return stFail
+}
+
+// claim is the root loop, run by every worker of a run on the empty
+// state: it claims indices into sh.roots from the shared counter, in
+// order, and explores each root as a step at depth 0, with the same
+// memo, closure prune and sleep row as rec's children, until the roots
+// run out or a governor stops the run. A witness it finds stays in
+// e.order, with its root's index in e.myRoot and sh.bestRoot.
+func (e *engine) claim() {
+	sh := e.sh
+	for {
+		r := sh.next.Add(1) - 1
+		if r >= int64(len(sh.roots)) {
+			return
+		}
+		root := sh.rootOff + int(r)
+		if sh.bestRoot.Load() < r {
+			// A lower root, perhaps this worker's own, holds a witness:
+			// this root cannot win.
+			if sh.rootEvents {
+				obs.Emit(sh.rec, obs.Event{Kind: obs.RootSkipped, Worker: e.worker, Root: root})
+				sh.live.Done.Add(1)
+			}
+			continue
+		}
+		if sh.halted() {
+			return
+		}
+		if sh.rootEvents {
+			obs.Emit(sh.rec, obs.Event{Kind: obs.RootClaimed, Worker: e.worker, Root: root})
+		}
+		e.myRoot = r
+		st := e.step(int(sh.roots[r]), 0)
+		if sh.rootEvents {
+			obs.Emit(sh.rec, obs.Event{Kind: obs.RootFinished, Worker: e.worker, Root: root, Str: outcomeNames[st]})
+			sh.live.Done.Add(1)
+		}
+		switch st {
+		case stFound:
+			sh.casMinRoot(r)
+		case stAbort:
+			return
+		}
+	}
 }
 
 // Run solves the Spec. The answer (Found, and Order when Found) is
@@ -523,8 +577,8 @@ func frontier(p *problem, roots []dag.Node, emptyLast []dag.Node, emptyPlaced *b
 }
 
 // Frontier is the exported shard plan: it compiles spec and returns
-// the size of its admissible root frontier — the same split the
-// parallel engine fans workers over, and the unit a fleet coordinator
+// the size of its admissible root frontier — the roots a run's workers
+// claim, and the unit a fleet coordinator
 // partitions into RootLo/RootHi shards. When the question resolves
 // statically without any search (static unsat filtering, the empty
 // problem, an empty frontier), Frontier returns 0 and the non-nil
@@ -552,10 +606,11 @@ func RunContext(ctx context.Context, spec Spec, opts Options) Result {
 // Run is RunContext on r's storage. Every table, buffer and counter is
 // reset per run, and the memo table to the size a new one starts at
 // (64 slots, or what Options.MaxMemoBytes shrinks that to), so the
-// Result equals a new Runner's field for field, Stats included (under
-// parallel splitting the counters depend on the schedule either way);
-// a found Order is a copy the Runner does not retain. The parallel
-// root splitter still gives each worker an engine of its own.
+// Result equals a new Runner's field for field, Stats included (on more
+// than one worker the counters depend on the schedule either way); a
+// found Order is a copy the Runner does not retain. Worker 0 is r's
+// engine, on the calling goroutine; further workers get engines of
+// their own for the run.
 func (r *Runner) Run(ctx context.Context, spec Spec, opts Options) Result {
 	if err := ctx.Err(); err != nil {
 		// Already cancelled: don't even compile.
@@ -565,75 +620,115 @@ func (r *Runner) Run(ctx context.Context, spec Spec, opts Options) Result {
 	if res, done := r.plan(spec); done {
 		return trivialResult(rec, res)
 	}
-	p := &r.p
-	roots := r.roots
-	total := len(roots)
+	total := len(r.roots)
 
 	// Shard restriction: clamp [RootLo, RootHi) onto the frontier. An
 	// empty slice is a vacuously exhausted shard — no roots explored, no
 	// witness, definitively Out *within the shard*.
-	lo, hi := opts.RootLo, opts.RootHi
-	if lo < 0 {
-		lo = 0
-	}
+	lo, hi := max(opts.RootLo, 0), opts.RootHi
 	if hi <= 0 || hi > total {
 		hi = total
 	}
-	sharded := lo > 0 || hi < total
 	if lo >= hi {
 		return trivialResult(rec, Result{Exhausted: true, WitnessRoot: -1, Stats: Stats{Roots: total}})
 	}
-	roots = roots[lo:hi]
 
 	workers := opts.Workers
-	auto := workers == 0
-	if auto {
+	if workers == 0 && r.p.n >= parallelMinNodes {
 		workers = runtime.GOMAXPROCS(0)
-		if p.n < parallelMinNodes {
-			workers = 1
-		}
 	}
-	if workers > len(roots) {
-		workers = len(roots)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(min(workers, hi-lo), 1)
 	chunk := int64(budgetChunk)
-	if workers <= 1 {
+	// The memo cap is per run; each worker's table gets an equal share.
+	memoCap := opts.MaxMemoBytes
+	if workers == 1 {
 		chunk = 1
+	} else if memoCap > 0 {
+		memoCap = max(memoCap/int64(workers), 1)
 	}
 	sh := &r.sh
 	sh.reset(ctx, opts.Budget, chunk, rec)
+	sh.roots, sh.rootOff = r.roots[lo:hi], lo
+	sh.rootEvents = rec != nil && (workers > 1 || hi-lo < total)
 	if rec != nil {
-		obs.Emit(rec, obs.Event{Kind: obs.RunStart, Total: len(roots), N: opts.Budget, Live: sh.live})
+		obs.Emit(rec, obs.Event{Kind: obs.RunStart, Total: hi - lo, N: opts.Budget, Live: sh.live})
 	}
-	var res Result
-	if workers <= 1 && !sharded {
-		res = r.runSerial(opts, len(roots))
-	} else {
-		// A sharded run always takes the per-root path, even with one
-		// worker: the serial whole-tree engine cannot skip frontier
-		// branches, and per-root exploration is exactly what the
-		// parallel determinism argument covers — so a shard's witness
-		// for root r matches the unsharded run's witness for root r.
-		res = runParallel(p, sh, opts, roots, workers, lo)
+	e := &r.e
+	e.start(sh, opts, memoCap)
+	// The empty state is the root loop's parent: its prologue runs once
+	// per run, on worker 0, and so does its epilogue once the run has
+	// refuted it.
+	var others []engine
+	st := e.enter()
+	if st == stOpen {
+		others = r.claimRoots(opts, workers, memoCap)
 	}
-	res.Stats.Roots = total
-	res.WitnessRoot = -1
-	if res.Found && len(res.Order) > 0 {
-		// Order[0] is the chosen root; report its global frontier index.
-		for i, root := range roots {
-			if root == res.Order[0] {
-				res.WitnessRoot = lo + i
-				break
-			}
+
+	// The lowest root with a witness wins, whichever governors fired
+	// elsewhere. A worker stops early only for a governor or a lower
+	// root's witness, so without a witness the run is exhaustive exactly
+	// when no governor fired, and its empty state is then refuted.
+	res := Result{WitnessRoot: -1}
+	best := sh.bestRoot.Load()
+	switch {
+	case best < math.MaxInt64:
+		res.Found, res.Exhausted, res.WitnessRoot = true, true, lo+int(best)
+	case sh.stopReason() != StopNone:
+		res.Stop = sh.stopReason()
+	default:
+		res.Exhausted = true
+		if st == stOpen {
+			e.refute()
 		}
 	}
+	for i := -1; i < len(others); i++ {
+		w := e
+		if i >= 0 {
+			w = &others[i]
+		}
+		if res.Found && w.myRoot == best {
+			res.Order = append([]dag.Node(nil), w.order...)
+		}
+		if sh.live != nil {
+			w.publishLive()
+		}
+		w.stats.MemoBytes = w.memo.bytes()
+		w.stats.MemoSpilled = w.memo.spilled
+		res.Stats.Add(w.stats)
+	}
+	res.Stats.Roots = total
+	res.Stats.Workers = workers
 	if rec != nil {
 		obs.Emit(rec, obs.Event{Kind: obs.RunEnd, Str: res.Verdict().String(), Stats: obsStats(res.Stats)})
 	}
 	return res
+}
+
+// claimRoots runs the root loop on workers engines: worker 0 is r's
+// engine, on the calling goroutine, and every further worker gets an
+// engine of its own on a goroutine. It returns those engines once every
+// worker has stopped.
+func (r *Runner) claimRoots(opts Options, workers int, memoCap int64) []engine {
+	if workers == 1 {
+		r.e.claim()
+		return nil
+	}
+	others := make([]engine, workers-1)
+	var wg sync.WaitGroup
+	for i := range others {
+		w := &others[i]
+		w.bind(&r.p)
+		w.start(&r.sh, opts, memoCap)
+		w.worker = i + 1
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.claim()
+		}()
+	}
+	r.e.claim()
+	wg.Wait()
+	return others
 }
 
 // trivialResult reports a search that resolved before the engine
@@ -643,146 +738,6 @@ func trivialResult(rec obs.Recorder, res Result) Result {
 	if rec != nil {
 		obs.Emit(rec, obs.Event{Kind: obs.RunStart})
 		obs.Emit(rec, obs.Event{Kind: obs.RunEnd, Str: res.Verdict().String(), Stats: obsStats(res.Stats)})
-	}
-	return res
-}
-
-// runSerial explores the whole tree on r's engine, which plan bound.
-func (r *Runner) runSerial(opts Options, numRoots int) Result {
-	e := &r.e
-	e.start(&r.sh, opts, opts.MaxMemoBytes)
-	st := e.rec(r.p.n)
-	e.flushObs()
-	e.stats.Roots = numRoots
-	e.stats.Workers = 1
-	e.stats.MemoBytes = e.memo.bytes()
-	e.stats.MemoSpilled = e.memo.spilled
-	res := Result{Stats: e.stats, Exhausted: st != stAbort}
-	if st == stFound {
-		res.Found = true
-		res.Exhausted = true
-		res.Order = append([]dag.Node(nil), e.order...)
-	}
-	if !res.Exhausted {
-		res.Stop = r.sh.stopReason()
-	}
-	return res
-}
-
-type rootOutcome struct {
-	order []dag.Node
-	found bool
-	// done marks a root whose subtree was exhausted without a witness.
-	// A root neither found nor done was aborted or never claimed; the
-	// run is then exhaustive only if some other root holds a witness.
-	done bool
-}
-
-// runParallel explores roots with per-root engines. rootOff is the
-// global frontier index of roots[0], so shard runs report root events
-// in frontier coordinates.
-func runParallel(p *problem, sh *shared, opts Options, roots []dag.Node, workers int, rootOff int) Result {
-	// The memo cap is per run; each worker's private table gets an
-	// equal share so the sum respects Options.MaxMemoBytes.
-	memoCap := opts.MaxMemoBytes
-	if memoCap > 0 {
-		memoCap /= int64(workers)
-		if memoCap < 1 {
-			memoCap = 1
-		}
-	}
-	outcomes := make([]rootOutcome, len(roots))
-	engines := make([]*engine, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			e := &engine{}
-			e.bind(p)
-			e.start(sh, opts, memoCap)
-			e.worker = w
-			engines[w] = e
-			defer e.flushObs()
-			for {
-				r := next.Add(1) - 1
-				if r >= int64(len(roots)) || sh.halted() {
-					return
-				}
-				// A strictly lower root already holds a witness: this
-				// root's outcome cannot win, skip it.
-				if sh.bestRoot.Load() < r {
-					if sh.rec != nil {
-						obs.Emit(sh.rec, obs.Event{Kind: obs.RootSkipped, Worker: w, Root: rootOff + int(r)})
-						sh.live.Done.Add(1)
-					}
-					continue
-				}
-				if sh.rec != nil {
-					obs.Emit(sh.rec, obs.Event{Kind: obs.RootClaimed, Worker: w, Root: rootOff + int(r)})
-				}
-				e.reset()
-				e.myRoot = r
-				e.stats.States++ // the root state itself
-				e.place(roots[r])
-				st := e.rec(p.n - 1)
-				switch st {
-				case stFound:
-					sh.casMinRoot(r)
-					outcomes[r] = rootOutcome{
-						order: append([]dag.Node(nil), e.order...),
-						found: true,
-					}
-				case stFail:
-					outcomes[r] = rootOutcome{done: true}
-				}
-				if sh.rec != nil {
-					outcome := "aborted"
-					switch st {
-					case stFound:
-						outcome = "found"
-					case stFail:
-						outcome = "exhausted"
-					}
-					obs.Emit(sh.rec, obs.Event{Kind: obs.RootFinished, Worker: w, Root: rootOff + int(r), Str: outcome})
-					sh.live.Done.Add(1)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	var res Result
-	for _, e := range engines {
-		if e != nil {
-			e.stats.MemoBytes = e.memo.bytes()
-			e.stats.MemoSpilled = e.memo.spilled
-			res.Stats.Add(e.stats)
-		}
-	}
-	res.Stats.Roots = len(roots)
-	res.Stats.Workers = workers
-	// The lowest found root wins: its witness is the deterministic
-	// answer regardless of which governors fired elsewhere.
-	for r := range outcomes {
-		if outcomes[r].found {
-			res.Found = true
-			res.Order = outcomes[r].order
-			res.Exhausted = true
-			return res
-		}
-	}
-	// No witness: the answer is definitive only if every root subtree
-	// was exhausted. Roots aborted (budget, deadline, cancel) or never
-	// claimed after a governor fired leave the instance undecided.
-	res.Exhausted = true
-	for r := range outcomes {
-		if !outcomes[r].done {
-			res.Exhausted = false
-			res.Stop = sh.stopReason()
-			break
-		}
 	}
 	return res
 }

@@ -10,9 +10,9 @@ import (
 )
 
 // The engine's event stream contract: one RunStart/RunEnd pair per
-// decision, a WorkerDone per worker whose summed counters equal the
-// result's stats, root lifecycle events on the parallel path, and a
-// GovernorFired exactly once when a budget stops the run.
+// decision whose stats equal the result's, root lifecycle events on
+// parallel and sharded runs, and a GovernorFired exactly once when a
+// budget stops the run.
 
 type eventLog struct {
 	mu  sync.Mutex
@@ -59,21 +59,6 @@ func TestRunEmitsRunEvents(t *testing.T) {
 		if ends[0].Stats.States != res.Stats.States || ends[0].Stats.Workers != res.Stats.Workers {
 			t.Errorf("workers=%d: RunEnd stats %+v vs result %+v", w, *ends[0].Stats, res.Stats)
 		}
-
-		// Per-worker flushes must sum to the run totals.
-		dones := log.byKind(obs.WorkerDone)
-		if len(dones) != res.Stats.Workers {
-			t.Fatalf("workers=%d: %d WorkerDone events for %d workers", w, len(dones), res.Stats.Workers)
-		}
-		var states, memoized int64
-		for _, ev := range dones {
-			states += ev.Stats.States
-			memoized += ev.Stats.Memoized
-		}
-		if states != res.Stats.States || memoized != res.Stats.Memoized {
-			t.Errorf("workers=%d: WorkerDone sums states=%d memoized=%d, want %d/%d",
-				w, states, memoized, res.Stats.States, res.Stats.Memoized)
-		}
 	}
 }
 
@@ -108,6 +93,42 @@ func TestRunParallelEmitsRootEvents(t *testing.T) {
 	}
 	if found == 0 {
 		t.Fatal("witness found but no RootFinished(found) event")
+	}
+}
+
+// TestRootEventsOnParallelAndShardedRuns: root lifecycle events come
+// from runs on more than one worker or over a slice of the frontier; a
+// serial run of the whole frontier walks the same root loop silently.
+func TestRootEventsOnParallelAndShardedRuns(t *testing.T) {
+	spec := unconstrainedSpec(dag.New(6))
+	for _, tc := range []struct {
+		opts   search.Options
+		events bool
+	}{
+		{search.Options{Workers: 1}, false},
+		{search.Options{Workers: 1, RootLo: 0, RootHi: 6}, false},
+		{search.Options{Workers: 1, RootLo: 2}, true},
+		{search.Options{Workers: 1, RootHi: 3}, true},
+		{search.Options{Workers: 2}, true},
+	} {
+		log := &eventLog{}
+		tc.opts.Recorder = log
+		res := search.Run(spec, tc.opts)
+		claimed, skipped := log.byKind(obs.RootClaimed), log.byKind(obs.RootSkipped)
+		if got := len(claimed)+len(skipped) > 0; got != tc.events {
+			t.Fatalf("%+v: %d claimed, %d skipped", tc.opts, len(claimed), len(skipped))
+		}
+		if !res.Found || res.WitnessRoot != tc.opts.RootLo {
+			t.Fatalf("%+v: %+v", tc.opts, res)
+		}
+		// Every root of the slice is either claimed or skipped.
+		hi := tc.opts.RootHi
+		if hi == 0 {
+			hi = 6
+		}
+		if tc.events && len(claimed)+len(skipped) != hi-tc.opts.RootLo {
+			t.Fatalf("%+v: %d claimed + %d skipped", tc.opts, len(claimed), len(skipped))
+		}
 	}
 }
 

@@ -46,15 +46,15 @@
 //     "sleep sets break state caching" trap does not apply: the memo
 //     stores refuted states, not visited ones.)
 //
-//   - Parallel root splitting: the admissible first-choice frontier
-//     fans out over Workers goroutines with per-worker memo tables, an
-//     atomic lowest-successful-root register for early cancellation,
-//     and a shared atomic state budget — the sharding idiom of
-//     internal/enum/parallel.go. Failed-state memoization is a pure
-//     function of the state, so per-worker tables preserve exactness,
-//     and the lowest-root rule makes the witness deterministic: with
-//     an unlimited budget, Workers > 1 returns the same Found/Order as
-//     Workers = 1.
+//   - One root loop: the admissible first-choice frontier (the
+//     recursion's depth-0 children) is claimed in order from a shared
+//     counter by one worker — the Runner's engine, for a serial run or
+//     a RootLo/RootHi shard — or by Workers goroutines with per-worker
+//     memo tables, an atomic lowest-successful-root register and a
+//     shared atomic state budget. Memo entries and sleep sets record
+//     only refutations, so the lowest-root rule makes the witness
+//     deterministic: with an unlimited budget, any Workers setting and
+//     any shard cut return the same Found/Order as Workers = 1.
 package search
 
 import (
@@ -68,10 +68,10 @@ import (
 
 // Options tunes a Run without changing its answer (budget aside).
 type Options struct {
-	// Workers is the number of goroutines for root splitting.
+	// Workers is the number of goroutines that claim roots.
 	// 0 picks GOMAXPROCS with a small-problem serial cutoff;
-	// 1 forces the serial engine; >1 forces parallel splitting
-	// (capped at the number of admissible roots).
+	// 1 forces a serial run; >1 forces parallel splitting
+	// (capped at the number of admissible roots in the run).
 	Workers int
 	// Budget caps the number of search states explored (0 = unlimited).
 	// On exhaustion Result.Exhausted is false and the answer is
@@ -98,13 +98,13 @@ type Options struct {
 	// rule, which reproduces exactly the verdict and witness of an
 	// unsharded run. RootHi == 0 means "through the end"; both zero
 	// (the default) runs the whole frontier. A shard that excludes every
-	// root is vacuously exhausted (Out). Sharded runs always take the
-	// per-root exploration path, so a shard's witness for root r is
-	// byte-identical to what an unsharded run would find under r.
+	// root is vacuously exhausted (Out). A shard runs the engine's one
+	// root loop over its slice, so its witness for root r is
+	// byte-identical to what an unsharded run finds under r.
 	RootLo, RootHi int
 	// Recorder receives run-level observability events: run start/end,
-	// root claimed/skipped/finished, governor fired, memo freeze, and a
-	// per-worker counter flush at exit. nil (the default) disables all
+	// root claimed/skipped/finished (on parallel and sharded runs),
+	// governor fired and memo freeze. nil (the default) disables all
 	// event work — the engine emits nothing per state either way, and
 	// live counters are published only in cancellation-poll batches, so
 	// the recorder stays off the hot path's allocation profile.

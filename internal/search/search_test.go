@@ -147,6 +147,30 @@ func TestRunStatsPopulated(t *testing.T) {
 	}
 }
 
+// TestEmptyStateCountedOncePerRun: the root loop counts the empty state
+// once per run, whatever the worker count, and each root as the child
+// state it is. Both roots of the two-writer instance are refuted by the
+// closure prune as soon as they are placed, so the counts do not
+// depend on the schedule.
+func TestEmptyStateCountedOncePerRun(t *testing.T) {
+	spec := unsatTwoReaderSpec(2)
+	for _, w := range []int{1, 2} {
+		res := search.Run(spec, search.Options{Workers: w})
+		if res.Found || !res.Exhausted || res.Stats.Workers != w {
+			t.Fatalf("workers=%d: %+v", w, res)
+		}
+		if st := res.Stats; st.States != 3 || st.Pruned != 2 || st.Memoized != 3 {
+			t.Errorf("workers=%d: %d states, %d pruned, %d memoized; want 3, 2, 3", w, st.States, st.Pruned, st.Memoized)
+		}
+	}
+	for lo := 0; lo < 2; lo++ {
+		res := search.Run(spec, search.Options{Workers: 1, RootLo: lo, RootHi: lo + 1})
+		if st := res.Stats; res.Found || !res.Exhausted || st.States != 2 || st.Pruned != 1 {
+			t.Errorf("shard [%d,%d): %+v", lo, lo+1, res)
+		}
+	}
+}
+
 func TestAssignments(t *testing.T) {
 	var got [][]dag.Node
 	complete := search.Assignments([][]dag.Node{{0, 1}, {5}, {7, 8}}, func(a []dag.Node) bool {

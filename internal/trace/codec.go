@@ -117,10 +117,14 @@ func ParseTraceString(s string) (nt *NamedTrace, err error) {
 	return &NamedTrace{Named: named, Trace: tr}, nil
 }
 
-// Format writes the trace in the format accepted by ParseTrace.
+// Format writes the trace in the format accepted by ParseTrace. No node
+// may be named "=", which the reader takes for the value separator.
 func (nt *NamedTrace) Format(w io.Writer) error {
 	named, tr := nt.Named, nt.Trace
 	c := named.Comp
+	if slices.Contains(named.NodeName, "=") {
+		return fmt.Errorf(`trace: node "=" cannot be written: "=" separates a node line's value`)
+	}
 	if len(named.LocName) > 0 {
 		if _, err := fmt.Fprintf(w, "locs %s\n", strings.Join(named.LocName, " ")); err != nil {
 			return err

@@ -4,6 +4,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/computation"
 )
 
 const mpTrace = `# message passing, stale data
@@ -159,4 +161,19 @@ func docExample(t *testing.T, file, marker string) string {
 		}
 	}
 	return example.String()
+}
+
+// TestFormatRefusesEqualsName: a node named "=" would read back as the
+// value separator, so Format refuses it, before writing anything,
+// instead of writing text ParseTrace rejects.
+func TestFormatRefusesEqualsName(t *testing.T) {
+	named, err := computation.ParseString("locs x\nnode = W(x)\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	err = (&NamedTrace{Named: named, Trace: New(named.Comp)}).Format(&b)
+	if want := `trace: node "=" cannot be written: "=" separates a node line's value`; err == nil || err.Error() != want || b.Len() > 0 {
+		t.Fatalf("error %v after writing %q, want %s", err, b.String(), want)
+	}
 }
