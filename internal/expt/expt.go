@@ -9,8 +9,11 @@ package expt
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/computation"
 	"repro/internal/enum"
@@ -252,11 +255,14 @@ var lcBelow = map[string]bool{"LC": true, "NN": true, "NW": true, "WN": true, "W
 // Section 7. Only the interior (below maxNodes nodes) is materialized:
 // the boundary is counted over canonical representatives weighted by
 // orbit, so base must be isomorphism-invariant, as every registered
-// model is. The fixpoint runs on workers goroutines (<= 0 means
-// GOMAXPROCS) and the LC comparison serially; the report does not
-// depend on workers. rec (nil = off) receives one PhaseStart per stage:
-// the fixpoint's three, then "LC comparison".
+// model is. The fixpoint and the LC comparison run on workers
+// goroutines (<= 0 means GOMAXPROCS); the report does not depend on
+// workers. rec (nil = off) receives one PhaseStart per stage: the
+// fixpoint's three, then "LC comparison".
 func RunStar(base memmodel.Model, maxNodes, numLocs, workers int, rec obs.Recorder) StarReport {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	interior := enum.AllComputations(maxNodes-1, numLocs)
 	boundary := func(workers int, fn func(worker int, c *computation.Computation, orbit int64) bool) {
 		enum.EachComputationReducedParallel(maxNodes, numLocs, workers, fn)
@@ -271,38 +277,59 @@ func RunStar(base memmodel.Model, maxNodes, numLocs, workers int, rec obs.Record
 	}
 	rep.BasePairs, rep.StarPairs = star.SizeCounts()
 	obs.Emit(rec, obs.Event{Kind: obs.PhaseStart, Str: "LC comparison"})
-	rep.compareLC(interior)
+	rep.compareLC(interior, workers)
 	return rep
 }
 
 // compareLC sets LCEqualUpTo and FirstMismatch by comparing r.Star with
-// LC on interior, the slice the set was built from. Boundary pairs are
-// never pruned, so only the interior is compared, in enumeration order;
-// the first mismatch at the smallest size is the one reported. LC is
-// decided on a pooled PatternDecider: the enumerated observers are
-// valid.
-func (r *StarReport) compareLC(interior []*computation.Computation) {
-	mismatchSize := r.MaxNodes + 1
-	pd := memmodel.NewPatternDecider()
-	for i, c := range interior {
-		size := c.NumNodes()
-		if size >= mismatchSize {
-			continue
-		}
-		pd.Reset(c)
-		rank := 0
-		observer.Enumerate(c, func(o *observer.Observer) bool {
-			inStar := r.Star.ContainsAt(i, rank)
-			rank++
-			if inStar == (pd.Masked(o, memmodel.PatternLC) != 0) {
-				return true
+// LC on interior, the slice the set was built from, which lists smaller
+// computations first. Boundary pairs are never pruned, so only the
+// interior is compared. The mismatch reported is the first in
+// enumeration order, so at the smallest size: the one at the lowest
+// interior index, then at the lowest rank. workers goroutines claim the
+// computations in order, each deciding LC on its own PatternDecider
+// (the enumerated observers are valid), and stop claiming past the
+// lowest mismatch found so far.
+func (r *StarReport) compareLC(interior []*computation.Computation, workers int) {
+	var (
+		next atomic.Int64
+		best atomic.Int64 // the lowest interior index of a mismatch found so far
+		mu   sync.Mutex   // held to replace the reported mismatch
+		wg   sync.WaitGroup
+	)
+	best.Store(int64(len(interior)))
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pd := memmodel.NewPatternDecider()
+			for i := next.Add(1) - 1; i < best.Load(); i = next.Add(1) - 1 {
+				c := interior[i]
+				pd.Reset(c)
+				rank := 0
+				observer.Enumerate(c, func(o *observer.Observer) bool {
+					inStar := r.Star.ContainsAt(int(i), rank)
+					rank++
+					if inStar == (pd.Masked(o, memmodel.PatternLC) != 0) {
+						return true
+					}
+					mu.Lock()
+					if i < best.Load() {
+						best.Store(i)
+						r.FirstMismatch = fmt.Sprintf("size %d: %v / %v (star=%v, LC=%v)",
+							c.NumNodes(), c, o, inStar, !inStar)
+						r.lcLost = !inStar
+					}
+					mu.Unlock()
+					return false
+				})
 			}
-			mismatchSize = size
-			r.FirstMismatch = fmt.Sprintf("size %d: %v / %v (star=%v, LC=%v)",
-				size, c, o, inStar, !inStar)
-			r.lcLost = !inStar
-			return false
-		})
+		}()
+	}
+	wg.Wait()
+	mismatchSize := r.MaxNodes + 1
+	if b := best.Load(); b < int64(len(interior)) {
+		mismatchSize = interior[b].NumNodes()
 	}
 	r.LCEqualUpTo = min(mismatchSize, r.MaxNodes) - 1
 }

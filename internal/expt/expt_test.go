@@ -106,7 +106,7 @@ func starReference(base memmodel.Model, n, locs int) (StarReport, []*computation
 		Star: memmodel.ConstructibleVersion(base, universe, computation.AllOps(locs))}
 	rep.BasePairs, rep.StarPairs = rep.Star.SizeCounts()
 	interior := universe[:len(enum.AllComputations(n-1, locs))] // enum lists smaller sizes first
-	rep.compareLC(interior)
+	rep.compareLC(interior, 1)
 	return rep, interior
 }
 

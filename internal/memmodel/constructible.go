@@ -21,9 +21,14 @@ import (
 //	prune (C, Φ) whenever some instruction o has no Φ' with
 //	(aug_o(C), Φ') surviving and Φ'|_C = Φ.
 //
-// Theorem 12 justifies using augmentations only: the models of interest
-// are monotonic, and for monotonic models extendability to aug_o(C)
-// implies extendability to every extension by o.
+// Pruning against augmentations only is sound for every base model. Δ*
+// is constructible, so each Δ* pair extends to each augmentation of its
+// computation by a pair inside Δ*; by induction from the boundary down,
+// no Δ* pair is ever pruned, and Δ* ⊆ S for the surviving set S. That
+// needs no monotonicity, so it holds for TSO too, which is not
+// monotonic (DESIGN.md §16). Theorem 12, which reduces
+// constructibility to augmentations for monotonic models, would be
+// needed only for the converse, S ⊆ Δ*, which no experiment uses.
 //
 // Boundary effect: pairs at the maximum universe size have no
 // augmentation inside the universe and are never pruned, so the
@@ -209,8 +214,7 @@ func ConstructibleFixpoint(m Model, interior []*computation.Computation, maxN in
 	}
 	forEachClaimed(workers, len(interior), func(w, i int) {
 		fw := ws[w]
-		fw.ranks = fw.ranks[:0]
-		alive := bitset.New(fw.eachMember(interior[i], func(r int) { fw.ranks = append(fw.ranks, r) }))
+		alive := bitset.New(fw.members(interior[i]))
 		for _, r := range fw.ranks {
 			alive.Add(r)
 		}
@@ -232,9 +236,8 @@ func ConstructibleFixpoint(m Model, interior []*computation.Computation, maxN in
 	obs.Emit(rec, obs.Event{Kind: obs.PhaseStart, Str: "boundary count"})
 	pairs := make([]int, workers)
 	boundary(workers, func(w int, c *computation.Computation, weight int64) bool {
-		n := 0
-		ws[w].eachMember(c, func(int) { n++ })
-		pairs[w] += n * int(weight)
+		ws[w].members(c)
+		pairs[w] += len(ws[w].ranks) * int(weight)
 		return true
 	})
 	for _, n := range pairs {
@@ -267,8 +270,9 @@ type fixpointWorker struct {
 	m        Model
 	pd       *PatternDecider // nil unless m is a registry row
 	bit      uint16          // m's pattern bit, with pd
-	ranks    []int
-	extended bitset.Set // the ranks some augmentation survivor restricts to
+	walk     *qdagWalk       // nil unless m is a Q-dag row
+	ranks    []int           // the member ranks of the last computation asked about
+	extended bitset.Set      // the ranks some augmentation survivor restricts to
 	key      [64]byte
 }
 
@@ -278,18 +282,28 @@ func newFixpointWorker(m Model) *fixpointWorker {
 		if fw.bit = e.patternBit(); fw.bit != 0 {
 			fw.pd = NewPatternDecider()
 		}
+		if fw.bit&patternQDag != 0 {
+			fw.walk = newQDagWalk(fw.bit)
+		}
 	}
 	return fw
 }
 
-// eachMember calls fn with the rank of every observer of c that the
-// model contains, and returns c's observer count. The enumerated
-// observers are valid, so a registry row is decided without Validate
-// or a Decision.
-func (fw *fixpointWorker) eachMember(c *computation.Computation, fn func(rank int)) int {
+// members sets fw.ranks to the rank of every observer of c that the
+// model contains, in increasing order, and returns c's observer count.
+// A Q-dag row walks only its members (qdagwalk.go) when c's node ids
+// are topological. Otherwise every observer is enumerated; they are
+// valid, so a registry row is decided without Validate or a Decision.
+func (fw *fixpointWorker) members(c *computation.Computation) int {
+	var count int
+	if fw.walk != nil && fw.walk.reset(c, nil) {
+		count, fw.ranks = fw.walk.each(fw.ranks[:0])
+		return count
+	}
 	if fw.pd != nil {
 		fw.pd.Reset(c)
 	}
+	fw.ranks = fw.ranks[:0]
 	rank := 0
 	return observer.Enumerate(c, func(o *observer.Observer) bool {
 		var in bool
@@ -299,7 +313,7 @@ func (fw *fixpointWorker) eachMember(c *computation.Computation, fn func(rank in
 			in = fw.m.Contains(c, o)
 		}
 		if in {
-			fn(rank)
+			fw.ranks = append(fw.ranks, rank)
 		}
 		rank++
 		return true
@@ -310,35 +324,55 @@ func (fw *fixpointWorker) eachMember(c *computation.Computation, fn func(rank in
 // with the restrictions of each augmentation's survivors. The
 // augmentations share one dag. Those of a largest interior computation
 // are on the boundary, whose survivors are its base pairs, so they are
-// decided here; the others are looked up in s, whose larger levels are
+// decided here; a Q-dag row walks each as c plus a final node, without
+// building it. The others are looked up in s, whose larger levels are
 // final.
 func (fw *fixpointWorker) prune(s *PairSet, c *computation.Computation, alive *bitset.Set, ops []computation.Op) {
 	if len(ops) == 0 {
 		return
 	}
 	cands := observer.Candidates(c)
-	first, _ := c.Augment(ops[0])
+	walk := c.NumNodes()+1 == s.maxN && fw.walk != nil && fw.walk.reset(c, &ops[0])
+	var first *computation.Computation
+	if !walk {
+		first, _ = c.Augment(ops[0])
+	}
 	for k, op := range ops {
-		aug := first
-		if k > 0 {
-			aug = first.Relabel(append(append(make([]computation.Op, 0, c.NumNodes()+1), c.Ops()...), op))
+		switch {
+		case walk:
+			fw.walk.reset(c, &op)
+			_, fw.ranks = fw.walk.each(fw.ranks[:0])
+		case k == 0:
+			fw.survivors(s, first)
+		default:
+			fw.survivors(s, first.Relabel(append(append(make([]computation.Op, 0, c.NumNodes()+1), c.Ops()...), op)))
 		}
 		ln := newAugLink(c, cands, op)
 		fw.extended.Reset(alive.Cap())
-		if aug.NumNodes() == s.maxN {
-			fw.eachMember(aug, func(r int) { fw.extended.Add(ln.prefixRank(r)) })
-		} else {
-			j, ok := s.index[string(appendKey(fw.key[:0], aug))]
-			if !ok {
-				panic(fmt.Sprintf("memmodel: universe not closed under augmentation: %s missing", aug))
-			}
-			s.alive[j].ForEach(func(r int) bool {
-				fw.extended.Add(ln.prefixRank(r))
-				return true
-			})
+		for _, r := range fw.ranks {
+			fw.extended.Add(ln.prefixRank(r))
 		}
 		alive.IntersectWith(&fw.extended)
 	}
+}
+
+// survivors sets fw.ranks to the surviving ranks of aug, an
+// augmentation of an interior computation: its members on the
+// boundary, and what s holds for it below.
+func (fw *fixpointWorker) survivors(s *PairSet, aug *computation.Computation) {
+	if aug.NumNodes() == s.maxN {
+		fw.members(aug)
+		return
+	}
+	j, ok := s.index[string(appendKey(fw.key[:0], aug))]
+	if !ok {
+		panic(fmt.Sprintf("memmodel: universe not closed under augmentation: %s missing", aug))
+	}
+	fw.ranks = fw.ranks[:0]
+	s.alive[j].ForEach(func(r int) bool {
+		fw.ranks = append(fw.ranks, r)
+		return true
+	})
 }
 
 // countBySize adds each distinct interior computation's alive pairs to

@@ -7,8 +7,10 @@
 set -u
 
 CCM=testdata/stale_read.ccm
-BIN=$(mktemp -d)/backersim
+BINDIR=$(mktemp -d)
+BIN=$BINDIR/backersim
 ART=$(mktemp -d)
+trap 'rm -rf "$BINDIR" "$ART"' EXIT
 
 go build -o "$BIN" ./cmd/backersim || exit 1
 

@@ -18,18 +18,21 @@ REPEAT="${FLEET_REPEAT:-40}"
 BINDIR=$(mktemp -d)
 LOG=$(mktemp -d)
 
-go build -race -o "$BINDIR/ccmd" ./cmd/ccmd || exit 1
-go build -o "$BINDIR/fleetctl" ./cmd/fleetctl || exit 1
-go build -o "$BINDIR/ccmc" ./cmd/ccmc || exit 1
-
+# On every exit: stop the replicas, then remove the binaries and logs
+# (a failing run has printed what it needs from them by then).
 PIDS=()
 cleanup() {
     for pid in "${PIDS[@]}"; do
         kill "$pid" 2>/dev/null
         wait "$pid" 2>/dev/null
     done
+    rm -rf "$BINDIR" "$LOG"
 }
 trap cleanup EXIT
+
+go build -race -o "$BINDIR/ccmd" ./cmd/ccmd || exit 1
+go build -o "$BINDIR/fleetctl" ./cmd/fleetctl || exit 1
+go build -o "$BINDIR/ccmc" ./cmd/ccmc || exit 1
 
 # Boot three replicas on free ports; -cache-mb 0 keeps every check a
 # real decision so the kill phase has in-flight work to disrupt.

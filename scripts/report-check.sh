@@ -8,6 +8,7 @@ set -u
 
 BIN=$(mktemp -d)
 OUT=$(mktemp -d)
+trap 'rm -rf "$BIN" "$OUT"' EXIT
 
 go build -o "$BIN/ccmc" ./cmd/ccmc || exit 1
 go build -o "$BIN/backersim" ./cmd/backersim || exit 1

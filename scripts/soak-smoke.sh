@@ -16,6 +16,8 @@ CLIENTS="${SOAK_CLIENTS:-8}"
 OUT="${SOAK_OUT:-benchmarks/BENCH_serve.json}"
 BINDIR=$(mktemp -d)
 LOG=$(mktemp -d)
+REMOVE='rm -rf "$BINDIR" "$LOG"'
+trap "$REMOVE" EXIT
 
 RACE=()
 if [ "${SOAK_RACE:-0}" = "1" ]; then
@@ -29,7 +31,7 @@ echo "== boot ccmd (port 0)"
 "$BINDIR/ccmd" -addr 127.0.0.1:0 -max-timeout 10s -timeout 5s \
     -access-log "$LOG/access.log" >"$LOG/ccmd.out" 2>"$LOG/ccmd.err" &
 CCMD_PID=$!
-trap 'kill "$CCMD_PID" 2>/dev/null; wait "$CCMD_PID" 2>/dev/null' EXIT
+trap 'kill "$CCMD_PID" 2>/dev/null; wait "$CCMD_PID" 2>/dev/null; '"$REMOVE" EXIT
 
 BASE=""
 for _ in $(seq 1 100); do
@@ -64,7 +66,7 @@ for _ in $(seq 1 100); do
     fi
     sleep 0.1
 done
-trap - EXIT
+trap "$REMOVE" EXIT # the daemon is draining: keep only the removal
 wait "$CCMD_PID" 2>/dev/null
 CCMD_CODE=$?
 

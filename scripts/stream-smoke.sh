@@ -23,14 +23,17 @@ set -u
 BIN=$(mktemp -d)
 LOG=$(mktemp -d)
 
-go build -race -o "$BIN/ccmd" ./cmd/ccmd || exit 1
-go build -o "$BIN/verify" ./cmd/verify || exit 1
-
+# On every exit: stop the daemon, then remove the binaries and logs (a
+# failing run has printed what it needs from them by then).
 SRV_PID=""
 cleanup() {
     [ -n "$SRV_PID" ] && kill "$SRV_PID" 2>/dev/null && wait "$SRV_PID" 2>/dev/null
+    rm -rf "$BIN" "$LOG"
 }
 trap cleanup EXIT
+
+go build -race -o "$BIN/ccmd" ./cmd/ccmd || exit 1
+go build -o "$BIN/verify" ./cmd/verify || exit 1
 
 "$BIN/ccmd" -addr 127.0.0.1:0 -cache-mb 0 -stream-heartbeat 200ms \
     >"$LOG/ccmd.out" 2>"$LOG/ccmd.err" &
