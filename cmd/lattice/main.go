@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	lattice [-n MAXNODES] [-locs L] [-workers W] [-census] [-witnesses DIR] [-star NN|WN|NW] [-props MODEL] [-findtrap MODEL]
+//	lattice [-n MAXNODES] [-locs L] [-workers W] [-census] [-witnesses DIR] [-star MODEL] [-props MODEL] [-findtrap MODEL]
 //
 // Examples:
 //
@@ -17,6 +17,9 @@
 //	lattice -n 4 -star NN     # Theorem 23: NN* = LC on the interior
 //	lattice -n 4 -star WN     # Section 7 open problem probe
 //	lattice -n 3 -props NN    # completeness/monotonicity/constructibility
+//
+// -star, -props and -findtrap take any registered model (MODEL is
+// case-insensitive, as on every CLI).
 //
 // The default check, -census and -props decide one representative per
 // isomorphism class and weight it by its orbit size, so their counts

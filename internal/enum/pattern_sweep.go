@@ -3,8 +3,9 @@ package enum
 // This file implements the universe sweep behind the lattice check and
 // the membership census: one pass over canonical representatives
 // classifies every pair into its membership pattern (one bit per
-// registered model) with a pooled memmodel.PatternDecider, and every
-// edge's Relation falls out of the orbit-weighted pattern census.
+// registered model), one memmodel.PatternDecider Sweep per
+// representative, and every edge's Relation falls out of the
+// orbit-weighted pattern census.
 
 import (
 	"context"
@@ -16,7 +17,6 @@ import (
 	"repro/internal/computation"
 	"repro/internal/memmodel"
 	"repro/internal/obs"
-	"repro/internal/observer"
 )
 
 // ctxPollMask throttles ctx polling to every 256 pairs: an Err() call
@@ -52,11 +52,14 @@ func (s PatternSweep) Skipped() int64 { return s.Computations - s.RepComputation
 // maxNodes nodes into its membership pattern, deciding only canonical
 // representatives (orbit-weighted), on workers goroutines (<= 0 means
 // GOMAXPROCS) that each claim the next unclaimed dag when they finish
-// one. It decides only the bits its edges read (their union;
-// every registered model's bit when edges is empty, the census), so
-// Counts is indexed by that masked pattern. Edge relations are
-// identical to running the serial Compare once per edge, for every
-// worker count. The recorder (nil = off) sees a RunStart with live
+// one. Each worker decides a representative's observers with one
+// memmodel.PatternDecider Sweep, which reads SC, LC and the Q-dag bits
+// off one walk of the computation's sorts and one of its observers and
+// decides only TSO, RA and CAUSAL pair by pair. It decides only the
+// bits its edges read (their union; every registered model's bit when
+// edges is empty, the census), so Counts is indexed by that masked
+// pattern. Edge relations are identical to running the serial Compare
+// once per edge, for every worker count. The recorder (nil = off) sees a RunStart with live
 // gauges (decided pairs as States) and a RunEnd whose stats carry the
 // symmetry gauges (Orbits = universe computations covered,
 // SymmetrySkipped = computations never materialized). err is ctx's
@@ -100,34 +103,35 @@ func PatternSweepParallel(ctx context.Context, edges []PatternEdge, maxNodes, nu
 			sr := &results[w]
 			pd := memmodel.NewPatternDecider()
 			tick, published := 0, 0
-			var pubSkip int64
+			var pubSkip, orbit int64
+			visit := func(pattern uint16) bool {
+				tick++
+				if tick&ctxPollMask == 0 {
+					if ctx.Err() != nil {
+						cancelled.Store(true)
+					}
+					if live != nil {
+						live.States.Add(int64(tick - published))
+						published = tick
+						if skip := sr.comps - sr.repComps; skip != pubSkip {
+							live.Skipped.Add(skip - pubSkip)
+							pubSkip = skip
+						}
+					}
+				}
+				if cancelled.Load() {
+					return false
+				}
+				sr.counts[pattern] += orbit
+				sr.pairs += orbit
+				return true
+			}
 			for n := 0; n <= maxNodes; n++ {
-				eachComputationReducedClaimed(n, numLocs, &next[n], func(c *computation.Computation, orbit int64) bool {
-					pd.Reset(c)
+				eachComputationReducedClaimed(n, numLocs, &next[n], func(c *computation.Computation, weight int64) bool {
 					sr.repComps++
-					sr.comps += orbit
-					observer.Enumerate(c, func(o *observer.Observer) bool {
-						tick++
-						if tick&ctxPollMask == 0 {
-							if ctx.Err() != nil {
-								cancelled.Store(true)
-							}
-							if live != nil {
-								live.States.Add(int64(tick - published))
-								published = tick
-								if skip := sr.comps - sr.repComps; skip != pubSkip {
-									live.Skipped.Add(skip - pubSkip)
-									pubSkip = skip
-								}
-							}
-						}
-						if cancelled.Load() {
-							return false
-						}
-						sr.counts[pd.Masked(o, mask)] += orbit
-						sr.pairs += orbit
-						return true
-					})
+					sr.comps += weight
+					orbit = weight
+					pd.Sweep(c, mask, visit)
 					return !cancelled.Load()
 				})
 				if cancelled.Load() {

@@ -13,8 +13,9 @@ import (
 // This file machine-checks the strictness side of the enlarged
 // lattice. The exhaustive sweeps prove inclusions up to a size bound;
 // the claims whose separating pairs are LARGER than the default bound
-// (TSO ∖ CAUSAL and RA ∖ CAUSAL first appear at 5 nodes) would
-// otherwise rest on comments. Each WitnessClaim pins one direction of
+// (TSO ∖ CAUSAL and RA ∖ CAUSAL first appear at 5 nodes and two
+// locations, which only the `lattice -n 5 -locs 2` golden sweeps)
+// would otherwise rest on comments. Each WitnessClaim pins one direction of
 // one edge to a fixture committed under testdata/litmus: the pair must
 // be IN one model and OUT of the other, re-decided from the fixture
 // bytes on every lattice run — so a decision-procedure regression, a

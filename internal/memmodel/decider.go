@@ -18,22 +18,25 @@ import (
 // scan of the Q-dag triples, and a search.Runner for SC and TSO.
 //
 // Decide serves the per-request frontends: each model's Decision, with
-// its witness, stats and run events. Pattern and Masked serve the
-// sweeps: one membership bit per model and no witnesses, for observers
-// the sweeps enumerate and so trust valid. Only they take three
-// inclusions that spare the engine, since a Decision's SC and TSO rows
-// carry their search's stats:
+// its witness, stats and run events. Pattern and Masked give one
+// membership bit per model and no witnesses, for observers the caller
+// trusts valid: the Δ* fixpoint's enumerated members and the star's LC
+// comparison use them, and Sweep, which the pattern sweeps use, decides
+// a whole computation's observers at once (sweepwalk.go) and falls back
+// on them. Only these take three inclusions that spare the engine,
+// since a Decision's SC and TSO rows carry their search's stats:
 //
 //   - SC ⊆ LC by definition: an SC witness sort restricted to one
 //     location serializes it. (The converse is what the experiments
 //     check; nothing here assumes it.)
-//   - With one location, SC and LC are the same quantifier, so L=1
-//     sweeps — the big ones — never touch the engine.
-//   - SC ⊆ TSO.
+//   - With one location, SC and LC are the same quantifier, so Masked
+//     searches for SC only with two or more locations, and Sweep reads
+//     SC and LC from c's topological sorts without a search.
+//   - SC ⊆ TSO, so TSO is searched only outside SC.
 //
 // TestPatternMatchesContains pins the bits under every mask to the
 // Decide verdicts over every pair of up to four nodes at one location
-// and up to three at two.
+// and up to three at two; TestSweepMatchesMasked pins Sweep to Masked.
 
 // Pattern bits: a model's bit is its registry row index. The
 // hardware/language models (TSO, RA, CAUSAL) extend the original six
@@ -61,8 +64,9 @@ const (
 )
 
 // Decider is the decision context of one pair at a time. Reset points
-// it at a computation; Observe at an observer of it, for Decide; and
-// Pattern and Masked each at the observer they are given. Its buffers
+// it at a computation; Observe at an observer of it, for Decide;
+// Pattern and Masked each at the observer they are given; and Sweep at
+// a computation and then at each of its observers in turn. Its buffers
 // grow to the largest pair seen and are reused. Decisions returned by
 // Decide share no storage with it. Not safe for concurrent use; the
 // zero value is ready.
@@ -88,12 +92,13 @@ type Decider struct {
 	vals   []dag.Node // SC's singleton candidate sets
 	scr    []int      // LC witness scratch
 	runner *search.Runner
+	sweep  *sweepWalk // Sweep's state
 }
 
 // PatternDecider is the Decider under the name the sweeps know it by.
 type PatternDecider = Decider
 
-// NewPatternDecider returns a Decider for Pattern and Masked.
+// NewPatternDecider returns a Decider for Pattern, Masked and Sweep.
 func NewPatternDecider() *PatternDecider { return new(Decider) }
 
 // Reset points the decider at a computation.
@@ -200,17 +205,29 @@ func (d *Decider) Masked(o *observer.Observer, mask uint16) uint16 {
 		pattern |= PatternLC
 	}
 	if lc && mask&scNeeded != 0 && (d.numLocs <= 1 || d.run(bg, d.lastWriterSpec(), SearchOptions{}).Found) {
-		pattern |= PatternSC | PatternTSO // SC ⊆ TSO
+		pattern |= PatternSC
+	}
+	return d.tail(pattern, mask)
+}
+
+// tail completes the pattern of the observed pair, which must hold its
+// SC bit whenever mask asks for SC or TSO, with the TSO, RA and CAUSAL
+// bits of mask, and returns it under mask. TSO is searched only
+// outside SC.
+func (d *Decider) tail(pattern, mask uint16) uint16 {
+	bg := context.Background()
+	if pattern&PatternSC != 0 {
+		pattern |= PatternTSO // SC ⊆ TSO
 	} else if mask&PatternTSO != 0 {
 		if res, ran := d.tsoSearch(bg, SearchOptions{}); ran && res.Found {
 			pattern |= PatternTSO
 		}
 	}
 	if mask&(PatternRA|PatternCAUSAL) != 0 && d.hbAcyclic() {
-		if mask&PatternRA != 0 && d.hb.ra(bg, d.c, o, d.locWriters()).In() {
+		if mask&PatternRA != 0 && d.hb.ra(bg, d.c, d.o, d.locWriters()).In() {
 			pattern |= PatternRA
 		}
-		if mask&PatternCAUSAL != 0 && d.hb.causal(bg, d.c, o, d.locWriters()).In() {
+		if mask&PatternCAUSAL != 0 && d.hb.causal(bg, d.c, d.o, d.locWriters()).In() {
 			pattern |= PatternCAUSAL
 		}
 	}

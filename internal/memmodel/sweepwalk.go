@@ -1,0 +1,273 @@
+package memmodel
+
+import (
+	"math/bits"
+
+	"repro/internal/bitset"
+	"repro/internal/computation"
+	"repro/internal/dag"
+	"repro/internal/observer"
+)
+
+// This file is the pattern sweep's path through one computation:
+// Decider.Sweep gives what Masked gives for every observer of c, in
+// Enumerate's order, but decides SC, LC and the four Q-dag bits once
+// per computation instead of once per pair.
+//
+// SC and LC come from c's topological sorts. By Definitions 17 and 18,
+//
+//	SC = { (C, W_T) : T ∈ TS(C) }
+//	LC = { (C, Φ) : ∀l ∃T ∈ TS(C)  Φ(l,·) = W_T(l,·) }
+//
+// so the walk visits each sort T once, marks the rank of W_T in an SC
+// bitset, and marks each location's sub-rank in that location's LC
+// bitset. The ranks use observer.Rank's digits: a node that writes l
+// has radix 1 at slot (l, u); at any other slot ⊥ is digit 0 and the
+// writers of l that u does not precede follow in id order. Placing u
+// in a sort gives Φ(l,u) = the last writer of l placed before it, or
+// ⊥, and u never precedes that writer, so the digit is always one of
+// the slot's. Slots are location-major, so a rank is its per-location
+// sub-ranks read in order as one mixed-radix number: an observer is in
+// SC exactly when its rank is marked, and in LC exactly when each of
+// its sub-ranks is.
+//
+// Two nodes that write nothing commute when they are placed next to
+// each other: neither changes a last writer, so both orders give the
+// same W_T. The walk therefore places a run of such nodes in
+// increasing id order only. When ids are topological that order is a
+// sort of the run, so every W_T is still reached.
+//
+// The Q-dag bits come from one walk over the observers, slot by slot in
+// Enumerate's order as qdagwalk.go's member walk goes. It checks each
+// triple u ≺ v ≺ w once, at w's slot, for all four predicates at once;
+// qdagwalk.go's argument makes that exact when ids are topological.
+// Unlike the member walk it prunes nothing: every observer is a leaf,
+// and it carries the union of the predicates its slots violated.
+//
+// At each leaf SC and LC are read from the bitsets and the Q-dag bits
+// from the walk, and only TSO (searched only outside SC), RA and CAUSAL
+// are decided, on the tail Masked shares. TestSweepMatchesMasked pins
+// every bit to Masked.
+
+// maxSweepRanks bounds the observer count of a computation the walk
+// takes, so that its bitsets stay at 2 MiB and no rank overflows; a
+// computation with more observers is enumerated instead.
+const maxSweepRanks = 1 << 24
+
+// sweepWalk is Sweep's state, reused from computation to computation.
+type sweepWalk struct {
+	qdagWalk // c's shape: closure rows, writers, and the walk's assignments by value
+
+	written uint64     // the nodes that write some location
+	stride  []int      // by slot (l, u): the weight of its digit in l's sub-rank
+	block   []int      // by location: its sub-rank count
+	lcAt    []int      // by location: the first of its bits in lc
+	order   []int      // the sort walk's placed nodes
+	sc, lc  bitset.Set // SC's marked ranks; LC's marked sub-ranks, by location from lcAt
+
+	d       *Decider
+	o       *observer.Observer
+	mask    uint16
+	fn      func(pattern uint16) bool
+	stopped bool
+}
+
+// Sweep points the decider at c and calls fn with Masked(o, mask) for
+// each observer o of c, in observer.Enumerate's order, until fn returns
+// false. It returns the number of observers visited. SC, LC and the
+// Q-dag bits are decided once for c (sweepwalk.go); a computation the
+// walk does not take, with more than 64 nodes, ids that are not
+// topological or more than maxSweepRanks observers, is enumerated and
+// decided by Masked instead.
+func (d *Decider) Sweep(c *computation.Computation, mask uint16, fn func(pattern uint16) bool) int {
+	d.Reset(c)
+	if d.sweep == nil {
+		d.sweep = new(sweepWalk)
+	}
+	s := d.sweep
+	if !s.reset(c) {
+		return observer.Enumerate(c, func(o *observer.Observer) bool { return fn(d.Masked(o, mask)) })
+	}
+	if s.o == nil || s.o.NumNodes() != d.n || s.o.NumLocs() != d.numLocs {
+		s.o = observer.New(c)
+	}
+	s.order = s.order[:0]
+	s.sorts(0, -1)
+	s.d, s.mask, s.fn, s.stopped = d, mask, fn, false
+	visited := s.visit(0, 0, 0, true)
+	s.d, s.fn = nil, nil
+	return visited
+}
+
+// reset loads c and sizes the bitsets, reporting whether the walk
+// takes c.
+func (s *sweepWalk) reset(c *computation.Computation) bool {
+	if !s.qdagWalk.reset(c, nil) {
+		return false
+	}
+	n, numLocs := s.n, c.NumLocs()
+	s.stride, s.block, s.lcAt = grow(s.stride, s.slots), grow(s.block, numLocs), grow(s.lcAt, numLocs)
+	count, lcBits := 1, 0
+	s.written = 0
+	for l := 0; l < numLocs; l++ {
+		s.written |= s.writers[l]
+		block := 1
+		for u := n - 1; u >= 0; u-- {
+			s.stride[l*n+u] = block
+			if s.writers[l]>>u&1 == 0 {
+				block *= 1 + bits.OnesCount64(s.writers[l]&^s.desc[u])
+			}
+			if block > maxSweepRanks {
+				return false
+			}
+		}
+		s.block[l], s.lcAt[l] = block, lcBits
+		lcBits += block
+		if count *= block; count > maxSweepRanks {
+			return false
+		}
+	}
+	s.sc.Reset(count)
+	s.lc.Reset(lcBits)
+	return true
+}
+
+// sorts extends the placed prefix of a sort in every way, and marks the
+// ranks of each complete sort's W_T. prev is the last node placed when
+// it writes nothing, and -1 otherwise.
+func (s *sweepWalk) sorts(placed uint64, prev int) {
+	if len(s.order) == s.n {
+		s.mark()
+		return
+	}
+	for ready := ^placed & (1<<s.n - 1); ready != 0; ready &= ready - 1 {
+		u := bits.TrailingZeros64(ready)
+		writes := s.written>>u&1 != 0
+		if s.anc[u]&^placed != 0 || (!writes && u < prev) {
+			continue // not ready, or a run of non-writers out of id order
+		}
+		next := -1
+		if !writes {
+			next = u
+		}
+		s.order = append(s.order, u)
+		s.sorts(placed|1<<u, next)
+		s.order = s.order[:len(s.order)-1]
+	}
+}
+
+// mark marks the rank of W_T, for T the complete sort in order, in sc,
+// and each of its sub-ranks in lc.
+func (s *sweepWalk) mark() {
+	rank := 0
+	for l := range s.block {
+		last, sub := s.n, 0 // ⊥, until a writer of l is placed
+		for _, u := range s.order {
+			switch {
+			case s.writers[l]>>u&1 != 0:
+				last = u
+			case last != s.n:
+				sub += (1 + bits.OnesCount64(s.writers[l]&^s.desc[u]&(1<<last-1))) * s.stride[l*s.n+u]
+			}
+		}
+		s.lc.Add(s.lcAt[l] + sub)
+		rank = rank*s.block[l] + sub
+	}
+	s.sc.Add(rank)
+}
+
+// visit assigns slot and every later one below the rank prefix of the
+// slots already assigned, and returns the number of leaves it visited.
+// viol holds the Q-dag bits those slots violate, and lc whether every
+// location they complete has a marked sub-rank.
+func (s *sweepWalk) visit(slot, rank int, viol uint16, lc bool) int {
+	if slot == s.slots {
+		pattern := patternQDag &^ viol
+		if lc {
+			pattern |= PatternLC
+			if s.sc.Contains(rank) {
+				pattern |= PatternSC
+			}
+		}
+		s.d.observe(s.o)
+		s.stopped = !s.fn(s.d.tail(pattern, s.mask))
+		return 1
+	}
+	l, w := slot/s.n, slot%s.n
+	if s.writers[l]>>w&1 != 0 { // Φ(l,w) = w: radix 1, and no violating triple ends here
+		return s.assign(slot, l, w, w, rank, viol, lc)
+	}
+	later := s.writers[l] &^ s.desc[w] // the writers after ⊥, in id order
+	radix := 1 + bits.OnesCount64(later)
+	visited := 0
+	x := s.n // ⊥
+	for digit := 0; digit < radix && !s.stopped; digit++ {
+		if digit > 0 {
+			x = bits.TrailingZeros64(later)
+			later &= later - 1
+		}
+		v := viol
+		if s.mask&patternQDag&^v != 0 {
+			v |= s.violated(l, w, x)
+		}
+		visited += s.assign(slot, l, w, x, rank*radix+digit, v, lc)
+	}
+	return visited
+}
+
+// assign sets Φ(l,w) = x (x = n for ⊥) at slot (l, w), which makes the
+// rank prefix r, and visits the slots after it.
+func (s *sweepWalk) assign(slot, l, w, x, r int, viol uint16, lc bool) int {
+	if w == s.n-1 { // l's sub-rank is complete
+		lc = lc && s.lc.Contains(s.lcAt[l]+r%s.block[l])
+	}
+	val := dag.Node(x)
+	if x == s.n {
+		val = observer.Bottom
+	}
+	s.o.Set(computation.Loc(l), dag.Node(w), val)
+	obs := &s.obsOf[l*(s.n+1)+x]
+	*obs |= 1 << w
+	visited := s.visit(slot+1, r, viol, lc)
+	*obs &^= 1 << w
+	return visited
+}
+
+// violated returns the Q-dag bits whose predicate some triple
+// u ≺ v ≺ w violates when Φ(l,w) = x (x = n for ⊥), for a w that does
+// not write l: the cases of qdagWalk.violates, for the four predicates
+// at once.
+func (s *sweepWalk) violated(l, w, x int) uint16 {
+	obs := s.obsOf[l*(s.n+1) : (l+1)*(s.n+1)] // l's assignments so far, by value
+	vs := s.anc[w] &^ obs[x]                  // the v ≺ w with Φ(l,v) ≠ x
+	if vs == 0 {
+		return 0
+	}
+	vw := vs & s.writers[l] // those that write l
+	if x == s.n {           // u = ⊥
+		if vw != 0 {
+			return PatternNN | PatternNW
+		}
+		return PatternNN
+	}
+	var viol uint16
+	if s.desc[x]&vs != 0 { // u = x, the one writer of l with Φ(l,u) = x
+		viol |= PatternNN | PatternWN
+	}
+	if s.desc[x]&vw != 0 {
+		viol |= PatternNW | PatternWW
+	}
+	if viol&(PatternNN|PatternNW) != PatternNN|PatternNW {
+		var after uint64 // what follows some u with Φ(l,u) = x
+		for us := obs[x]; us != 0; us &= us - 1 {
+			after |= s.desc[bits.TrailingZeros64(us)]
+		}
+		if after&vs != 0 {
+			viol |= PatternNN
+		}
+		if after&vw != 0 {
+			viol |= PatternNW
+		}
+	}
+	return viol
+}

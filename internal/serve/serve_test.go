@@ -399,6 +399,30 @@ func TestEnumerateClampedAndCached(t *testing.T) {
 	}
 }
 
+// TestEnumerateDeadlineMidSweep: a census whose decision deadline
+// expires after its sweep has decided some pairs answers 503, and the
+// cache keeps nothing of it.
+func TestEnumerateDeadlineMidSweep(t *testing.T) {
+	var live atomic.Pointer[obs.Counters]
+	rec := obs.RecorderFunc(func(ev obs.Event) {
+		if ev.Kind == obs.RunStart && ev.Live != nil {
+			live.Store(ev.Live)
+		}
+	})
+	_, ts := testServer(t, Config{CacheBytes: 1 << 20, Recorder: rec,
+		Limits: Limits{MaxEnumNodes: 5, DefaultTimeout: 50 * time.Millisecond}})
+	resp, data := postJSON(t, ts.URL+"/v1/enumerate", EnumerateRequest{MaxNodes: 5, Workers: 2})
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503: %s", resp.StatusCode, data)
+	}
+	if l := live.Load(); l == nil || l.States.Load() == 0 {
+		t.Fatal("the deadline expired before the sweep decided a pair")
+	}
+	if c := statsz(t, ts.URL).Cache; c.Entries != 0 || c.Bytes != 0 || c.Misses != 1 {
+		t.Fatalf("cache after a timed-out census: %+v, want empty after one miss", c)
+	}
+}
+
 func TestHealthzAndStatsz(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/healthz")
