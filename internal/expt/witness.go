@@ -44,11 +44,11 @@ func WitnessClaims() []WitnessClaim {
 		{File: "lb.ccm", In: "LC", Out: "RA", Edge: "RA ⊊ LC"},
 		{File: "tso_not_ra.ccm", In: "TSO", Out: "RA", Edge: "TSO ∖ RA ≠ ∅"},
 		{File: "iriw.ccm", In: "RA", Out: "TSO", Edge: "RA ∖ TSO ≠ ∅"},
-		{File: "tso_not_causal.ccm", In: "TSO", Out: "CAUSAL", Edge: "TSO ∖ CAUSAL ≠ ∅ (n=5)"},
+		{File: "tso_not_causal.ccm", In: "TSO", Out: "CAUSAL", Edge: "TSO ∖ CAUSAL ≠ ∅ (n=5, locs=2)"},
 		{File: "coww.ccm", In: "CAUSAL", Out: "TSO", Edge: "CAUSAL ∖ TSO ≠ ∅"},
 		{File: "tso_not_lc.ccm", In: "TSO", Out: "LC", Edge: "TSO ∖ LC ≠ ∅"},
 		{File: "lb.ccm", In: "LC", Out: "TSO", Edge: "LC ∖ TSO ≠ ∅"},
-		{File: "ra_not_causal.ccm", In: "RA", Out: "CAUSAL", Edge: "RA ∖ CAUSAL ≠ ∅ (n=5)"},
+		{File: "ra_not_causal.ccm", In: "RA", Out: "CAUSAL", Edge: "RA ∖ CAUSAL ≠ ∅ (n=5, locs=2)"},
 		{File: "coww.ccm", In: "CAUSAL", Out: "RA", Edge: "CAUSAL ∖ RA ≠ ∅"},
 		{File: "tso_not_lc.ccm", In: "CAUSAL", Out: "LC", Edge: "CAUSAL ∖ LC ≠ ∅"},
 		{File: "mp.ccm", In: "LC", Out: "CAUSAL", Edge: "LC ∖ CAUSAL ≠ ∅"},
@@ -90,7 +90,7 @@ func (r WitnessReport) String() string {
 		if !res.OK {
 			verdict = "MISMATCH: " + res.Detail
 		}
-		fmt.Fprintf(&b, "%-24s %-20s ∈ %-6s ∉ %-6s  %s\n",
+		fmt.Fprintf(&b, "%-30s %-20s ∈ %-6s ∉ %-6s  %s\n",
 			res.Claim.Edge, res.Claim.File, res.Claim.In, res.Claim.Out, verdict)
 	}
 	return b.String()

@@ -40,9 +40,19 @@ func SCShardPlan(c *computation.Computation, o *observer.Observer) (int, *search
 // WitnessRoot for the lowest-root merge, and Stats.Roots for the whole
 // frontier size the shard was cut from.
 func SCDecideShard(ctx context.Context, c *computation.Computation, o *observer.Observer, lo, hi int, opts SearchOptions) search.Result {
-	if o.Validate(c) != nil {
+	var d Decider
+	d.Reset(c)
+	d.Observe(o)
+	return d.DecideSCShard(ctx, lo, hi, opts)
+}
+
+// DecideSCShard is SCDecideShard for the observed pair, run on the
+// decider's Runner and candidate storage, so a caller deciding the
+// pair's other models too validates it once.
+func (d *Decider) DecideSCShard(ctx context.Context, lo, hi int, opts SearchOptions) search.Result {
+	if !d.valid {
 		return search.Result{Exhausted: true, WitnessRoot: -1}
 	}
 	opts.RootLo, opts.RootHi = lo, hi
-	return search.RunContext(ctx, lastWriterSpec(c, o, make([]dag.Node, c.NumLocs()*c.NumNodes())), opts)
+	return d.run(ctx, d.lastWriterSpec(), opts)
 }

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -86,9 +88,9 @@ type BatchResponse struct {
 type parsedPair struct {
 	named *computation.Named
 	ofn   *observer.Observer
-	// key is the pair's share of its items' cache keys, framed: the
-	// endpoint and the pair's canonical text.
-	key []byte
+	// digest is the pair's share of its items' cache keys: the hash of
+	// the endpoint and the pair's canonical text, framed.
+	digest [sha256.Size]byte
 	// dec is the pair's decision context, taken from deciderPool by
 	// the first item fill that needs one.
 	dec *memmodel.Decider
@@ -109,13 +111,8 @@ type batchItem struct {
 // built mechanically by a coordinator, so a bad item is a caller bug,
 // not data to partially tolerate.
 func parseBatchItem(it BatchItem, idx int, pairs map[string]*parsedPair) (batchItem, error) {
-	models := memmodel.ModelNames()
-	known := false
-	for _, m := range models {
-		known = known || m == it.Model
-	}
-	if !known {
-		return batchItem{}, fmt.Errorf("item %d: unknown model %q (valid: %s)", idx, it.Model, strings.Join(models, ", "))
+	if e, err := memmodel.Lookup(it.Model); err != nil || e.Name() != it.Model {
+		return batchItem{}, fmt.Errorf("item %d: unknown model %q (valid: %s)", idx, it.Model, strings.Join(memmodel.ModelNames(), ", "))
 	}
 	if it.RootLo < 0 || it.RootHi < 0 {
 		return batchItem{}, fmt.Errorf("item %d: negative shard bound [%d, %d)", idx, it.RootLo, it.RootHi)
@@ -135,7 +132,8 @@ func parseBatchItem(it BatchItem, idx int, pairs map[string]*parsedPair) (batchI
 		if named.Comp.NumNodes() == 0 {
 			return batchItem{}, fmt.Errorf("item %d: pair has no nodes", idx)
 		}
-		p = &parsedPair{named: named, ofn: ofn, key: append(observer.AppendPair(appendKeyParts(nil, "batch"), named, ofn), 0)}
+		p = &parsedPair{named: named, ofn: ofn}
+		p.digest = sha256.Sum256(append(observer.AppendPair(appendKeyParts(nil, "batch"), named, ofn), 0))
 		pairs[it.Pair] = p
 	}
 	return batchItem{id: it.ID, model: it.Model, lo: it.RootLo, hi: it.RootHi, parsedPair: p}, nil
@@ -193,7 +191,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var kb []byte
 	for i, it := range items {
 		it := it
-		kb = appendKeyParts(append(kb[:0], it.key...), it.model, fmt.Sprintf("lo=%d,hi=%d", it.lo, it.hi), fp)
+		kb = appendKeyParts(append(kb[:0], it.digest[:]...), it.model)
+		kb = strconv.AppendInt(kb, int64(it.lo), 10)
+		kb = strconv.AppendInt(append(kb, ','), int64(it.hi), 10)
+		kb = appendKeyParts(append(kb, 0), fp)
 		body, itemSrc, err := s.cache.do(r.Context(), keyOf(kb), func() ([]byte, bool, error) {
 			return s.decideBatchItem(it, opts, timeout, rec)
 		})
@@ -235,21 +236,21 @@ func (s *Server) decideBatchItem(it batchItem, opts memmodel.SearchOptions, time
 
 	s.countDecision(it.model)
 	opts.Recorder = rec
+	if it.dec == nil {
+		it.dec = deciderPool.Get().(*memmodel.Decider)
+		it.dec.Reset(it.named.Comp)
+		it.dec.Observe(it.ofn)
+	}
 	var d memmodel.Decision
 	witnessRoot, rootsTotal := -1, 0
 	if it.model == "SC" {
 		// The fleet's shard coordinate: the SC search over [lo, hi) of
 		// its root frontier.
 		opts.Recorder = obs.WithRun(rec, fmt.Sprintf("SC[%d,%d)", it.lo, it.hi))
-		sr := memmodel.SCDecideShard(ctx, it.named.Comp, it.ofn, it.lo, it.hi, opts)
+		sr := it.dec.DecideSCShard(ctx, it.lo, it.hi, opts)
 		d = memmodel.Decision{Model: it.model, Verdict: sr.Verdict(), Stats: sr.Stats, Order: sr.Order}
 		witnessRoot, rootsTotal = sr.WitnessRoot, sr.Stats.Roots
 	} else {
-		if it.dec == nil {
-			it.dec = deciderPool.Get().(*memmodel.Decider)
-			it.dec.Reset(it.named.Comp)
-			it.dec.Observe(it.ofn)
-		}
 		var err error
 		if d, err = it.dec.Decide(ctx, it.model, opts); err != nil {
 			return nil, false, err // unreachable: the model name was validated

@@ -23,7 +23,10 @@ import (
 // POST /v1/check body for each of 2,100 seeded pairs, and then of the
 // POST /v1/batch body (one item per model) for the first 300, as the
 // daemon answered them before the one-pass codec and the per-pair
-// decision context. The pairs are the miss traffic's shape: 12–24
+// decision context. Then, for the same 300, it holds the batch bodies
+// whose SC item is the frontier shard [0, 1) and then [1, 0) (the
+// second root through the end), recorded before a batch's SC item
+// decided on the pair's decision context. The pairs are the miss traffic's shape: 12–24
 // nodes over locations x and y, in three families (a last-writer
 // observer, one stale read, observer entries perturbed). Every request
 // runs its searches on one worker, because a parallel search's counters
@@ -149,7 +152,7 @@ func pinPairText(c *computation.Computation, o *observer.Observer) string {
 
 func TestResponsesPinned(t *testing.T) {
 	if testing.Short() {
-		t.Skip("2,400 requests")
+		t.Skip("3,000 requests")
 	}
 	h := New(Config{}).Handler()
 	post := func(path string, req any) string {
@@ -172,13 +175,25 @@ func TestResponsesPinned(t *testing.T) {
 		pairs[i] = pinPair(rng, i%3)
 		got = append(got, post("/v1/check", CheckRequest{Pair: pairs[i], Options: Options{Workers: 1}}))
 	}
-	for _, pair := range pairs[:pinBatchPairs] {
+	batch := func(pair string, lo, hi int) string {
 		var req BatchRequest
 		for _, m := range memmodel.ModelNames() {
-			req.Items = append(req.Items, BatchItem{ID: m, Pair: pair, Model: m})
+			it := BatchItem{ID: m, Pair: pair, Model: m}
+			if m == "SC" {
+				it.RootLo, it.RootHi = lo, hi
+			}
+			req.Items = append(req.Items, it)
 		}
 		req.Options = Options{Workers: 1}
-		got = append(got, post("/v1/batch", req))
+		return post("/v1/batch", req)
+	}
+	for _, pair := range pairs[:pinBatchPairs] {
+		got = append(got, batch(pair, 0, 0))
+	}
+	for _, shard := range [][2]int{{0, 1}, {1, 0}} {
+		for _, pair := range pairs[:pinBatchPairs] {
+			got = append(got, batch(pair, shard[0], shard[1]))
+		}
 	}
 	path := filepath.Join("testdata", "check_pins.txt")
 	if os.Getenv("CHECK_PINS_RECORD") == "1" {
@@ -201,8 +216,12 @@ func TestResponsesPinned(t *testing.T) {
 	bad := 0
 	for i := range got {
 		if got[i] != want[i] {
+			p := i
+			if p >= pinPairs {
+				p = (p - pinPairs) % pinBatchPairs
+			}
 			if bad++; bad <= 5 {
-				t.Errorf("body %d drifted from its pin (pair %d):\n%s", i, i%pinPairs, pairs[i%pinPairs])
+				t.Errorf("body %d drifted from its pin (pair %d):\n%s", i, p, pairs[p])
 			}
 		}
 	}

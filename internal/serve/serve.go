@@ -37,6 +37,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -402,9 +403,26 @@ func (s *Server) writeUnavailable(w http.ResponseWriter, r *http.Request, err er
 // decode reads a bounded JSON body holding exactly one value, rejecting
 // unknown fields so a misspelled option fails loudly instead of
 // silently running ungoverned, and data after the value for the same
-// reason. Trailing whitespace is accepted.
+// reason. Trailing whitespace is accepted. The body is read whole; a
+// CheckRequest or BatchRequest is decoded by readRequest, and a body
+// that reader does not take, any other request, or a failed read goes
+// to encoding/json as the same bytes followed by the same read error.
 func decode(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	b, err := readBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
+	if err == nil && readRequest(b, v) {
+		return nil
+	}
+	src := io.Reader(bytes.NewReader(b))
+	if err != nil {
+		src = io.MultiReader(src, errReader{err})
+	}
+	return decodeJSON(src, v)
+}
+
+// decodeJSON is encoding/json's decode of the one value src holds into
+// v, under decode's rules.
+func decodeJSON(src io.Reader, v any) error {
+	dec := json.NewDecoder(src)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
@@ -414,6 +432,36 @@ func decode(w http.ResponseWriter, r *http.Request, v any) error {
 	}
 	return nil
 }
+
+// readBody reads body to its end into one buffer sized from the
+// request's Content-Length, which only seeds it: a body that is longer
+// grows it, and a claimed length past readBodyMax (or none) starts it
+// at 512 bytes, so a client cannot reserve memory it does not send.
+func readBody(body io.Reader, size int64) ([]byte, error) {
+	const readBodyMax = 64 << 10
+	if size < 0 || size > readBodyMax {
+		size = 512
+	}
+	b := make([]byte, 0, size+1) // +1: the read that sees EOF
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // decisionContext builds the context a decision runs under: the
 // request's governed deadline, hard-stopped by Shutdown's baseCancel.
