@@ -145,10 +145,17 @@ func MustFrom(g *dag.Dag, ops []Op, numLocs int) *Computation {
 // result may be mutated afterwards. It panics if ops does not label
 // every node with an instruction of O.
 func (c *Computation) Relabel(ops []Op) *Computation {
-	r := &Computation{g: c.g, ops: ops, numLocs: c.numLocs}
+	return c.RelabelInto(new(Computation), ops)
+}
+
+// RelabelInto is Relabel over r's storage: it makes r that computation
+// and returns it, so that a sweep can reuse one Computation from
+// labelling to labelling. Whatever holds r sees the new labelling.
+func (c *Computation) RelabelInto(r *Computation, ops []Op) *Computation {
 	if len(ops) != len(c.ops) {
 		panic(fmt.Sprintf("computation: %d ops for %d nodes", len(ops), len(c.ops)))
 	}
+	*r = Computation{g: c.g, ops: ops, numLocs: c.numLocs}
 	if err := r.validateOps(); err != nil {
 		panic(err)
 	}

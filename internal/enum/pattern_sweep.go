@@ -3,9 +3,9 @@ package enum
 // This file implements the universe sweep behind the lattice check and
 // the membership census: one pass over canonical representatives
 // classifies every pair into its membership pattern (one bit per
-// registered model), one memmodel.PatternDecider Sweep per
-// representative, and every edge's Relation falls out of the
-// orbit-weighted pattern census.
+// registered model), one memmodel.PatternDecider Sweep per group of
+// representatives that share a dag and a writer signature, and every
+// edge's Relation falls out of the orbit-weighted pattern census.
 
 import (
 	"context"
@@ -14,7 +14,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/computation"
 	"repro/internal/memmodel"
 	"repro/internal/obs"
 )
@@ -52,10 +51,14 @@ func (s PatternSweep) Skipped() int64 { return s.Computations - s.RepComputation
 // maxNodes nodes into its membership pattern, deciding only canonical
 // representatives (orbit-weighted), on workers goroutines (<= 0 means
 // GOMAXPROCS) that each claim the next unclaimed dag when they finish
-// one. Each worker decides a representative's observers with one
+// one. Each worker takes a dag's representatives grouped by writer
+// signature (Group) and decides a group's observers with one
 // memmodel.PatternDecider Sweep, which reads SC, LC and the Q-dag bits
-// off one walk of the computation's sorts and one of its observers and
-// decides only TSO, RA and CAUSAL pair by pair. It decides only the
+// off one walk of the dag's sorts and one of its observers, decides
+// RA, CAUSAL and TSO's checks once per observer, and runs only TSO's
+// search once per representative; each representative's pattern is
+// counted at its own orbit, and RepPairs counts one pair per
+// representative and observer. It decides only the
 // bits its edges read (their union; every registered model's bit when
 // edges is empty, the census), so Counts is indexed by that masked
 // pattern. Edge relations are identical to running the serial Compare
@@ -103,8 +106,9 @@ func PatternSweepParallel(ctx context.Context, edges []PatternEdge, maxNodes, nu
 			sr := &results[w]
 			pd := memmodel.NewPatternDecider()
 			tick, published := 0, 0
-			var pubSkip, orbit int64
-			visit := func(pattern uint16) bool {
+			var pubSkip int64
+			var orbits []int64 // the swept group's
+			visit := func(member int, pattern uint16) bool {
 				tick++
 				if tick&ctxPollMask == 0 {
 					if ctx.Err() != nil {
@@ -122,17 +126,19 @@ func PatternSweepParallel(ctx context.Context, edges []PatternEdge, maxNodes, nu
 				if cancelled.Load() {
 					return false
 				}
-				sr.counts[pattern] += orbit
-				sr.pairs += orbit
+				sr.counts[pattern] += orbits[member]
+				sr.pairs += orbits[member]
 				return true
 			}
 			for n := 0; n <= maxNodes; n++ {
-				eachComputationReducedClaimed(n, numLocs, &next[n], func(c *computation.Computation, weight int64) bool {
-					sr.repComps++
-					sr.comps += weight
-					orbit = weight
-					pd.Sweep(c, mask, visit)
-					return !cancelled.Load()
+				eachDagClaimed(n, numLocs, &next[n], func(dl *dagLabellings) bool {
+					return dl.eachGroup(func(g *Group) bool {
+						sr.repComps += int64(len(g.Orbits))
+						sr.comps += g.Weight()
+						orbits = g.Orbits
+						pd.Sweep(g.C, g.Labels, mask, visit)
+						return !cancelled.Load()
+					})
 				})
 				if cancelled.Load() {
 					break

@@ -321,3 +321,73 @@ func TestEachComputationReducedParallelStops(t *testing.T) {
 		t.Errorf("first call false: %d visits, %d calls, of %d representatives", visited, calls.Load(), total)
 	}
 }
+
+// TestGroupsPartitionReduced: at every worker count the groups of
+// EachGroupReducedParallel partition the multiset of (labelling, orbit)
+// that EachComputationReduced visits. Each group is one dag and one
+// writer signature: C is its first member, every member labels C's dag
+// with C's writers, and no two groups share a dag and a signature.
+func TestGroupsPartitionReduced(t *testing.T) {
+	cases := []struct{ n, locs int }{
+		{0, 1}, {1, 1}, {2, 1}, {3, 1}, {4, 1}, {0, 2}, {1, 2}, {2, 2}, {3, 2}, {2, 3},
+	}
+	key := func(c *computation.Computation, orbit int64) string { return fmt.Sprintf("%v ×%d", c, orbit) }
+	// writersOnly renders c with every node that writes nothing a no-op.
+	writersOnly := func(c *computation.Computation) string {
+		ops := make([]computation.Op, c.NumNodes())
+		for u, op := range c.Ops() {
+			if op.Kind == computation.Write {
+				ops[u] = op
+			}
+		}
+		return c.Relabel(ops).String()
+	}
+	for _, tc := range cases {
+		want := map[string]int{}
+		EachComputationReduced(tc.n, tc.locs, func(c *computation.Computation, orbit int64) bool {
+			want[key(c, orbit)]++
+			return true
+		})
+		for workers := 1; workers <= 3; workers++ {
+			got := make([]map[string]int, workers) // one per worker: its calls never overlap
+			sigs := make([][]string, workers)
+			for w := range got {
+				got[w] = map[string]int{}
+			}
+			EachGroupReducedParallel(tc.n, tc.locs, workers, func(w int, g *Group) bool {
+				if len(g.Labels) == 0 || len(g.Labels) != len(g.Orbits) || fmt.Sprint(g.C.Ops()) != fmt.Sprint(g.Labels[0]) {
+					t.Errorf("n=%d locs=%d: group of %d labellings and %d orbits, C %v", tc.n, tc.locs, len(g.Labels), len(g.Orbits), g.C)
+					return false
+				}
+				if err := sameClosure(g.C); err != nil {
+					t.Errorf("%v: %v", g.C, err)
+				}
+				sig := writersOnly(g.C)
+				for i, ops := range g.Labels {
+					m := g.C.Relabel(append([]computation.Op(nil), ops...))
+					if writersOnly(m) != sig {
+						t.Errorf("a group of %s holds %v", sig, m)
+					}
+					got[w][key(m, g.Orbits[i])]++
+				}
+				sigs[w] = append(sigs[w], sig)
+				return true
+			})
+			merged, groups := map[string]int{}, map[string]bool{}
+			for w, m := range got {
+				for k, v := range m {
+					merged[k] += v
+				}
+				for _, sig := range sigs[w] {
+					if groups[sig] {
+						t.Fatalf("n=%d locs=%d workers=%d: two groups of %s", tc.n, tc.locs, workers, sig)
+					}
+					groups[sig] = true
+				}
+			}
+			if fmt.Sprint(merged) != fmt.Sprint(want) {
+				t.Fatalf("n=%d locs=%d workers=%d: groups hold %v, EachComputationReduced visits %v", tc.n, tc.locs, workers, merged, want)
+			}
+		}
+	}
+}

@@ -255,9 +255,11 @@ var lcBelow = map[string]bool{"LC": true, "NN": true, "NW": true, "WN": true, "W
 // Section 7. Only the interior (below maxNodes nodes) is materialized:
 // the boundary is counted over canonical representatives weighted by
 // orbit, so base must be isomorphism-invariant, as every registered
-// model is. The fixpoint and the LC comparison run on workers
-// goroutines (<= 0 means GOMAXPROCS); the report does not depend on
-// workers. rec (nil = off) receives one PhaseStart per stage: the
+// model is. For a base that reads only writers (every registry row but
+// TSO), one representative of each writer-signature group is decided,
+// weighted by the group's summed orbit. The fixpoint and the LC
+// comparison run on workers goroutines (<= 0 means GOMAXPROCS); the
+// report does not depend on workers. rec (nil = off) receives one PhaseStart per stage: the
 // fixpoint's three, then "LC comparison".
 func RunStar(base memmodel.Model, maxNodes, numLocs, workers int, rec obs.Recorder) StarReport {
 	if workers <= 0 {
@@ -265,6 +267,14 @@ func RunStar(base memmodel.Model, maxNodes, numLocs, workers int, rec obs.Record
 	}
 	interior := enum.AllComputations(maxNodes-1, numLocs)
 	boundary := func(workers int, fn func(worker int, c *computation.Computation, orbit int64) bool) {
+		if e, ok := base.(*memmodel.Entry); ok && e.ReadsOnlyWriters() {
+			// A group's members share every verdict: count one, at
+			// their summed orbit.
+			enum.EachGroupReducedParallel(maxNodes, numLocs, workers, func(w int, g *enum.Group) bool {
+				return fn(w, g.C, g.Weight())
+			})
+			return
+		}
 		enum.EachComputationReducedParallel(maxNodes, numLocs, workers, fn)
 	}
 	star := memmodel.ConstructibleFixpoint(base, interior, maxNodes, computation.AllOps(numLocs), workers, boundary, rec)

@@ -159,10 +159,12 @@ func ConstructibleVersion(m Model, universe []*computation.Computation, ops []co
 // computations below maxN nodes, closed under augmentation below
 // maxN−1 nodes. boundary enumerates its maxN-node computations, each
 // with a weight: the number of universe members it stands for (an
-// isomorphism class's orbit, for an isomorphism-invariant m). The
-// boundary's augmentations are never looked up: the maxN−1-node
-// computations are pruned against augmentations decided on the fly,
-// and boundary pairs are only counted.
+// isomorphism class's orbit, for an isomorphism-invariant m, or a
+// writer-signature group's summed orbits, for an m that also
+// ReadsOnlyWriters). A computation passed to fn is read only during
+// the call. The boundary's augmentations are never looked up: the
+// maxN−1-node computations are pruned against augmentations decided
+// on the fly, and boundary pairs are only counted.
 //
 // Interior membership, then each fixpoint level from maxN−1 nodes down
 // (a level reads only the finished level above it), runs on workers

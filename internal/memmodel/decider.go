@@ -21,9 +21,11 @@ import (
 // its witness, stats and run events. Pattern and Masked give one
 // membership bit per model and no witnesses, for observers the caller
 // trusts valid: the Δ* fixpoint's enumerated members and the star's LC
-// comparison use them, and Sweep, which the pattern sweeps use, decides
-// a whole computation's observers at once (sweepwalk.go) and falls back
-// on them. Only these take three inclusions that spare the engine,
+// comparison use them. Sweep, which the pattern sweeps use, decides a
+// whole computation's observers at once, for every labelling of its
+// dag with its writers (sweepwalk.go): every bit but TSO once per
+// observer, TSO's search once per labelling. It falls back on Masked.
+// Only these take three inclusions that spare the engine,
 // since a Decision's SC and TSO rows carry their search's stats:
 //
 //   - SC ⊆ LC by definition: an SC witness sort restricted to one
@@ -207,21 +209,27 @@ func (d *Decider) Masked(o *observer.Observer, mask uint16) uint16 {
 	if lc && mask&scNeeded != 0 && (d.numLocs <= 1 || d.run(bg, d.lastWriterSpec(), SearchOptions{}).Found) {
 		pattern |= PatternSC
 	}
-	return d.tail(pattern, mask)
+	pattern, search := d.tail(pattern, mask)
+	if search && d.tsoIn(d.c.Ops()) {
+		pattern |= PatternTSO
+	}
+	return pattern
 }
 
 // tail completes the pattern of the observed pair, which must hold its
-// SC bit whenever mask asks for SC or TSO, with the TSO, RA and CAUSAL
-// bits of mask, and returns it under mask. TSO is searched only
-// outside SC.
-func (d *Decider) tail(pattern, mask uint16) uint16 {
+// SC bit whenever mask asks for SC or TSO, with the RA and CAUSAL bits
+// of mask, and with TSO inside SC (SC ⊆ TSO), and returns it under
+// mask. search reports whether TSO is still to be decided by tsoIn: it
+// is asked for, the pair is outside SC, and it passes TSO's checks
+// before the search. Everything tail reads depends only on which nodes
+// write which location, so it holds for every labelling with c's
+// writers, and only tsoIn tells them apart.
+func (d *Decider) tail(pattern, mask uint16) (_ uint16, search bool) {
 	bg := context.Background()
 	if pattern&PatternSC != 0 {
 		pattern |= PatternTSO // SC ⊆ TSO
 	} else if mask&PatternTSO != 0 {
-		if res, ran := d.tsoSearch(bg, SearchOptions{}); ran && res.Found {
-			pattern |= PatternTSO
-		}
+		search = d.tsoFeasible()
 	}
 	if mask&(PatternRA|PatternCAUSAL) != 0 && d.hbAcyclic() {
 		if mask&PatternRA != 0 && d.hb.ra(bg, d.c, d.o, d.locWriters()).In() {
@@ -231,7 +239,13 @@ func (d *Decider) tail(pattern, mask uint16) uint16 {
 			pattern |= PatternCAUSAL
 		}
 	}
-	return pattern & mask
+	return pattern & mask, search
+}
+
+// tsoIn runs the TSO search of the observed pair under ops, a labelling
+// of c's dag with c's writers, once tail has asked for it.
+func (d *Decider) tsoIn(ops []computation.Op) bool {
+	return d.run(context.Background(), d.tso.events(d.c, d.cl, d.o, ops), SearchOptions{}).Found
 }
 
 // locWriters returns c's writers per location, listing them on the
@@ -245,7 +259,7 @@ func (d *Decider) locWriters() [][]dag.Node {
 
 // hbAcyclic reports whether the pair's happens-before relation is
 // acyclic, building it on the first call for the pair. The extension
-// models share it, and tsoCore.spec requires it.
+// models share it, and tsoCore.events requires it.
 func (d *Decider) hbAcyclic() bool {
 	if d.hbState == 0 {
 		d.hbState = -1

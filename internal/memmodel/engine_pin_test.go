@@ -72,7 +72,7 @@ func enginePinSpecs() []enginePinSpec {
 			if !hb.build(c, c.Closure(), o) {
 				continue
 			}
-			if s, feasible := new(tsoCore).spec(c, c.Closure(), o, writersByLoc(nil, c)); feasible {
+			if s, feasible := tsoSpec(new(tsoCore), c, o); feasible {
 				out = append(out, enginePinSpec{name + " TSO", s, budget})
 			}
 		case 2:

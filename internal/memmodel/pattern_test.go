@@ -171,26 +171,20 @@ func TestPatternDeciderReuse(t *testing.T) {
 
 // TestHBCoreWarmAllocatesNothing: once its buffers have grown to the
 // computation, the happens-before core builds hb and runs the RA and
-// CAUSAL checks, and TSO runs its static checks, rejecting a pair they
-// rule out, without allocating — the per-pair cost PatternDecider pays
-// on the lattice sweeps.
+// CAUSAL checks, and TSO runs its static checks, whether they rule the
+// pair out or lay out its gates, without allocating — the cost
+// PatternDecider pays once per observer on the lattice sweeps.
 func TestHBCoreWarmAllocatesNothing(t *testing.T) {
 	eachComputationLocal(3, 2, func(c *computation.Computation) {
 		cl, writers := c.Closure(), writersByLoc(nil, c)
 		var h hbCore
 		var tso tsoCore
 		observer.Enumerate(c, func(o *observer.Observer) bool {
-			feasible := true
-			if h.build(c, cl, o) {
-				_, feasible = tso.spec(c, cl, o, writers)
-			}
 			decide := func() {
 				if h.build(c, cl, o) {
 					h.ra(context.Background(), c, o, writers)
 					h.causal(context.Background(), c, o, writers)
-					if !feasible {
-						tso.spec(c, cl, o, writers)
-					}
+					tso.check(c, cl, o, writers)
 				}
 			}
 			decide()

@@ -64,6 +64,9 @@ type Entry struct {
 	// explainOut, when set, proves an Out verdict from the pair itself,
 	// for -explain.
 	explainOut func(c *computation.Computation, o *observer.Observer) string
+	// fences marks a model that tells a read from a no-op (see
+	// ReadsOnlyWriters).
+	fences bool
 }
 
 // registry lists the models strongest first along Figure 1 — the order
@@ -77,7 +80,7 @@ var registry = [...]Entry{
 	{name: "NW"},
 	{name: "WN"},
 	{name: "WW"},
-	{name: "TSO", engine: true, witness: "witness memory order"},
+	{name: "TSO", engine: true, witness: "witness memory order", fences: true},
 	{name: "RA"},
 	{name: "CAUSAL"},
 }
@@ -112,6 +115,15 @@ func (e *Entry) patternBit() uint16 {
 	}
 	return 0
 }
+
+// ReadsOnlyWriters reports whether the model's verdict on a pair
+// depends on c's labelling only through which nodes write which
+// location, so that relabelling a node that writes nothing between a
+// read and a no-op never changes it. Every row holds it but TSO, where
+// a no-op is a fence (TestWriterSignatureLicense gives the argument per
+// model and checks it). The sweeps decide the labellings of one writer
+// signature together on that ground.
+func (e *Entry) ReadsOnlyWriters() bool { return !e.fences }
 
 // Engine reports whether the model is decided by a search on the
 // engine, so that its decisions carry search stats.

@@ -40,7 +40,7 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 			return
 		}
 		// Each spec keeps the storage of its own core.
-		if s, feasible := new(tsoCore).spec(c, c.Closure(), o, writersByLoc(nil, c)); feasible {
+		if s, feasible := tsoSpec(new(tsoCore), c, o); feasible {
 			specs = append(specs, spec{name + " TSO", s})
 		}
 	}
@@ -159,4 +159,14 @@ func randomSort(rng *rand.Rand, g *dag.Dag) []dag.Node {
 		}
 	}
 	return order
+}
+
+// tsoSpec is TSO's engine question for (c, o) on t, whose hb the
+// caller has checked acyclic: the static checks, then the event dag
+// under c's own labelling.
+func tsoSpec(t *tsoCore, c *computation.Computation, o *observer.Observer) (search.Spec, bool) {
+	if !t.check(c, c.Closure(), o, writersByLoc(nil, c)) {
+		return search.Spec{}, false
+	}
+	return t.events(c, c.Closure(), o, c.Ops()), true
 }

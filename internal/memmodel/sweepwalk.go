@@ -9,10 +9,12 @@ import (
 	"repro/internal/observer"
 )
 
-// This file is the pattern sweep's path through one computation:
-// Decider.Sweep gives what Masked gives for every observer of c, in
-// Enumerate's order, but decides SC, LC and the four Q-dag bits once
-// per computation instead of once per pair.
+// This file is the pattern sweep's path through one computation and
+// the labellings that share its writers: Decider.Sweep gives what
+// Masked gives for every observer of c, in Enumerate's order, under
+// each such labelling, but decides SC, LC and the four Q-dag bits once
+// per computation instead of once per pair, and every bit but TSO once
+// per observer instead of once per labelling.
 //
 // SC and LC come from c's topological sorts. By Definitions 17 and 18,
 //
@@ -45,9 +47,14 @@ import (
 // and it carries the union of the predicates its slots violated.
 //
 // At each leaf SC and LC are read from the bitsets and the Q-dag bits
-// from the walk, and only TSO (searched only outside SC), RA and CAUSAL
-// are decided, on the tail Masked shares. TestSweepMatchesMasked pins
-// every bit to Masked.
+// from the walk, and RA, CAUSAL and TSO's checks before its search are
+// decided once, on the tail Masked shares; only TSO's search (outside
+// SC) runs once per labelling. Everything but that search reads only
+// which nodes write which location — the observers themselves, the
+// sorts' last writers, the Q-dag predicates and happens-before — so it
+// holds for every labelling of the sweep (TestWriterSignatureLicense
+// states the argument per model and checks it on the full deciders).
+// TestSweepMatchesMasked pins every bit of every labelling to Masked.
 
 // maxSweepRanks bounds the observer count of a computation the walk
 // takes, so that its bitsets stay at 2 MiB and no rank overflows; a
@@ -68,34 +75,52 @@ type sweepWalk struct {
 	d       *Decider
 	o       *observer.Observer
 	mask    uint16
-	fn      func(pattern uint16) bool
+	members [][]computation.Op
+	fn      func(member int, pattern uint16) bool
 	stopped bool
 }
 
-// Sweep points the decider at c and calls fn with Masked(o, mask) for
-// each observer o of c, in observer.Enumerate's order, until fn returns
-// false. It returns the number of observers visited. SC, LC and the
-// Q-dag bits are decided once for c (sweepwalk.go); a computation the
-// walk does not take, with more than 64 nodes, ids that are not
-// topological or more than maxSweepRanks observers, is enumerated and
-// decided by Masked instead.
-func (d *Decider) Sweep(c *computation.Computation, mask uint16, fn func(pattern uint16) bool) int {
+// Sweep points the decider at c and decides each observer o of c, in
+// observer.Enumerate's order, under each labelling of members in turn:
+// it calls fn(i, p), with p what Masked(o, mask) gives for c relabelled
+// by members[i], until fn returns false, and returns the number of
+// observers visited. Every member must label c's dag with c's writer
+// signature: each node writes the location it writes in c, or nothing
+// when it writes nothing there; deciding c alone is the one-member case,
+// members {c.Ops()}. SC, LC and the Q-dag bits are decided once for c,
+// and every bit but TSO once per observer (sweepwalk.go); a
+// computation the walk does not take, with more than 64 nodes, ids
+// that are not topological or more than maxSweepRanks observers, is
+// enumerated and each labelling decided by Masked instead.
+func (d *Decider) Sweep(c *computation.Computation, members [][]computation.Op, mask uint16, fn func(member int, pattern uint16) bool) int {
 	d.Reset(c)
 	if d.sweep == nil {
 		d.sweep = new(sweepWalk)
 	}
 	s := d.sweep
 	if !s.reset(c) {
-		return observer.Enumerate(c, func(o *observer.Observer) bool { return fn(d.Masked(o, mask)) })
+		labelled := make([]*computation.Computation, len(members))
+		for i, ops := range members {
+			labelled[i] = c.Relabel(ops)
+		}
+		return observer.Enumerate(c, func(o *observer.Observer) bool {
+			for i, m := range labelled {
+				d.Reset(m)
+				if !fn(i, d.Masked(o, mask)) {
+					return false
+				}
+			}
+			return true
+		})
 	}
 	if s.o == nil || s.o.NumNodes() != d.n || s.o.NumLocs() != d.numLocs {
 		s.o = observer.New(c)
 	}
 	s.order = s.order[:0]
 	s.sorts(0, -1)
-	s.d, s.mask, s.fn, s.stopped = d, mask, fn, false
+	s.d, s.mask, s.members, s.fn, s.stopped = d, mask, members, fn, false
 	visited := s.visit(0, 0, 0, true)
-	s.d, s.fn = nil, nil
+	s.d, s.members, s.fn = nil, nil, nil
 	return visited
 }
 
@@ -190,7 +215,17 @@ func (s *sweepWalk) visit(slot, rank int, viol uint16, lc bool) int {
 			}
 		}
 		s.d.observe(s.o)
-		s.stopped = !s.fn(s.d.tail(pattern, s.mask))
+		pattern, search := s.d.tail(pattern, s.mask)
+		for i, ops := range s.members {
+			p := pattern
+			if search && s.d.tsoIn(ops) {
+				p |= PatternTSO
+			}
+			if !s.fn(i, p) {
+				s.stopped = true
+				break
+			}
+		}
 		return 1
 	}
 	l, w := slot/s.n, slot%s.n

@@ -9,15 +9,48 @@ import (
 	"repro/internal/observer"
 )
 
+// noopsFor returns c with every node that writes nothing relabelled a
+// no-op: the one labelling of c's writer signature without reads.
+func noopsFor(c *computation.Computation) *computation.Computation {
+	ops := make([]computation.Op, c.NumNodes())
+	for u, op := range c.Ops() {
+		if op.Kind == computation.Write {
+			ops[u] = op
+		}
+	}
+	return c.Relabel(ops)
+}
+
+// signatureGroups splits universe into groups of computations with one
+// dag and one writer signature, in order of first appearance.
+func signatureGroups(universe []*computation.Computation) [][]*computation.Computation {
+	var groups [][]*computation.Computation
+	at := make(map[string]int)
+	for _, c := range universe {
+		key := noopsFor(c).String()
+		i, ok := at[key]
+		if !ok {
+			i = len(groups)
+			at[key] = i
+			groups = append(groups, nil)
+		}
+		groups[i] = append(groups[i], c)
+	}
+	return groups
+}
+
 // TestSweepMatchesMasked pins Sweep to Masked: over every computation
 // of up to four nodes at one location and up to three at two and at
-// three, under every mask of patternMasks (every bit, which the
-// lattice check asks for, the SC/LC auxiliary sweep's, and each single
-// bit among them), the patterns Sweep passes, in order, are Masked's
-// along observer.Enumerate. The SC ranks the sort walk marks are
-// exactly the ranks of the last-writer observers of c's sorts, and a
-// sweep stopped by fn visits no further observer. A computation whose
-// ids are not topological takes the fallback, which must agree too.
+// three, grouped by dag and writer signature, under every mask of
+// patternMasks (every bit, which the lattice check asks for, the SC/LC
+// auxiliary sweep's, and each single bit among them), the calls Sweep
+// makes for a group are, in order, Masked's pattern of each member in
+// turn at each observer along observer.Enumerate. The SC ranks the
+// sort walk marks are exactly the ranks of the last-writer observers
+// of c's sorts, and a sweep stopped by fn makes no further call. A
+// computation whose ids are not topological takes the fallback, which
+// must agree too, for the group of its relabellings as for itself
+// alone.
 func TestSweepMatchesMasked(t *testing.T) {
 	backward := computation.New(1) // 3 ≺ 1 ≺ 0 and 2 ≺ 1
 	for _, op := range []computation.Op{computation.N, computation.R(0), computation.W(0), computation.W(0)} {
@@ -26,38 +59,63 @@ func TestSweepMatchesMasked(t *testing.T) {
 	for _, e := range [][2]dag.Node{{3, 1}, {1, 0}, {2, 1}} {
 		backward.MustAddEdge(e[0], e[1])
 	}
-	universe := []*computation.Computation{backward}
+	var backwards []*computation.Computation
+	for _, ops := range [][]computation.Op{{computation.N, computation.N}, {computation.N, computation.R(0)}, {computation.R(0), computation.N}, {computation.R(0), computation.R(0)}} {
+		backwards = append(backwards, backward.Relabel(append(ops, computation.W(0), computation.W(0))))
+	}
+	groups := [][]*computation.Computation{{backward}, backwards}
 	for _, u := range []struct{ maxNodes, numLocs int }{{4, 1}, {3, 2}, {3, 3}} {
-		universe = append(universe, smallUniverseLocs(u.maxNodes, u.numLocs)...)
+		groups = append(groups, signatureGroups(smallUniverseLocs(u.maxNodes, u.numLocs))...)
 	}
 	masks := patternMasks()
 	var sweep, ref Decider
-	var got, want []uint16
-	for _, c := range universe {
-		ref.Reset(c)
+	type call struct {
+		member  int
+		pattern uint16
+	}
+	var got, want []call
+	var patterns [][]uint16 // by member: Masked's patterns along Enumerate
+	for _, group := range groups {
+		c := group[0]
+		for len(patterns) < len(group) {
+			patterns = append(patterns, nil)
+		}
+		members := make([][]computation.Op, len(group))
+		for i, m := range group {
+			members[i] = m.Ops()
+		}
 		for _, mask := range masks {
+			for i, m := range group {
+				ref.Reset(m)
+				patterns[i] = patterns[i][:0]
+				observer.Enumerate(m, func(o *observer.Observer) bool {
+					patterns[i] = append(patterns[i], ref.Masked(o, mask))
+					return true
+				})
+			}
 			want = want[:0]
-			observer.Enumerate(c, func(o *observer.Observer) bool {
-				want = append(want, ref.Masked(o, mask))
-				return true
-			})
+			for k := range patterns[0] {
+				for i := range group {
+					want = append(want, call{i, patterns[i][k]})
+				}
+			}
 			got = got[:0]
-			n := sweep.Sweep(c, mask, func(p uint16) bool {
-				got = append(got, p)
+			n := sweep.Sweep(c, members, mask, func(i int, p uint16) bool {
+				got = append(got, call{i, p})
 				return true
 			})
-			if n != len(want) || fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("%v under mask %09b: Sweep visited %d, patterns %v; Masked along Enumerate: %v",
-					c, mask, n, got, want)
+			if n*len(group) != len(want) || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%v and %d more labellings under mask %09b: Sweep visited %d observers, calls %v; Masked along Enumerate: %v",
+					c, len(group)-1, mask, n, got, want)
 			}
 		}
-		if c == backward {
+		if c == backward || c == backwards[0] {
 			if sweep.sweep.reset(c) {
 				t.Fatalf("the walk takes %v, whose ids are not topological", c)
 			}
 			continue
 		}
-		sweep.Sweep(c, PatternSC, func(uint16) bool { return true })
+		sweep.Sweep(c, [][]computation.Op{c.Ops()}, PatternSC, func(int, uint16) bool { return true })
 		sorts := make(map[int]bool)
 		c.Dag().EachTopoSort(func(order []dag.Node) bool {
 			r, ok := observer.Rank(c, observer.FromLastWriter(c, order))
@@ -77,8 +135,100 @@ func TestSweepMatchesMasked(t *testing.T) {
 			}
 		}
 		limit, seen := max(len(want)/2, 1), 0
-		if n := sweep.Sweep(c, patternEvery, func(uint16) bool { seen++; return seen < limit }); n != limit || seen != limit {
-			t.Fatalf("%v: a sweep told to stop after %d observers visited %d and passed %d", c, limit, n, seen)
+		n := sweep.Sweep(c, members, patternEvery, func(int, uint16) bool { seen++; return seen < limit })
+		if observers := (limit + len(group) - 1) / len(group); n != observers || seen != limit {
+			t.Fatalf("%v: a sweep of %d labellings told to stop after %d calls visited %d observers and made %d calls",
+				c, len(group), limit, n, seen)
 		}
+	}
+}
+
+// TestWriterSignatureLicense is the license for deciding the labellings
+// of one writer signature together (Sweep, and enum.Group for the
+// pattern sweep and the star's boundary count), in the way the orbit
+// reduction rests on isomorphism invariance. A writer signature records
+// which location, if any, each node writes; the labellings that share
+// c's differ only in whether a node that writes nothing reads or is a
+// no-op. Every registry row that ReadsOnlyWriters must then give each
+// pair the verdict it gives the pair whose computation has every such
+// node a no-op, by Entry.Contains, the full decision; each model by its
+// definition:
+//
+//   - Observer functions (Def 2) read the labelling only through the
+//     writers: Φ(l,u) = u exactly when u writes l, and is otherwise ⊥
+//     or a writer of l. So the labellings have the same observers.
+//   - SC and LC (Defs 17–18) quantify over TS(C), which is the dag's,
+//     and compare Φ with last-writer functions W_T, which read only
+//     which nodes write l.
+//   - NN, NW, WN and WW (Def 20) quantify over the dag's triples, and
+//     their predicates ask only whether u and v write l.
+//   - RA and CAUSAL are stated over hb = (precedence ∪ observation)⁺,
+//     whose observation edges come from Φ, and over the writes to each
+//     location: RA's modification orders, and the last write of each
+//     causal past.
+//
+// TSO does not hold it: a no-op is a fence (mfence), which every
+// program-order-earlier write commits before, and a read is not. So a
+// TSO verdict can change when a read becomes a no-op, and the sweeps
+// search TSO once per labelling. The pinned pair is one of the 32 of up
+// to four nodes at one location whose TSO verdict changes so.
+//
+// Over every pair of up to four nodes at one location and up to three
+// at two.
+func TestWriterSignatureLicense(t *testing.T) {
+	var fences []Model
+	for _, m := range PatternModels() {
+		if !m.(*Entry).ReadsOnlyWriters() {
+			fences = append(fences, m)
+		}
+	}
+	if len(fences) != 1 || fences[0] != TSO {
+		t.Fatalf("rows that tell a read from a no-op: %v, want TSO alone", fences)
+	}
+	tsoMoved := 0
+	for _, u := range []struct{ maxNodes, numLocs int }{{4, 1}, {3, 2}} {
+		for _, c := range smallUniverseLocs(u.maxNodes, u.numLocs) {
+			noops := noopsFor(c)
+			if noops.String() == c.String() {
+				continue
+			}
+			observer.Enumerate(c, func(o *observer.Observer) bool {
+				for _, m := range PatternModels() {
+					in, noopsIn := m.Contains(c, o), m.Contains(noops, o)
+					switch {
+					case m == TSO:
+						if in != noopsIn && u.numLocs == 1 {
+							tsoMoved++
+						}
+					case in != noopsIn:
+						t.Fatalf("%s: %v / %v in=%v, but with no-ops for its reads in=%v", m.Name(), c, o, in, noopsIn)
+					}
+				}
+				return true
+			})
+		}
+	}
+	if tsoMoved != 32 {
+		t.Fatalf("%d pairs of up to four nodes at one location change their TSO verdict when their reads become no-ops, want 32", tsoMoved)
+	}
+
+	c := computation.New(1)
+	for _, op := range []computation.Op{computation.W(0), computation.W(0), computation.R(0), computation.N} {
+		c.AddNode(op)
+	}
+	for _, e := range [][2]dag.Node{{0, 2}, {0, 3}, {1, 2}} {
+		c.MustAddEdge(e[0], e[1])
+	}
+	o := observer.New(c)
+	for u, w := range []dag.Node{0, 1, 0, 1} {
+		o.Set(0, dag.Node(u), w)
+	}
+	const pair = "comp(locs=1; 0:W(0) 1:W(0) 2:R(0) 3:N; 0->2 0->3 1->2) / Φ(l0: 0→0 1→1 2→0 3→1)"
+	if got := fmt.Sprintf("%v / %v", c, o); got != pair {
+		t.Fatalf("built %s, want %s", got, pair)
+	}
+	noop := c.Relabel([]computation.Op{computation.W(0), computation.W(0), computation.N, computation.N})
+	if !TSO.Contains(c, o) || TSO.Contains(noop, o) {
+		t.Fatalf("%s: in TSO %v, with node 2 a no-op %v; want in, then out", pair, TSO.Contains(c, o), TSO.Contains(noop, o))
 	}
 }

@@ -69,18 +69,24 @@ func (d *Decider) decideTSO(ctx context.Context, opts SearchOptions) Decision {
 }
 
 // tsoSearch runs the pair's TSO search; ran is false when the pair is
-// out without one. View causality must be acyclic: every cross-past
-// observation is a real-time ordering (the observed write committed
-// before the observer sampled it), so a cycle in precedence ∪
-// observation has no execution — and its image in the event dag would
-// be cyclic too. And the static checks of tsoCore.spec must pass.
+// out without one.
 func (d *Decider) tsoSearch(ctx context.Context, opts SearchOptions) (search.Result, bool) {
-	if d.hbAcyclic() {
-		if spec, feasible := d.tso.spec(d.c, d.cl, d.o, d.locWriters()); feasible {
-			return d.run(ctx, spec, opts), true
-		}
+	if !d.tsoFeasible() {
+		return search.Result{}, false
 	}
-	return search.Result{}, false
+	return d.run(ctx, d.tso.events(d.c, d.cl, d.o, d.c.Ops()), opts), true
+}
+
+// tsoFeasible reports whether the observed pair passes TSO's checks
+// before the search, which read only which nodes write (tsoCore.check),
+// and leaves the gates built for tsoCore.events. View causality must be
+// acyclic: every cross-past observation is a real-time ordering (the
+// observed write committed before the observer sampled it), so a cycle
+// in precedence ∪ observation has no execution — and its image in the
+// event dag would be cyclic too. And the static checks of
+// tsoCore.check must pass.
+func (d *Decider) tsoFeasible() bool {
+	return d.hbAcyclic() && d.tso.check(d.c, d.cl, d.o, d.locWriters())
 }
 
 // tsoGate is one view constraint at a node's issue event: the buffer
@@ -107,24 +113,25 @@ type tsoCore struct {
 	skip     []bool
 }
 
-// spec compiles the TSO membership question into an engine Spec on
-// the two-event expansion of c, over t's storage: events 0..n-1 are
-// the original nodes' issue events (reads and noops take effect
-// there), and each write additionally owns a commit event ≥ n, the sole
-// writer of its location slot. cl is c's precedence closure and writers
-// its writers per location. The caller has checked that view causality
-// (hb) is acyclic, which keeps the event dag acyclic.
+// check lays out the two-event expansion of c, on which TSO's
+// membership question becomes an engine Spec (events), builds each
+// issue event's gates and runs TSO's static checks, over t's storage.
+// Events 0..n-1 are the original nodes' issue events (reads and noops
+// take effect there), and each write additionally owns a commit event
+// ≥ n, the sole writer of its location slot. cl is c's precedence
+// closure and writers its writers per location. check reads only which
+// nodes write which location, never whether a non-writer reads or is a
+// no-op.
 //
-// feasible is false when a constraint is statically unsatisfiable, and
+// It reports false when a constraint is statically unsatisfiable, and
 // the pair is then definitively out: a constraint whose buffer — the
 // C-past writes to the location — is non-empty is unsatisfiable when
 // the view is ⊥ (a program-order-earlier write is always visible,
 // buffered or committed) or when a C-past write program-order-later
 // than the view shadows it (while buffered it is the newer buffer
 // entry, and FIFO commits it after the view, so memory never ends at
-// the view either). Those checks run first, on the gates, and a warm
-// core runs them without allocating.
-func (t *tsoCore) spec(c *computation.Computation, cl *dag.Closure, o *observer.Observer, writers [][]dag.Node) (search.Spec, bool) {
+// the view either). A warm core runs these checks without allocating.
+func (t *tsoCore) check(c *computation.Computation, cl *dag.Closure, o *observer.Observer, writers [][]dag.Node) bool {
 	n := c.NumNodes()
 	numLocs := c.NumLocs()
 
@@ -161,7 +168,7 @@ func (t *tsoCore) spec(c *computation.Computation, cl *dag.Closure, o *observer.
 					continue
 				}
 				if want == observer.Bottom || (w != want && cl.Precedes(want, w)) {
-					return search.Spec{}, false
+					return false
 				}
 				t.commits = append(t.commits, commitOf[w])
 				g.wantPast = g.wantPast || w == want
@@ -175,7 +182,20 @@ func (t *tsoCore) spec(c *computation.Computation, cl *dag.Closure, o *observer.
 		}
 		t.gateEnd[u] = int32(len(t.gates))
 	}
+	return true
+}
 
+// events builds the engine Spec over the expansion and gates that the
+// last check laid out for (c, o), under ops, a labelling of c's dag
+// with c's writers, whose no-ops place the fences. It is the only part
+// of TSO's question that tells a read from a no-op, so the labellings
+// of one writer signature share one check and differ only here. The
+// caller has checked that view causality (hb) is acyclic, which keeps
+// the event dag acyclic.
+func (t *tsoCore) events(c *computation.Computation, cl *dag.Closure, o *observer.Observer, ops []computation.Op) search.Spec {
+	n, numLocs := c.NumNodes(), c.NumLocs()
+	nEvents := n + len(t.writes)
+	commitOf := t.commitOf
 	rd := dag.New(nEvents)
 	for u := 0; u < n; u++ {
 		node := dag.Node(u)
@@ -190,10 +210,10 @@ func (t *tsoCore) spec(c *computation.Computation, cl *dag.Closure, o *observer.
 			// cross.
 			rd.MustAddEdge(node, cu)
 			cl.Descendants(node).ForEach(func(vi int) bool {
-				switch c.Op(dag.Node(vi)).Kind {
-				case computation.Write:
+				switch {
+				case commitOf[vi] >= 0:
 					rd.MustAddEdge(cu, dag.Node(commitOf[vi]))
-				case computation.Noop:
+				case ops[vi].Kind == computation.Noop:
 					rd.MustAddEdge(cu, dag.Node(vi))
 				}
 				return true
@@ -270,5 +290,5 @@ func (t *tsoCore) spec(c *computation.Computation, cl *dag.Closure, o *observer.
 			}
 			return true
 		},
-	}, true
+	}
 }
