@@ -43,6 +43,21 @@ func NewSlab(count, n int) []Set {
 	return sets
 }
 
+// ResetSlab returns count empty sets of capacity n, as NewSlab does,
+// over the storage of sets, a slab NewSlab or ResetSlab returned, when
+// it has room for them, and over a new slab otherwise.
+func ResetSlab(sets []Set, count, n int) []Set {
+	all := sets[:cap(sets)]
+	if len(all) < count || len(all) > 0 && cap(all[0].words) < (n+wordBits-1)/wordBits {
+		return NewSlab(count, n)
+	}
+	sets = all[:count]
+	for i := range sets {
+		sets[i].Reset(n)
+	}
+	return sets
+}
+
 // Reset empties the set and sets its capacity to n, reusing the backing
 // array when it is large enough. Word slices obtained before the call
 // no longer track the set.

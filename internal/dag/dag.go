@@ -47,6 +47,29 @@ func New(n int) *Dag {
 	return &Dag{succs: make([][]Node, n), preds: make([][]Node, n)}
 }
 
+// Reset empties d to n nodes and no edges, keeping its adjacency
+// storage for the edges added next. Slices that Succs and Preds
+// returned before the call no longer track d.
+func (d *Dag) Reset(n int) {
+	if n < 0 {
+		panic(fmt.Sprintf("dag: negative node count %d", n))
+	}
+	d.succs, d.preds, d.edges = resetAdjacency(d.succs, n), resetAdjacency(d.preds, n), 0
+}
+
+// resetAdjacency returns adj resized to n empty lists, over the lists'
+// backing arrays, including those past len(adj).
+func resetAdjacency(adj [][]Node, n int) [][]Node {
+	if adj = adj[:cap(adj)]; len(adj) < n {
+		adj = append(adj, make([][]Node, n-len(adj))...)
+	}
+	adj = adj[:n]
+	for u := range adj {
+		adj[u] = adj[u][:0]
+	}
+	return adj
+}
+
 // NumNodes returns the number of nodes.
 func (d *Dag) NumNodes() int { return len(d.succs) }
 

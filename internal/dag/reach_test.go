@@ -171,3 +171,73 @@ func TestQuickClosureAgainstDFS(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestClosureBuildReuse: one Dag, Reset and refilled, and one Closure,
+// rebuilt in place, follow a shuffled sequence of random dags that grow
+// and shrink across the 64-node word boundary, with node ids permuted so
+// that they are not topological. Every build must give exactly the
+// reachability of a naive fixpoint, a cyclic dag must fail with
+// ErrCycle and leave the next build sound, and a warm rebuild of the
+// same dag must allocate nothing.
+func TestClosureBuildReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var sizes []int
+	for _, n := range []int{0, 1, 2, 5, 9, 63, 64, 65, 100, 130} {
+		sizes = append(sizes, n, n, n)
+	}
+	rng.Shuffle(len(sizes), func(i, j int) { sizes[i], sizes[j] = sizes[j], sizes[i] })
+	var d Dag
+	var c Closure
+	for i, n := range sizes {
+		perm := rng.Perm(n)
+		src := Random(rng, n, 4/float64(n+1))
+		d.Reset(n)
+		for _, e := range src.Edges() {
+			d.MustAddEdge(Node(perm[e[0]]), Node(perm[e[1]]))
+		}
+		if i%4 == 3 && src.NumEdges() > 0 {
+			// Close a cycle through the first edge, then build again
+			// over what the failed build left.
+			e := src.Edges()[0]
+			d.MustAddEdge(Node(perm[e[1]]), Node(perm[e[0]]))
+			if err := c.Build(&d); err != ErrCycle {
+				t.Fatalf("n=%d with a cycle: Build returned %v, want ErrCycle", n, err)
+			}
+			d.Reset(n)
+			for _, e := range src.Edges() {
+				d.MustAddEdge(Node(perm[e[0]]), Node(perm[e[1]]))
+			}
+		}
+		if err := c.Build(&d); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		reach := make([][]bool, n)
+		for u := range reach {
+			reach[u] = make([]bool, n)
+			for _, v := range d.Succs(Node(u)) {
+				reach[u][v] = true
+			}
+		}
+		for k := 0; k < n; k++ {
+			for u := 0; u < n; u++ {
+				for v := 0; reach[u][k] && v < n; v++ {
+					reach[u][v] = reach[u][v] || reach[k][v]
+				}
+			}
+		}
+		if c.NumNodes() != n {
+			t.Fatalf("n=%d: closure of %d nodes", n, c.NumNodes())
+		}
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if c.Precedes(Node(u), Node(v)) != reach[u][v] || c.Ancestors(Node(v)).Contains(u) != reach[u][v] {
+					t.Fatalf("n=%d: %d ≺ %d is %v, ancestors say %v; want %v",
+						n, u, v, c.Precedes(Node(u), Node(v)), c.Ancestors(Node(v)).Contains(u), reach[u][v])
+				}
+			}
+		}
+		if allocs := testing.AllocsPerRun(3, func() { c.Build(&d) }); allocs != 0 {
+			t.Fatalf("n=%d: %v allocs per warm rebuild, want 0", n, allocs)
+		}
+	}
+}

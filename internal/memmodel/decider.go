@@ -24,7 +24,8 @@ import (
 // comparison use them. Sweep, which the pattern sweeps use, decides a
 // whole computation's observers at once, for every labelling of its
 // dag with its writers (sweepwalk.go): every bit but TSO once per
-// observer, TSO's search once per labelling. It falls back on Masked.
+// observer, TSO's search once per observer and effective fence set. It
+// falls back on Masked.
 // Only these take three inclusions that spare the engine,
 // since a Decision's SC and TSO rows carry their search's stats:
 //
@@ -90,7 +91,7 @@ type Decider struct {
 
 	lc     lcCore
 	hb     hbCore
-	tso    tsoCore
+	tso    *tsoCore   // TSO's storage, from its first decision on
 	vals   []dag.Node // SC's singleton candidate sets
 	scr    []int      // LC witness scratch
 	runner *search.Runner

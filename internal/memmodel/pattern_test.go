@@ -8,6 +8,7 @@ import (
 	"repro/internal/computation"
 	"repro/internal/dag"
 	"repro/internal/observer"
+	"repro/internal/search"
 )
 
 // eachComputationLocal enumerates the ordered-node universe of exactly
@@ -173,25 +174,50 @@ func TestPatternDeciderReuse(t *testing.T) {
 // computation, the happens-before core builds hb and runs the RA and
 // CAUSAL checks, and TSO runs its static checks, whether they rule the
 // pair out or lay out its gates, without allocating — the cost
-// PatternDecider pays once per observer on the lattice sweeps.
+// PatternDecider pays once per observer on the lattice sweeps. Once
+// warm, TSO's event dag and Spec (events) and a Runner's search of it
+// allocate nothing either, on every pair the search finds out of TSO:
+// the cost the sweeps pay once per effective fence set.
 func TestHBCoreWarmAllocatesNothing(t *testing.T) {
+	var r search.Runner
+	searched := 0
 	eachComputationLocal(3, 2, func(c *computation.Computation) {
 		cl, writers := c.Closure(), writersByLoc(nil, c)
 		var h hbCore
 		var tso tsoCore
 		observer.Enumerate(c, func(o *observer.Observer) bool {
+			feasible := false
 			decide := func() {
+				feasible = false
 				if h.build(c, cl, o) {
 					h.ra(context.Background(), c, o, writers)
 					h.causal(context.Background(), c, o, writers)
-					tso.check(c, cl, o, writers)
+					feasible = tso.check(c, cl, o, writers)
 				}
 			}
 			decide()
 			if allocs := testing.AllocsPerRun(5, decide); allocs != 0 {
 				t.Fatalf("%v / %v: %v allocs per warm decision, want 0", c, o, allocs)
 			}
+			if !feasible {
+				return true
+			}
+			found := false
+			tsoSearch := func() {
+				found = r.Run(context.Background(), tso.events(c, cl, o, c.Ops()), SearchOptions{}).Found
+			}
+			if tsoSearch(); found {
+				return true
+			}
+			searched++
+			if allocs := testing.AllocsPerRun(5, tsoSearch); allocs != 0 {
+				t.Fatalf("%v / %v: %v allocs per warm TSO search, want 0", c, o, allocs)
+			}
 			return true
 		})
 	})
+	if searched == 0 {
+		t.Fatal("no pair reached TSO's search and was found out")
+	}
+	t.Logf("%d pairs searched warm", searched)
 }

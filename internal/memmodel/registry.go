@@ -122,7 +122,9 @@ func (e *Entry) patternBit() uint16 {
 // read and a no-op never changes it. Every row holds it but TSO, where
 // a no-op is a fence (TestWriterSignatureLicense gives the argument per
 // model and checks it). The sweeps decide the labellings of one writer
-// signature together on that ground.
+// signature together on that ground, and TSO's search once for the
+// labellings that also share their effective fences, the no-ops some
+// write precedes (TestFenceSetLicense).
 func (e *Entry) ReadsOnlyWriters() bool { return !e.fences }
 
 // Engine reports whether the model is decided by a search on the

@@ -25,23 +25,29 @@ import (
 // spill, sleep sets off, a root shard and an already-cancelled context.
 // Every Result must equal a fresh search.RunContext's field for field,
 // Stats included; with two workers, whose counters depend on the
-// schedule, the answer, the witness and the frontier must. The test
-// lives here because internal/search cannot import the spec builders.
+// schedule, the answer, the witness and the frontier must. Each TSO
+// spec keeps its own tsoCore; a second pass runs the same sequence
+// with every TSO spec rebuilt just before its run by one shared core,
+// whose event dag, closure and funcs each build reuses, and holds it to
+// the fresh run of the spec's own core. The test lives here because
+// internal/search cannot import the spec builders.
 func TestRunnerReuseMatchesFresh(t *testing.T) {
 	type spec struct {
 		name string
 		spec search.Spec
+		c    *computation.Computation // for a TSO spec, its pair
+		o    *observer.Observer
 	}
 	var specs []spec
 	add := func(name string, c *computation.Computation, o *observer.Observer) {
-		specs = append(specs, spec{name + " SC", lastWriterSpec(c, o, make([]dag.Node, c.NumLocs()*c.NumNodes()))})
+		o = o.Clone() // Enumerate reuses its observer, and the specs read theirs when they run
+		specs = append(specs, spec{name: name + " SC", spec: lastWriterSpec(c, o, make([]dag.Node, c.NumLocs()*c.NumNodes()))})
 		var hb hbCore
 		if !hb.build(c, c.Closure(), o) {
 			return
 		}
-		// Each spec keeps the storage of its own core.
 		if s, feasible := tsoSpec(new(tsoCore), c, o); feasible {
-			specs = append(specs, spec{name + " TSO", s})
+			specs = append(specs, spec{name + " TSO", s, c, o})
 		}
 	}
 	for n := 0; n <= 3; n++ {
@@ -93,20 +99,32 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 		{"cancelled", cancelled, search.Options{Workers: 1}},
 		{"two workers", context.Background(), search.Options{Workers: 2}},
 	}
-	type job struct{ spec, variant int }
-	jobs := make([]job, 0, len(specs)*len(variants))
+	type job struct {
+		spec, variant int
+		shared        bool // a TSO spec is built on the shared core
+	}
+	jobs := make([]job, 0, 2*len(specs)*len(variants))
 	for si := range specs {
 		for vi := range variants {
-			jobs = append(jobs, job{si, vi})
+			jobs = append(jobs, job{si, vi, false})
 		}
 	}
 	rng.Shuffle(len(jobs), func(i, j int) { jobs[i], jobs[j] = jobs[j], jobs[i] })
+	for _, j := range jobs {
+		jobs = append(jobs, job{j.spec, j.variant, true})
+	}
 
 	var r search.Runner
+	var shared tsoCore
 	spilled, stopped, grown := 0, 0, 0
 	for _, j := range jobs {
 		s, v := specs[j.spec], variants[j.variant]
-		got := r.Run(v.ctx, s.spec, v.opts)
+		spec, core := s.spec, "its own"
+		if j.shared && s.o != nil {
+			spec, _ = tsoSpec(&shared, s.c, s.o)
+			core = "a shared"
+		}
+		got := r.Run(v.ctx, spec, v.opts)
 		want := search.RunContext(v.ctx, s.spec, v.opts)
 		if v.opts.Workers > 1 {
 			// Parallel splitting fixes the answer and the frontier, not
@@ -115,7 +133,7 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 			want.Stats = search.Stats{Roots: want.Stats.Roots, Workers: want.Stats.Workers}
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s, %s: reused Runner\n%+v\nfresh run\n%+v", s.name, v.name, got, want)
+			t.Fatalf("%s, %s: reused Runner on %s core's spec\n%+v\nfresh run\n%+v", s.name, v.name, core, got, want)
 		}
 		if got.Stats.MemoSpilled > 0 {
 			spilled++

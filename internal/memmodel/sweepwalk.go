@@ -13,8 +13,9 @@ import (
 // the labellings that share its writers: Decider.Sweep gives what
 // Masked gives for every observer of c, in Enumerate's order, under
 // each such labelling, but decides SC, LC and the four Q-dag bits once
-// per computation instead of once per pair, and every bit but TSO once
-// per observer instead of once per labelling.
+// per computation instead of once per pair, every bit but TSO once per
+// observer instead of once per labelling, and TSO's search once per
+// observer and effective fence set.
 //
 // SC and LC come from c's topological sorts. By Definitions 17 and 18,
 //
@@ -48,12 +49,16 @@ import (
 //
 // At each leaf SC and LC are read from the bitsets and the Q-dag bits
 // from the walk, and RA, CAUSAL and TSO's checks before its search are
-// decided once, on the tail Masked shares; only TSO's search (outside
-// SC) runs once per labelling. Everything but that search reads only
-// which nodes write which location — the observers themselves, the
-// sorts' last writers, the Q-dag predicates and happens-before — so it
-// holds for every labelling of the sweep (TestWriterSignatureLicense
-// states the argument per model and checks it on the full deciders).
+// decided once, on the tail Masked shares. Everything but TSO's search
+// reads only which nodes write which location — the observers
+// themselves, the sorts' last writers, the Q-dag predicates and
+// happens-before — so it holds for every labelling of the sweep
+// (TestWriterSignatureLicense states the argument per model and checks
+// it on the full deciders). TSO's search (outside SC) also reads the
+// effective fences, the no-ops that some write precedes, and nothing
+// else of the labelling (TestFenceSetLicense), so the members are
+// partitioned once by effective fence set and the search runs at each
+// leaf for the first member of each class, whose bit the rest share.
 // TestSweepMatchesMasked pins every bit of every labelling to Masked.
 
 // maxSweepRanks bounds the observer count of a computation the walk
@@ -78,6 +83,13 @@ type sweepWalk struct {
 	members [][]computation.Op
 	fn      func(member int, pattern uint16) bool
 	stopped bool
+
+	// By member, when mask asks for TSO: its effective fences, the
+	// first member with the same ones, and, at a leaf, TSO's search
+	// result for the members that are first.
+	fences   []uint64
+	fenceRep []int
+	tsoFound []bool
 }
 
 // Sweep points the decider at c and decides each observer o of c, in
@@ -88,10 +100,11 @@ type sweepWalk struct {
 // signature: each node writes the location it writes in c, or nothing
 // when it writes nothing there; deciding c alone is the one-member case,
 // members {c.Ops()}. SC, LC and the Q-dag bits are decided once for c,
-// and every bit but TSO once per observer (sweepwalk.go); a
-// computation the walk does not take, with more than 64 nodes, ids
-// that are not topological or more than maxSweepRanks observers, is
-// enumerated and each labelling decided by Masked instead.
+// every bit but TSO once per observer, and TSO once per observer and
+// effective fence set (sweepwalk.go); a computation the walk does not
+// take, with more than 64 nodes, ids that are not topological or more
+// than maxSweepRanks observers, is enumerated and each labelling
+// decided by Masked instead.
 func (d *Decider) Sweep(c *computation.Computation, members [][]computation.Op, mask uint16, fn func(member int, pattern uint16) bool) int {
 	d.Reset(c)
 	if d.sweep == nil {
@@ -118,6 +131,9 @@ func (d *Decider) Sweep(c *computation.Computation, members [][]computation.Op, 
 	}
 	s.order = s.order[:0]
 	s.sorts(0, -1)
+	if mask&PatternTSO != 0 {
+		s.fenceClasses(members)
+	}
 	s.d, s.mask, s.members, s.fn, s.stopped = d, mask, members, fn, false
 	visited := s.visit(0, 0, 0, true)
 	s.d, s.members, s.fn = nil, nil, nil
@@ -155,6 +171,31 @@ func (s *sweepWalk) reset(c *computation.Computation) bool {
 	s.sc.Reset(count)
 	s.lc.Reset(lcBits)
 	return true
+}
+
+// fenceClasses partitions members by effective fence set, the no-ops
+// that some write of c precedes: tsoCore.events builds one Spec for
+// labellings with the same writers and the same effective fences
+// (TestFenceSetLicense), so each class shares its first member's TSO
+// search.
+func (s *sweepWalk) fenceClasses(members [][]computation.Op) {
+	s.fences, s.fenceRep = grow(s.fences, len(members)), grow(s.fenceRep, len(members))
+	s.tsoFound = grow(s.tsoFound, len(members))
+	for i, ops := range members {
+		var fences uint64
+		for u, op := range ops {
+			if op.Kind == computation.Noop && s.anc[u]&s.written != 0 {
+				fences |= 1 << u
+			}
+		}
+		s.fences[i], s.fenceRep[i] = fences, i
+		for j := 0; j < i; j++ {
+			if s.fences[j] == fences { // the first member with them
+				s.fenceRep[i] = j
+				break
+			}
+		}
+	}
 }
 
 // sorts extends the placed prefix of a sort in every way, and marks the
@@ -218,8 +259,13 @@ func (s *sweepWalk) visit(slot, rank int, viol uint16, lc bool) int {
 		pattern, search := s.d.tail(pattern, s.mask)
 		for i, ops := range s.members {
 			p := pattern
-			if search && s.d.tsoIn(ops) {
-				p |= PatternTSO
+			if search {
+				if s.fenceRep[i] == i {
+					s.tsoFound[i] = s.d.tsoIn(ops)
+				}
+				if s.tsoFound[s.fenceRep[i]] {
+					p |= PatternTSO
+				}
 			}
 			if !s.fn(i, p) {
 				s.stopped = true

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/computation"
 	"repro/internal/dag"
 	"repro/internal/observer"
@@ -170,8 +171,9 @@ func TestSweepMatchesMasked(t *testing.T) {
 // TSO does not hold it: a no-op is a fence (mfence), which every
 // program-order-earlier write commits before, and a read is not. So a
 // TSO verdict can change when a read becomes a no-op, and the sweeps
-// search TSO once per labelling. The pinned pair is one of the 32 of up
-// to four nodes at one location whose TSO verdict changes so.
+// search TSO once per effective fence set (TestFenceSetLicense). The
+// pinned pair is one of the 32 of up to four nodes at one location
+// whose TSO verdict changes so.
 //
 // Over every pair of up to four nodes at one location and up to three
 // at two.
@@ -230,5 +232,79 @@ func TestWriterSignatureLicense(t *testing.T) {
 	noop := c.Relabel([]computation.Op{computation.W(0), computation.W(0), computation.N, computation.N})
 	if !TSO.Contains(c, o) || TSO.Contains(noop, o) {
 		t.Fatalf("%s: in TSO %v, with node 2 a no-op %v; want in, then out", pair, TSO.Contains(c, o), TSO.Contains(noop, o))
+	}
+}
+
+// fencesFor returns the labelling of c's fence class that
+// TestFenceSetLicense compares c with: c's writes, a no-op at each of
+// c's effective fences (its no-ops that some write precedes), a read of
+// location 0 at every other node that some write precedes, and a no-op
+// at every node that no write precedes.
+func fencesFor(c *computation.Computation) *computation.Computation {
+	below := bitset.New(c.NumNodes()) // the nodes some write precedes
+	for u, op := range c.Ops() {
+		if op.Kind == computation.Write {
+			below.UnionWith(c.Closure().Descendants(dag.Node(u)))
+		}
+	}
+	ops := make([]computation.Op, c.NumNodes())
+	for u, op := range c.Ops() {
+		switch {
+		case op.Kind == computation.Write || op.Kind == computation.Noop:
+			ops[u] = op
+		case below.Contains(u):
+			ops[u] = computation.R(0)
+		}
+	}
+	return c.Relabel(ops)
+}
+
+// TestFenceSetLicense is the license for searching TSO once per
+// effective fence set (Sweep's fence classes), as
+// TestWriterSignatureLicense is for the other models. A labelling's
+// effective fences are its no-ops that some write precedes. tsoCore's
+// check reads only which nodes write which location, and events reads
+// the labelling only for the edge from a write's commit to a
+// program-order-later no-op, which exists only below a write: a no-op
+// that no write precedes drains an empty store buffer, an mfence that
+// orders nothing, and gets exactly the edges a read in its place gets.
+// So two labellings with the same writers and the same effective
+// fences pose the same engine question. Over every pair of up to four
+// nodes at one location and up to three at two, each such pair must
+// get the TSO verdict, by Entry.Contains, of the pair whose labelling
+// has the same writers and fences and is otherwise canonical
+// (fencesFor), and when the pair passes TSO's checks before the search,
+// events must build the same edge set for both.
+func TestFenceSetLicense(t *testing.T) {
+	var hb hbCore
+	var core, ref tsoCore
+	compared, searched := 0, 0
+	for _, u := range []struct{ maxNodes, numLocs int }{{4, 1}, {3, 2}} {
+		for _, c := range smallUniverseLocs(u.maxNodes, u.numLocs) {
+			f := fencesFor(c)
+			if f.String() == c.String() {
+				continue
+			}
+			writers := writersByLoc(nil, c)
+			observer.Enumerate(c, func(o *observer.Observer) bool {
+				compared++
+				if in, fIn := TSO.Contains(c, o), TSO.Contains(f, o); in != fIn {
+					t.Fatalf("%v / %v in TSO=%v, but with the labelling %v of its fence class in TSO=%v", c, o, in, f, fIn)
+				}
+				if !hb.build(c, c.Closure(), o) || !core.check(c, c.Closure(), o, writers) {
+					return true
+				}
+				searched++
+				ref.check(f, f.Closure(), o, writers)
+				got, want := core.events(c, c.Closure(), o, c.Ops()).Dag, ref.events(f, f.Closure(), o, f.Ops()).Dag
+				if !got.Equal(want) {
+					t.Fatalf("%v / %v: event dag %v, but with the labelling %v of its fence class %v", c, o, got, f, want)
+				}
+				return true
+			})
+		}
+	}
+	if compared == 0 || searched == 0 {
+		t.Fatalf("%d pairs compared with their fence class's, %d of their event dags; want some of each", compared, searched)
 	}
 }

@@ -84,9 +84,18 @@ func (d *Decider) tsoSearch(ctx context.Context, opts SearchOptions) (search.Res
 // observed write committed before the observer sampled it), so a cycle
 // in precedence ∪ observation has no execution — and its image in the
 // event dag would be cyclic too. And the static checks of
-// tsoCore.check must pass.
+// tsoCore.check must pass. The core is allocated here, on first use,
+// so that a Decider that never decides TSO does not carry it, and a
+// one-shot Decider stays on its caller's stack: the Spec's funcs hold
+// the core, not the Decider.
 func (d *Decider) tsoFeasible() bool {
-	return d.hbAcyclic() && d.tso.check(d.c, d.cl, d.o, d.locWriters())
+	if !d.hbAcyclic() {
+		return false
+	}
+	if d.tso == nil {
+		d.tso = new(tsoCore)
+	}
+	return d.tso.check(d.c, d.cl, d.o, d.locWriters())
 }
 
 // tsoGate is one view constraint at a node's issue event: the buffer
@@ -102,7 +111,9 @@ type tsoGate struct {
 }
 
 // tsoCore is the storage of TSO's engine question, reused from one
-// pair to the next.
+// search to the next: the check's layout, the event dag and its
+// closure, which events rebuilds in place, and the spec over them, whose
+// funcs read the pair events was last given.
 type tsoCore struct {
 	commitOf []int32    // node -> its commit event, -1 for a non-write
 	writes   []dag.Node // commit event n+i -> its write
@@ -111,6 +122,12 @@ type tsoCore struct {
 	commits  []int32 // the gates' buffers
 	vals     []dag.Node
 	skip     []bool
+
+	rd   dag.Dag
+	rcl  dag.Closure
+	spec search.Spec
+	c    *computation.Computation
+	o    *observer.Observer
 }
 
 // check lays out the two-event expansion of c, on which TSO's
@@ -188,15 +205,18 @@ func (t *tsoCore) check(c *computation.Computation, cl *dag.Closure, o *observer
 // events builds the engine Spec over the expansion and gates that the
 // last check laid out for (c, o), under ops, a labelling of c's dag
 // with c's writers, whose no-ops place the fences. It is the only part
-// of TSO's question that tells a read from a no-op, so the labellings
-// of one writer signature share one check and differ only here. The
-// caller has checked that view causality (hb) is acyclic, which keeps
-// the event dag acyclic.
+// of TSO's question that tells a read from a no-op, and only through
+// the edge from a commit to a later no-op, so the labellings of one
+// writer signature share one check, and those whose no-ops below a
+// write are the same share one Spec (TestFenceSetLicense). The caller
+// has checked that view causality (hb) is acyclic, which keeps the
+// event dag acyclic. The Spec is t's: the next events call rebuilds it
+// in place, and a warm core builds it without allocating.
 func (t *tsoCore) events(c *computation.Computation, cl *dag.Closure, o *observer.Observer, ops []computation.Op) search.Spec {
 	n, numLocs := c.NumNodes(), c.NumLocs()
 	nEvents := n + len(t.writes)
-	commitOf := t.commitOf
-	rd := dag.New(nEvents)
+	commitOf, rd := t.commitOf, &t.rd
+	rd.Reset(nEvents)
 	for u := 0; u < n; u++ {
 		node := dag.Node(u)
 		// Issues respect program order in full: c's own edges carry
@@ -234,61 +254,73 @@ func (t *tsoCore) events(c *computation.Computation, cl *dag.Closure, o *observe
 			rd.MustAddEdge(dag.Node(commitOf[w]), node)
 		}
 	}
+	if err := t.rcl.Build(rd); err != nil {
+		panic(err)
+	}
 
 	t.vals = grow(t.vals, numLocs*nEvents)
-	vals, skip, writes := t.vals, t.skip, t.writes
-	gates, gateEnd, commits := t.gates, t.gateEnd, t.commits
-	return search.Spec{
-		Dag:      rd,
-		Closure:  dag.MustClosure(rd),
-		NumSlots: numLocs,
-		WriteSlot: func(u dag.Node) int {
-			if int(u) < n {
-				return -1 // issue events write no slot
-			}
-			return int(c.Op(writes[int(u)-n]).Loc)
-		},
-		Allowed: func(s int, u dag.Node) ([]dag.Node, bool) {
-			if int(u) >= n || skip[s*nEvents+int(u)] {
-				return nil, false
-			}
-			i := s*nEvents + int(u)
-			vals[i] = o.Get(computation.Loc(s), u)
-			if vals[i] != observer.Bottom {
-				// The constraint tracks commit events: the slot writer
-				// is the write's commit, not its issue.
-				vals[i] = dag.Node(commitOf[vals[i]])
-			}
-			return vals[i : i+1 : i+1], true
-		},
-		Gate: func(u dag.Node, last []dag.Node, placed *bitset.Set) bool {
-			if int(u) >= n {
-				return true // commit events carry no gates
-			}
-			lo := int32(0)
-			if u > 0 {
-				lo = gateEnd[u-1]
-			}
-			for _, g := range gates[lo:gateEnd[u]] {
-				buffered := false
-				for _, ce := range commits[g.lo:g.hi] {
-					if !placed.Contains(int(ce)) {
-						buffered = true
-						break
-					}
-				}
-				if buffered {
-					// Forwarding is mandatory: the view is a buffered
-					// write, so want must be in the buffer. Shadowing
-					// was ruled out statically.
-					if !g.wantPast || placed.Contains(int(g.wantCommit)) {
-						return false
-					}
-				} else if last[g.slot] != dag.Node(g.wantCommit) {
-					return false
-				}
-			}
-			return true
-		},
+	t.c, t.o = c, o
+	if t.spec.Dag == nil {
+		t.spec = search.Spec{Dag: rd, Closure: &t.rcl, WriteSlot: t.writeSlot, Allowed: t.allowed, Gate: t.gate}
 	}
+	t.spec.NumSlots = numLocs
+	return t.spec
+}
+
+// writeSlot is the Spec's WriteSlot: a commit event writes its write's
+// location, and an issue event writes no slot.
+func (t *tsoCore) writeSlot(u dag.Node) int {
+	if n := t.c.NumNodes(); int(u) >= n {
+		return int(t.c.Op(t.writes[int(u)-n]).Loc)
+	}
+	return -1
+}
+
+// allowed is the Spec's Allowed: the observed view at an issue event,
+// as the commit event that writes it, unless check left the slot to
+// the gates or to the node itself.
+func (t *tsoCore) allowed(s int, u dag.Node) ([]dag.Node, bool) {
+	n := t.c.NumNodes()
+	i := s*(n+len(t.writes)) + int(u)
+	if int(u) >= n || t.skip[i] {
+		return nil, false
+	}
+	t.vals[i] = t.o.Get(computation.Loc(s), u)
+	if t.vals[i] != observer.Bottom {
+		// The constraint tracks commit events: the slot writer is the
+		// write's commit, not its issue.
+		t.vals[i] = dag.Node(t.commitOf[t.vals[i]])
+	}
+	return t.vals[i : i+1 : i+1], true
+}
+
+// gate is the Spec's Gate: an issue event's view constraints.
+func (t *tsoCore) gate(u dag.Node, last []dag.Node, placed *bitset.Set) bool {
+	if int(u) >= t.c.NumNodes() {
+		return true // commit events carry no gates
+	}
+	lo := int32(0)
+	if u > 0 {
+		lo = t.gateEnd[u-1]
+	}
+	for _, g := range t.gates[lo:t.gateEnd[u]] {
+		buffered := false
+		for _, ce := range t.commits[g.lo:g.hi] {
+			if !placed.Contains(int(ce)) {
+				buffered = true
+				break
+			}
+		}
+		if buffered {
+			// Forwarding is mandatory: the view is a buffered write, so
+			// want must be in the buffer. Shadowing was ruled out
+			// statically.
+			if !g.wantPast || placed.Contains(int(g.wantCommit)) {
+				return false
+			}
+		} else if last[g.slot] != dag.Node(g.wantCommit) {
+			return false
+		}
+	}
+	return true
 }

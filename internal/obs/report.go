@@ -5,7 +5,6 @@ import (
 	"io"
 	"maps"
 	"os"
-	"runtime/metrics"
 	"sync"
 	"time"
 )
@@ -22,9 +21,9 @@ type Report struct {
 	// Start is the wall-clock start of the session.
 	Start time.Time `json:"start"`
 	// WallMS and CPUMS are the session's wall-clock and user-CPU time in
-	// milliseconds. CPU time comes from runtime/metrics and is the
-	// process-wide Go user time, an approximation good enough for
-	// spotting serial-vs-parallel regressions.
+	// milliseconds. CPU time is the process's user time, summed over its
+	// threads, from getrusage(RUSAGE_SELF); it reads 0 on platforms
+	// without getrusage.
 	WallMS float64 `json:"wall_ms"`
 	CPUMS  float64 `json:"cpu_ms"`
 	// ExitCode is the code the process exited with (0/1/2/3 convention).
@@ -161,15 +160,4 @@ func (r *Report) WriteFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// cpuSeconds reads the Go runtime's user-CPU clock (seconds since
-// process start); 0 when the metric is unavailable.
-func cpuSeconds() float64 {
-	samples := []metrics.Sample{{Name: "/cpu/classes/user:cpu-seconds"}}
-	metrics.Read(samples)
-	if samples[0].Value.Kind() != metrics.KindFloat64 {
-		return 0
-	}
-	return samples[0].Value.Float64()
 }

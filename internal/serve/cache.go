@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"context"
 	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"sync"
 )
@@ -27,7 +26,8 @@ import (
 // budgets and wall clock, so replaying it from cache could mask a
 // answer a larger budget would find.
 
-// Key hashes canonical request material into a content address.
+// Key hashes canonical request material into a content address: the
+// raw 32-byte SHA-256 digest, held as a string.
 func Key(parts ...string) string {
 	size := len(parts)
 	for _, p := range parts {
@@ -49,7 +49,7 @@ func appendKeyParts(b []byte, parts ...string) []byte {
 // appendKeyParts frames it.
 func keyOf(framed []byte) string {
 	sum := sha256.Sum256(framed)
-	return hex.EncodeToString(sum[:])
+	return string(sum[:])
 }
 
 // cacheSource says how a response was obtained.

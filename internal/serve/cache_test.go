@@ -147,8 +147,8 @@ func TestKeyIsInjectiveOverFieldBoundaries(t *testing.T) {
 		t.Fatal("key ignores empty trailing fields")
 	}
 	for i := 0; i < 4; i++ {
-		if got := Key("x", fmt.Sprint(i)); len(got) != 64 {
-			t.Fatalf("key length %d, want 64 hex chars", len(got))
+		if got := Key("x", fmt.Sprint(i)); len(got) != 32 {
+			t.Fatalf("key length %d, want the 32 bytes of a SHA-256 digest", len(got))
 		}
 	}
 }

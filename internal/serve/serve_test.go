@@ -410,8 +410,8 @@ func TestEnumerateDeadlineMidSweep(t *testing.T) {
 		}
 	})
 	_, ts := testServer(t, Config{CacheBytes: 1 << 20, Recorder: rec,
-		Limits: Limits{MaxEnumNodes: 5, DefaultTimeout: 50 * time.Millisecond}})
-	resp, data := postJSON(t, ts.URL+"/v1/enumerate", EnumerateRequest{MaxNodes: 5, Workers: 2})
+		Limits: Limits{MaxEnumNodes: 6, DefaultTimeout: 50 * time.Millisecond}})
+	resp, data := postJSON(t, ts.URL+"/v1/enumerate", EnumerateRequest{MaxNodes: 6, Workers: 2})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503: %s", resp.StatusCode, data)
 	}
