@@ -27,7 +27,6 @@ package enum
 // other verdict and are decided together.
 
 import (
-	"cmp"
 	"runtime"
 	"slices"
 	"sync"
@@ -179,9 +178,15 @@ type dagLabellings struct {
 	proto  *computation.Computation // the dag, all no-ops
 	ops    []computation.Op         // labelling i is ops[i*n : (i+1)*n]
 	orbits []int64
-	bySig  []sigIndex              // the labellings by writer signature, for eachGroup
 	group  Group                   // eachGroup's group
 	c      computation.Computation // the storage of group.C
+
+	// eachGroup's counting sort: each labelling's signature, where
+	// each signature's labellings end, and the labellings in
+	// signature order.
+	sigs  []uint64
+	ends  []int
+	order []int
 }
 
 // label returns labelling i.
@@ -205,36 +210,48 @@ func (dl *dagLabellings) eachLabelling(fn func(c *computation.Computation, orbit
 
 // eachGroup passes fn the labellings grouped by writer signature, until
 // fn returns false, and reports whether it ran to the end. Groups come
-// in signature order and members in enumeration order.
+// in signature order and members in enumeration order: a stable
+// counting sort over the (numLocs+1)^n signatures, which are never more
+// than the (2·numLocs+1)^n labellings eachDagClaimed walks for the dag.
 func (dl *dagLabellings) eachGroup(fn func(g *Group) bool) bool {
-	dl.bySig = dl.bySig[:0]
-	for i := range dl.orbits {
-		dl.bySig = append(dl.bySig, sigIndex{signature(dl.label(i), dl.proto.NumLocs()), i})
+	numLocs := dl.proto.NumLocs()
+	numSigs := 1
+	for range dl.n {
+		numSigs *= numLocs + 1
 	}
-	slices.SortFunc(dl.bySig, func(a, b sigIndex) int { return cmp.Or(cmp.Compare(a.sig, b.sig), a.i-b.i) })
+	dl.ends = slices.Grow(dl.ends[:0], numSigs+1)[:numSigs+1]
+	clear(dl.ends)
+	dl.sigs = dl.sigs[:0]
+	for i := range dl.orbits {
+		sig := signature(dl.label(i), numLocs)
+		dl.sigs = append(dl.sigs, sig)
+		dl.ends[sig+1]++
+	}
+	for sig := 1; sig <= numSigs; sig++ {
+		dl.ends[sig] += dl.ends[sig-1]
+	}
+	// ends[sig] is where signature sig's labellings start, until they
+	// are placed; then it is where they end.
+	dl.order = slices.Grow(dl.order[:0], len(dl.sigs))[:len(dl.sigs)]
+	for i, sig := range dl.sigs {
+		dl.order[dl.ends[sig]] = i
+		dl.ends[sig]++
+	}
 	g := &dl.group
-	for start := 0; start < len(dl.bySig); {
+	for start := 0; start < len(dl.order); {
+		end := dl.ends[dl.sigs[dl.order[start]]]
 		g.Labels, g.Orbits = g.Labels[:0], g.Orbits[:0]
-		for _, x := range dl.bySig[start:] {
-			if x.sig != dl.bySig[start].sig {
-				break
-			}
-			g.Labels = append(g.Labels, dl.label(x.i))
-			g.Orbits = append(g.Orbits, dl.orbits[x.i])
+		for _, i := range dl.order[start:end] {
+			g.Labels = append(g.Labels, dl.label(i))
+			g.Orbits = append(g.Orbits, dl.orbits[i])
 		}
-		start += len(g.Labels)
+		start = end
 		g.C = dl.proto.RelabelInto(&dl.c, g.Labels[0])
 		if !fn(g) {
 			return false
 		}
 	}
 	return true
-}
-
-// sigIndex is a labelling's index and its writer signature.
-type sigIndex struct {
-	sig uint64
-	i   int
 }
 
 // signature returns the writer signature of labels over numLocs

@@ -326,7 +326,9 @@ func TestEachComputationReducedParallelStops(t *testing.T) {
 // EachGroupReducedParallel partition the multiset of (labelling, orbit)
 // that EachComputationReduced visits. Each group is one dag and one
 // writer signature: C is its first member, every member labels C's dag
-// with C's writers, and no two groups share a dag and a signature.
+// with C's writers, and no two groups share a dag and a signature. A
+// dag's groups come in signature order, and a group's members in the
+// order EachComputationReduced visits them.
 func TestGroupsPartitionReduced(t *testing.T) {
 	cases := []struct{ n, locs int }{
 		{0, 1}, {1, 1}, {2, 1}, {3, 1}, {4, 1}, {0, 2}, {1, 2}, {2, 2}, {3, 2}, {2, 3},
@@ -343,14 +345,16 @@ func TestGroupsPartitionReduced(t *testing.T) {
 		return c.Relabel(ops).String()
 	}
 	for _, tc := range cases {
-		want := map[string]int{}
+		want, pos := map[string]int{}, map[string]int{}
 		EachComputationReduced(tc.n, tc.locs, func(c *computation.Computation, orbit int64) bool {
 			want[key(c, orbit)]++
+			pos[key(c, orbit)] = len(pos)
 			return true
 		})
 		for workers := 1; workers <= 3; workers++ {
 			got := make([]map[string]int, workers) // one per worker: its calls never overlap
 			sigs := make([][]string, workers)
+			lastDag, lastSig := make([]string, workers), make([]uint64, workers)
 			for w := range got {
 				got[w] = map[string]int{}
 			}
@@ -363,10 +367,21 @@ func TestGroupsPartitionReduced(t *testing.T) {
 					t.Errorf("%v: %v", g.C, err)
 				}
 				sig := writersOnly(g.C)
+				if d, s := fmt.Sprint(g.C.Dag().Edges()), signature(g.Labels[0], tc.locs); d == lastDag[w] && s <= lastSig[w] {
+					t.Errorf("n=%d locs=%d: group %s follows a group of signature %d", tc.n, tc.locs, sig, lastSig[w])
+				} else {
+					lastDag[w], lastSig[w] = d, s
+				}
+				prev := -1
 				for i, ops := range g.Labels {
 					m := g.C.Relabel(append([]computation.Op(nil), ops...))
 					if writersOnly(m) != sig {
 						t.Errorf("a group of %s holds %v", sig, m)
+					}
+					if p := pos[key(m, g.Orbits[i])]; p <= prev {
+						t.Errorf("n=%d locs=%d: a group of %s lists %v out of enumeration order", tc.n, tc.locs, sig, m)
+					} else {
+						prev = p
 					}
 					got[w][key(m, g.Orbits[i])]++
 				}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"errors"
@@ -25,6 +24,15 @@ import (
 // cacheability): an INCONCLUSIVE verdict depends on the request's
 // budgets and wall clock, so replaying it from cache could mask a
 // answer a larger budget would find.
+//
+// A full cache is most of the daemon's live heap, and the garbage
+// collector marks the live heap on every cycle, so each stored verdict
+// is one heap object, its body. The index maps the raw digest to a slot
+// number, the slots hold the keys and the LRU links as slot numbers,
+// and the bodies sit in a slice beside them: neither the index nor the
+// slots hold a pointer, so the collector marks the bodies and skips
+// the rest. A stored body is never written again, even after its
+// eviction, since a handler may still be sending it.
 
 // Key hashes canonical request material into a content address: the
 // raw 32-byte SHA-256 digest, held as a string.
@@ -33,7 +41,8 @@ func Key(parts ...string) string {
 	for _, p := range parts {
 		size += len(p)
 	}
-	return keyOf(appendKeyParts(make([]byte, 0, size), parts...))
+	key := keyOf(appendKeyParts(make([]byte, 0, size), parts...))
+	return string(key[:])
 }
 
 // appendKeyParts appends parts to b as Key frames them: each followed
@@ -47,9 +56,8 @@ func appendKeyParts(b []byte, parts ...string) []byte {
 
 // keyOf is the content address of request material framed as
 // appendKeyParts frames it.
-func keyOf(framed []byte) string {
-	sum := sha256.Sum256(framed)
-	return string(sum[:])
+func keyOf(framed []byte) [sha256.Size]byte {
+	return sha256.Sum256(framed)
 }
 
 // cacheSource says how a response was obtained.
@@ -85,15 +93,28 @@ type flight struct {
 	err  error
 }
 
-// entry is one stored response.
-type entry struct {
-	key  string
-	body []byte
+// slot is one stored entry's place in the recency order, a ring: its
+// key and its neighbours' slots. Slot 0 holds no entry; it closes the
+// ring, so its next is the most recently used slot and its prev the
+// least. A free slot's next is the next free slot, or 0 after the last.
+type slot struct {
+	key        [sha256.Size]byte
+	prev, next int32
 }
 
-// entryOverhead approximates the per-entry bookkeeping cost (list
-// element, map bucket share, entry struct) charged against the budget.
+// entryOverhead approximates what an entry costs beyond its key and
+// body, charged against the budget with them: its index entry (a copy
+// of the key and a slot number, with the map's spare room), its slot,
+// its body's slice header and the allocator's rounding of the body,
+// each with the slack of an array grown by doubling. The value
+// predates this layout and is kept, so the same budget holds the same
+// entries.
 const entryOverhead = 128
+
+// charge is what an entry with body costs against the budget.
+func charge(body []byte) int64 {
+	return int64(sha256.Size+len(body)) + entryOverhead
+}
 
 // CacheStats is the counter snapshot /statsz reports.
 type CacheStats struct {
@@ -111,9 +132,11 @@ type cache struct {
 	mu       sync.Mutex
 	capacity int64
 	bytes    int64
-	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
-	flights  map[string]*flight
+	index    map[[sha256.Size]byte]int32 // key → slot
+	slots    []slot
+	bodies   [][]byte // bodies[i] is slot i's body, nil while i is free
+	free     int32    // the first free slot, or 0
+	flights  map[[sha256.Size]byte]*flight
 
 	hits, misses, shared, evictions int64
 }
@@ -121,9 +144,10 @@ type cache struct {
 func newCache(capacity int64) *cache {
 	return &cache{
 		capacity: capacity,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element),
-		flights:  make(map[string]*flight),
+		index:    make(map[[sha256.Size]byte]int32),
+		slots:    make([]slot, 1),
+		bodies:   make([][]byte, 1),
+		flights:  make(map[[sha256.Size]byte]*flight),
 	}
 }
 
@@ -142,12 +166,12 @@ func newCache(capacity int64) *cache {
 // so collapsed waiters complete with errFillPanicked instead of
 // hanging, and the panic continues up the owner's goroutine to the
 // recovery middleware.
-func (c *cache) do(ctx context.Context, key string, fill func() (body []byte, cacheable bool, err error)) ([]byte, cacheSource, error) {
+func (c *cache) do(ctx context.Context, key [sha256.Size]byte, fill func() (body []byte, cacheable bool, err error)) ([]byte, cacheSource, error) {
 	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
+	if i, ok := c.index[key]; ok {
+		c.touch(i)
 		c.hits++
-		body := el.Value.(*entry).body
+		body := c.bodies[i]
 		c.mu.Unlock()
 		return body, sourceHit, nil
 	}
@@ -193,28 +217,60 @@ func (c *cache) do(ctx context.Context, key string, fill func() (body []byte, ca
 
 // store inserts under the byte budget, evicting LRU entries as needed.
 // Bodies larger than the whole budget are not stored. Callers hold mu.
-func (c *cache) store(key string, body []byte) {
-	cost := int64(len(key)+len(body)) + entryOverhead
+func (c *cache) store(key [sha256.Size]byte, body []byte) {
+	cost := charge(body)
 	if cost > c.capacity {
 		return
 	}
-	if el, ok := c.items[key]; ok { // lost a race with an identical fill
-		c.ll.MoveToFront(el)
+	if i, ok := c.index[key]; ok { // lost a race with an identical fill
+		c.touch(i)
 		return
 	}
+	// The stored charges sum to bytes, so the ring holds an entry while
+	// bytes+cost exceeds a capacity of at least cost.
 	for c.bytes+cost > c.capacity {
-		back := c.ll.Back()
-		if back == nil {
-			return
-		}
-		ev := back.Value.(*entry)
-		c.ll.Remove(back)
-		delete(c.items, ev.key)
-		c.bytes -= int64(len(ev.key)+len(ev.body)) + entryOverhead
+		i := c.slots[0].prev
+		c.unlink(i)
+		delete(c.index, c.slots[i].key)
+		c.bytes -= charge(c.bodies[i])
+		c.bodies[i] = nil
+		c.slots[i].next, c.free = c.free, i
 		c.evictions++
 	}
-	c.items[key] = c.ll.PushFront(&entry{key: key, body: body})
+	i := c.free
+	if i == 0 {
+		i = int32(len(c.slots))
+		c.slots = append(c.slots, slot{})
+		c.bodies = append(c.bodies, nil)
+	} else {
+		c.free = c.slots[i].next
+	}
+	c.slots[i].key = key
+	c.bodies[i] = body
+	c.index[key] = i
+	c.pushFront(i)
 	c.bytes += cost
+}
+
+// touch makes slot i the most recently used.
+func (c *cache) touch(i int32) {
+	c.unlink(i)
+	c.pushFront(i)
+}
+
+// unlink takes slot i out of the ring.
+func (c *cache) unlink(i int32) {
+	prev, next := c.slots[i].prev, c.slots[i].next
+	c.slots[prev].next = next
+	c.slots[next].prev = prev
+}
+
+// pushFront puts slot i into the ring as the most recently used.
+func (c *cache) pushFront(i int32) {
+	first := c.slots[0].next
+	c.slots[i].prev, c.slots[i].next = 0, first
+	c.slots[first].prev = i
+	c.slots[0].next = i
 }
 
 // stats snapshots the counters.
@@ -226,7 +282,7 @@ func (c *cache) stats() CacheStats {
 		Misses:    c.misses,
 		Shared:    c.shared,
 		Evictions: c.evictions,
-		Entries:   c.ll.Len(),
+		Entries:   len(c.index),
 		Bytes:     c.bytes,
 		Capacity:  c.capacity,
 	}

@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
@@ -102,6 +105,52 @@ func TestReaderTakesCorpusRequests(t *testing.T) {
 }
 
 func ptr[T any](v T) *T { return &v }
+
+// TestDecodeBufferReuse: decode reads bodies into pooled buffers, so a
+// request's decoded strings must be unchanged after the next request
+// reads its body into the same buffer, on the reader's path and on
+// encoding/json's.
+func TestDecodeBufferReuse(t *testing.T) {
+	// With one P, the buffer decode puts back is the next one it gets.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	decodeBody := func(body string) (CheckRequest, *byte) {
+		t.Helper()
+		var req CheckRequest
+		r := httptest.NewRequest(http.MethodPost, "/v1/check", strings.NewReader(body))
+		if err := decode(httptest.NewRecorder(), r, &req); err != nil {
+			t.Fatal(err)
+		}
+		buf := bodyPool.Get().(*[]byte)
+		defer bodyPool.Put(buf)
+		return req, unsafe.SliceData(*buf)
+	}
+	for _, body := range []string{
+		`{"pair":"locs x\nnode A W(x)\n","models":["SC","LC"],"options":{"workers":1}}`,
+		`{"pair":"locs x\nnode A W(x)\n","models":["SC","LC"],"options":null}`, // the reader takes no null
+	} {
+		var want CheckRequest
+		if err := decodeJSON(strings.NewReader(body), &want); err != nil {
+			t.Fatal(err)
+		}
+		// Under the race detector sync.Pool drops some of what it is
+		// given, so the two requests repeat until the second reuses the
+		// first one's buffer.
+		reused := false
+		for try := 0; try < 100 && !reused; try++ {
+			got, buf := decodeBody(body)
+			// The next body is as long and shares no byte with this
+			// one before its closing "{}".
+			_, next := decodeBody(strings.Repeat(" ", len(body)-2) + "{}")
+			reused = buf != nil && next == buf
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: decoded %+v, then %+v after the next request", body, want, got)
+			}
+		}
+		if !reused {
+			t.Fatalf("%s: the next request never reused the buffer", body)
+		}
+	}
+}
 
 // FuzzRequestReader holds the reader to encoding/json: a body it takes
 // as a CheckRequest (which even) or BatchRequest (which odd) must be

@@ -136,6 +136,11 @@ type RuntimeStats struct {
 	HeapSysBytes   int64 `json:"heap_sys_bytes"`
 	// RSSBytes is the OS-reported resident set (0 where unreadable).
 	RSSBytes int64 `json:"rss_bytes"`
+	// GCCycles counts the garbage collector's completed cycles, and
+	// GCPauseTotalNS sums their stop-the-world pauses, since the
+	// process started.
+	GCCycles       int64 `json:"gc_cycles"`
+	GCPauseTotalNS int64 `json:"gc_pause_total_ns"`
 }
 
 // readRuntimeStats samples the process gauges. RSS comes from
@@ -147,6 +152,8 @@ func readRuntimeStats() RuntimeStats {
 		Goroutines:     runtime.NumGoroutine(),
 		HeapAllocBytes: int64(ms.HeapAlloc),
 		HeapSysBytes:   int64(ms.HeapSys),
+		GCCycles:       int64(ms.NumGC),
+		GCPauseTotalNS: int64(ms.PauseTotalNs),
 	}
 	if data, err := os.ReadFile("/proc/self/statm"); err == nil {
 		fields := strings.Fields(string(data))
@@ -403,12 +410,20 @@ func (s *Server) writeUnavailable(w http.ResponseWriter, r *http.Request, err er
 // decode reads a bounded JSON body holding exactly one value, rejecting
 // unknown fields so a misspelled option fails loudly instead of
 // silently running ungoverned, and data after the value for the same
-// reason. Trailing whitespace is accepted. The body is read whole; a
+// reason. Trailing whitespace is accepted. The body is read whole,
+// into a buffer from bodyPool that goes back when decode returns; a
 // CheckRequest or BatchRequest is decoded by readRequest, and a body
 // that reader does not take, any other request, or a failed read goes
 // to encoding/json as the same bytes followed by the same read error.
 func decode(w http.ResponseWriter, r *http.Request, v any) error {
-	b, err := readBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
+	buf := bodyPool.Get().(*[]byte)
+	b, err := readBody(*buf, http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
+	defer func() {
+		if cap(b) <= readBodyMax {
+			*buf = b[:0]
+			bodyPool.Put(buf)
+		}
+	}()
 	if err == nil && readRequest(b, v) {
 		return nil
 	}
@@ -433,16 +448,27 @@ func decodeJSON(src io.Reader, v any) error {
 	return nil
 }
 
-// readBody reads body to its end into one buffer sized from the
-// request's Content-Length, which only seeds it: a body that is longer
-// grows it, and a claimed length past readBodyMax (or none) starts it
-// at 512 bytes, so a client cannot reserve memory it does not send.
-func readBody(body io.Reader, size int64) ([]byte, error) {
-	const readBodyMax = 64 << 10
+// bodyPool holds decode's body buffers, none larger than readBodyMax.
+// Reusing a buffer is safe because neither readRequest nor
+// encoding/json returns a string that aliases the body it decodes.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// readBodyMax is the largest Content-Length readBody sizes its buffer
+// by, and the largest buffer bodyPool keeps.
+const readBodyMax = 64 << 10
+
+// readBody reads body to its end into the empty buffer b, or into a
+// new one sized from the request's Content-Length when b is shorter.
+// The length only seeds the buffer: a body that is longer grows it, and
+// a claimed length past readBodyMax (or none) starts it at 512 bytes,
+// so a client cannot reserve memory it does not send.
+func readBody(b []byte, body io.Reader, size int64) ([]byte, error) {
 	if size < 0 || size > readBodyMax {
 		size = 512
 	}
-	b := make([]byte, 0, size+1) // +1: the read that sees EOF
+	if int64(cap(b)) <= size {
+		b = make([]byte, 0, size+1) // +1: the read that sees EOF
+	}
 	for {
 		if len(b) == cap(b) {
 			b = append(b, 0)[:len(b)]
@@ -570,7 +596,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	key := Key("verify", canon.String(), s.cfg.Limits.optionsFingerprint(req.Options))
+	key := keyOf(appendKeyParts(nil, "verify", canon.String(), s.cfg.Limits.optionsFingerprint(req.Options)))
 
 	rec := s.requestRecorder(r)
 	body, src, err := s.cache.do(r.Context(), key, func() ([]byte, bool, error) {
@@ -643,7 +669,7 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	if workers < 0 {
 		workers = 0
 	}
-	key := Key("enumerate", strconv.Itoa(n), strconv.Itoa(locs))
+	key := keyOf(appendKeyParts(nil, "enumerate", strconv.Itoa(n), strconv.Itoa(locs)))
 
 	rec := s.requestRecorder(r)
 	body, src, err := s.cache.do(r.Context(), key, func() ([]byte, bool, error) {

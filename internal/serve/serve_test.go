@@ -779,6 +779,41 @@ func TestStatszRuntime(t *testing.T) {
 	}
 }
 
+// TestStatszGC: the runtime block counts the collector's cycles and
+// their pauses, and a forced cycle moves neither count back.
+func TestStatszGC(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	read := func() (cycles, pauseNS int64) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/statsz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var doc struct {
+			Runtime map[string]json.RawMessage `json:"runtime"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		for field, v := range map[string]*int64{"gc_cycles": &cycles, "gc_pause_total_ns": &pauseNS} {
+			if err := json.Unmarshal(doc.Runtime[field], v); err != nil {
+				t.Fatalf("runtime.%s: %v", field, err)
+			}
+		}
+		return cycles, pauseNS
+	}
+	runtime.GC()
+	cycles, pauseNS := read()
+	if cycles < 1 {
+		t.Errorf("runtime.gc_cycles = %d after a forced cycle, want >= 1", cycles)
+	}
+	runtime.GC()
+	if cycles2, pauseNS2 := read(); cycles2 <= cycles || pauseNS2 < pauseNS {
+		t.Errorf("across a forced cycle gc_cycles went %d -> %d and gc_pause_total_ns %d -> %d", cycles, cycles2, pauseNS, pauseNS2)
+	}
+}
+
 // TestAccessLogWired: with Config.AccessLog set, each exchange logs
 // one structured line carrying its request id and status.
 func TestAccessLogWired(t *testing.T) {
