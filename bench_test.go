@@ -10,6 +10,7 @@
 package ccm
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -157,7 +158,7 @@ func BenchmarkBackerLC(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !checker.VerifyLC(res.Trace).OK {
+		if !checker.VerifyLC(context.Background(), res.Trace, checker.SearchOptions{}).Verdict.In() {
 			b.Fatalf("BACKER violated LC on %v", c)
 		}
 	}
@@ -197,7 +198,7 @@ func BenchmarkBackerSpeedup(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if !checker.VerifyLC(res.Trace).OK {
+				if !checker.VerifyLC(context.Background(), res.Trace, checker.SearchOptions{}).Verdict.In() {
 					b.Fatal("sweep execution violated LC")
 				}
 				tp := float64(s.Makespan)
@@ -229,14 +230,14 @@ func BenchmarkPostmortem(b *testing.B) {
 	}
 	b.Run("LC", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if !checker.VerifyLC(traces[i%len(traces)]).OK {
+			if !checker.VerifyLC(context.Background(), traces[i%len(traces)], checker.SearchOptions{}).Verdict.In() {
 				b.Fatal("last-writer trace must verify")
 			}
 		}
 	})
 	b.Run("SC", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if !checker.VerifySC(traces[i%len(traces)]).OK {
+			if !checker.VerifySC(context.Background(), traces[i%len(traces)], checker.SearchOptions{}).Verdict.In() {
 				b.Fatal("last-writer trace must verify")
 			}
 		}
@@ -346,8 +347,8 @@ func BenchmarkLitmus(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if checker.VerifySC(tr).OK != l.AllowSC ||
-				checker.VerifyLC(tr).OK != l.AllowLC ||
+			if checker.VerifySC(context.Background(), tr, checker.SearchOptions{}).Verdict.In() != l.AllowSC ||
+				checker.VerifyLC(context.Background(), tr, checker.SearchOptions{}).Verdict.In() != l.AllowLC ||
 				l.Program.LamportAllows(l.Outcome) != l.AllowSC {
 				b.Fatalf("%s misclassified", l.Name)
 			}
@@ -380,7 +381,7 @@ func BenchmarkCilkFib(b *testing.B) {
 				if got != want {
 					b.Fatalf("fib(10) = %v", got)
 				}
-				if !checker.VerifyLC(res.Backer.Trace).OK {
+				if !checker.VerifyLC(context.Background(), res.Backer.Trace, checker.SearchOptions{}).Verdict.In() {
 					b.Fatal("fib trace not LC")
 				}
 			}

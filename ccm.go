@@ -40,6 +40,8 @@
 package ccm
 
 import (
+	"context"
+
 	"repro/internal/checker"
 	"repro/internal/computation"
 	"repro/internal/dag"
@@ -153,15 +155,15 @@ func TraceFromObserver(c *Computation, o *Observer) *Trace {
 // VerifySC decides post mortem whether a trace is explainable under
 // sequential consistency, returning a witness observer when it is.
 func VerifySC(t *Trace) (*Observer, bool) {
-	res := checker.VerifySC(t)
-	return res.Observer, res.OK
+	res := checker.VerifySC(context.Background(), t, checker.SearchOptions{})
+	return res.Observer, res.Verdict.In()
 }
 
 // VerifyLC decides post mortem whether a trace is explainable under
 // location consistency, returning a witness observer when it is.
 func VerifyLC(t *Trace) (*Observer, bool) {
-	res := checker.VerifyLC(t)
-	return res.Observer, res.OK
+	res := checker.VerifyLC(context.Background(), t, checker.SearchOptions{})
+	return res.Observer, res.Verdict.In()
 }
 
 // Extension models beyond the paper's Figure 1 (see DESIGN.md §6).

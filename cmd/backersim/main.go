@@ -256,7 +256,7 @@ func runShrink(ctx context.Context, cfg config, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "shrunk %d-event plan on %d nodes to %d events on %d nodes (%d oracle runs)\n",
 		found.Plan.Len(), s.Comp.NumNodes(), repro.Plan.Len(), repro.Sched.Comp.NumNodes(), repro.OracleRuns)
-	_, verdict, _ := checker.VerifyLCCtx(ctx, repro.Result.Trace, cfg.searchOptions())
+	verdict := checker.VerifyLC(ctx, repro.Result.Trace, cfg.searchOptions()).Verdict
 	printOutcome(stdout, repro.Plan, verdict, repro.Result.Trace)
 	class := chaos.Classify(ctx, repro.Result.Trace, cfg.searchOptions(), cfg.classifyTries)
 	fmt.Fprintln(stdout, "model lattice classification:")
@@ -316,7 +316,7 @@ func runReplay(ctx context.Context, cfg config, path string, stdout, stderr io.W
 	}
 	lcOpts := cfg.searchOptions()
 	lcOpts.Recorder = obs.WithRun(cfg.rec, "replay-lc")
-	_, verdict, _ := checker.VerifyLCCtx(ctx, res.Trace, lcOpts)
+	verdict := checker.VerifyLC(ctx, res.Trace, lcOpts).Verdict
 	printOutcome(stdout, plan, verdict, res.Trace)
 	if art != nil {
 		match := res.Trace.String() == art.Trace.String()
@@ -336,6 +336,7 @@ func runReplay(ctx context.Context, cfg config, path string, stdout, stderr io.W
 }
 
 func runVerification(cfg config, stdout, stderr io.Writer) int {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(cfg.seed))
 	lcOK, scOK, scUnknown, caught := 0, 0, 0, 0
 	var f *backer.Faults
@@ -364,16 +365,16 @@ func runVerification(cfg config, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "backersim:", err)
 			return 1
 		}
-		if checker.VerifyLC(res.Trace).OK {
+		if checker.VerifyLC(ctx, res.Trace, checker.SearchOptions{}).Verdict.In() {
 			lcOK++
 		} else {
 			caught++
 		}
 		if checker.OrderExplains(res.Trace, res.Schedule.Order) {
 			scOK++
-		} else if r, exhaustive := checker.VerifySCBudget(res.Trace, 500000); r.OK {
+		} else if v := checker.VerifySC(ctx, res.Trace, checker.SearchOptions{Budget: 500000}).Verdict; v.In() {
 			scOK++
-		} else if !exhaustive {
+		} else if v.Inconclusive() {
 			scUnknown++
 		}
 		if live != nil {
@@ -422,7 +423,7 @@ func runSweep(rng *rand.Rand, shape string, stdout, stderr io.Writer) int {
 				fmt.Fprintln(stderr, "backersim:", err)
 				return 1
 			}
-			if !checker.VerifyLC(res.Trace).OK {
+			if !checker.VerifyLC(context.Background(), res.Trace, checker.SearchOptions{}).Verdict.In() {
 				fmt.Fprintln(stdout, "ERROR: sweep execution violated LC")
 				return 1
 			}

@@ -209,15 +209,8 @@ func runChecks(fs *flag.FlagSet, rec obs.Recorder, opts checker.SearchOptions, t
 		return streamChecks(ctx, rec, nt, opts, witness, stdout, stderr)
 	}
 
-	// Both checks run on the engine; label each check's run events.
-	var fin stream.Final
-	lcOpts := opts
-	lcOpts.Recorder = obs.WithRun(rec, "LC")
-	fin.LCResult, fin.LC, fin.LCStats = checker.VerifyLCCtx(ctx, tr, lcOpts)
-	scOpts := opts
-	scOpts.Recorder = obs.WithRun(rec, "SC")
-	fin.SCResult, fin.SC, fin.SCStats = checker.VerifySCCtx(ctx, tr, scOpts)
-	return printVerdicts(stdout, fin, witness)
+	opts.Recorder = rec
+	return printVerdicts(stdout, checker.Verify(ctx, tr, opts), witness)
 }
 
 // pairChecks decides a committed (computation, observer) pair under
@@ -314,10 +307,10 @@ func streamChecks(ctx context.Context, rec obs.Recorder, nt *trace.NamedTrace,
 	}
 	fopts := opts
 	fopts.Recorder = obs.WithRun(rec, "stream-final")
-	fin := chk.Finish(ctx, fopts)
+	fin := chk.Finish(ctx, fopts, search.StopNone)
 
 	st := chk.Stats()
-	summary := fmt.Sprintf("LC=%s SC=%s", checker.VerdictText(fin.LC), checker.VerdictText(fin.SC))
+	summary := fmt.Sprintf("LC=%s SC=%s", checker.VerdictText(fin.LC.Verdict), checker.VerdictText(fin.SC.Verdict))
 	obs.Emit(srec, obs.Event{Kind: obs.StreamDone, N: st.Events, Total: int(st.Shed), Str: summary})
 	obs.Emit(srec, obs.Event{Kind: obs.RunEnd, Str: summary})
 
@@ -329,29 +322,30 @@ func streamChecks(ctx context.Context, rec obs.Recorder, nt *trace.NamedTrace,
 // exit code: 1 when either check is violated, else 3 when either is
 // inconclusive, else 0. The post-mortem and the streaming runs both end
 // here, so their output cannot drift apart.
-func printVerdicts(stdout io.Writer, fin stream.Final, witness bool) int {
-	fmt.Fprintf(stdout, "LC: %s  (search states: %d)\n", checker.VerdictText(fin.LC), fin.LCStats.States)
-	if fin.LC.In() && witness {
-		fmt.Fprintf(stdout, "    witness: %v\n", fin.LCResult.Observer)
+func printVerdicts(stdout io.Writer, v checker.Verdicts, witness bool) int {
+	lc, sc := v.LC.Verdict, v.SC.Verdict
+	fmt.Fprintf(stdout, "LC: %s  (search states: %d)\n", checker.VerdictText(lc), v.LC.Stats.States)
+	if lc.In() && witness {
+		fmt.Fprintf(stdout, "    witness: %v\n", v.LC.Observer)
 	}
-	fmt.Fprintf(stdout, "SC: %s  (search states: %d)\n", checker.VerdictText(fin.SC), fin.SCStats.States)
+	fmt.Fprintf(stdout, "SC: %s  (search states: %d)\n", checker.VerdictText(sc), v.SC.Stats.States)
 	switch {
-	case fin.SC.In() && witness:
-		fmt.Fprintf(stdout, "    witness: %v\n", fin.SCResult.Observer)
-	case fin.SC.Inconclusive():
-		fmt.Fprintf(stdout, "    stopped by the %s governor; raise -timeout/-max-states and retry\n", fin.SC.Reason)
+	case sc.In() && witness:
+		fmt.Fprintf(stdout, "    witness: %v\n", v.SC.Observer)
+	case sc.Inconclusive():
+		fmt.Fprintf(stdout, "    stopped by the %s governor; raise -timeout/-max-states and retry\n", sc.Reason)
 	}
 
-	if fin.LC.In() && fin.SC.Out() {
+	if v.Relaxed() {
 		fmt.Fprintln(stdout, "\n=> a relaxed (coherent but not sequentially consistent) execution")
 	}
-	if fin.LC.Out() {
+	if lc.Out() {
 		fmt.Fprintln(stdout, "\n=> not even location consistent: per-location write serialization is violated")
 	}
 	switch {
-	case fin.LC.Out() || fin.SC.Out():
+	case lc.Out() || sc.Out():
 		return 1
-	case fin.LC.Inconclusive() || fin.SC.Inconclusive():
+	case lc.Inconclusive() || sc.Inconclusive():
 		return 3
 	}
 	return 0

@@ -1,6 +1,7 @@
 package ccm
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -73,15 +74,15 @@ func TestDifferentialCheckerVsModels(t *testing.T) {
 		}
 		o := observer.FromLastWriter(c, order)
 		tr := trace.FromObserver(c, o)
-		scRes := checker.VerifySC(tr)
-		if !scRes.OK {
+		scRes := checker.VerifySC(context.Background(), tr, checker.SearchOptions{})
+		if !scRes.Verdict.In() {
 			t.Fatalf("SC observer's trace rejected by VerifySC: %v", c)
 		}
 		if !memmodel.SC.Contains(c, scRes.Observer) {
 			t.Fatal("VerifySC witness not in SC")
 		}
-		lcRes := checker.VerifyLC(tr)
-		if !lcRes.OK || !memmodel.LC.Contains(c, lcRes.Observer) {
+		lcRes := checker.VerifyLC(context.Background(), tr, checker.SearchOptions{})
+		if !lcRes.Verdict.In() || !memmodel.LC.Contains(c, lcRes.Observer) {
 			t.Fatal("VerifyLC inconsistency")
 		}
 		// Witness reproduces the read values.
@@ -108,7 +109,7 @@ func TestDifferentialBackerOnlineOffline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !checker.VerifyLC(off.Trace).OK {
+		if !checker.VerifyLC(context.Background(), off.Trace, checker.SearchOptions{}).Verdict.In() {
 			t.Fatalf("offline BACKER violated LC on %v", c)
 		}
 		order, err := c.Dag().TopoSort()

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -21,6 +22,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(42))
 
 	// A Cilk-style spawn tree whose nodes read and write two shared
@@ -45,22 +47,21 @@ func main() {
 		check(err)
 		res, err := backer.Run(s, nil)
 		check(err)
-		lc := checker.VerifyLC(res.Trace)
+		lc := checker.VerifyLC(ctx, res.Trace, checker.SearchOptions{}).Verdict.In()
 		// SC verification is NP-complete; try the execution order as a
 		// witness first, then a budgeted search.
 		sc := "true"
 		if !checker.OrderExplains(res.Trace, s.Order) {
-			if r, exhaustive := checker.VerifySCBudget(res.Trace, 200000); r.OK {
-				sc = "true"
-			} else if exhaustive {
+			switch v := checker.VerifySC(ctx, res.Trace, checker.SearchOptions{Budget: 200000}).Verdict; {
+			case v.Out():
 				sc = "false"
-			} else {
+			case v.Inconclusive():
 				sc = "unknown"
 			}
 		}
 		fmt.Printf("P=%d: makespan=%3d steals=%2d flushes=%3d fetches=%3d  LC=%v SC=%s\n",
-			P, s.Makespan, s.Steals, res.Stats.Flushes, res.Stats.Fetches, lc.OK, sc)
-		if !lc.OK {
+			P, s.Makespan, s.Steals, res.Stats.Flushes, res.Stats.Fetches, lc, sc)
+		if !lc {
 			fmt.Println("ERROR: healthy BACKER must maintain location consistency")
 			return
 		}
@@ -76,7 +77,7 @@ func main() {
 		faults := &backer.Faults{SkipReconcile: 0.6, SkipFlush: 0.6, Rng: rng}
 		res, err := backer.Run(s, faults)
 		check(err)
-		if !checker.VerifyLC(res.Trace).OK {
+		if !checker.VerifyLC(ctx, res.Trace, checker.SearchOptions{}).Verdict.In() {
 			detected++
 		}
 	}

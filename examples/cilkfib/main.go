@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -73,7 +74,7 @@ func main() {
 	for _, P := range []int{1, 2, 4, 8, 16} {
 		res, err := cilk.Execute(p, P, rng, nil)
 		check(err)
-		lc := checker.VerifyLC(res.Backer.Trace).OK
+		lc := checker.VerifyLC(context.Background(), res.Backer.Trace, checker.SearchOptions{}).Verdict.In()
 		fmt.Printf("  P=%-2d makespan=%-5d steals=%-4d fib=%-6v LC=%v\n",
 			P, res.Schedule.Makespan, res.Schedule.Steals, result(p, out, res), lc)
 	}
@@ -83,7 +84,7 @@ func main() {
 		faults := &backer.Faults{SkipReconcile: 0.9, SkipFlush: 0.9, Rng: rng}
 		res, err := cilk.Execute(p, 8, rng, faults)
 		check(err)
-		lc := checker.VerifyLC(res.Backer.Trace).OK
+		lc := checker.VerifyLC(context.Background(), res.Backer.Trace, checker.SearchOptions{}).Verdict.In()
 		fmt.Printf("  trial %d: fib=%-8v LC=%v\n", trial+1, result(p, out, res), lc)
 	}
 	fmt.Printf("\n(correct answer: %d — the checker flags exactly the broken runs)\n", fibIter(n))

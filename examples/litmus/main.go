@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/checker"
@@ -23,8 +24,8 @@ func main() {
 			fmt.Println("error:", err)
 			return
 		}
-		sc := checker.VerifySC(tr).OK
-		lc := checker.VerifyLC(tr).OK
+		sc := checker.VerifySC(context.Background(), tr, checker.SearchOptions{}).Verdict.In()
+		lc := checker.VerifyLC(context.Background(), tr, checker.SearchOptions{}).Verdict.In()
 		lamport := l.Program.LamportAllows(l.Outcome)
 		status := ""
 		if sc != l.AllowSC || lc != l.AllowLC || lamport != sc {

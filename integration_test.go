@@ -1,6 +1,7 @@
 package ccm
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -102,10 +103,10 @@ func TestTestdataTraces(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.file, err)
 		}
-		if got := checker.VerifySC(nt.Trace).OK; got != tc.allowSC {
+		if got := checker.VerifySC(context.Background(), nt.Trace, checker.SearchOptions{}).Verdict.In(); got != tc.allowSC {
 			t.Errorf("%s: SC = %v, want %v", tc.file, got, tc.allowSC)
 		}
-		if got := checker.VerifyLC(nt.Trace).OK; got != tc.allowLC {
+		if got := checker.VerifyLC(context.Background(), nt.Trace, checker.SearchOptions{}).Verdict.In(); got != tc.allowLC {
 			t.Errorf("%s: LC = %v, want %v", tc.file, got, tc.allowLC)
 		}
 	}

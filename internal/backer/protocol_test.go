@@ -1,6 +1,7 @@
 package backer
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -104,7 +105,7 @@ func TestHealthyRunCoversEveryCrossingEdge(t *testing.T) {
 					P, trial, res.Stats.CrossEdges, len(rec.reconciles))
 			}
 
-			if v := checker.VerifyLC(res.Trace); !v.OK {
+			if !checker.VerifyLC(context.Background(), res.Trace, checker.SearchOptions{}).Verdict.In() {
 				t.Fatalf("P=%d trial %d: healthy BACKER run violates LC", P, trial)
 			}
 		}

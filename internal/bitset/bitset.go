@@ -128,28 +128,6 @@ func (s *Set) Clone() *Set {
 	return c
 }
 
-// Clear removes all elements.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
-// Fill adds every element in [0, Cap()).
-func (s *Set) Fill() {
-	for i := range s.words {
-		s.words[i] = ^uint64(0)
-	}
-	s.trim()
-}
-
-// trim zeroes bits beyond capacity so that Len and Equal stay exact.
-func (s *Set) trim() {
-	if s.n%wordBits != 0 && len(s.words) > 0 {
-		s.words[len(s.words)-1] &= (1 << uint(s.n%wordBits)) - 1
-	}
-}
-
 func (s *Set) sameCap(t *Set) {
 	if s.n != t.n {
 		panic(fmt.Sprintf("bitset: capacity mismatch %d vs %d", s.n, t.n))
@@ -172,14 +150,6 @@ func (s *Set) IntersectWith(t *Set) {
 	}
 }
 
-// DifferenceWith removes every element of t from s.
-func (s *Set) DifferenceWith(t *Set) {
-	s.sameCap(t)
-	for i, w := range t.words {
-		s.words[i] &^= w
-	}
-}
-
 // Equal reports whether s and t contain exactly the same elements.
 func (s *Set) Equal(t *Set) bool {
 	if s.n != t.n {
@@ -191,28 +161,6 @@ func (s *Set) Equal(t *Set) bool {
 		}
 	}
 	return true
-}
-
-// SubsetOf reports whether every element of s is in t.
-func (s *Set) SubsetOf(t *Set) bool {
-	s.sameCap(t)
-	for i, w := range s.words {
-		if w&^t.words[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Intersects reports whether s and t share at least one element.
-func (s *Set) Intersects(t *Set) bool {
-	s.sameCap(t)
-	for i, w := range s.words {
-		if w&t.words[i] != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Words exposes the backing word slice (least-significant word first,

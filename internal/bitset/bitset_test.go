@@ -71,20 +71,6 @@ func TestOutOfRangePanics(t *testing.T) {
 	}
 }
 
-func TestFillAndClear(t *testing.T) {
-	for _, n := range []int{0, 1, 63, 64, 65, 200} {
-		s := New(n)
-		s.Fill()
-		if s.Len() != n {
-			t.Fatalf("n=%d: Len after Fill = %d", n, s.Len())
-		}
-		s.Clear()
-		if !s.Empty() {
-			t.Fatalf("n=%d: not empty after Clear", n)
-		}
-	}
-}
-
 func TestSetOps(t *testing.T) {
 	a := New(70)
 	b := New(70)
@@ -112,39 +98,6 @@ func TestSetOps(t *testing.T) {
 	x.IntersectWith(b)
 	if x.String() != "{3, 65}" {
 		t.Fatalf("intersection = %s, want {3, 65}", x)
-	}
-
-	d := a.Clone()
-	d.DifferenceWith(b)
-	if d.String() != "{1, 2}" {
-		t.Fatalf("difference = %s, want {1, 2}", d)
-	}
-}
-
-func TestSubsetIntersects(t *testing.T) {
-	a := New(10)
-	b := New(10)
-	a.Add(1)
-	a.Add(2)
-	b.Add(1)
-	b.Add(2)
-	b.Add(3)
-	if !a.SubsetOf(b) {
-		t.Fatal("a should be subset of b")
-	}
-	if b.SubsetOf(a) {
-		t.Fatal("b should not be subset of a")
-	}
-	if !a.Intersects(b) {
-		t.Fatal("a should intersect b")
-	}
-	c := New(10)
-	c.Add(9)
-	if a.Intersects(c) {
-		t.Fatal("a should not intersect c")
-	}
-	if !c.SubsetOf(c) {
-		t.Fatal("set should be subset of itself")
 	}
 }
 

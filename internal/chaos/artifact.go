@@ -46,13 +46,11 @@ type ModelVerdict struct {
 // write escapes the lattice entirely.
 func Classify(ctx context.Context, tr *trace.Trace, opts checker.SearchOptions, maxTries int) []ModelVerdict {
 	out := make([]ModelVerdict, 0, 6)
-	_, sc, _ := checker.VerifySCCtx(ctx, tr, opts)
-	out = append(out, ModelVerdict{Model: "SC", Verdict: sc})
-	_, lc, _ := checker.VerifyLCCtx(ctx, tr, opts)
-	out = append(out, ModelVerdict{Model: "LC", Verdict: lc})
+	out = append(out, ModelVerdict{Model: "SC", Verdict: checker.VerifySC(ctx, tr, opts).Verdict})
+	out = append(out, ModelVerdict{Model: "LC", Verdict: checker.VerifyLC(ctx, tr, opts).Verdict})
+	tries := checker.SearchOptions{Budget: int64(maxTries)}
 	for _, m := range []memmodel.Model{memmodel.NN, memmodel.NW, memmodel.WN, memmodel.WW} {
-		_, v := checker.VerifyModelCtx(ctx, m, tr, maxTries)
-		out = append(out, ModelVerdict{Model: m.Name(), Verdict: v})
+		out = append(out, ModelVerdict{Model: m.Name(), Verdict: checker.VerifyModel(ctx, m, tr, tries).Verdict})
 	}
 	return out
 }

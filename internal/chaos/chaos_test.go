@@ -36,7 +36,7 @@ func litmusSchedule(t *testing.T) *sched.Schedule {
 
 func verifyLC(t *testing.T, tr *trace.Trace) checker.Verdict {
 	t.Helper()
-	_, v, _ := checker.VerifyLCCtx(context.Background(), tr, checker.SearchOptions{})
+	v := checker.VerifyLC(context.Background(), tr, checker.SearchOptions{}).Verdict
 	if v.Inconclusive() {
 		t.Fatalf("ungoverned LC verification came back inconclusive")
 	}

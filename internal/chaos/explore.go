@@ -7,7 +7,6 @@ import (
 	"repro/internal/backer"
 	"repro/internal/checker"
 	"repro/internal/computation"
-	"repro/internal/dag"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/search"
@@ -162,7 +161,7 @@ func Explore(ctx context.Context, s *sched.Schedule, opts Options) (*Report, err
 			panic(err) // sites come from the validated schedule; see Explore's recover
 		}
 		rep.Explored++
-		_, verdict, _ := checker.VerifyLCCtx(ctx, res.Trace, opts.Search)
+		verdict := checker.VerifyLC(ctx, res.Trace, opts.Search).Verdict
 		if rec != nil {
 			live.States.Add(1)
 			live.Done.Add(1)
@@ -205,18 +204,4 @@ func Explore(ctx context.Context, s *sched.Schedule, opts Options) (*Report, err
 		return nil, err
 	}
 	return rep, nil
-}
-
-// crossingEdges returns the schedule's crossing edges (src, dst pairs
-// whose endpoints run on different processors), in execution order.
-func crossingEdges(s *sched.Schedule) [][2]dag.Node {
-	var out [][2]dag.Node
-	for _, u := range s.Order {
-		for _, v := range s.Comp.Dag().Preds(u) {
-			if s.Proc[v] != s.Proc[u] {
-				out = append(out, [2]dag.Node{v, u})
-			}
-		}
-	}
-	return out
 }

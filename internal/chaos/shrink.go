@@ -79,8 +79,7 @@ func ShrinkRec(ctx context.Context, s *sched.Schedule, p *Plan, opts checker.Sea
 			return false, nil, err
 		}
 		runs++
-		_, verdict, _ := checker.VerifyLCCtx(ctx, res.Trace, opts)
-		return verdict.Out(), res, nil
+		return checker.VerifyLC(ctx, res.Trace, opts).Verdict.Out(), res, nil
 	}
 
 	violates, res, err := oracle(s, p)

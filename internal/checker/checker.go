@@ -9,6 +9,13 @@
 // of internal/search, constrained only at read nodes (whose candidate
 // writer sets come from value equality), which scales to traces far
 // beyond the exhaustive-enumeration experiments.
+//
+// There is one function per question, each taking a context, the trace
+// and search options and returning one Result: VerifySC, VerifyLC and
+// VerifyModel. Verify asks the question behind the verify CLI, POST
+// /v1/verify and the final record of POST /v1/trace — is the trace
+// explainable under LC, and under SC? — and its Verdicts carry the
+// relaxed diagnosis, so the three frontends agree by construction.
 package checker
 
 import (
@@ -17,6 +24,7 @@ import (
 	"repro/internal/computation"
 	"repro/internal/dag"
 	"repro/internal/memmodel"
+	"repro/internal/obs"
 	"repro/internal/observer"
 	"repro/internal/search"
 	"repro/internal/trace"
@@ -24,7 +32,7 @@ import (
 
 // SearchOptions tunes the engine behind the serialization checkers
 // (workers for parallel root splitting, search-state budget). The zero
-// value picks defaults (auto workers, unlimited budget).
+// value runs each search on one worker with no budget.
 type SearchOptions = search.Options
 
 // SearchStats reports the work a verification's searches did.
@@ -50,13 +58,35 @@ func VerdictText(v Verdict) string {
 	}
 }
 
-// Result reports a verification outcome with a witness when positive.
+// Result is one verification outcome. Out means the exhaustive search
+// excluded every explanation; a cancelled or expired context, or an
+// exhausted opts.Budget, yields an inconclusive verdict with its stop
+// reason.
 type Result struct {
-	OK bool
-	// Observer is a full observer function explaining the trace, when
-	// the checker constructs one (VerifyModel does; the serialization
-	// checkers reconstruct it from their witness sorts).
+	Verdict Verdict
+	// Observer is a full observer function explaining the trace, for
+	// an In verdict: VerifyModel finds one directly, the serialization
+	// checkers build it from their witness sorts.
 	Observer *observer.Observer
+	// Stats is the work the searches did.
+	Stats SearchStats
+}
+
+// Verdicts is a trace's LC and SC results: the answer behind the
+// verify CLI, POST /v1/verify and the final record of POST /v1/trace.
+type Verdicts struct{ LC, SC Result }
+
+// Relaxed reports the coherent-but-not-SC diagnosis: LC explains the
+// trace and SC is violated.
+func (v Verdicts) Relaxed() bool { return v.LC.Verdict.In() && v.SC.Verdict.Out() }
+
+// Verify runs VerifyLC and then VerifySC, labelling their runs "LC" and
+// "SC" under opts.Recorder.
+func Verify(ctx context.Context, t *trace.Trace, opts SearchOptions) Verdicts {
+	lcOpts, scOpts := opts, opts
+	lcOpts.Recorder = obs.WithRun(opts.Recorder, "LC")
+	scOpts.Recorder = obs.WithRun(opts.Recorder, "SC")
+	return Verdicts{LC: VerifyLC(ctx, t, lcOpts), SC: VerifySC(ctx, t, scOpts)}
 }
 
 // constraints[l][u] is the allowed writer set for node u at location l,
@@ -64,7 +94,12 @@ type Result struct {
 // observer.Bottom in the slice.
 type constraints [][][]dag.Node
 
+// buildConstraints reports false when no model explains t: t is
+// malformed, or some read has no candidate writer.
 func buildConstraints(t *trace.Trace) (constraints, bool) {
+	if t.Validate() != nil {
+		return nil, false
+	}
 	c := t.Comp
 	cons := make(constraints, c.NumLocs())
 	for l := range cons {
@@ -143,45 +178,17 @@ func searchConstrained(ctx context.Context, t *trace.Trace, cons constraints, lo
 // consistency: some single topological sort's last-writer semantics
 // produce exactly the observed read values. On success the witness
 // observer is the last-writer observer of the sort. The decision is
-// exact but worst-case exponential (the problem is NP-complete [GK94]);
-// use VerifySCBudget on large traces.
-func VerifySC(t *trace.Trace) Result {
-	res, _ := VerifySCBudget(t, 0)
-	return res
-}
-
-// VerifySCBudget is VerifySC with a cap on explored search states
-// (0 = unlimited). The second result reports whether the search was
-// exhaustive: if false, the trace may or may not be SC.
-func VerifySCBudget(t *trace.Trace, budget int) (Result, bool) {
-	res, exhausted, _ := VerifySCOpts(t, SearchOptions{Budget: int64(budget)})
-	return res, exhausted
-}
-
-// VerifySCOpts is VerifySC with engine options (parallel workers,
-// state budget), also reporting aggregate search statistics. The
+// exact but worst-case exponential (the problem is NP-complete [GK94]),
+// so large traces want opts.Budget or a deadline on ctx. The
 // per-location serializability precheck (a polynomial-size relaxation
 // of SC) shares the options; each constrained location costs at most
 // one budget's worth of states, so the total work is bounded by
 // (locations + 1) × Budget.
-func VerifySCOpts(t *trace.Trace, opts SearchOptions) (Result, bool, SearchStats) {
-	res, verdict, stats := VerifySCCtx(context.Background(), t, opts)
-	return res, verdict.Decided, stats
-}
-
-// VerifySCCtx is VerifySC under a context with a typed verdict:
-// cancellation or deadline expiry stops the searches promptly and
-// yields an inconclusive verdict (as does exhausting opts.Budget), Out
-// means the exhaustive search excluded every explaining serialization,
-// and In comes with the witness observer.
-func VerifySCCtx(ctx context.Context, t *trace.Trace, opts SearchOptions) (Result, Verdict, SearchStats) {
-	var stats SearchStats
-	if err := t.Validate(); err != nil {
-		return Result{}, search.VerdictOut(), stats
-	}
+func VerifySC(ctx context.Context, t *trace.Trace, opts SearchOptions) Result {
+	var r Result
 	cons, ok := buildConstraints(t)
 	if !ok {
-		return Result{}, search.VerdictOut(), stats
+		return Result{Verdict: search.VerdictOut()}
 	}
 	// Necessary condition: every location must be independently
 	// serializable. Exact rejections here skip the joint search; a
@@ -190,12 +197,14 @@ func VerifySCCtx(ctx context.Context, t *trace.Trace, opts SearchOptions) (Resul
 	// return immediately anyway.
 	for l := computation.Loc(0); int(l) < t.Comp.NumLocs(); l++ {
 		res := serializeLocChoices(ctx, t.Comp, l, cons[l], opts)
-		stats.Add(res.Stats)
+		r.Stats.Add(res.Stats)
 		if !res.Found && res.Exhausted {
-			return Result{}, search.VerdictOut(), stats
+			r.Verdict = search.VerdictOut()
+			return r
 		}
 		if stop := res.Stop; stop == search.StopDeadline || stop == search.StopCancel {
-			return Result{}, search.VerdictInconclusive(stop), stats
+			r.Verdict = search.VerdictInconclusive(stop)
+			return r
 		}
 	}
 	locs := make([]computation.Loc, t.Comp.NumLocs())
@@ -203,11 +212,12 @@ func VerifySCCtx(ctx context.Context, t *trace.Trace, opts SearchOptions) (Resul
 		locs[l] = computation.Loc(l)
 	}
 	res := searchConstrained(ctx, t, cons, locs, opts)
-	stats.Add(res.Stats)
-	if !res.Found {
-		return Result{}, res.Verdict(), stats
+	r.Stats.Add(res.Stats)
+	r.Verdict = res.Verdict()
+	if res.Found {
+		r.Observer = observer.FromLastWriter(t.Comp, res.Order)
 	}
-	return Result{OK: true, Observer: observer.FromLastWriter(t.Comp, res.Order)}, search.VerdictIn(), stats
+	return r
 }
 
 // OrderExplains reports whether a specific topological sort's
@@ -241,44 +251,31 @@ func OrderExplains(t *trace.Trace, order []dag.Node) bool {
 // VerifyLC decides whether the trace is explainable under location
 // consistency: each location independently admits a serialization
 // matching the observed values. On success the witness observer is
-// assembled from the per-location sorts.
-func VerifyLC(t *trace.Trace) Result {
-	res, _, _ := VerifyLCOpts(t, SearchOptions{})
-	return res
-}
-
-// VerifyLCOpts is VerifyLC with engine options, also reporting whether
-// every per-location search was exhaustive (relevant only with a
-// budget) and aggregate search statistics.
-func VerifyLCOpts(t *trace.Trace, opts SearchOptions) (Result, bool, SearchStats) {
-	res, verdict, stats := VerifyLCCtx(context.Background(), t, opts)
-	return res, verdict.Decided, stats
-}
-
-// VerifyLCCtx is VerifyLC under a context with a typed verdict; see
-// VerifySCCtx for the verdict semantics.
-func VerifyLCCtx(ctx context.Context, t *trace.Trace, opts SearchOptions) (Result, Verdict, SearchStats) {
-	var stats SearchStats
-	if err := t.Validate(); err != nil {
-		return Result{}, search.VerdictOut(), stats
-	}
+// assembled from the per-location sorts. The verdict reads as
+// VerifySC's.
+func VerifyLC(ctx context.Context, t *trace.Trace, opts SearchOptions) Result {
+	var r Result
 	cons, ok := buildConstraints(t)
 	if !ok {
-		return Result{}, search.VerdictOut(), stats
+		return Result{Verdict: search.VerdictOut()}
 	}
 	sorts := make([][]dag.Node, t.Comp.NumLocs())
 	for l := computation.Loc(0); int(l) < t.Comp.NumLocs(); l++ {
 		res := serializeLocChoices(ctx, t.Comp, l, cons[l], opts)
-		stats.Add(res.Stats)
+		r.Stats.Add(res.Stats)
 		if !res.Found {
-			return Result{}, res.Verdict(), stats
+			r.Verdict = res.Verdict()
+			return r
 		}
 		sorts[l] = res.Order
 	}
+	r.Verdict = search.VerdictIn()
 	if t.Comp.NumLocs() == 0 {
-		return Result{OK: true, Observer: observer.New(t.Comp)}, search.VerdictIn(), stats
+		r.Observer = observer.New(t.Comp)
+	} else {
+		r.Observer = observer.FromPerLocationSorts(t.Comp, sorts)
 	}
-	return Result{OK: true, Observer: observer.FromPerLocationSorts(t.Comp, sorts)}, search.VerdictIn(), stats
+	return r
 }
 
 // serializeLocChoices finds a serialization of location l compatible
@@ -311,28 +308,16 @@ func serializeLocChoices(ctx context.Context, c *computation.Computation, l comp
 // pinned to their value-derived candidates; all other entries range
 // over the full candidate sets) via search.Assignments. Exponential in
 // the number of unconstrained entries — intended for the dag-consistent
-// models on moderate computations. maxTries caps the enumeration
-// (0 = unlimited); if the cap is hit without success, the second
-// result is false.
-func VerifyModel(m memmodel.Model, t *trace.Trace, maxTries int) (Result, bool) {
-	res, verdict := VerifyModelCtx(context.Background(), m, t, maxTries)
-	return res, verdict.Decided
-}
-
-// VerifyModelCtx is VerifyModel under a context with a typed verdict:
-// ctx is polled between candidate observers, so cancellation or
-// deadline expiry stops the enumeration promptly with an inconclusive
-// verdict, as does hitting maxTries.
-func VerifyModelCtx(ctx context.Context, m memmodel.Model, t *trace.Trace, maxTries int) (Result, Verdict) {
-	if err := t.Validate(); err != nil {
-		return Result{}, search.VerdictOut()
+// models on moderate computations. opts.Budget caps the candidates
+// tried, which Stats.States counts; ctx is polled between them.
+// Hitting the cap, or a stopped ctx, yields an inconclusive verdict.
+func VerifyModel(ctx context.Context, m memmodel.Model, t *trace.Trace, opts SearchOptions) Result {
+	cons, ok := buildConstraints(t)
+	if !ok {
+		return Result{Verdict: search.VerdictOut()}
 	}
 	c := t.Comp
 	cands := observer.Candidates(c)
-	cons, ok := buildConstraints(t)
-	if !ok {
-		return Result{}, search.VerdictOut()
-	}
 	// Intersect read rows with trace candidates.
 	for l := range cands {
 		for u := range cands[l] {
@@ -355,9 +340,8 @@ func VerifyModelCtx(ctx context.Context, m memmodel.Model, t *trace.Trace, maxTr
 	for l := 0; l < c.NumLocs(); l++ {
 		domains = append(domains, cands[l]...)
 	}
-	tried := 0
+	var r Result
 	stop := search.StopNone
-	var found *observer.Observer
 	search.Assignments(domains, func(assign []dag.Node) bool {
 		if err := ctx.Err(); err != nil {
 			stop = search.ContextStopReason(err)
@@ -366,23 +350,24 @@ func VerifyModelCtx(ctx context.Context, m memmodel.Model, t *trace.Trace, maxTr
 		for i, v := range assign {
 			o.Set(computation.Loc(i/n), dag.Node(i%n), v)
 		}
-		tried++
+		r.Stats.States++
 		if m.Contains(c, o) {
-			found = o.Clone()
+			r.Observer = o.Clone()
 			return false
 		}
-		if maxTries > 0 && tried >= maxTries {
+		if opts.Budget > 0 && r.Stats.States >= opts.Budget {
 			stop = search.StopBudget
 			return false
 		}
 		return true
 	})
 	switch {
-	case found != nil:
-		return Result{OK: true, Observer: found}, search.VerdictIn()
+	case r.Observer != nil:
+		r.Verdict = search.VerdictIn()
 	case stop != search.StopNone:
-		return Result{}, search.VerdictInconclusive(stop)
+		r.Verdict = search.VerdictInconclusive(stop)
 	default:
-		return Result{}, search.VerdictOut()
+		r.Verdict = search.VerdictOut()
 	}
+	return r
 }

@@ -1,17 +1,30 @@
 package checker
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/computation"
 	"repro/internal/dag"
 	"repro/internal/memmodel"
+	"repro/internal/obs"
 	"repro/internal/observer"
 	"repro/internal/paperfig"
+	"repro/internal/search"
 	"repro/internal/trace"
 )
+
+// sc and lc run the serialization checkers ungoverned.
+func sc(tr *trace.Trace) Result { return VerifySC(context.Background(), tr, SearchOptions{}) }
+func lc(tr *trace.Trace) Result { return VerifyLC(context.Background(), tr, SearchOptions{}) }
+
+// model runs VerifyModel with a cap of tries candidates (0 = none).
+func model(m memmodel.Model, tr *trace.Trace, tries int64) Result {
+	return VerifyModel(context.Background(), m, tr, SearchOptions{Budget: tries})
+}
 
 func TestVerifySCSimpleChain(t *testing.T) {
 	c := computation.New(1)
@@ -21,8 +34,8 @@ func TestVerifySCSimpleChain(t *testing.T) {
 	o := observer.New(c)
 	o.Set(0, b, a)
 	tr := trace.FromObserver(c, o)
-	res := VerifySC(tr)
-	if !res.OK {
+	res := sc(tr)
+	if !res.Verdict.In() {
 		t.Fatal("W->R trace must be SC")
 	}
 	if err := res.Observer.Validate(c); err != nil {
@@ -33,7 +46,7 @@ func TestVerifySCSimpleChain(t *testing.T) {
 	}
 	// A stale read is not explainable at all (no candidate).
 	tr.ReadVal[b] = trace.Undefined
-	if VerifySC(tr).OK || VerifyLC(tr).OK {
+	if sc(tr).Verdict.In() || lc(tr).Verdict.In() {
 		t.Fatal("stale read past a write must be rejected")
 	}
 }
@@ -41,11 +54,11 @@ func TestVerifySCSimpleChain(t *testing.T) {
 func TestVerifyDekkerTrace(t *testing.T) {
 	fx := paperfig.Dekker()
 	tr := trace.FromObserver(fx.Comp, fx.Obs)
-	if VerifySC(tr).OK {
+	if sc(tr).Verdict.In() {
 		t.Fatal("Dekker trace must not verify under SC")
 	}
-	res := VerifyLC(tr)
-	if !res.OK {
+	res := lc(tr)
+	if !res.Verdict.In() {
 		t.Fatal("Dekker trace must verify under LC")
 	}
 	if !memmodel.LC.Contains(fx.Comp, res.Observer) {
@@ -61,22 +74,55 @@ func TestVerifyDekkerTrace(t *testing.T) {
 	}
 }
 
+// Verify is VerifyLC then VerifySC, each run labelled under the
+// recorder, and Relaxed is the Dekker trace's diagnosis: LC explains
+// it, SC does not.
+func TestVerifyRunsLCThenSC(t *testing.T) {
+	fx := paperfig.Dekker()
+	tr := trace.FromObserver(fx.Comp, fx.Obs)
+	var runs []string
+	rec := recordFunc(func(ev obs.Event) {
+		if ev.Kind == obs.RunStart {
+			runs = append(runs, ev.Run)
+		}
+	})
+	v := Verify(context.Background(), tr, SearchOptions{Recorder: obs.WithRun(rec, "verify")})
+	if !v.Relaxed() || !v.LC.Verdict.In() || !v.SC.Verdict.Out() {
+		t.Fatalf("Dekker trace: LC %v, SC %v, relaxed %v; want explainable, VIOLATED, relaxed", v.LC.Verdict, v.SC.Verdict, v.Relaxed())
+	}
+	if want := []string{"LC", "LC", "SC", "SC", "SC"}; !slices.Equal(runs, want) {
+		t.Fatalf("runs %v, want %v (LC's per-location searches, then SC's prechecks and joint search)", runs, want)
+	}
+	if lcOnly := lc(tr); lcOnly.Stats != v.LC.Stats || lcOnly.Observer.String() != v.LC.Observer.String() {
+		t.Fatal("Verify's LC result differs from VerifyLC's")
+	}
+	undecided := Result{Verdict: search.VerdictInconclusive(search.StopBudget)}
+	for _, w := range []Verdicts{{LC: v.LC, SC: v.LC}, {LC: v.SC, SC: v.SC}, {LC: v.LC, SC: undecided}, {LC: undecided, SC: v.SC}} {
+		if w.Relaxed() {
+			t.Fatalf("relaxed with LC %v and SC %v", w.LC.Verdict, w.SC.Verdict)
+		}
+	}
+}
+
+type recordFunc func(obs.Event)
+
+func (f recordFunc) Record(ev obs.Event) { f(ev) }
+
 func TestVerifyModelFigure4(t *testing.T) {
 	fx := paperfig.Figure4()
 	tr := trace.FromObserver(fx.Prefix, fx.PrefixObs)
 	// The crossing trace is explainable under NN but not under LC.
-	res, exhausted := VerifyModel(memmodel.NN, tr, 0)
-	if !res.OK || !exhausted {
+	res := model(memmodel.NN, tr, 0)
+	if !res.Verdict.In() {
 		t.Fatal("crossing trace must verify under NN")
 	}
 	if !memmodel.NN.Contains(fx.Prefix, res.Observer) {
 		t.Fatal("witness not in NN")
 	}
-	if VerifyLC(tr).OK {
+	if lc(tr).Verdict.In() {
 		t.Fatal("crossing trace must not verify under LC")
 	}
-	lcRes, exhausted := VerifyModel(memmodel.LC, tr, 0)
-	if lcRes.OK || !exhausted {
+	if !model(memmodel.LC, tr, 0).Verdict.Out() {
 		t.Fatal("VerifyModel(LC) must agree with VerifyLC")
 	}
 }
@@ -100,12 +146,12 @@ func TestVerifyModelCap(t *testing.T) {
 		tr.ReadVal[u] = 5
 	}
 	never := memmodel.Func("NEVER", func(*computation.Computation, *observer.Observer) bool { return false })
-	res, exhausted := VerifyModel(never, tr, 1)
-	if res.OK {
+	res := model(never, tr, 1)
+	if res.Verdict.In() {
 		t.Fatal("NEVER verified")
 	}
-	if exhausted {
-		t.Fatal("cap of 1 must report non-exhaustion")
+	if res.Verdict.Decided || res.Verdict.Reason != search.StopBudget || res.Stats.States != 1 {
+		t.Fatalf("cap of 1 gave %v after %d candidates, want INCONCLUSIVE(budget) after 1", res.Verdict, res.Stats.States)
 	}
 }
 
@@ -127,22 +173,17 @@ func TestVerifySCBudgetNonExhaustive(t *testing.T) {
 	for i, r := range reads {
 		tr.ReadVal[r] = tr.WriteVal[writes[i]]
 	}
-	res, exhaustive := checkerVerifySCBudget(tr, 1)
-	if res.OK {
+	res := VerifySC(context.Background(), tr, SearchOptions{Budget: 1})
+	if res.Verdict.In() {
 		return // found instantly; fine
 	}
-	if exhaustive {
+	if res.Verdict.Decided {
 		t.Fatal("budget=1 claimed exhaustive search on a 12-node instance")
 	}
 	// Unlimited budget decides it.
-	if full := VerifySC(tr); !full.OK {
+	if !sc(tr).Verdict.In() {
 		t.Fatal("consistent trace rejected")
 	}
-}
-
-// indirection so the test reads naturally.
-func checkerVerifySCBudget(tr *trace.Trace, budget int) (Result, bool) {
-	return VerifySCBudget(tr, budget)
 }
 
 func TestVerifyLCAmbiguousValues(t *testing.T) {
@@ -159,12 +200,12 @@ func TestVerifyLCAmbiguousValues(t *testing.T) {
 	tr.WriteVal[w1] = 7
 	tr.WriteVal[w2] = 7
 	tr.ReadVal[r] = 7
-	if !VerifyLC(tr).OK {
+	if !lc(tr).Verdict.In() {
 		t.Fatal("ambiguous but consistent trace rejected")
 	}
 	// Make it unsatisfiable: the read wants a value neither write has.
 	tr.ReadVal[r] = 9
-	if VerifyLC(tr).OK {
+	if lc(tr).Verdict.In() {
 		t.Fatal("unsatisfiable trace accepted")
 	}
 }
@@ -198,10 +239,10 @@ func TestVerifyInvalidTrace(t *testing.T) {
 	c.AddNode(computation.W(0))
 	tr := trace.New(c)
 	tr.WriteVal[0] = trace.Undefined
-	if VerifySC(tr).OK || VerifyLC(tr).OK {
+	if sc(tr).Verdict.In() || lc(tr).Verdict.In() {
 		t.Fatal("invalid trace verified")
 	}
-	if res, _ := VerifyModel(memmodel.NN, tr, 0); res.OK {
+	if model(memmodel.NN, tr, 0).Verdict.In() {
 		t.Fatal("invalid trace verified by VerifyModel")
 	}
 }
@@ -209,7 +250,7 @@ func TestVerifyInvalidTrace(t *testing.T) {
 func TestVerifyEmptyTrace(t *testing.T) {
 	c := computation.New(2)
 	tr := trace.New(c)
-	if !VerifySC(tr).OK || !VerifyLC(tr).OK {
+	if !sc(tr).Verdict.In() || !lc(tr).Verdict.In() {
 		t.Fatal("empty trace must verify")
 	}
 }
@@ -238,7 +279,7 @@ func TestQuickCheckerSoundAndComplete(t *testing.T) {
 		// SC-generated trace: must verify under both SC and LC.
 		o := observer.FromLastWriter(c, order)
 		tr := trace.FromObserver(c, o)
-		if !VerifySC(tr).OK || !VerifyLC(tr).OK {
+		if !sc(tr).Verdict.In() || !lc(tr).Verdict.In() {
 			return false
 		}
 		// Tamper with one read, if there is one: replace its value with
@@ -246,7 +287,7 @@ func TestQuickCheckerSoundAndComplete(t *testing.T) {
 		for u := 0; u < n; u++ {
 			if c.Op(dag.Node(u)).Kind == computation.Read {
 				tr.ReadVal[u] = 1 << 40
-				if VerifySC(tr).OK || VerifyLC(tr).OK {
+				if sc(tr).Verdict.In() || lc(tr).Verdict.In() {
 					return false
 				}
 				break
@@ -325,7 +366,7 @@ func TestQuickVerifySCAgainstBruteForce(t *testing.T) {
 			}
 			return true
 		})
-		return VerifySC(tr).OK == brute
+		return sc(tr).Verdict.In() == brute
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

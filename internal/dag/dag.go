@@ -140,9 +140,6 @@ func (d *Dag) Preds(u Node) []Node {
 	return d.preds[u]
 }
 
-// OutDegree returns the number of direct successors of u.
-func (d *Dag) OutDegree(u Node) int { return len(d.Succs(u)) }
-
 // InDegree returns the number of direct predecessors of u.
 func (d *Dag) InDegree(u Node) int { return len(d.Preds(u)) }
 

@@ -121,56 +121,6 @@ func RandomLayered(rng *rand.Rand, layers, width int, p float64) *Dag {
 	return d
 }
 
-// ForkJoin returns a series-parallel (fork/join) dag of the kind
-// generated by Cilk-style spawn/sync programs: starting from a single
-// edge, it recursively replaces edges with either a sequence of two
-// tasks or a parallel fork/join of `branch` tasks, for `depth` levels.
-// The result has one source and one sink.
-func ForkJoin(rng *rand.Rand, depth, branch int) *Dag {
-	if branch < 2 {
-		panic("dag: ForkJoin branch must be at least 2")
-	}
-	d := New(2)
-	type edge struct{ u, v Node }
-	frontier := []edge{{0, 1}}
-	for level := 0; level < depth; level++ {
-		var next []edge
-		for _, e := range frontier {
-			if rng.Intn(2) == 0 {
-				// Series: u -> m -> v.
-				m := d.AddNode()
-				next = append(next, edge{e.u, m}, edge{m, e.v})
-			} else {
-				// Parallel fork/join: u -> b_i -> v for each branch.
-				for b := 0; b < branch; b++ {
-					m := d.AddNode()
-					next = append(next, edge{e.u, m}, edge{m, e.v})
-				}
-			}
-		}
-		frontier = next
-	}
-	for _, e := range frontier {
-		d.MustAddEdge(e.u, e.v)
-	}
-	return d
-}
-
-// BinaryTreeDown returns a complete binary out-tree with `levels` levels
-// (2^levels - 1 nodes); node i has children 2i+1 and 2i+2.
-func BinaryTreeDown(levels int) *Dag {
-	if levels < 1 {
-		panic("dag: BinaryTreeDown needs at least one level")
-	}
-	n := 1<<uint(levels) - 1
-	d := New(n)
-	for i := 0; 2*i+2 < n; i++ {
-		d.MustAddEdge(Node(i), Node(2*i+1))
-		d.MustAddEdge(Node(i), Node(2*i+2))
-	}
-	return d
-}
-
 // SpawnTree returns the dag of a divide-and-conquer computation that
 // recursively spawns two children and syncs: each internal task has a
 // "pre" node that forks to two subtrees and a "post" node that joins

@@ -75,39 +75,6 @@ func TestRandomLayered(t *testing.T) {
 	}
 }
 
-func TestForkJoinSeriesParallel(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 20; trial++ {
-		d := ForkJoin(rng, 3, 2)
-		if err := d.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		if len(d.Sources()) != 1 || len(d.Sinks()) != 1 {
-			t.Fatalf("fork/join dag must be single-source single-sink: %v", d)
-		}
-		c := MustClosure(d)
-		// Source precedes everything; everything precedes sink.
-		for u := Node(2); int(u) < d.NumNodes(); u++ {
-			if !c.Precedes(0, u) {
-				t.Fatalf("source does not precede %d", u)
-			}
-			if !c.Precedes(u, 1) {
-				t.Fatalf("%d does not precede sink", u)
-			}
-		}
-	}
-}
-
-func TestBinaryTreeDown(t *testing.T) {
-	d := BinaryTreeDown(3)
-	if d.NumNodes() != 7 || d.NumEdges() != 6 {
-		t.Fatalf("tree: n=%d e=%d", d.NumNodes(), d.NumEdges())
-	}
-	if len(d.Sources()) != 1 || len(d.Sinks()) != 4 {
-		t.Fatal("tree shape wrong")
-	}
-}
-
 func TestSpawnTree(t *testing.T) {
 	d := SpawnTree(3)
 	if err := d.Validate(); err != nil {
@@ -128,8 +95,6 @@ func TestGeneratorPanics(t *testing.T) {
 		func() { Fork(0) },
 		func() { Join(0) },
 		func() { Grid(0, 3) },
-		func() { ForkJoin(rand.New(rand.NewSource(1)), 1, 1) },
-		func() { BinaryTreeDown(0) },
 		func() { RandomLayered(rand.New(rand.NewSource(1)), 0, 1, 0.5) },
 	} {
 		func() {

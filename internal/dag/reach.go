@@ -116,46 +116,3 @@ func (c *Closure) Descendants(u Node) *bitset.Set { return &c.desc[u] }
 // Ancestors returns the set of strict ancestors of u. The returned set
 // is shared; callers must not modify it.
 func (c *Closure) Ancestors(u Node) *bitset.Set { return &c.anc[u] }
-
-// TransitiveClosureDag returns a new Dag with an edge (u, v) whenever
-// u ≺ v in d.
-func TransitiveClosureDag(d *Dag) (*Dag, error) {
-	c, err := NewClosure(d)
-	if err != nil {
-		return nil, err
-	}
-	out := New(d.NumNodes())
-	for u := 0; u < c.n; u++ {
-		c.desc[u].ForEach(func(v int) bool {
-			out.MustAddEdge(Node(u), Node(v))
-			return true
-		})
-	}
-	return out, nil
-}
-
-// TransitiveReduction returns the unique minimal dag with the same
-// precedence relation as d: edge (u, v) survives iff there is no
-// intermediate node w with u ≺ w ≺ v.
-func TransitiveReduction(d *Dag) (*Dag, error) {
-	c, err := NewClosure(d)
-	if err != nil {
-		return nil, err
-	}
-	out := New(d.NumNodes())
-	for u := 0; u < d.NumNodes(); u++ {
-		for _, v := range d.succs[u] {
-			redundant := false
-			for _, w := range d.succs[u] {
-				if w != v && c.desc[w].Contains(int(v)) {
-					redundant = true
-					break
-				}
-			}
-			if !redundant {
-				out.MustAddEdge(Node(u), v)
-			}
-		}
-	}
-	return out, nil
-}

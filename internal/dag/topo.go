@@ -126,17 +126,6 @@ func (d *Dag) EachTopoSort(fn func(order []Node) bool) int {
 	return visited
 }
 
-// CountTopoSorts returns |TS(G)|. The count saturates at limit when
-// limit > 0 (enumeration stops early); pass limit <= 0 to count all.
-func (d *Dag) CountTopoSorts(limit int) int {
-	count := 0
-	d.EachTopoSort(func([]Node) bool {
-		count++
-		return limit <= 0 || count < limit
-	})
-	return count
-}
-
 // IsTopoSort reports whether order is a topological sort of the dag:
 // a permutation of the nodes in which every edge points forward.
 func (d *Dag) IsTopoSort(order []Node) bool {

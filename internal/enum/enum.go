@@ -114,19 +114,6 @@ func EachPair(maxNodes, numLocs int, fn func(c *computation.Computation, o *obse
 	return total
 }
 
-// ModelPairs materializes every pair of the universe belonging to the
-// model. Useful for strictness witnesses and lattice comparisons.
-func ModelPairs(m memmodel.Model, maxNodes, numLocs int) []memmodel.Pair {
-	var out []memmodel.Pair
-	EachPair(maxNodes, numLocs, func(c *computation.Computation, o *observer.Observer) bool {
-		if m.Contains(c, o) {
-			out = append(out, memmodel.Pair{C: c, O: o.Clone()})
-		}
-		return true
-	})
-	return out
-}
-
 // Relation classifies the relationship between two models over the
 // universe: for each model, whether it contains a pair the other lacks.
 type Relation struct {

@@ -96,17 +96,6 @@ func TestEachPairValidAndCounted(t *testing.T) {
 	}
 }
 
-func TestModelPairsAndStronger(t *testing.T) {
-	scPairs := ModelPairs(memmodel.SC, 2, 1)
-	lcPairs := ModelPairs(memmodel.LC, 2, 1)
-	if len(scPairs) == 0 || len(lcPairs) < len(scPairs) {
-		t.Fatalf("|SC| = %d, |LC| = %d", len(scPairs), len(lcPairs))
-	}
-	if !memmodel.Stronger(memmodel.SC, memmodel.LC, lcPairs) {
-		t.Fatal("SC must be stronger than LC")
-	}
-}
-
 func TestCompareRelations(t *testing.T) {
 	// At ≤2 nodes with one location, SC = LC (a single location's sort
 	// is the sort), and NN ⊆ WW strictly requires ≥3 nodes... verify the

@@ -34,7 +34,7 @@ var SC Model = registered("SC")
 
 // SearchOptions tunes the backtracking engine behind the SC decider
 // (workers for parallel root splitting, state budget). The zero value
-// picks defaults (auto workers, unlimited budget).
+// runs one worker with no budget.
 type SearchOptions = search.Options
 
 // SearchStats reports the work a decider's search did.

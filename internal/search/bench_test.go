@@ -1,6 +1,7 @@
 package search_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -494,12 +495,12 @@ func BenchmarkSearchCheckerSCCollision(b *testing.B) {
 		b.Run(fmt.Sprintf("engine/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, _, stats := checker.VerifySCOpts(tr, checker.SearchOptions{Workers: 1})
-				if !res.OK {
+				res := checker.VerifySC(context.Background(), tr, checker.SearchOptions{Workers: 1})
+				if !res.Verdict.In() {
 					b.Fatal("collision trace must verify")
 				}
 				if i == 0 {
-					b.ReportMetric(float64(stats.States), "states")
+					b.ReportMetric(float64(res.Stats.States), "states")
 				}
 			}
 		})

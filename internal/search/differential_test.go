@@ -216,11 +216,11 @@ func TestQuickCheckerAgainstBruteForce(t *testing.T) {
 				continue
 			}
 			wantSC := bruteTraceSC(tr, sorts)
-			resSC := checker.VerifySC(tr)
-			if resSC.OK != wantSC {
-				t.Fatalf("VerifySC(%v) = %v, brute force says %v", tr, resSC.OK, wantSC)
+			resSC := checker.VerifySC(context.Background(), tr, checker.SearchOptions{})
+			if resSC.Verdict.In() != wantSC {
+				t.Fatalf("VerifySC(%v) = %v, brute force says %v", tr, resSC.Verdict, wantSC)
 			}
-			if resSC.OK {
+			if resSC.Verdict.In() {
 				scPos++
 				if !memmodel.SC.Contains(c, resSC.Observer) {
 					t.Fatalf("VerifySC witness observer not in SC")
@@ -229,11 +229,11 @@ func TestQuickCheckerAgainstBruteForce(t *testing.T) {
 				scNeg++
 			}
 			wantLC := bruteTraceLC(tr, sorts)
-			resLC := checker.VerifyLC(tr)
-			if resLC.OK != wantLC {
-				t.Fatalf("VerifyLC(%v) = %v, brute force says %v", tr, resLC.OK, wantLC)
+			resLC := checker.VerifyLC(context.Background(), tr, checker.SearchOptions{})
+			if resLC.Verdict.In() != wantLC {
+				t.Fatalf("VerifyLC(%v) = %v, brute force says %v", tr, resLC.Verdict, wantLC)
 			}
-			if resLC.OK && !memmodel.LC.Contains(c, resLC.Observer) {
+			if resLC.Verdict.In() && !memmodel.LC.Contains(c, resLC.Observer) {
 				t.Fatalf("VerifyLC witness observer not in LC")
 			}
 		}
@@ -290,15 +290,16 @@ func TestQuickCheckerParallelMatchesSerial(t *testing.T) {
 			if tr.Validate() != nil {
 				continue
 			}
-			serial, _, _ := checker.VerifySCOpts(tr, checker.SearchOptions{Workers: 1})
-			par, _, _ := checker.VerifySCOpts(tr, checker.SearchOptions{Workers: 4})
-			if serial.OK != par.OK {
-				t.Fatalf("VerifySC workers=4 %v, workers=1 %v on %v", par.OK, serial.OK, tr)
+			ctx := context.Background()
+			serial := checker.VerifySC(ctx, tr, checker.SearchOptions{Workers: 1}).Verdict
+			par := checker.VerifySC(ctx, tr, checker.SearchOptions{Workers: 4}).Verdict
+			if serial != par {
+				t.Fatalf("VerifySC workers=4 %v, workers=1 %v on %v", par, serial, tr)
 			}
-			serialLC, _, _ := checker.VerifyLCOpts(tr, checker.SearchOptions{Workers: 1})
-			parLC, _, _ := checker.VerifyLCOpts(tr, checker.SearchOptions{Workers: 4})
-			if serialLC.OK != parLC.OK {
-				t.Fatalf("VerifyLC workers=4 %v, workers=1 %v on %v", parLC.OK, serialLC.OK, tr)
+			serialLC := checker.VerifyLC(ctx, tr, checker.SearchOptions{Workers: 1}).Verdict
+			parLC := checker.VerifyLC(ctx, tr, checker.SearchOptions{Workers: 4}).Verdict
+			if serialLC != parLC {
+				t.Fatalf("VerifyLC workers=4 %v, workers=1 %v on %v", parLC, serialLC, tr)
 			}
 		}
 	}

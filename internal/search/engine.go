@@ -3,7 +3,6 @@ package search
 import (
 	"context"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -31,10 +30,6 @@ var outcomeNames = [...]string{stFail: "exhausted", stFound: "found", stAbort: "
 // budget batching: workers draw states in chunks to keep the shared
 // atomic cold. Serial runs draw one at a time so the cap is exact.
 const budgetChunk = 64
-
-// With auto worker selection (Options.Workers == 0), problems smaller
-// than this run serially: goroutine fan-out costs more than the search.
-const parallelMinNodes = 24
 
 // cancellation poll interval (states) — a power of two minus checks.
 const cancelMask = 63
@@ -633,11 +628,7 @@ func (r *Runner) Run(ctx context.Context, spec Spec, opts Options) Result {
 		return trivialResult(rec, Result{Exhausted: true, WitnessRoot: -1, Stats: Stats{Roots: total}})
 	}
 
-	workers := opts.Workers
-	if workers == 0 && r.p.n >= parallelMinNodes {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = max(min(workers, hi-lo), 1)
+	workers := max(min(opts.Workers, hi-lo), 1)
 	chunk := int64(budgetChunk)
 	// The memo cap is per run; each worker's table gets an equal share.
 	memoCap := opts.MaxMemoBytes

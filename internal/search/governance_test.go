@@ -174,7 +174,7 @@ func TestDeadlineInconclusive(t *testing.T) {
 }
 
 // TestCheckerDeadline is the same property one layer up, through
-// checker.VerifySCCtx — where the hard instances actually come from.
+// checker.VerifySC — where the hard instances actually come from.
 func TestCheckerDeadline(t *testing.T) {
 	tr := govTrace(11, 30, 8, 0.08, 2, 3, 3)
 	base := runtime.NumGoroutine()
@@ -182,7 +182,7 @@ func TestCheckerDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, verdict, _ := checker.VerifySCCtx(ctx, tr, checker.SearchOptions{Workers: 4})
+	verdict := checker.VerifySC(ctx, tr, checker.SearchOptions{Workers: 4}).Verdict
 	elapsed := time.Since(start)
 
 	if !verdict.Inconclusive() || verdict.Reason != search.StopDeadline {

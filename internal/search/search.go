@@ -54,7 +54,8 @@
 //     shared atomic state budget. Memo entries and sleep sets record
 //     only refutations, so the lowest-root rule makes the witness
 //     deterministic: with an unlimited budget, any Workers setting and
-//     any shard cut return the same Found/Order as Workers = 1.
+//     any shard cut return the same Found/Order as Workers = 1. A zero
+//     Workers runs one worker; only an explicit width fans out.
 package search
 
 import (
@@ -68,10 +69,11 @@ import (
 
 // Options tunes a Run without changing its answer (budget aside).
 type Options struct {
-	// Workers is the number of goroutines that claim roots.
-	// 0 picks GOMAXPROCS with a small-problem serial cutoff;
-	// 1 forces a serial run; >1 forces parallel splitting
-	// (capped at the number of admissible roots in the run).
+	// Workers is the number of goroutines that claim roots: 0 and 1
+	// run serially, >1 splits the roots in parallel (capped at the
+	// number of admissible roots in the run). Callers that want the
+	// machine's width pass runtime.GOMAXPROCS(0) themselves, as the
+	// CLIs' -workers flags do.
 	Workers int
 	// Budget caps the number of search states explored (0 = unlimited).
 	// On exhaustion Result.Exhausted is false and the answer is

@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/checker"
 	"repro/internal/computation"
 	"repro/internal/memmodel"
 	"repro/internal/observer"
@@ -31,6 +32,18 @@ func Render(named *computation.Named, d memmodel.Decision) ModelResult {
 			v.Loc, named.RenderNode(v.U), named.RenderNode(v.V), named.RenderNode(v.W))
 	}
 	return r
+}
+
+// verifyResult returns the wire block of one check of a trace: the
+// verify CLI's verdict spelling, the search states, and for an In
+// verdict the witness observer as -witness prints it. POST /v1/verify
+// and every /v1/trace final record build their blocks here.
+func verifyResult(r checker.Result) *VerifyResult {
+	v := &VerifyResult{Verdict: r.Verdict, Text: checker.VerdictText(r.Verdict), States: r.Stats.States}
+	if r.Verdict.In() {
+		v.Witness = fmt.Sprintf("%v", r.Observer)
+	}
+	return v
 }
 
 // WriteExplain prints the -explain lines that follow a result's verdict

@@ -30,7 +30,7 @@
 //     half-written responses.
 //
 // The decisions themselves are the same code paths the CLIs use
-// (memmodel.Decider, checker.Verify*Ctx, expt census), so a
+// (memmodel.Decider, checker.Verify, expt census), so a
 // verdict or witness obtained over HTTP is byte-identical to the CLI's
 // — the property the conformance suite in cmd/ccmc and cmd/verify
 // pins.
@@ -614,30 +614,11 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := s.decisionContext(timeout)
 		defer cancel()
 
-		lcOpts := opts
-		lcOpts.Recorder = obs.WithRun(rec, "LC")
-		lcRes, lcVerdict, lcStats := checker.VerifyLCCtx(ctx, tr, lcOpts)
-		lc := &VerifyResult{Verdict: lcVerdict, Text: checker.VerdictText(lcVerdict), States: lcStats.States}
-		if lcVerdict.In() {
-			lc.Witness = fmt.Sprintf("%v", lcRes.Observer)
-		}
-
-		scOpts := opts
-		scOpts.Recorder = obs.WithRun(rec, "SC")
-		scRes, scVerdict, scStats := checker.VerifySCCtx(ctx, tr, scOpts)
-		sc := &VerifyResult{Verdict: scVerdict, Text: checker.VerdictText(scVerdict), States: scStats.States}
-		if scVerdict.In() {
-			sc.Witness = fmt.Sprintf("%v", scRes.Observer)
-		}
-
-		resp := VerifyResponse{
-			Explainable: true,
-			LC:          lc,
-			SC:          sc,
-			Relaxed:     lcVerdict.In() && scVerdict.Out(),
-		}
+		opts.Recorder = rec
+		v := checker.Verify(ctx, tr, opts)
+		resp := VerifyResponse{Explainable: true, LC: verifyResult(v.LC), SC: verifyResult(v.SC), Relaxed: v.Relaxed()}
 		body, err := json.Marshal(resp)
-		cacheable := lcVerdict.Decided && scVerdict.Decided
+		cacheable := v.LC.Verdict.Decided && v.SC.Verdict.Decided
 		return append(body, '\n'), cacheable, err
 	})
 	if err != nil {

@@ -401,17 +401,22 @@ func TestEnumerateClampedAndCached(t *testing.T) {
 
 // TestEnumerateDeadlineMidSweep: a census whose decision deadline
 // expires after its sweep has decided some pairs answers 503, and the
-// cache keeps nothing of it.
+// cache keeps nothing of it. The recorder holds the census at its
+// RunStart until well past the deadline, and the sweep polls its
+// context only every 256 pairs, so on any machine the sweep decides
+// some pairs and then stops.
 func TestEnumerateDeadlineMidSweep(t *testing.T) {
+	const deadline = 20 * time.Millisecond
 	var live atomic.Pointer[obs.Counters]
 	rec := obs.RecorderFunc(func(ev obs.Event) {
 		if ev.Kind == obs.RunStart && ev.Live != nil {
 			live.Store(ev.Live)
+			time.Sleep(5 * deadline)
 		}
 	})
 	_, ts := testServer(t, Config{CacheBytes: 1 << 20, Recorder: rec,
-		Limits: Limits{MaxEnumNodes: 6, DefaultTimeout: 50 * time.Millisecond}})
-	resp, data := postJSON(t, ts.URL+"/v1/enumerate", EnumerateRequest{MaxNodes: 6, Workers: 2})
+		Limits: Limits{MaxEnumNodes: 4, DefaultTimeout: deadline}})
+	resp, data := postJSON(t, ts.URL+"/v1/enumerate", EnumerateRequest{MaxNodes: 4, Workers: 2})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503: %s", resp.StatusCode, data)
 	}

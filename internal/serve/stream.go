@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/checker"
 	"repro/internal/mw"
 	"repro/internal/obs"
 	"repro/internal/search"
@@ -434,50 +433,16 @@ func pushWait(events chan<- stream.Event, ev stream.Event, wait time.Duration) b
 	}
 }
 
-// streamFinal computes the final record's verdict block. A cleanly
-// ended (or overrun — Finish short-circuits it without a search)
-// stream goes through stream.Checker.Finish, the same post-mortem code
-// path and wire shape as POST /v1/verify; an early cut of an intact
-// stream must not run the post-mortem pass — an incomplete trace can
-// look explainable — so online-violated models report VIOLATED and the
-// rest the typed INCONCLUSIVE of the cut.
+// streamFinal computes the final record's verdict block through
+// stream.Checker.Finish: for a cleanly ended (or overrun) stream, the
+// same post-mortem code path and wire shape as POST /v1/verify; for an
+// early cut of an intact stream, VIOLATED for online-violated models
+// and the cut's typed INCONCLUSIVE for the rest.
 func (s *Server) streamFinal(rec obs.Recorder, chk *stream.Checker, earlyStop search.StopReason) StreamRecord {
-	out := StreamRecord{Type: "final"}
-	if earlyStop == search.StopNone {
-		opts, timeout := s.cfg.Limits.searchOptions(Options{})
-		ctx, cancel := s.decisionContext(timeout)
-		defer cancel()
-		opts.Recorder = obs.WithRun(rec, "stream-final")
-		fin := chk.Finish(ctx, opts)
-		out.LC = &VerifyResult{Verdict: fin.LC, Text: checker.VerdictText(fin.LC), States: fin.LCStats.States}
-		if fin.LC.In() {
-			out.LC.Witness = fmt.Sprintf("%v", fin.LCResult.Observer)
-		}
-		out.SC = &VerifyResult{Verdict: fin.SC, Text: checker.VerdictText(fin.SC), States: fin.SCStats.States}
-		if fin.SC.In() {
-			out.SC.Witness = fmt.Sprintf("%v", fin.SCResult.Observer)
-		}
-		out.Relaxed = fin.LC.In() && fin.SC.Out()
-		return out
-	}
-	if chk.Overrun() {
-		earlyStop = search.StopOverrun // data was shed: overrun outranks the cut's reason
-	}
-	lcViolated, scViolated := false, false
-	for _, v := range chk.Violations() {
-		for _, m := range v.Models {
-			lcViolated = lcViolated || m == "LC"
-			scViolated = scViolated || m == "SC"
-		}
-	}
-	early := func(violated bool) *VerifyResult {
-		v := search.VerdictInconclusive(earlyStop)
-		if violated {
-			v = search.VerdictOut()
-		}
-		return &VerifyResult{Verdict: v, Text: checker.VerdictText(v)}
-	}
-	out.LC = early(lcViolated)
-	out.SC = early(scViolated)
-	return out
+	opts, timeout := s.cfg.Limits.searchOptions(Options{})
+	ctx, cancel := s.decisionContext(timeout)
+	defer cancel()
+	opts.Recorder = obs.WithRun(rec, "stream-final")
+	v := chk.Finish(ctx, opts, earlyStop)
+	return StreamRecord{Type: "final", LC: verifyResult(v.LC), SC: verifyResult(v.SC), Relaxed: v.Relaxed()}
 }

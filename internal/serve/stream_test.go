@@ -258,8 +258,8 @@ func TestTraceStreamConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			ctx := context.Background()
-			_, lcWant, _ := checker.VerifyLCCtx(ctx, nt.Trace, checker.SearchOptions{})
-			_, scWant, _ := checker.VerifySCCtx(ctx, nt.Trace, checker.SearchOptions{})
+			lcWant := checker.VerifyLC(ctx, nt.Trace, checker.SearchOptions{}).Verdict
+			scWant := checker.VerifySC(ctx, nt.Trace, checker.SearchOptions{}).Verdict
 
 			conn := openStream(t, ts.URL)
 			conn.send(t, corpusEvents(t, name)...)

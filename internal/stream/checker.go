@@ -58,14 +58,16 @@ import (
 //
 // # End of stream
 //
-// The final verdict is computed by the same post-mortem code path
-// (checker.VerifyLCCtx / VerifySCCtx) over the assembled trace, so it
-// is byte-identical to offline verification of the completed trace.
-// Models already online-violated short-circuit to a definitive
-// VIOLATED without re-searching — sound by the rules above. If the
-// ingest overran its buffer the checker saw only part of the trace:
-// undecided models degrade to the typed INCONCLUSIVE(overrun), while
-// violations found before the overrun remain definitive.
+// Finish returns the same checker.Verdicts as post-mortem verification:
+// it runs checker.VerifyLC and VerifySC over the assembled trace, so
+// the final verdict is byte-identical to offline verification of the
+// completed trace. Models already online-violated short-circuit to a
+// definitive VIOLATED without re-searching — sound by the rules above.
+// If the ingest overran its buffer the checker saw only part of the
+// trace: undecided models degrade to the typed INCONCLUSIVE(overrun),
+// while violations found before the overrun remain definitive. A
+// stream cut short (idle cut, drain, client error) is never searched:
+// its undecided models are INCONCLUSIVE with the cut's reason.
 
 // Options tunes the incremental checker. The zero value is usable.
 type Options struct {
@@ -127,16 +129,6 @@ type Stats struct {
 	Overrun bool `json:"overrun"`
 }
 
-// Final is the end-of-stream outcome for both serialization models.
-type Final struct {
-	LC, SC           search.Verdict
-	LCStats, SCStats search.Stats
-	// LCResult/SCResult carry witness observers for explainable
-	// verdicts (from the post-mortem pass; short-circuited violations
-	// have none).
-	LCResult, SCResult checker.Result
-}
-
 // Checker is the incremental verifier. Not safe for concurrent use;
 // the streaming endpoint drives it from a single consumer goroutine.
 type Checker struct {
@@ -163,7 +155,7 @@ type Checker struct {
 	ended      bool
 	overrun    bool
 
-	violations []Violation
+	violations int
 	lcViolated bool
 	scViolated bool
 
@@ -336,12 +328,9 @@ func (c *Checker) ingestNode(ev Event) (*Violation, error) {
 	return v, nil
 }
 
+// record counts a stable violation and marks the models it excludes.
 func (c *Checker) record(v *Violation) {
-	c.violations = append(c.violations, *v)
-	c.applyFlags(*v)
-}
-
-func (c *Checker) applyFlags(v Violation) {
+	c.violations++
 	for _, m := range v.Models {
 		switch m {
 		case "LC":
@@ -461,16 +450,13 @@ func (c *Checker) Ended() bool { return c.ended }
 // Overrun reports whether the overflow policy has triggered.
 func (c *Checker) Overrun() bool { return c.overrun }
 
-// Violations returns the stable violations found so far, in order.
-func (c *Checker) Violations() []Violation { return c.violations }
-
 // Stats snapshots the checker's gauges.
 func (c *Checker) Stats() Stats {
 	s := Stats{
 		Events:        c.events,
 		Shed:          c.shed,
 		CheckpointAge: c.sinceCheck,
-		Violations:    len(c.violations),
+		Violations:    c.violations,
 		Ended:         c.ended,
 		Overrun:       c.overrun,
 	}
@@ -499,37 +485,26 @@ func (c *Checker) Trace() *trace.NamedTrace {
 	}
 }
 
-// Finish computes the end-of-stream verdicts. For models not already
-// online-violated it runs the post-mortem checker over the assembled
-// trace — the same code path as offline verification, so the verdict
-// (and witness) is byte-identical to checker.VerifyLC/SC on the
-// completed trace. Online-violated models short-circuit to a
-// definitive VIOLATED; an overrun degrades undecided models to
-// INCONCLUSIVE(overrun).
-func (c *Checker) Finish(ctx context.Context, opts checker.SearchOptions) Final {
-	var f Final
-	nt := c.Trace()
-	decideLC := func() {
+// Finish computes the end-of-stream verdicts. Online-violated models
+// short-circuit to a definitive VIOLATED, and after an overrun the rest
+// are INCONCLUSIVE(overrun). A stream cut short (cut is not StopNone)
+// is never searched, since an incomplete trace can look explainable:
+// its undecided models are INCONCLUSIVE(cut). Otherwise the post-mortem
+// checker decides them over the assembled trace — the same code path as
+// offline verification, so the verdict (and witness) is byte-identical
+// to checker.VerifyLC/SC on the completed trace.
+func (c *Checker) Finish(ctx context.Context, opts checker.SearchOptions, cut search.StopReason) checker.Verdicts {
+	t := c.Trace().Trace
+	decide := func(violated bool, verify func(context.Context, *trace.Trace, checker.SearchOptions) checker.Result) checker.Result {
 		switch {
-		case c.lcViolated:
-			f.LC = search.VerdictOut()
+		case violated:
+			return checker.Result{Verdict: search.VerdictOut()}
 		case c.overrun:
-			f.LC = search.VerdictInconclusive(search.StopOverrun)
-		default:
-			f.LCResult, f.LC, f.LCStats = checker.VerifyLCCtx(ctx, nt.Trace, opts)
+			return checker.Result{Verdict: search.VerdictInconclusive(search.StopOverrun)}
+		case cut != search.StopNone:
+			return checker.Result{Verdict: search.VerdictInconclusive(cut)}
 		}
+		return verify(ctx, t, opts)
 	}
-	decideSC := func() {
-		switch {
-		case c.scViolated:
-			f.SC = search.VerdictOut()
-		case c.overrun:
-			f.SC = search.VerdictInconclusive(search.StopOverrun)
-		default:
-			f.SCResult, f.SC, f.SCStats = checker.VerifySCCtx(ctx, nt.Trace, opts)
-		}
-	}
-	decideLC()
-	decideSC()
-	return f
+	return checker.Verdicts{LC: decide(c.lcViolated, checker.VerifyLC), SC: decide(c.scViolated, checker.VerifySC)}
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/checker"
 	"repro/internal/dag"
+	"repro/internal/search"
 	"repro/internal/trace"
 )
 
@@ -91,8 +92,8 @@ func TestStreamDifferentialCorpus(t *testing.T) {
 	ctx := context.Background()
 	for name, nt := range loadCorpus(t) {
 		t.Run(name, func(t *testing.T) {
-			_, lcWant, _ := checker.VerifyLCCtx(ctx, nt.Trace, checker.SearchOptions{})
-			_, scWant, _ := checker.VerifySCCtx(ctx, nt.Trace, checker.SearchOptions{})
+			lcWant := checker.VerifyLC(ctx, nt.Trace, checker.SearchOptions{}).Verdict
+			scWant := checker.VerifySC(ctx, nt.Trace, checker.SearchOptions{}).Verdict
 
 			rng := rand.New(rand.NewSource(11))
 			for trial := 0; trial < 8; trial++ {
@@ -116,11 +117,11 @@ func TestStreamDifferentialCorpus(t *testing.T) {
 				if !c.Ended() {
 					t.Fatal("stream did not end")
 				}
-				f := c.Finish(ctx, checker.SearchOptions{})
-				if got, want := checker.VerdictText(f.LC), checker.VerdictText(lcWant); got != want {
+				f := c.Finish(ctx, checker.SearchOptions{}, search.StopNone)
+				if got, want := checker.VerdictText(f.LC.Verdict), checker.VerdictText(lcWant); got != want {
 					t.Fatalf("trial %d: LC %q, post-mortem %q", trial, got, want)
 				}
-				if got, want := checker.VerdictText(f.SC), checker.VerdictText(scWant); got != want {
+				if got, want := checker.VerdictText(f.SC.Verdict), checker.VerdictText(scWant); got != want {
 					t.Fatalf("trial %d: SC %q, post-mortem %q", trial, got, want)
 				}
 				for _, v := range online {
@@ -191,11 +192,11 @@ func TestMpStaleOnlyAtEnd(t *testing.T) {
 	if len(online) != 0 {
 		t.Fatalf("mid-stream violations %+v on a joker-explainable prefix", online)
 	}
-	f := c.Finish(context.Background(), checker.SearchOptions{})
-	if got := checker.VerdictText(f.LC); got != "explainable" {
+	f := c.Finish(context.Background(), checker.SearchOptions{}, search.StopNone)
+	if got := checker.VerdictText(f.LC.Verdict); got != "explainable" {
 		t.Fatalf("LC = %q", got)
 	}
-	if got := checker.VerdictText(f.SC); got != "VIOLATED" {
+	if got := checker.VerdictText(f.SC.Verdict); got != "VIOLATED" {
 		t.Fatalf("SC = %q", got)
 	}
 }
@@ -220,11 +221,11 @@ func TestDekkerBottomCycle(t *testing.T) {
 	if len(v.Models) != 1 || v.Models[0] != "SC" {
 		t.Fatalf("models = %v, want [SC] (the trace is LC-explainable)", v.Models)
 	}
-	f := c.Finish(context.Background(), checker.SearchOptions{})
-	if got := checker.VerdictText(f.LC); got != "explainable" {
+	f := c.Finish(context.Background(), checker.SearchOptions{}, search.StopNone)
+	if got := checker.VerdictText(f.LC.Verdict); got != "explainable" {
 		t.Fatalf("LC = %q", got)
 	}
-	if got := checker.VerdictText(f.SC); got != "VIOLATED" {
+	if got := checker.VerdictText(f.SC.Verdict); got != "VIOLATED" {
 		t.Fatalf("SC = %q", got)
 	}
 }
@@ -247,8 +248,8 @@ func TestOverrunPolicy(t *testing.T) {
 		if st.Events != 2 || st.Shed != 2 {
 			t.Fatalf("events=%d shed=%d, want 2/2", st.Events, st.Shed)
 		}
-		f := c.Finish(context.Background(), checker.SearchOptions{})
-		for _, got := range []string{checker.VerdictText(f.LC), checker.VerdictText(f.SC)} {
+		f := c.Finish(context.Background(), checker.SearchOptions{}, search.StopNone)
+		for _, got := range []string{checker.VerdictText(f.LC.Verdict), checker.VerdictText(f.SC.Verdict)} {
 			if got != "INCONCLUSIVE(overrun)" {
 				t.Fatalf("verdict = %q, want INCONCLUSIVE(overrun)", got)
 			}
@@ -267,13 +268,45 @@ func TestOverrunPolicy(t *testing.T) {
 		if !c.Overrun() || len(online) != 1 {
 			t.Fatalf("overrun=%v online=%+v", c.Overrun(), online)
 		}
-		f := c.Finish(context.Background(), checker.SearchOptions{})
-		for _, got := range []string{checker.VerdictText(f.LC), checker.VerdictText(f.SC)} {
+		f := c.Finish(context.Background(), checker.SearchOptions{}, search.StopNone)
+		for _, got := range []string{checker.VerdictText(f.LC.Verdict), checker.VerdictText(f.SC.Verdict)} {
 			if got != "VIOLATED" {
 				t.Fatalf("verdict = %q, want VIOLATED (found before overrun)", got)
 			}
 		}
 	})
+}
+
+// TestFinishCut: a stream cut short is never searched, since an
+// incomplete trace can look explainable. Online-violated models report
+// VIOLATED and the rest the cut's INCONCLUSIVE, unless the stream
+// overran first.
+func TestFinishCut(t *testing.T) {
+	nt := loadCorpus(t)["dekker_bottom.trace"]
+	events, err := EventsFromTrace(nt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events = events[:len(events)-1] // no end event
+	for _, tc := range []struct {
+		opts   Options
+		lc, sc string
+	}{
+		{Options{CheckEvery: 1}, "INCONCLUSIVE(deadline)", "VIOLATED"},
+		{Options{CheckEvery: 1, MaxEvents: 2}, "INCONCLUSIVE(overrun)", "INCONCLUSIVE(overrun)"},
+	} {
+		c, _ := streamEvents(t, tc.opts, events)
+		f := c.Finish(context.Background(), checker.SearchOptions{}, search.StopDeadline)
+		if got := checker.VerdictText(f.LC.Verdict); got != tc.lc {
+			t.Errorf("%+v: LC = %q, want %q", tc.opts, got, tc.lc)
+		}
+		if got := checker.VerdictText(f.SC.Verdict); got != tc.sc {
+			t.Errorf("%+v: SC = %q, want %q", tc.opts, got, tc.sc)
+		}
+		if f.LC.Stats.States+f.SC.Stats.States != 0 {
+			t.Errorf("%+v: a cut stream was searched", tc.opts)
+		}
+	}
 }
 
 // TestProtocolErrors: malformed streams fail with a clear error at the
@@ -344,7 +377,8 @@ func TestParseEventRejections(t *testing.T) {
 	}
 }
 
-// TestNDJSONRoundTrip: WriteNDJSON and ReadNDJSON invert each other.
+// TestNDJSONRoundTrip: ParseEvent, line by line as the daemon reads a
+// /v1/trace body, inverts WriteNDJSON.
 func TestNDJSONRoundTrip(t *testing.T) {
 	nt := loadCorpus(t)["mp_stale.trace"]
 	events, err := EventsFromTrace(nt)
@@ -355,9 +389,13 @@ func TestNDJSONRoundTrip(t *testing.T) {
 	if err := WriteNDJSON(&buf, events); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadNDJSON(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	var got []Event
+	for _, line := range bytes.Split(bytes.TrimSuffix(buf.Bytes(), []byte("\n")), []byte("\n")) {
+		ev, err := ParseEvent(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, ev)
 	}
 	if len(got) != len(events) {
 		t.Fatalf("round trip %d events, want %d", len(got), len(events))

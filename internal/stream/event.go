@@ -30,14 +30,15 @@
 //
 // Mid-stream, the checker reports only *stable* violations: outcomes
 // that hold in every completion of the stream, however many concurrent
-// writes, reads, and dependencies arrive later. At end-of-stream it
-// runs the exact post-mortem decision over the assembled trace, so the
-// final verdict is byte-identical to checker.VerifySC/LC on the same
-// completed trace.
+// writes, reads, and dependencies arrive later. At end-of-stream
+// Checker.Finish runs the exact post-mortem decision over the assembled
+// trace and returns the same checker.Verdicts as checker.Verify, so the
+// final verdict is byte-identical to offline verification of the
+// completed trace. A stream cut short is never searched: its undecided
+// models finish INCONCLUSIVE with the cut's reason.
 package stream
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -179,35 +180,6 @@ func WriteNDJSON(w io.Writer, events []Event) error {
 	}
 	return nil
 }
-
-// ReadNDJSON parses a whole NDJSON stream (blank lines and #-comment
-// lines are skipped). The scanner accepts lines up to maxEventBytes.
-func ReadNDJSON(r io.Reader) ([]Event, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), maxEventBytes)
-	var events []Event
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 || line[0] == '#' {
-			continue
-		}
-		ev, err := ParseEvent(line)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo, err)
-		}
-		events = append(events, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return events, nil
-}
-
-// maxEventBytes bounds one event line; single operations are tiny, and
-// an unbounded line is a trivial memory DoS on a long-lived endpoint.
-const maxEventBytes = 1 << 20
 
 // Compile-time pin of the sentinel this package rejects on the wire:
 // if trace.Undefined ever moves away from math.MinInt64 this index

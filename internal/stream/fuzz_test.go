@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/checker"
+	"repro/internal/search"
 	"repro/internal/trace"
 )
 
@@ -35,8 +36,8 @@ func FuzzStreamDifferential(f *testing.F) {
 			t.Skip() // keep the post-mortem oracle cheap
 		}
 		ctx := context.Background()
-		_, lcWant, _ := checker.VerifyLCCtx(ctx, nt.Trace, checker.SearchOptions{})
-		_, scWant, _ := checker.VerifySCCtx(ctx, nt.Trace, checker.SearchOptions{})
+		lcWant := checker.VerifyLC(ctx, nt.Trace, checker.SearchOptions{}).Verdict
+		scWant := checker.VerifySC(ctx, nt.Trace, checker.SearchOptions{}).Verdict
 
 		rng := rand.New(rand.NewSource(seed))
 		order := randTopo(nt.Named.Comp.Dag(), rng)
@@ -55,11 +56,11 @@ func FuzzStreamDifferential(f *testing.F) {
 				online = append(online, *v)
 			}
 		}
-		fin := c.Finish(ctx, checker.SearchOptions{})
-		if got, want := checker.VerdictText(fin.LC), checker.VerdictText(lcWant); got != want {
+		fin := c.Finish(ctx, checker.SearchOptions{}, search.StopNone)
+		if got, want := checker.VerdictText(fin.LC.Verdict), checker.VerdictText(lcWant); got != want {
 			t.Fatalf("LC: stream %q, post-mortem %q", got, want)
 		}
-		if got, want := checker.VerdictText(fin.SC), checker.VerdictText(scWant); got != want {
+		if got, want := checker.VerdictText(fin.SC.Verdict), checker.VerdictText(scWant); got != want {
 			t.Fatalf("SC: stream %q, post-mortem %q", got, want)
 		}
 		for _, v := range online {

@@ -15,7 +15,8 @@
 # Phase 2 is conformance: for every corpus trace, the final record's
 # LC/SC verdict spellings and the implied exit code must match
 # `verify -stream` on the same file (which in turn matches the offline
-# `verify` run — pinned by the CLI's own tests).
+# `verify` run — pinned by the CLI's own tests), and so must POST
+# /v1/verify's on the same trace.
 #
 # Run from the repository root.
 set -u
@@ -55,12 +56,26 @@ if [ -z "$BASE" ]; then
 fi
 echo "ccmd: $BASE"
 
-# final_texts FILE -> two lines: the LC then SC verdict spelling from
-# the stream's final record (field order in the record is lc, sc). The
-# `},"text"` anchor picks the VerifyResult text (which follows the
-# nested verdict object), not the verdict's own text field.
+# verdict_texts -> two lines: the LC then SC verdict spelling of the
+# one record on stdin, a /v1/trace final record or a /v1/verify body
+# (field order in both is lc, sc). The `},"text"` anchor picks the
+# VerifyResult text (which follows the nested verdict object), not the
+# verdict's own text field.
+verdict_texts() {
+    grep -o '},"text":"[^"]*"' | sed 's/^},"text":"\(.*\)"$/\1/'
+}
+
+# final_texts FILE -> verdict_texts of the stream's final record.
 final_texts() {
-    grep '"type":"final"' "$1" | grep -o '},"text":"[^"]*"' | sed 's/^},"text":"\(.*\)"$/\1/'
+    grep '"type":"final"' "$1" | verdict_texts
+}
+
+# verify_body FILE -> the POST /v1/verify body for the trace in FILE:
+# {"trace": ...} with the text as a JSON string.
+verify_body() {
+    printf '{"trace":"'
+    sed -e 's/\\/\\\\/g' -e 's/"/\\"/g' -e 's/\t/\\t/g' "$1" | awk '{printf "%s\\n", $0}'
+    printf '"}'
 }
 
 # code_for LC SC -> the exit code verify would map these verdicts to.
@@ -120,7 +135,7 @@ if [ -z "$V_LINE" ] || [ -z "$F_LINE" ] || [ "$V_LINE" -ge "$F_LINE" ]; then
     exit 1
 fi
 
-echo "== phase 2: final verdicts and exit codes match verify -stream"
+echo "== phase 2: final verdicts and exit codes match verify -stream and /v1/verify"
 for f in testdata/*.trace; do
     name=$(basename "$f")
     "$BIN/verify" -events "$f" >"$LOG/$name.events" || exit 1
@@ -150,7 +165,24 @@ for f in testdata/*.trace; do
         echo "stream-smoke: $name: exit codes diverge: service implies $SRV_CODE, verify -stream exited $CLI_CODE" >&2
         exit 1
     fi
-    echo "$name: LC=$SRV_LC SC=$SRV_SC exit=$SRV_CODE"
+
+    verify_body "$f" >"$LOG/$name.req"
+    curl -s -X POST -H 'Content-Type: application/json' \
+        --data-binary "@$LOG/$name.req" "$BASE/v1/verify" >"$LOG/$name.verify" || exit 1
+    VER_LC=$(verdict_texts <"$LOG/$name.verify" | sed -n 1p)
+    VER_SC=$(verdict_texts <"$LOG/$name.verify" | sed -n 2p)
+    if [ "$VER_LC" != "$SRV_LC" ] || [ "$VER_SC" != "$SRV_SC" ]; then
+        echo "stream-smoke: $name: /v1/verify LC=$VER_LC SC=$VER_SC, /v1/trace final LC=$SRV_LC SC=$SRV_SC" >&2
+        cat "$LOG/$name.verify" >&2
+        exit 1
+    fi
+    code_for "$VER_LC" "$VER_SC"
+    VER_CODE=$?
+    if [ "$VER_CODE" -ne "$CLI_CODE" ]; then
+        echo "stream-smoke: $name: exit codes diverge: /v1/verify implies $VER_CODE, verify -stream exited $CLI_CODE" >&2
+        exit 1
+    fi
+    echo "$name: LC=$SRV_LC SC=$SRV_SC exit=$SRV_CODE (/v1/trace, /v1/verify, verify -stream)"
 done
 
 echo "stream-smoke: PASS"
