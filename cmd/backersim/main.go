@@ -130,33 +130,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer cancel()
 	}
 
-	sess, err := obsFlags.Start("backersim", args, stderr)
-	if err != nil {
-		fmt.Fprintln(stderr, "backersim:", err)
-		return 2
-	}
-	cfg.rec = sess.Rec
-
-	var code int
-	switch {
-	case *explore:
-		code = runExplore(ctx, cfg, stdout, stderr)
-	case *shrink:
-		code = runShrink(ctx, cfg, stdout, stderr)
-	case *replay != "":
-		code = runReplay(ctx, cfg, *replay, stdout, stderr)
-	case *sweep:
-		code = runSweep(rand.New(rand.NewSource(cfg.seed)), cfg.shape, stdout, stderr)
-	default:
-		code = runVerification(cfg, stdout, stderr)
-	}
-	if err := sess.Close(code); err != nil {
-		fmt.Fprintln(stderr, "backersim:", err)
-		if code == 0 {
-			code = 1
+	return obsFlags.Run("backersim", args, stderr, func(rec obs.Recorder) int {
+		cfg.rec = rec
+		switch {
+		case *explore:
+			return runExplore(ctx, cfg, stdout, stderr)
+		case *shrink:
+			return runShrink(ctx, cfg, stdout, stderr)
+		case *replay != "":
+			return runReplay(ctx, cfg, *replay, stdout, stderr)
+		case *sweep:
+			return runSweep(rand.New(rand.NewSource(cfg.seed)), cfg.shape, stdout, stderr)
 		}
-	}
-	return code
+		return runVerification(cfg, stdout, stderr)
+	})
 }
 
 // searchOptions builds the governed engine options shared by every

@@ -71,20 +71,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "ccmc:", err)
 		return 2
 	}
-	sess, err := obsFlags.Start("ccmc", args, stderr)
-	if err != nil {
-		fmt.Fprintln(stderr, "ccmc:", err)
-		return 2
-	}
-	opts.Recorder = sess.Rec
-	code := runChecks(fs, opts, *model, *explain, *demo, *dot, *timeout, stdout, stderr)
-	if err := sess.Close(code); err != nil {
-		fmt.Fprintln(stderr, "ccmc:", err)
-		if code == 0 {
-			code = 1
-		}
-	}
-	return code
+	return obsFlags.Run("ccmc", args, stderr, func(rec obs.Recorder) int {
+		opts.Recorder = rec
+		return runChecks(fs, opts, *model, *explain, *demo, *dot, *timeout, stdout, stderr)
+	})
 }
 
 // searchOptions maps the governance flags onto the deciders' options.

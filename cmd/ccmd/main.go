@@ -127,12 +127,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		accessW = f
 	}
 
-	session, err := obsFlags.Start("ccmd", args, stderr)
-	if err != nil {
-		fmt.Fprintf(stderr, "ccmd: %v\n", err)
-		return 2
-	}
-	code := serveLoop(ctx, serveConfig{
+	cfg := serveConfig{
 		addr:              *addr,
 		drainTimeout:      *drainTimeout,
 		readHeaderTimeout: *readHeaderTimeout,
@@ -151,7 +146,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				MaxWorkers:     *maxWorkers,
 				MaxEnumNodes:   *maxEnumNodes,
 			},
-			Recorder:       session.Rec,
 			AccessLog:      accessW,
 			TrustedProxies: proxies,
 			RequestTimeout: *requestTimeout,
@@ -163,14 +157,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				MaxEvents:   *streamMaxEvents,
 			},
 		},
-	}, stdout, stderr)
-	if err := session.Close(code); err != nil {
-		fmt.Fprintf(stderr, "ccmd: %v\n", err)
-		if code == 0 {
-			code = 1
-		}
 	}
-	return code
+	return obsFlags.Run("ccmd", args, stderr, func(rec obs.Recorder) int {
+		cfg.server.Recorder = rec
+		return serveLoop(ctx, cfg, stdout, stderr)
+	})
 }
 
 type serveConfig struct {

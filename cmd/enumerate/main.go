@@ -54,19 +54,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "enumerate: -n, -locs and -workers must be non-negative")
 		return 2
 	}
-	sess, err := obsFlags.Start("enumerate", args, stderr)
-	if err != nil {
-		fmt.Fprintln(stderr, "enumerate:", err)
-		return 2
-	}
-	code := runCounts(*maxNodes, *locs, *perSize, *workers, sess.Rec, stdout)
-	if err := sess.Close(code); err != nil {
-		fmt.Fprintln(stderr, "enumerate:", err)
-		if code == 0 {
-			code = 1
-		}
-	}
-	return code
+	return obsFlags.Run("enumerate", args, stderr, func(rec obs.Recorder) int {
+		return runCounts(*maxNodes, *locs, *perSize, *workers, rec, stdout)
+	})
 }
 
 func runCounts(maxNodes, locs int, perSize bool, workers int, rec obs.Recorder, stdout io.Writer) int {

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -25,6 +27,41 @@ func TestRunCensus(t *testing.T) {
 	for _, model := range []string{"SC", "LC", "WW"} {
 		if !strings.Contains(out.String(), model) {
 			t.Errorf("census table missing model %s:\n%s", model, out.String())
+		}
+	}
+}
+
+// TestGoldens pins the census at sizes the live reference in
+// internal/expt does not reach: testdata/STEM.txt and STEM.exit hold the
+// stdout and exit code recorded when the census swept every computation
+// of the universe rather than one per isomorphism class. The table must
+// not depend on how the workers split the dags.
+func TestGoldens(t *testing.T) {
+	for _, tc := range []struct {
+		stem string
+		args []string
+	}{
+		{"census-n4", []string{"-n", "4"}},
+		{"census-n3-locs2", []string{"-n", "3", "-locs", "2"}},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", tc.stem+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantCode, err := os.ReadFile(filepath.Join("testdata", tc.stem+".exit"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []string{"1", "2", "3"} {
+			args := append([]string{"-workers", workers}, tc.args...)
+			var out, errb bytes.Buffer
+			code := run(args, &out, &errb)
+			if got := strconv.Itoa(code); got != strings.TrimSpace(string(wantCode)) {
+				t.Fatalf("%v: exit code %s, golden %s; stderr:\n%s", args, got, strings.TrimSpace(string(wantCode)), errb.String())
+			}
+			if out.String() != string(want) {
+				t.Fatalf("%v: output drifted from testdata/%s.txt:\ngot:\n%s\nwant:\n%s", args, tc.stem, out.String(), want)
+			}
 		}
 	}
 }
@@ -112,8 +149,22 @@ func TestRunReport(t *testing.T) {
 	if err := obs.ValidateReport(report, schema); err != nil {
 		t.Errorf("report violates the schema: %v", err)
 	}
-	if !strings.Contains(string(report), "enumerate") {
+	var rep struct {
+		Tool string `json:"tool"`
+		Runs []struct {
+			Name    string `json:"name"`
+			Outcome string `json:"outcome"`
+		} `json:"runs"`
+	}
+	if err := json.Unmarshal(report, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Tool != "enumerate" {
 		t.Errorf("report does not name the tool: %s", report)
+	}
+	// One run, the census sweep's own, not a bracket around it.
+	if len(rep.Runs) != 1 || rep.Runs[0].Name != "census" || !strings.HasPrefix(rep.Runs[0].Outcome, "28 pairs") {
+		t.Errorf("report runs: %+v", rep.Runs)
 	}
 }
 

@@ -65,20 +65,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: fleetctl -replicas URL[,URL...] [-models LIST] [-shards N] [-explain] FILE...")
 		return 2
 	}
-	sess, err := obsFlags.Start("fleetctl", args, stderr)
-	if err != nil {
-		fmt.Fprintln(stderr, "fleetctl:", err)
-		return 2
-	}
-	code := runChecks(fs.Args(), sess.Rec, *replicas, *models, *shards, *explain,
-		*maxAttempts, *hedgeAfter, *timeout, *maxStates, *maxMemoMB, *workers, *requestTimeout, stdout, stderr)
-	if err := sess.Close(code); err != nil {
-		fmt.Fprintln(stderr, "fleetctl:", err)
-		if code == 0 {
-			code = 1
-		}
-	}
-	return code
+	return obsFlags.Run("fleetctl", args, stderr, func(rec obs.Recorder) int {
+		return runChecks(fs.Args(), rec, *replicas, *models, *shards, *explain,
+			*maxAttempts, *hedgeAfter, *timeout, *maxStates, *maxMemoMB, *workers, *requestTimeout, stdout, stderr)
+	})
 }
 
 func runChecks(files []string, rec obs.Recorder, replicas, modelList string, shards int, explain bool,

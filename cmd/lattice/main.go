@@ -4,24 +4,25 @@
 // universe of small computations, re-decides the committed strictness
 // witnesses under testdata/litmus (the separations whose smallest
 // members exceed the sweep bound live only there), and runs the
-// constructible-version fixpoint experiments of Section 6.
+// constructible-version fixpoint experiments of Section 6. The
+// per-model membership counts are cmd/enumerate's census.
 //
 // Usage:
 //
-//	lattice [-n MAXNODES] [-locs L] [-workers W] [-census] [-witnesses DIR] [-star MODEL] [-props MODEL] [-findtrap MODEL]
+//	lattice [-n MAXNODES] [-locs L] [-workers W] [-witnesses DIR] [-star MODEL] [-props MODEL] [-findtrap MODEL]
 //
 // Examples:
 //
 //	lattice -n 4              # full Figure 1 check (default)
 //	lattice -n 5              # the same check one size up
-//	lattice -n 4 -star NN     # Theorem 23: NN* = LC on the interior
+//	lattice -n 5 -star NN     # Theorem 23: NN* = LC up to 4 nodes, literal Def 6
 //	lattice -n 4 -star WN     # Section 7 open problem probe
 //	lattice -n 3 -props NN    # completeness/monotonicity/constructibility
 //
 // -star, -props and -findtrap take any registered model (MODEL is
 // case-insensitive, as on every CLI).
 //
-// The default check, -census and -props decide one representative per
+// The default check and -props decide one representative per
 // isomorphism class and weight it by its orbit size, so their counts
 // are those of the whole universe while sizes like -n 5 stay
 // tractable. The default check prints counts per edge; the pairs that
@@ -35,8 +36,8 @@
 //
 // -n, -locs and -workers must be non-negative, and -star needs -n ≥ 1.
 //
-// -workers sets how many goroutines the default lattice check, -census
-// and -star run on (0, the default, means GOMAXPROCS); each claims the
+// -workers sets how many goroutines the default lattice check and -star
+// run on (0, the default, means GOMAXPROCS); each claims the
 // next dag or computation whenever it finishes one, and the output does
 // not depend on the count. -props and -findtrap run serially, because
 // the first failure they report depends on the order of the sweep, so
@@ -51,7 +52,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -71,11 +71,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	maxNodes := fs.Int("n", 4, "maximum computation size (nodes)")
 	locs := fs.Int("locs", 1, "number of memory locations")
-	census := fs.Bool("census", false, "print per-model membership counts")
 	star := fs.String("star", "", "run the constructible-version fixpoint for this base model")
 	props := fs.String("props", "", "check completeness/monotonicity/constructibility for this model")
 	findtrap := fs.String("findtrap", "", "search for the smallest non-constructibility witness of this model")
-	workers := fs.Int("workers", 0, "parallel workers for the lattice check, -census and -star (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "parallel workers for the lattice check and -star (0 = GOMAXPROCS)")
 	witnesses := fs.String("witnesses", "testdata/litmus", "directory of committed strictness-witness fixtures re-checked by the lattice check (empty = skip)")
 	fs.Bool("reduce", false, "ignored: every sweep is orbit-weighted (kept so existing command lines still parse)")
 	obsFlags := obs.AddFlags(fs)
@@ -106,31 +105,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		})
 		if workersSet {
-			fmt.Fprintln(stderr, "lattice: -workers applies only to the default lattice check, -census and -star")
+			fmt.Fprintln(stderr, "lattice: -workers applies only to the default lattice check and -star")
 			return 2
 		}
 	}
 
-	sess, err := obsFlags.Start("lattice", args, stderr)
-	if err != nil {
-		fmt.Fprintln(stderr, "lattice:", err)
-		return 2
-	}
-	code := runChecked(*maxNodes, *locs, *census, *star, *props, *findtrap, *workers, *witnesses, sess.Rec, stdout, stderr)
-	if err := sess.Close(code); err != nil {
-		fmt.Fprintln(stderr, "lattice:", err)
-		if code == 0 {
-			code = 1
-		}
-	}
-	return code
+	return obsFlags.Run("lattice", args, stderr, func(rec obs.Recorder) int {
+		return runChecked(*maxNodes, *locs, *star, *props, *findtrap, *workers, *witnesses, rec, stdout, stderr)
+	})
 }
 
 // runChecked dispatches to the selected experiment and maps its report
 // onto the exit-code convention. rec observes the run: the default
-// lattice check and -census stream their sweeps' phases and gauges; the
-// other branches bracket their experiment in a RunStart/RunEnd pair.
-func runChecked(maxNodes, locs int, census bool, star, props, findtrap string, workers int, witnesses string, rec obs.Recorder, stdout, stderr io.Writer) int {
+// lattice check streams its sweep's phases and gauges; the other
+// branches bracket their experiment in a RunStart/RunEnd pair.
+func runChecked(maxNodes, locs int, star, props, findtrap string, workers int, witnesses string, rec obs.Recorder, stdout, stderr io.Writer) int {
 	// bracket wraps an experiment so -report/-trace sessions see one run
 	// per invocation even off the sweep path; fn records its phases, if
 	// any, under the run.
@@ -184,12 +173,6 @@ func runChecked(maxNodes, locs int, census bool, star, props, findtrap string, w
 			rep := expt.RunProperties(m, maxNodes, locs)
 			return rep.String(), rep.OK()
 		})
-	case census:
-		// Only a cancelled context stops the sweep early, and this one
-		// never is.
-		table, _ := expt.MembershipCensus(context.Background(), maxNodes, locs, workers, rec)
-		fmt.Fprint(stdout, table)
-		return 0
 	default:
 		rep := expt.RunLatticeReduced(maxNodes, locs, workers, rec)
 		fmt.Fprint(stdout, rep)

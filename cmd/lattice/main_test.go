@@ -93,18 +93,6 @@ func TestWitnessChecks(t *testing.T) {
 	}
 }
 
-func TestCensus(t *testing.T) {
-	code, out, _ := runLattice(t, "-n", "3", "-census", "-workers", "2")
-	if code != 0 {
-		t.Fatalf("exit code = %d, want 0; output:\n%s", code, out)
-	}
-	for _, m := range []string{"SC", "LC", "NN", "NW", "WN", "WW"} {
-		if !strings.Contains(out, m) {
-			t.Fatalf("census missing model %s:\n%s", m, out)
-		}
-	}
-}
-
 func TestStarPassAndFail(t *testing.T) {
 	code, out, _ := runLattice(t, "-n", "3", "-star", "NN")
 	if code != 0 {
@@ -153,6 +141,7 @@ func TestUsageErrors(t *testing.T) {
 		args []string
 	}{
 		{"bad flag", []string{"-no-such-flag"}},
+		{"census (enumerate's job)", []string{"-n", "3", "-census"}},
 		{"positional arg", []string{"extra"}},
 		{"unknown star model", []string{"-star", "XX"}},
 		{"unknown props model", []string{"-props", "XX"}},
@@ -161,19 +150,16 @@ func TestUsageErrors(t *testing.T) {
 		{"workers with findtrap", []string{"-workers", "2", "-findtrap", "NN", "-n", "3"}},
 		{"negative n", []string{"-n", "-1"}},
 		{"negative n with reduce", []string{"-n", "-1", "-reduce"}},
-		{"negative n with census", []string{"-n", "-1", "-census"}},
 		{"negative n with star", []string{"-n", "-1", "-star", "NN"}},
 		{"negative n with props", []string{"-n", "-1", "-props", "SC"}},
 		{"negative n with findtrap", []string{"-n", "-1", "-findtrap", "NN"}},
 		{"negative locs", []string{"-locs", "-1", "-n", "2"}},
 		{"negative locs with reduce", []string{"-locs", "-1", "-n", "2", "-reduce"}},
-		{"negative locs with census", []string{"-locs", "-1", "-n", "2", "-census"}},
 		{"negative locs with star", []string{"-locs", "-1", "-n", "2", "-star", "NN"}},
 		{"negative locs with props", []string{"-locs", "-1", "-n", "2", "-props", "SC"}},
 		{"negative locs with findtrap", []string{"-locs", "-1", "-n", "2", "-findtrap", "NN"}},
 		{"star without an interior", []string{"-n", "0", "-star", "NN"}},
 		{"negative workers", []string{"-workers", "-3", "-n", "2"}},
-		{"negative workers with census", []string{"-workers", "-1", "-n", "2", "-census"}},
 		{"negative workers with star", []string{"-workers", "-1", "-n", "2", "-star", "NN"}},
 		{"negative workers with props", []string{"-workers", "-1", "-n", "2", "-props", "SC"}},
 	} {
@@ -208,12 +194,11 @@ func TestModelNames(t *testing.T) {
 }
 
 // -workers is honored (not rejected) on the parallel branches, and
-// their output does not depend on it: the lattice check, the census
-// and the star fixpoint, a failing one included.
+// their output does not depend on it: the lattice check and the star
+// fixpoint, a failing one included.
 func TestWorkersAllowedOnShardedBranches(t *testing.T) {
 	for _, args := range [][]string{
 		{"-n", "3"},
-		{"-n", "3", "-census"},
 		{"-n", "3", "-star", "NN"},
 		{"-n", "3", "-star", "WN"},
 		{"-n", "3", "-locs", "2", "-star", "NW"},
@@ -229,8 +214,7 @@ func TestWorkersAllowedOnShardedBranches(t *testing.T) {
 	}
 }
 
-// TestReportFlag: -report lists one run per experiment, a census
-// included (the sweep's own run, not a bracket around it).
+// TestReportFlag: -report lists one run per experiment.
 func TestReportFlag(t *testing.T) {
 	for _, tc := range []struct {
 		args         []string
@@ -238,7 +222,6 @@ func TestReportFlag(t *testing.T) {
 		run, outcome string
 	}{
 		{[]string{"-n", "3", "-star", "WN"}, 1, "star WN", "FAILED"},
-		{[]string{"-n", "3", "-census"}, 0, "census", "510 pairs"},
 	} {
 		path := filepath.Join(t.TempDir(), "report.json")
 		code, _, _ := runLattice(t, append(tc.args, "-report", path)...)
@@ -294,7 +277,6 @@ func TestReduceMatchesUnreduced(t *testing.T) {
 	for _, tc := range [][]string{
 		{"-n", "3"},
 		{"-n", "3", "-workers", "2"},
-		{"-n", "3", "-census"},
 		{"-n", "3", "-props", "SC"},
 		{"-n", "3", "-star", "NN"},
 		{"-n", "3", "-findtrap", "NN"},
@@ -331,10 +313,10 @@ func checkGolden(t *testing.T, stem string, args ...string) {
 	}
 }
 
-// TestGoldens pins the lattice check and the census at the sizes the
-// live reference in internal/expt does not reach. Each golden is the
-// stdout and exit code of the command recorded when it swept every
-// computation of the universe rather than one per isomorphism class.
+// TestGoldens pins the lattice check at the sizes the live reference in
+// internal/expt does not reach. Each golden is the stdout and exit code
+// of the command recorded when it swept every computation of the
+// universe rather than one per isomorphism class.
 func TestGoldens(t *testing.T) {
 	for _, tc := range []struct {
 		stem string
@@ -342,8 +324,6 @@ func TestGoldens(t *testing.T) {
 	}{
 		{"n4", []string{"-n", "4"}},
 		{"n4-locs2", []string{"-n", "4", "-locs", "2"}},
-		{"census-n4", []string{"-n", "4", "-census"}},
-		{"census-n3-locs2", []string{"-n", "3", "-locs", "2", "-census"}},
 	} {
 		checkGolden(t, tc.stem, tc.args...)
 	}

@@ -25,20 +25,11 @@
 // the search first; -max-memo-mb is exact and never inconclusive. Exit
 // codes: 0 when every check is explainable, 1 when any check is
 // definitively violated, 2 on usage errors (a negative governance flag
-// among them), 3 when the outcome is inconclusive.
+// among them), 3 when the outcome is inconclusive. -max-states caps
+// each search at 1,000,000 states by default; 0 lifts the cap.
 //
-// A pair mode mirrors the ccmc CLI and the ccmd daemon's POST
-// /v1/check: given a committed (computation, observer) pair in the
-// .ccm format instead of a trace, decide membership under every
-// registered model (or one, with -model) through the same
-// memmodel.Decider front door the other frontends use:
-//
-//	verify -pair testdata/litmus/sb.ccm
-//	verify -pair -model TSO testdata/litmus/sb.ccm
-//
-// Pair-mode exit codes match ccmc: 0 when the survey completes (or the
-// single -model answers IN), 1 when a single -model answers OUT, 2 when
-// -model names no registered model, 3 when any verdict is inconclusive.
+// Whether a committed (computation, observer) pair is in a model is
+// ccmc's question (and POST /v1/check's), not verify's.
 //
 // Two streaming modes mirror the ccmd daemon's POST /v1/trace:
 //
@@ -66,9 +57,7 @@ import (
 	"time"
 
 	"repro/internal/checker"
-	"repro/internal/memmodel"
 	"repro/internal/obs"
-	"repro/internal/observer"
 	"repro/internal/search"
 	"repro/internal/stream"
 	"repro/internal/trace"
@@ -90,8 +79,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("verify", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	budget := fs.Int64("budget", 1000000, "alias of -max-states (kept for compatibility; applies to every search)")
-	maxStates := fs.Int64("max-states", 0, "per-search state cap (0 = use -budget); exhaustion yields INCONCLUSIVE(budget)")
+	maxStates := fs.Int64("max-states", 1000000, "per-search state cap (0 = unlimited); exhaustion yields INCONCLUSIVE(budget)")
 	timeout := fs.Duration("timeout", 0, "wall-clock limit for the checks (0 = none); expiry yields INCONCLUSIVE(deadline)")
 	maxMemoMB := fs.Int64("max-memo-mb", 0, "cap on search memoization memory in MiB (0 = unlimited); exact, never inconclusive")
 	witness := fs.Bool("witness", false, "print witness observer functions")
@@ -99,65 +87,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "parallel root-splitting workers for the searches")
 	streamMode := fs.Bool("stream", false, "verify incrementally through the online checker, reporting stable violations mid-stream")
 	emitEvents := fs.Bool("events", false, "print the trace as its NDJSON event stream (the /v1/trace wire format) and exit")
-	pairMode := fs.Bool("pair", false, "FILE is a committed (computation, observer) pair in the .ccm format; decide model membership instead of verifying a trace")
-	model := fs.String("model", "", "with -pair, decide only this model (default: all registered models)")
 	obsFlags := obs.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	opts, err := searchOptions(*workers, *timeout, *budget, *maxStates, *maxMemoMB)
+	opts, err := searchOptions(*workers, *timeout, *maxStates, *maxMemoMB)
 	if err != nil {
 		fmt.Fprintln(stderr, "verify:", err)
 		return 2
 	}
-	sess, err := obsFlags.Start("verify", args, stderr)
-	if err != nil {
-		fmt.Fprintln(stderr, "verify:", err)
-		return 2
-	}
-	code := runChecks(fs, sess.Rec, opts, *timeout, *witness, *demo, *streamMode, *emitEvents, *pairMode, *model, stdout, stderr)
-	if err := sess.Close(code); err != nil {
-		fmt.Fprintln(stderr, "verify:", err)
-		if code == 0 {
-			code = 1
-		}
-	}
-	return code
+	return obsFlags.Run("verify", args, stderr, func(rec obs.Recorder) int {
+		return runChecks(fs, rec, opts, *timeout, *witness, *demo, *streamMode, *emitEvents, stdout, stderr)
+	})
 }
 
 // searchOptions maps the governance flags onto the searches' options.
-// Negative values are usage errors; -max-states overrides -budget when
-// set, and the memo cap converts through search.MiB, so an oversized
-// one saturates instead of wrapping.
-func searchOptions(workers int, timeout time.Duration, budget, maxStates, maxMemoMB int64) (checker.SearchOptions, error) {
-	if budget < 0 || maxStates < 0 || maxMemoMB < 0 || timeout < 0 {
-		return checker.SearchOptions{}, errors.New("-budget, -max-states, -max-memo-mb, and -timeout must be non-negative")
+// Negative values are usage errors; the memo cap converts through
+// search.MiB, so an oversized one saturates instead of wrapping.
+func searchOptions(workers int, timeout time.Duration, maxStates, maxMemoMB int64) (checker.SearchOptions, error) {
+	if maxStates < 0 || maxMemoMB < 0 || timeout < 0 {
+		return checker.SearchOptions{}, errors.New("-max-states, -max-memo-mb, and -timeout must be non-negative")
 	}
-	opts := checker.SearchOptions{Workers: workers, Budget: budget, MaxMemoBytes: search.MiB(maxMemoMB)}
-	if maxStates > 0 {
-		opts.Budget = maxStates
-	}
-	return opts, nil
+	return checker.SearchOptions{Workers: workers, Budget: maxStates, MaxMemoBytes: search.MiB(maxMemoMB)}, nil
 }
 
 func runChecks(fs *flag.FlagSet, rec obs.Recorder, opts checker.SearchOptions, timeout time.Duration,
-	witness, demo, streamMode, emitEvents, pairMode bool, model string, stdout, stderr io.Writer) int {
-
-	if pairMode {
-		if demo || streamMode || emitEvents {
-			fmt.Fprintln(stderr, "verify: -pair cannot be combined with -demo, -stream, or -events")
-			return 2
-		}
-		if fs.NArg() != 1 {
-			fmt.Fprintln(stderr, "usage: verify -pair [-model M] FILE")
-			return 2
-		}
-		return pairChecks(rec, fs.Arg(0), model, opts, timeout, stdout, stderr)
-	}
-	if model != "" {
-		fmt.Fprintln(stderr, "verify: -model applies only to -pair")
-		return 2
-	}
+	witness, demo, streamMode, emitEvents bool, stdout, stderr io.Writer) int {
 
 	var nt *trace.NamedTrace
 	var err error
@@ -211,68 +166,6 @@ func runChecks(fs *flag.FlagSet, rec obs.Recorder, opts checker.SearchOptions, t
 
 	opts.Recorder = rec
 	return printVerdicts(stdout, checker.Verify(ctx, tr, opts), witness)
-}
-
-// pairChecks decides a committed (computation, observer) pair under
-// the registered models — the same memmodel.Decider path behind ccmc,
-// POST /v1/check, and fleetctl, so verify's verdicts cannot
-// drift from theirs (the litmus conformance suite pins all four to one
-// golden file).
-func pairChecks(rec obs.Recorder, file, model string, opts memmodel.SearchOptions, timeout time.Duration,
-	stdout, stderr io.Writer) int {
-
-	models := memmodel.ModelNames()
-	if model != "" {
-		m, err := memmodel.Lookup(model)
-		if err != nil {
-			fmt.Fprintln(stderr, "verify:", err)
-			return 2
-		}
-		models = []string{m.Name()}
-	}
-
-	f, err := os.Open(file)
-	if err != nil {
-		fmt.Fprintln(stderr, "verify:", err)
-		return 1
-	}
-	defer f.Close()
-	named, ofn, err := observer.ParsePair(f)
-	if err != nil {
-		fmt.Fprintln(stderr, "verify:", err)
-		return 1
-	}
-
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	opts.Recorder = rec
-
-	anyOut, anyInconclusive := false, false
-	var dec memmodel.Decider
-	dec.Reset(named.Comp)
-	dec.Observe(ofn)
-	for _, name := range models {
-		d, err := dec.Decide(ctx, name, opts)
-		if err != nil {
-			fmt.Fprintln(stderr, "verify:", err)
-			return 2
-		}
-		anyOut = anyOut || d.Verdict.Out()
-		anyInconclusive = anyInconclusive || d.Verdict.Inconclusive()
-		fmt.Fprintf(stdout, "%s: %s  (search states: %d)\n", name, d.Verdict, d.Stats.States)
-	}
-	switch {
-	case anyInconclusive:
-		fmt.Fprintln(stderr, "verify: inconclusive: raise -timeout/-max-states and retry")
-		return 3
-	case anyOut && model != "":
-		return 1
-	}
-	return 0
 }
 
 // streamChecks replays the parsed trace through the incremental online

@@ -31,10 +31,24 @@ func TestRunDemo(t *testing.T) {
 	}
 }
 
+// TestRunUsage: a missing file is a usage error, and so are the flags
+// of a pair mode (deciding pairs is ccmc's job); -max-states caps each
+// search at a million states unless it is set.
 func TestRunUsage(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run(nil, &out, &errb); code != 2 {
 		t.Fatalf("exit code = %d, want 2", code)
+	}
+	for _, args := range [][]string{{"-pair", "../../testdata/figure2.ccm"}, {"-model", "SC", "-demo"}, {"-budget", "5", "-demo"}} {
+		errb.Reset()
+		if code := run(args, &out, &errb); code != 2 || !strings.Contains(errb.String(), "flag provided but not defined") {
+			t.Errorf("%v: exit %d, want 2 for an undefined flag; stderr: %s", args, code, errb.String())
+		}
+	}
+	errb.Reset()
+	run([]string{"-h"}, &out, &errb)
+	if want := "(0 = unlimited); exhaustion yields INCONCLUSIVE(budget) (default 1000000)"; !strings.Contains(errb.String(), want) {
+		t.Errorf("usage lacks %q:\n%s", want, errb.String())
 	}
 }
 
@@ -58,7 +72,7 @@ func TestRunTimeoutInconclusive(t *testing.T) {
 	base := runtime.NumGoroutine()
 	var out, errb bytes.Buffer
 	start := time.Now()
-	code := run([]string{"-timeout", "250ms", "-max-states", "0", "-budget", "0", path}, &out, &errb)
+	code := run([]string{"-timeout", "250ms", "-max-states", "0", path}, &out, &errb)
 	elapsed := time.Since(start)
 
 	if code != 3 {
@@ -239,7 +253,7 @@ func writeHardTrace(t *testing.T) string {
 // uncapped memo cap and 2^44+1 MiB to a 1 MiB cap), and a negative
 // governance flag is a usage error instead of running ungoverned.
 func TestGovernanceFlags(t *testing.T) {
-	modes := [][]string{{"-demo"}, {"-stream", "../../testdata/mp_stale.trace"}, {"-pair", "../../testdata/figure2.ccm"}}
+	modes := [][]string{{"-demo"}, {"-stream", "../../testdata/mp_stale.trace"}}
 	for _, tc := range []struct {
 		mb   int64
 		ok   bool
@@ -259,12 +273,12 @@ func TestGovernanceFlags(t *testing.T) {
 				t.Errorf("-max-memo-mb %s %v: exit %d; stderr: %s", mb, mode, code, errb.String())
 			}
 		}
-		opts, err := searchOptions(1, 0, 0, 0, tc.mb)
+		opts, err := searchOptions(1, 0, 0, tc.mb)
 		if (err == nil) != tc.ok || opts.MaxMemoBytes != tc.memo {
 			t.Errorf("-max-memo-mb %s: memo cap %d bytes, err %v; want %d", mb, opts.MaxMemoBytes, err, tc.memo)
 		}
 	}
-	for _, args := range [][]string{{"-max-states", "-5"}, {"-budget", "-1"}, {"-timeout", "-1s"}} {
+	for _, args := range [][]string{{"-max-states", "-5"}, {"-timeout", "-1s"}} {
 		var out, errb bytes.Buffer
 		if code := run(append(args, "-demo"), &out, &errb); code != 2 || !strings.Contains(errb.String(), "non-negative") {
 			t.Errorf("%v: exit %d, want 2 naming the rule; stderr: %s", args, code, errb.String())

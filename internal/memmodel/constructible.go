@@ -37,8 +37,12 @@ import (
 // interior depends on the model and on n. A larger universe does not
 // make S exact at a given size: at n = 6, NN survivors still exceed LC
 // at size 5 (EXPERIMENTS.md E7). The experiments rely only on the
-// sandwich LC ⊆ NN* ⊆ S: whenever S(size ≤ s) = LC(size ≤ s), the
-// equality NN* = LC is *proved* for computations of at most s nodes.
+// sandwich LC ⊆ NN* ⊆ S, for NN* under the literal reading of
+// Definition 6 (every pair extends to every extension of its
+// computation), the reading this pruning follows: whenever
+// S(size ≤ s) = LC(size ≤ s), the equality NN* = LC is *proved* under
+// that reading for computations of at most s nodes, which the committed
+// runs reach for s = 4 at one and at two locations.
 //
 // Whether (C, Φ) survives depends only on survivors one node larger, so
 // the fixpoint needs no iteration: one pass over the interior from the

@@ -51,9 +51,10 @@ import (
 
 // qdagWalk visits the members of one Q-dag model among the observers
 // of a computation, on buffers reused from computation to computation.
-// The zero value walks NN.
+// The pattern sweep (sweepwalk.go) embeds it for its closure rows,
+// writers, assignments and violated, and leaves bit zero.
 type qdagWalk struct {
-	uWrites, vWrites bool // the predicate: u must write l (WN, WW), v must (NW, WW)
+	bit uint16 // the member walk's model: NN, NW, WN or WW's pattern bit
 
 	n, slots  int      // nodes, and nodes × locations
 	anc, desc []uint64 // by node: its strict ancestors and descendants, one bit per node
@@ -65,10 +66,7 @@ type qdagWalk struct {
 // newQDagWalk returns the walk of the Q-dag model whose pattern bit is
 // bit.
 func newQDagWalk(bit uint16) *qdagWalk {
-	return &qdagWalk{
-		uWrites: bit&(PatternWN|PatternWW) != 0,
-		vWrites: bit&(PatternNW|PatternWW) != 0,
-	}
+	return &qdagWalk{bit: bit}
 }
 
 // reset loads c, followed by a final node labelled *sink when sink is
@@ -157,7 +155,7 @@ func (q *qdagWalk) walk(slot, rank int) {
 			x = bits.TrailingZeros64(later)
 			later &= later - 1
 		}
-		if !q.violates(l, w, x, obs) {
+		if q.violated(l, w, x)&q.bit == 0 {
 			obs[x] |= bit
 			q.walk(slot+1, rank*radix+digit)
 			obs[x] &^= bit
@@ -165,26 +163,40 @@ func (q *qdagWalk) walk(slot, rank int) {
 	}
 }
 
-// violates reports whether Φ(l,w) = x (x = n for ⊥) completes a triple
-// u ≺ v ≺ w that violates Condition 20.1, where obs holds location l's
-// assignments so far by value.
-func (q *qdagWalk) violates(l, w, x int, obs []uint64) bool {
-	vs := q.anc[w] &^ obs[x] // the v ≺ w with Φ(l,v) ≠ x
-	if q.vWrites {
-		vs &= q.writers[l]
+// violated returns the Q-dag bits whose predicate some triple
+// u ≺ v ≺ w violates when Φ(l,w) = x (x = n for ⊥), for a w that does
+// not write l: the cases above, for the four predicates at once.
+func (q *qdagWalk) violated(l, w, x int) uint16 {
+	obs := q.obsOf[l*(q.n+1) : (l+1)*(q.n+1)] // l's assignments so far, by value
+	vs := q.anc[w] &^ obs[x]                  // the v ≺ w with Φ(l,v) ≠ x
+	if vs == 0 {
+		return 0
 	}
-	switch {
-	case vs == 0:
-		return false
-	case x == q.n:
-		return !q.uWrites // u = ⊥
-	case q.uWrites:
-		return q.desc[x]&vs != 0 // u = x
+	vw := vs & q.writers[l] // those that write l
+	if x == q.n {           // u = ⊥
+		if vw != 0 {
+			return PatternNN | PatternNW
+		}
+		return PatternNN
 	}
-	for us := obs[x]; us != 0; us &= us - 1 {
-		if q.desc[bits.TrailingZeros64(us)]&vs != 0 {
-			return true
+	var viol uint16
+	if q.desc[x]&vs != 0 { // u = x, the one writer of l with Φ(l,u) = x
+		viol |= PatternNN | PatternWN
+	}
+	if q.desc[x]&vw != 0 {
+		viol |= PatternNW | PatternWW
+	}
+	if viol&(PatternNN|PatternNW) != PatternNN|PatternNW {
+		var after uint64 // what follows some u with Φ(l,u) = x
+		for us := obs[x]; us != 0; us &= us - 1 {
+			after |= q.desc[bits.TrailingZeros64(us)]
+		}
+		if after&vs != 0 {
+			viol |= PatternNN
+		}
+		if after&vw != 0 {
+			viol |= PatternNW
 		}
 	}
-	return false
+	return viol
 }

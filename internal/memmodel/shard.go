@@ -9,14 +9,17 @@ import (
 	"repro/internal/search"
 )
 
-// Fleet sharding front door: the SC decision is the only NP-hard
-// question in the model lattice, so it is the only one worth splitting
-// across machines. The shard coordinate is the admissible root
-// frontier of the compiled last-writer search — the same split the
-// in-process parallel engine fans workers over — and the merge rule
-// (lowest witness root wins) is the same rule that makes Workers > 1
-// deterministic, so a fleet of shard runs reproduces the single-box
-// verdict and witness byte for byte.
+// Fleet sharding front door. SC and TSO are the registry's two models
+// decided by a search on the engine (every other model has a
+// polynomial decider), but only SC has a shard plan, so the fleet
+// splits only SC across machines and POST /v1/batch refuses a shard
+// range for any other model; TSO's search could take root ranges the
+// same way, yet goes to one replica whole. The shard coordinate is the
+// admissible root frontier of the compiled last-writer search — the
+// same split the in-process parallel engine fans workers over — and
+// the merge rule (lowest witness root wins) is the same rule that makes
+// Workers > 1 deterministic, so a fleet of shard runs reproduces the
+// single-box verdict and witness byte for byte.
 
 // SCShardPlan sizes the shard coordinate space for the SC membership
 // question (c, o): the number of admissible roots a coordinator may

@@ -42,7 +42,8 @@ import (
 //
 // The Q-dag bits come from one walk over the observers, slot by slot in
 // Enumerate's order as qdagwalk.go's member walk goes. It checks each
-// triple u ≺ v ≺ w once, at w's slot, for all four predicates at once;
+// triple u ≺ v ≺ w once, at w's slot, with the member walk's
+// qdagWalk.violated, which states all four predicates at once;
 // qdagwalk.go's argument makes that exact when ids are topological.
 // Unlike the member walk it prunes nothing: every observer is a leaf,
 // and it carries the union of the predicates its slots violated.
@@ -312,43 +313,4 @@ func (s *sweepWalk) assign(slot, l, w, x, r int, viol uint16, lc bool) int {
 	visited := s.visit(slot+1, r, viol, lc)
 	*obs &^= 1 << w
 	return visited
-}
-
-// violated returns the Q-dag bits whose predicate some triple
-// u ≺ v ≺ w violates when Φ(l,w) = x (x = n for ⊥), for a w that does
-// not write l: the cases of qdagWalk.violates, for the four predicates
-// at once.
-func (s *sweepWalk) violated(l, w, x int) uint16 {
-	obs := s.obsOf[l*(s.n+1) : (l+1)*(s.n+1)] // l's assignments so far, by value
-	vs := s.anc[w] &^ obs[x]                  // the v ≺ w with Φ(l,v) ≠ x
-	if vs == 0 {
-		return 0
-	}
-	vw := vs & s.writers[l] // those that write l
-	if x == s.n {           // u = ⊥
-		if vw != 0 {
-			return PatternNN | PatternNW
-		}
-		return PatternNN
-	}
-	var viol uint16
-	if s.desc[x]&vs != 0 { // u = x, the one writer of l with Φ(l,u) = x
-		viol |= PatternNN | PatternWN
-	}
-	if s.desc[x]&vw != 0 {
-		viol |= PatternNW | PatternWW
-	}
-	if viol&(PatternNN|PatternNW) != PatternNN|PatternNW {
-		var after uint64 // what follows some u with Φ(l,u) = x
-		for us := obs[x]; us != 0; us &= us - 1 {
-			after |= s.desc[bits.TrailingZeros64(us)]
-		}
-		if after&vs != 0 {
-			viol |= PatternNN
-		}
-		if after&vw != 0 {
-			viol |= PatternNW
-		}
-	}
-	return viol
 }

@@ -44,11 +44,12 @@ var TSO Model = registered("TSO")
 
 // decideTSO searches the two-event expansion with the forwarding
 // constraints expressed through the engine's placement gate;
-// memoization and root sharding work unchanged (the gate is a pure
-// function of the memo key), so the fleet can shard TSO like any
-// engine-backed model. An In decision's Order is the memory order over
-// the original nodes, sequenced by when they take effect: reads and
-// noops at issue, writes at commit.
+// memoization, parallel workers and root ranges work unchanged (the
+// gate is a pure function of the memo key). The fleet nonetheless sends
+// TSO to one replica whole: only SC has a shard plan (shard.go). An In
+// decision's Order is the memory order over the original nodes,
+// sequenced by when they take effect: reads and noops at issue, writes
+// at commit.
 func (d *Decider) decideTSO(ctx context.Context, opts SearchOptions) Decision {
 	res, ran := d.tsoSearch(ctx, opts)
 	if !ran {

@@ -13,7 +13,10 @@
 // deadlocks. The tests stage exactly that: Universal(SC), Universal(LC)
 // and Universal(WW) run forever, while Universal(NN) is driven stuck by
 // the Figure 4 computation, and any online algorithm for NN must
-// instead maintain the stronger model NN* = LC (Theorem 23).
+// instead maintain the stronger model NN*, which Theorem 23 equates
+// with LC. cmd/lattice -star NN proves that equality for computations
+// of at most 4 nodes, under the literal reading of Definition 6 (every
+// pair extends to every extension of its computation).
 package memory
 
 import (

@@ -17,10 +17,9 @@ import (
 //	-trace <file>     Chrome trace_event timeline on exit
 //	-pprof <addr>     live net/http/pprof server
 //
-// Register with AddFlags, then Start a Session after flag parsing and
-// Close it with the exit code before returning. One helper wires all
-// five tools identically, so a stuck run is diagnosable the same way
-// everywhere.
+// Register with AddFlags, then hand the tool's work to Run after flag
+// parsing. One helper wires every tool identically, so a stuck run is
+// diagnosable the same way everywhere.
 type Flags struct {
 	Progress time.Duration
 	Report   string
@@ -38,11 +37,32 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// Session is the assembled recorder stack for one CLI invocation.
-// Rec is nil when no flag asked for observation — producers then skip
-// all event work.
-type Session struct {
-	Rec Recorder
+// Run runs body between the start and the close of the session the
+// flags ask for, and returns body's exit code. body's recorder is nil
+// when no flag asked for observation, so producers skip all event
+// work. A session that cannot start (a bad -pprof address) is a usage
+// error: Run prints it after "tool: " on stderr and returns 2 without
+// running body. A report or trace that cannot be written is printed
+// the same way and turns an exit code of 0 into 1.
+func (f *Flags) Run(tool string, args []string, stderr io.Writer, body func(Recorder) int) int {
+	s, err := f.start(tool, args, stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, tool+":", err)
+		return 2
+	}
+	code := body(s.rec)
+	if err := s.close(code); err != nil {
+		fmt.Fprintln(stderr, tool+":", err)
+		if code == 0 {
+			code = 1
+		}
+	}
+	return code
+}
+
+// session is the assembled recorder stack for one CLI invocation.
+type session struct {
+	rec Recorder
 
 	flags    *Flags
 	progress *Progress
@@ -51,11 +71,11 @@ type Session struct {
 	pprofLn  net.Listener
 }
 
-// Start builds the recorders the flags ask for and, with -pprof,
+// start builds the recorders the flags ask for and, with -pprof,
 // starts the profiling server. A bad -pprof address is an immediate
 // error (a silently dead profiler would defeat the point).
-func (f *Flags) Start(tool string, args []string, stderr io.Writer) (*Session, error) {
-	s := &Session{flags: f}
+func (f *Flags) start(tool string, args []string, stderr io.Writer) (*session, error) {
+	s := &session{flags: f}
 	var recs []Recorder
 	if f.Progress > 0 {
 		s.progress = NewProgress(stderr, f.Progress)
@@ -85,18 +105,14 @@ func (f *Flags) Start(tool string, args []string, stderr io.Writer) (*Session, e
 		go srv.Serve(ln) //nolint:errcheck // exits with the process
 		fmt.Fprintf(stderr, "%s: pprof serving on http://%s/debug/pprof/\n", tool, ln.Addr())
 	}
-	s.Rec = Multi(recs...)
+	s.rec = Multi(recs...)
 	return s, nil
 }
 
-// Close flushes the session: stops the progress loop, writes the
+// close flushes the session: stops the progress loop, writes the
 // report and trace files (stamped with exitCode), and shuts the pprof
-// listener. It returns the first write error; callers should surface
-// it and exit nonzero.
-func (s *Session) Close(exitCode int) error {
-	if s == nil {
-		return nil
-	}
+// listener. It returns the first write error.
+func (s *session) close(exitCode int) error {
 	var firstErr error
 	if s.progress != nil {
 		s.progress.Close()

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -21,20 +22,14 @@ func TestAddFlagsDefaults(t *testing.T) {
 		t.Fatalf("defaults: %+v", f)
 	}
 	var stderr bytes.Buffer
-	s, err := f.Start("t", nil, &stderr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Rec != nil {
-		t.Fatal("no flags set but Rec is non-nil — hot paths would pay for it")
-	}
-	if err := s.Close(0); err != nil {
-		t.Fatal(err)
-	}
-	// A nil session (CLI error before Start) must be closeable too.
-	var nilSession *Session
-	if err := nilSession.Close(1); err != nil {
-		t.Fatal(err)
+	code := f.Run("t", nil, &stderr, func(rec Recorder) int {
+		if rec != nil {
+			t.Error("no flags set but the recorder is non-nil — hot paths would pay for it")
+		}
+		return 3
+	})
+	if code != 3 || stderr.Len() != 0 {
+		t.Fatalf("Run = %d, stderr %q; want the body's 3 and nothing printed", code, stderr.String())
 	}
 }
 
@@ -49,17 +44,16 @@ func TestSessionWritesReportAndTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stderr bytes.Buffer
-	s, err := f.Start("ccmc", []string{"-demo"}, &stderr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Rec == nil {
-		t.Fatal("flags set but Rec is nil")
-	}
-	Emit(s.Rec, Event{Kind: RunStart, Run: "SC"})
-	Emit(s.Rec, Event{Kind: RunEnd, Run: "SC", Str: "IN", Stats: &Stats{States: 3}})
-	if err := s.Close(2); err != nil {
-		t.Fatal(err)
+	code := f.Run("ccmc", []string{"-demo"}, &stderr, func(rec Recorder) int {
+		if rec == nil {
+			t.Fatal("flags set but the recorder is nil")
+		}
+		Emit(rec, Event{Kind: RunStart, Run: "SC"})
+		Emit(rec, Event{Kind: RunEnd, Run: "SC", Str: "IN", Stats: &Stats{States: 3}})
+		return 2
+	})
+	if code != 2 {
+		t.Fatalf("Run = %d, want the body's 2; stderr %q", code, stderr.String())
 	}
 
 	raw, err := os.ReadFile(reportPath)
@@ -87,6 +81,20 @@ func TestSessionWritesReportAndTrace(t *testing.T) {
 	}
 }
 
+// TestSessionWriteFailure: a report that cannot be written is printed
+// after the tool's name and turns a clean exit into 1, while a failing
+// exit code stays as the body returned it.
+func TestSessionWriteFailure(t *testing.T) {
+	f := &Flags{Report: filepath.Join(t.TempDir(), "missing", "report.json")}
+	for _, tc := range []struct{ body, want int }{{0, 1}, {3, 3}} {
+		var stderr bytes.Buffer
+		code := f.Run("t", nil, &stderr, func(Recorder) int { return tc.body })
+		if code != tc.want || !strings.HasPrefix(stderr.String(), "t: ") {
+			t.Errorf("body %d: Run = %d, stderr %q; want %d and the write error", tc.body, code, stderr.String(), tc.want)
+		}
+	}
+}
+
 func TestSessionPProf(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	f := AddFlags(fs)
@@ -94,27 +102,28 @@ func TestSessionPProf(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stderr bytes.Buffer
-	s, err := f.Start("t", nil, &stderr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close(0)
-	addr := s.pprofLn.Addr().String()
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get("http://" + addr + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("pprof index: %s", resp.Status)
-	}
+	f.Run("t", nil, &stderr, func(Recorder) int {
+		_, rest, _ := strings.Cut(stderr.String(), "pprof serving on ")
+		url := strings.TrimSpace(rest)
+		client := &http.Client{Timeout: 5 * time.Second}
+		resp, err := client.Get(url)
+		if err != nil {
+			t.Fatalf("%v (stderr %q)", err, stderr.String())
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("pprof index: %s", resp.Status)
+		}
+		return 0
+	})
 }
 
 func TestSessionPProfBadAddress(t *testing.T) {
 	f := &Flags{PProf: "256.256.256.256:http"}
 	var stderr bytes.Buffer
-	if _, err := f.Start("t", nil, &stderr); err == nil {
-		t.Fatal("bad -pprof address did not error")
+	ran := false
+	code := f.Run("t", nil, &stderr, func(Recorder) int { ran = true; return 0 })
+	if code != 2 || ran || !strings.HasPrefix(stderr.String(), "t: obs: -pprof") {
+		t.Fatalf("bad -pprof address: Run = %d, body ran %v, stderr %q; want 2 before the body", code, ran, stderr.String())
 	}
 }

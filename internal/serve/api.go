@@ -105,15 +105,15 @@ type VerifyResponse struct {
 // (computation, observer) universe up to MaxNodes nodes.
 type EnumerateRequest struct {
 	MaxNodes int `json:"max_nodes"`
-	Locs     int `json:"locs,omitempty"`    // default 1
-	Workers  int `json:"workers,omitempty"` // sweep shards, clamped
+	Locs     int `json:"locs,omitempty"`    // default 1, clamped to the node bound
+	Workers  int `json:"workers,omitempty"` // sweep shards, clamped to GOMAXPROCS and MaxWorkers
 }
 
 // EnumerateResponse carries the census table, byte-identical to the
 // enumerate CLI's output for the same bounds.
 type EnumerateResponse struct {
 	MaxNodes int    `json:"max_nodes"` // after clamping
-	Locs     int    `json:"locs"`
+	Locs     int    `json:"locs"`      // after clamping
 	Census   string `json:"census"`
 }
 

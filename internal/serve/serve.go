@@ -642,14 +642,19 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	if n == 0 || n > s.cfg.Limits.MaxEnumNodes {
 		n = s.cfg.Limits.MaxEnumNodes
 	}
+	// The sweep sizes its label tables by locs and starts a goroutine
+	// per worker before it first polls its context, so neither may
+	// outgrow what the census can use. A computation of n nodes touches
+	// at most n locations, so locs is clamped to n the way n is clamped
+	// to MaxEnumNodes, and the response names both bounds; workers past
+	// GOMAXPROCS (or the MaxWorkers ceiling) would only wait their turn.
 	locs := req.Locs
 	if locs == 0 {
 		locs = 1
 	}
-	workers := req.Workers
-	if workers < 0 {
-		workers = 0
-	}
+	locs = min(locs, n)
+	workers := int(clampInt64(int64(req.Workers), int64(s.cfg.Limits.MaxWorkers)))
+	workers = min(max(workers, 0), runtime.GOMAXPROCS(0))
 	key := keyOf(appendKeyParts(nil, "enumerate", strconv.Itoa(n), strconv.Itoa(locs)))
 
 	rec := s.requestRecorder(r)

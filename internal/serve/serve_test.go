@@ -399,6 +399,58 @@ func TestEnumerateClampedAndCached(t *testing.T) {
 	}
 }
 
+// TestEnumerateBoundsDerived: a census request can ask for no more
+// locations than its computations have nodes, and no more workers than
+// the daemon runs goroutines at once or its MaxWorkers ceiling allows.
+// The response names the effective bounds, and the census is the table
+// `enumerate -n 2 -locs 2` prints.
+func TestEnumerateBoundsDerived(t *testing.T) {
+	const census = `membership census over ≤2 nodes, 2 location(s): 82 pairs total
+  SC         70
+  TSO        72
+  RA         72
+  CAUSAL       72
+  LC         74
+  NN         74
+  NW         74
+  WN         82
+  WW         82
+`
+	for _, tc := range []struct {
+		maxWorkers, want int
+	}{
+		{0, runtime.GOMAXPROCS(0)},
+		{1, 1},
+	} {
+		var mu sync.Mutex
+		var started []int // the worker count of each census RunStart
+		rec := obs.RecorderFunc(func(ev obs.Event) {
+			if ev.Kind == obs.RunStart && strings.HasSuffix(ev.Run, "census") {
+				mu.Lock()
+				started = append(started, ev.Total)
+				mu.Unlock()
+			}
+		})
+		_, ts := testServer(t, Config{Recorder: rec, Limits: Limits{MaxWorkers: tc.maxWorkers}})
+		resp, data := postJSON(t, ts.URL+"/v1/enumerate", EnumerateRequest{MaxNodes: 2, Locs: 3, Workers: 64})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, data)
+		}
+		var er EnumerateResponse
+		if err := json.Unmarshal(data, &er); err != nil {
+			t.Fatal(err)
+		}
+		if er.MaxNodes != 2 || er.Locs != 2 || er.Census != census {
+			t.Errorf("MaxWorkers %d: bounds (%d, %d), census:\n%s\nwant (2, 2) and:\n%s", tc.maxWorkers, er.MaxNodes, er.Locs, er.Census, census)
+		}
+		mu.Lock()
+		if len(started) != 1 || started[0] > tc.want {
+			t.Errorf("MaxWorkers %d: census RunStart worker counts %v, want one of at most %d", tc.maxWorkers, started, tc.want)
+		}
+		mu.Unlock()
+	}
+}
+
 // TestEnumerateDeadlineMidSweep: a census whose decision deadline
 // expires after its sweep has decided some pairs answers 503, and the
 // cache keeps nothing of it. The recorder holds the census at its

@@ -31,14 +31,6 @@ if [ "$code" -ne 0 ]; then
     exit 1
 fi
 
-echo "== verify -pair -report on the litmus corpus (expect exit 0)"
-"$BIN/verify" -pair -report "$OUT/verify-pair.json" testdata/litmus/sb.ccm > /dev/null
-code=$?
-if [ "$code" -ne 0 ]; then
-    echo "report-check: verify -pair exit $code, want 0" >&2
-    exit 1
-fi
-
 echo "== backersim -explore -report (expect exit 1: violations found)"
 "$BIN/backersim" -explore -ccm testdata/stale_read.ccm -p 2 -report "$OUT/backersim.json" > /dev/null
 code=$?
@@ -57,7 +49,7 @@ fi
 
 echo "== validate reports against testdata/report.schema.json"
 "$BIN/reportcheck" -schema testdata/report.schema.json \
-    "$OUT/ccmc.json" "$OUT/ccmc-litmus.json" "$OUT/verify-pair.json" \
+    "$OUT/ccmc.json" "$OUT/ccmc-litmus.json" \
     "$OUT/backersim.json" "$OUT/verify-stream.json" || exit 1
 
 # The reports must also reflect what actually ran: ccmc records one
@@ -86,15 +78,12 @@ if grep -q '"trace_events_ingested": 0' "$OUT/verify-stream.json"; then
 fi
 
 # The per-model decision counters must cover the hardware/language
-# models in both pair-deciding frontends: one decision per registered
-# model on a full survey.
-for f in "$OUT/ccmc-litmus.json" "$OUT/verify-pair.json"; do
-    for m in SC LC TSO RA CAUSAL; do
-        if ! grep -q "\"$m\": 1" "$f"; then
-            echo "report-check: $f decisions missing model $m" >&2
-            exit 1
-        fi
-    done
+# models: one decision per registered model on a full ccmc survey.
+for m in SC LC TSO RA CAUSAL; do
+    if ! grep -q "\"$m\": 1" "$OUT/ccmc-litmus.json"; then
+        echo "report-check: ccmc litmus decisions missing model $m" >&2
+        exit 1
+    fi
 done
 
 echo "report-check: OK"
